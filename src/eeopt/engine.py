@@ -18,7 +18,7 @@ objective then reflects thresholds the allocation actually achieves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -78,6 +78,7 @@ class IterationStats:
     newton_iterations: int
     subproblem_status: SubproblemStatus
     feasible: bool            # original constraint set, relative tol 1e-6
+    certified: bool           # OPTIMAL and kkt_residual <= the run's kkt_tolerance
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,15 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.status is RunStatus.CONVERGED
+
+    @property
+    def uncertified_subproblems(self) -> int:
+        """Subproblems whose solution did not meet its KKT certificate.
+
+        The run status does not account for them: a run can be
+        ``converged`` over uncertified subproblems.
+        """
+        return sum(not s.certified for s in self.iteration_stats)
 
 
 def default_initial_point(instance: NetworkInstance) -> np.ndarray:
@@ -164,6 +174,8 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
                 newton_iterations=sol.newton_iterations,
                 subproblem_status=sol.status,
                 feasible=is_feasible(instance, p, tol=1e-6).ok,
+                certified=(sol.status is SubproblemStatus.OPTIMAL
+                           and sol.kkt_residual <= config.kkt_tolerance),
             )
         )
         rel_change = abs(f_l - f_prev) / max(abs(f_prev), 1e-12)
@@ -210,14 +222,7 @@ def complexity_probe(instance: NetworkInstance, scalarization: Scalarization,
 
     results = {}
     for eps in epsilons:
-        cfg = SolverConfig(
-            tolerance=eps,
-            max_outer_iterations=config.max_outer_iterations,
-            initial_allocation=config.initial_allocation,
-            kkt_tolerance=config.kkt_tolerance,
-            barrier=config.barrier,
-        )
-        results[eps] = run(instance, scalarization, cfg)
+        results[eps] = run(instance, scalarization, replace(config, tolerance=eps))
 
     f_best = max(float(r.trajectory[-1]) for r in results.values())
     rows = []

@@ -169,13 +169,17 @@ def sinr(instance: NetworkInstance, alloc: np.ndarray) -> np.ndarray:
 
 
 def jain_index(values: np.ndarray) -> float:
-    """Jain fairness index (sum v)^2 / (n sum v^2); all-zero input counts as fair."""
+    """Jain fairness index (sum v)^2 / (n sum v^2); all-zero input counts as fair.
+
+    The values are divided by their largest magnitude before squaring, so
+    tiny values whose squares would underflow keep the index in [1/n, 1].
+    """
     v = np.asarray(values, dtype=float)
-    total_sq = v.sum() ** 2
-    denom = v.size * np.sum(v * v)
-    if denom == 0.0:
+    peak = np.abs(v).max() if v.size else 0.0
+    if peak == 0.0:
         return 1.0
-    return float(total_sq / denom)
+    v = v / peak
+    return float(v.sum() ** 2 / (v.size * np.sum(v * v)))
 
 
 def evaluate(instance: NetworkInstance, alloc: np.ndarray) -> MetricsReport:

@@ -317,13 +317,7 @@ def _convergence_trial(args):
     for w in w_list:
         for zeta in zeta_list:
             for eps in epsilons:
-                cfg = SolverConfig(
-                    tolerance=eps,
-                    max_outer_iterations=solver_config.max_outer_iterations,
-                    initial_allocation=zeta * uniform,
-                    kkt_tolerance=solver_config.kkt_tolerance,
-                    barrier=solver_config.barrier,
-                )
+                cfg = replace(solver_config, tolerance=eps, initial_allocation=zeta * uniform)
                 result = run(inst, weighted_product(w), cfg)
                 if result.status is RunStatus.SUBPROBLEM_FAILURE:
                     raise RuntimeError(f"subproblem failure in trial {trial} (w={w}, zeta={zeta})")

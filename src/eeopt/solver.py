@@ -23,12 +23,25 @@ rate-type rows by the block bandwidth) so the Newton systems stay well
 conditioned when bandwidths are in the hundreds of kHz; the feasible set
 is unchanged and multipliers refer to the normalized rows.
 
+Each iterate costs one rate pass. A line-search trial point gets only a
+value pass (`ConvexSubproblem.evaluate` without the Jacobian): constraint
+values plus the kept rate, power and threshold terms. Once a trial is
+accepted, its Jacobian and constraint Hessian are built from that kept
+pass (`jacobian`, `weighted_constraint_hessian`) with index maps fixed
+when the subproblem is built, never by evaluating the point again. The
+barrier Hessian does not depend on tau, so the derivatives of a
+centering's last point, whose step is not taken, start the next
+centering; the final point's (c, G) serves the certificate and the
+multiplier polish. Phase-I uses the same assembly restricted to the power
+and rate rows, plus one slack column (`ConvexSubproblem.phase_one`).
+
 Everything here is deterministic: the same subproblem and start produce
 the identical iterate sequence.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,6 +131,7 @@ class ConvexSubproblem:
         self.v_index = None
         self.v_slice = None
         self.t_index = None
+        self.slack_index = None           # phase-I only
         if self.structure.has_tee_threshold:
             self.u_index = idx
             idx += 1
@@ -132,10 +146,12 @@ class ConvexSubproblem:
             idx += 1
         self.n_vars = idx
 
+        # rows: power, rate floors, [psi per user], [total-EE slack], [two epigraph rows]
         self.has_psi = self.structure.has_mee_threshold
         self.n_constraints = 2 * n                      # power + rate floors
         if self.has_psi:
             self.n_constraints += n
+        self._g_row = self.n_constraints
         if self.structure.has_tee_threshold:
             self.n_constraints += 1
         if self.t_index is not None:
@@ -152,10 +168,48 @@ class ConvexSubproblem:
             c[self.t_index] = 1.0
         self.objective_vector = c
 
+        # index maps: q_ik sits in column i*K + k and belongs to user i's power and psi rows
+        self._q_cols = np.arange(self.nq)
+        self._q_user = np.repeat(np.arange(n), k)
+        self._psi_rows = 2 * n + np.arange(n)
+        self._psi_rows_q = 2 * n + self._q_user
+        if self.has_psi:
+            # user i's threshold column; a shared v repeats its index
+            self._v_cols = (self.v_slice.start + np.arange(n) if self.v_slice is not None
+                            else np.full(n, self.v_index))
+            self._v_cols_q = np.repeat(self._v_cols, k)
+        # the Jacobian entries that do not depend on x
+        G0 = np.zeros((self.n_constraints, self.n_vars))
+        if self.t_index is not None:
+            row = self._g_row + 1
+            G0[row, self.u_index] = 1.0
+            G0[row, self.t_index] = -1.0
+            G0[row + 1, self.v_index] = 1.0
+            G0[row + 1, self.t_index] = -1.0
+        self._jacobian_template = G0
+
         # normalization of constraint rows
         self._power_scale = 1.0 / inst.max_power
         self._rate_scale = 1.0 / inst.bandwidth_per_block
         self._static_total = float(inst.static_power.sum())
+
+    def phase_one(self) -> "ConvexSubproblem":
+        """The start finder's problem: max s subject to (power and rate rows) - s >= 0.
+
+        It is this subproblem's assembly restricted to the power and
+        rate-floor rows, plus one slack column.
+        """
+        problem = copy.copy(self)
+        problem.u_index = problem.v_index = problem.v_slice = problem.t_index = None
+        problem.has_psi = False
+        problem.slack_index = self.nq
+        problem.n_vars = self.nq + 1
+        problem.n_constraints = 2 * self.n_users
+        problem.objective_vector = np.zeros(problem.n_vars)
+        problem.objective_vector[-1] = 1.0
+        problem._jacobian_template = np.zeros((problem.n_constraints, problem.n_vars))
+        problem._jacobian_template[:, -1] = -1.0
+        return problem
 
     # -- variable packing ------------------------------------------------
 
@@ -184,46 +238,39 @@ class ConvexSubproblem:
     # -- constraint evaluation --------------------------------------------
 
     def evaluate(self, x: np.ndarray, with_grad: bool = True):
-        """Normalized constraint values, optional Jacobian, and reusable context."""
+        """Normalized constraint values, optional Jacobian, and the kept pass.
+
+        Without the Jacobian this is the value pass: one rate evaluation
+        plus the power and threshold terms, no interference shares or
+        derivatives. The returned pass holds what `jacobian` and
+        `weighted_constraint_hessian` build the derivatives from.
+        """
         inst = self.model.instance
-        n, k = self.n_users, self.n_blocks
         q = self.unpack_q(x)
-        with np.errstate(over="ignore"):
-            exp_q = np.exp2(q)
+        exp_q = np.exp2(q)
         row_power = exp_q.sum(axis=1)
 
         ev = rate_evaluation(self.model, q)
         rs = self._rate_scale
 
-        m_parts = []
-        c_power = 1.0 - row_power * self._power_scale
-        c_rate = (ev.rates - inst.min_rate) * rs
-        m_parts.append(c_power)
-        m_parts.append(c_rate)
-
-        ctx = {"ev": ev, "exp_q": exp_q, "row_power": row_power, "q": q}
+        m_parts = [1.0 - row_power * self._power_scale, (ev.rates - inst.min_rate) * rs]
+        ctx = {"ev": ev, "exp_q": exp_q}
 
         if self.has_psi:
-            if self.v_slice is not None:
-                v_vals = x[self.v_slice]
-            else:
-                v_vals = np.full(n, x[self.v_index])
-            with np.errstate(over="ignore"):
-                pow_v = np.exp2(v_vals)
+            pow_v = np.exp2(x[self._v_cols])
             dyn_v = inst.amp_inefficiency * row_power * pow_v
             stat_v = inst.static_power * pow_v
-            c_psi = (ev.rates - dyn_v - stat_v) * rs
-            m_parts.append(c_psi)
-            ctx.update(v_vals=v_vals, pow_v=pow_v, dyn_v=dyn_v, stat_v=stat_v)
+            m_parts.append((ev.rates - dyn_v - stat_v) * rs)
+            mu_exp_v = inst.amp_inefficiency[:, None] * exp_q * pow_v[:, None]
+            ctx.update(dyn_v=dyn_v, stat_v=stat_v, mu_exp_v=mu_exp_v)
 
         if self.u_index is not None:
-            u = x[self.u_index]
-            with np.errstate(over="ignore"):
-                pow_u = 2.0**u
+            pow_u = 2.0 ** x[self.u_index]
             dyn_u = inst.amp_inefficiency * row_power * pow_u
             c_g = (ev.rates.sum() - dyn_u.sum() - self._static_total * pow_u) * rs
             m_parts.append(np.array([c_g]))
-            ctx.update(pow_u=pow_u, dyn_u=dyn_u)
+            ctx.update(pow_u=pow_u, dyn_u=dyn_u,
+                       mu_exp_u=inst.amp_inefficiency[:, None] * exp_q * pow_u)
 
         if self.t_index is not None:
             off_u, off_v = self.structure.epigraph_offsets
@@ -233,149 +280,159 @@ class ConvexSubproblem:
             )
 
         c = np.concatenate(m_parts)
+        if self.slack_index is not None:
+            c -= x[self.slack_index]
         if not with_grad:
             return c, None, ctx
+        return c, self.jacobian(ctx), ctx
 
-        G = np.zeros((self.n_constraints, self.n_vars))
-        rows = np.arange(n)
+    def jacobian(self, ctx) -> np.ndarray:
+        """Constraint Jacobian at the point of a kept pass."""
+        n, nq = self.n_users, self.nq
+        ev = ctx["ev"]
+        rs = self._rate_scale
+        G = self._jacobian_template.copy()
         # power rows: d/dq_ik = -ln2 * 2^q_ik / Pmax_i on own row
-        power_grad = -LN2 * exp_q * self._power_scale[:, None]
-        for i in range(n):
-            G[i, i * k : (i + 1) * k] = power_grad[i]
-        # rate rows
-        G[n : 2 * n, : self.nq] = ev.jac.reshape(n, self.nq) * rs
-        row0 = 2 * n
+        G[self._q_user, self._q_cols] = (-LN2 * ctx["exp_q"] * self._power_scale[:, None]).ravel()
+        jac = ev.jac.reshape(n, nq)
+        jac_rs = jac * rs
+        G[n : 2 * n, :nq] = jac_rs
         if self.has_psi:
-            G[row0 : row0 + n, : self.nq] = ev.jac.reshape(n, self.nq) * rs
-            mu_exp = inst.amp_inefficiency[:, None] * exp_q * ctx["pow_v"][:, None]
-            for i in range(n):
-                G[row0 + i, i * k : (i + 1) * k] -= LN2 * mu_exp[i] * rs
-            dv = -LN2 * (ctx["dyn_v"] + ctx["stat_v"]) * rs
-            if self.v_slice is not None:
-                G[rows + row0, self.v_slice.start + rows] = dv
-            else:
-                G[row0 : row0 + n, self.v_index] = dv
-            ctx["mu_exp_v"] = mu_exp
-            row0 += n
+            G[2 * n : 3 * n, :nq] = jac_rs
+            G[self._psi_rows_q, self._q_cols] -= (LN2 * ctx["mu_exp_v"] * rs).ravel()
+            G[self._psi_rows, self._v_cols] = -LN2 * (ctx["dyn_v"] + ctx["stat_v"]) * rs
         if self.u_index is not None:
-            mu_exp_u = inst.amp_inefficiency[:, None] * exp_q * ctx["pow_u"]
-            G[row0, : self.nq] = (ev.jac.sum(axis=0) - LN2 * mu_exp_u).ravel() * rs
-            G[row0, self.u_index] = -LN2 * (ctx["dyn_u"].sum() + self._static_total * ctx["pow_u"]) * rs
-            ctx["mu_exp_u"] = mu_exp_u
-            row0 += 1
-        if self.t_index is not None:
-            G[row0, self.u_index] = 1.0
-            G[row0, self.t_index] = -1.0
-            G[row0 + 1, self.v_index] = 1.0
-            G[row0 + 1, self.t_index] = -1.0
-        return c, G, ctx
+            row = self._g_row
+            G[row, :nq] = (jac.sum(axis=0) - LN2 * ctx["mu_exp_u"].ravel()) * rs
+            G[row, self.u_index] = -LN2 * (ctx["dyn_u"].sum() + self._static_total * ctx["pow_u"]) * rs
+        return G
 
     def weighted_constraint_hessian(self, ctx, beta: np.ndarray) -> np.ndarray:
-        """sum_m beta[m] * hess(c_m) over the full variable vector."""
-        inst = self.model.instance
-        n, k = self.n_users, self.n_blocks
-        nq = self.nq
+        """sum_m beta[m] * hess(c_m) over the full variable vector, from a kept pass."""
+        n, nq = self.n_users, self.nq
         rs = self._rate_scale
         H = np.zeros((self.n_vars, self.n_vars))
 
-        beta_power = beta[:n]
-        beta_rate = beta[n : 2 * n]
-        row0 = 2 * n
-        beta_psi = None
-        beta_g = 0.0
-        if self.has_psi:
-            beta_psi = beta[row0 : row0 + n]
-            row0 += n
-        if self.u_index is not None:
-            beta_g = beta[row0]
-            row0 += 1
-
         # curvature of the surrogate rates, shared by rate/psi/g rows
-        w = beta_rate * rs
-        if beta_psi is not None:
+        w = beta[n : 2 * n] * rs
+        if self.has_psi:
+            beta_psi = beta[2 * n : 3 * n]
             w = w + beta_psi * rs
         if self.u_index is not None:
+            beta_g = beta[self._g_row]
             w = w + beta_g * rs
-        H[:nq, :nq] = weighted_rate_hessian(self.model, ctx["ev"], w)
+        weighted_rate_hessian(self.model, ctx["ev"], w, out=H[:nq, :nq])
 
-        diag = np.zeros((n, k))
-        diag -= LN2 * LN2 * beta_power[:, None] * ctx["exp_q"] * self._power_scale[:, None]
-        if beta_psi is not None:
-            mu_exp = ctx["mu_exp_v"]
-            diag -= LN2 * LN2 * beta_psi[:, None] * mu_exp * rs
-            cross = -LN2 * LN2 * beta_psi[:, None] * mu_exp * rs  # (q_ik, v_i)
-            dvv = -LN2 * LN2 * beta_psi * (ctx["dyn_v"] + ctx["stat_v"]) * rs
-            if self.v_slice is not None:
-                vi = self.v_slice.start + np.arange(n)
-            else:
-                vi = np.full(n, self.v_index)
-            for i in range(n):
-                cols = np.arange(i * k, (i + 1) * k)
-                H[cols, vi[i]] += cross[i]
-                H[vi[i], cols] += cross[i]
-                H[vi[i], vi[i]] += dvv[i]
+        diag = -(LN2 * LN2 * beta[:n, None] * ctx["exp_q"] * self._power_scale[:, None])
+        if self.has_psi:
+            psi = LN2 * LN2 * beta_psi[:, None] * ctx["mu_exp_v"] * rs
+            diag -= psi
+            cross = -psi.ravel()                                 # (q_ik, v_i)
+            H[self._q_cols, self._v_cols_q] = cross
+            H[self._v_cols_q, self._q_cols] = cross
+            # add.at, not +=: with a shared v the index repeats and every user's term counts
+            np.add.at(H, (self._v_cols, self._v_cols),
+                      -LN2 * LN2 * beta_psi * (ctx["dyn_v"] + ctx["stat_v"]) * rs)
         if self.u_index is not None:
-            mu_exp_u = ctx["mu_exp_u"]
-            diag -= LN2 * LN2 * beta_g * mu_exp_u * rs
-            cross_u = (-LN2 * LN2 * beta_g * mu_exp_u * rs).ravel()
-            H[: nq, self.u_index] += cross_u
-            H[self.u_index, : nq] += cross_u
-            H[self.u_index, self.u_index] += (
+            g = LN2 * LN2 * beta_g * ctx["mu_exp_u"] * rs
+            diag -= g
+            cross_u = -g.ravel()
+            H[:nq, self.u_index] = cross_u
+            H[self.u_index, :nq] = cross_u
+            H[self.u_index, self.u_index] = (
                 -LN2 * LN2 * beta_g * (ctx["dyn_u"].sum() + self._static_total * ctx["pow_u"]) * rs
             )
-        H[np.arange(nq), np.arange(nq)] += diag.ravel()
+        H[self._q_cols, self._q_cols] += diag.ravel()
         return H
 
 
 # -- barrier engine -------------------------------------------------------
 
 
+class _Iterate:
+    """A barrier iterate: x, its constraint values and kept pass, and its derivatives.
+
+    The barrier Hessian sum_m grad c_m grad c_m^T / c_m^2 - hess c_m / c_m
+    does not depend on tau, so the derivatives of a point whose step was
+    not taken serve the next centering as they are.
+    """
+
+    __slots__ = ("x", "c", "ctx", "inv_c", "G", "H")
+
+    def __init__(self, x, c, ctx):
+        self.x, self.c, self.ctx = x, c, ctx
+        self.inv_c = self.G = self.H = None
+
+    def jacobian(self, problem):
+        if self.G is None:
+            self.G = problem.jacobian(self.ctx)
+        return self.G
+
+    def newton_matrix(self, problem):
+        if self.H is None:
+            G = self.jacobian(problem)
+            self.inv_c = 1.0 / self.c
+            self.H = (G * (self.inv_c**2)[:, None]).T @ G
+            self.H -= problem.weighted_constraint_hessian(self.ctx, self.inv_c)
+        return self.H
+
+
 def _newton_direction(H: np.ndarray, grad: np.ndarray, ridge: float):
-    """Solve H d = -grad with escalating ridge until we get a descent direction."""
-    n = H.shape[0]
-    eye = np.eye(n)
-    for boost in (ridge, ridge * 1e4, ridge * 1e8, 1e-2):
-        try:
-            d = np.linalg.solve(H + boost * eye, -grad)
-        except np.linalg.LinAlgError:
-            continue
-        dec_sq = -float(grad @ d)
-        if np.all(np.isfinite(d)) and dec_sq > 0:
-            return d, dec_sq
-    return None, 0.0
+    """Solve H d = -grad with escalating ridge until we get a descent direction.
+
+    The ridge goes onto H's diagonal in place; the diagonal is restored
+    before returning, so H is unchanged for a later centering.
+    """
+    diagonal = H.reshape(-1)[:: H.shape[0] + 1]
+    saved = diagonal.copy()
+    rhs = -grad
+    try:
+        for boost in (ridge, ridge * 1e4, ridge * 1e8, 1e-2):
+            np.add(saved, boost, out=diagonal)
+            try:
+                d = np.linalg.solve(H, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            dec_sq = -float(grad @ d)
+            if dec_sq > 0 and np.isfinite(d).all():
+                return d, dec_sq
+        return None, 0.0
+    finally:
+        diagonal[...] = saved
 
 
 def _barrier_value(c_obj, x, c, tau):
     return -tau * float(c_obj @ x) - float(np.log(c).sum())
 
 
-def _center(problem, x, tau, settings):
-    """Damped Newton to the central point for one tau. Returns (x, iters, status)."""
+def _center(problem, point, tau, settings):
+    """Damped Newton to the central point for one tau. Returns (point, iters, status).
+
+    A line-search trial point costs one value pass; the accepted one is
+    differentiated from that same pass.
+    """
     c_obj = problem.objective_vector
     dec_scale = 2.0 * max(1.0, tau)
     for it in range(settings.max_newton_per_center):
-        c, G, ctx = problem.evaluate(x)
-        if np.any(c <= 0) or not np.all(np.isfinite(c)):
-            return x, it, SubproblemStatus.NUMERICAL_FAILURE
-        inv_c = 1.0 / c
-        grad = -tau * c_obj - G.T @ inv_c
-        H = (G * (inv_c**2)[:, None]).T @ G - problem.weighted_constraint_hessian(ctx, inv_c)
+        H = point.newton_matrix(problem)
+        x, c, G = point.x, point.c, point.G
+        grad = -tau * c_obj - G.T @ point.inv_c
         d, dec_sq = _newton_direction(H, grad, settings.ridge)
         if d is None:
-            return x, it, SubproblemStatus.NUMERICAL_FAILURE
+            return point, it, SubproblemStatus.NUMERICAL_FAILURE
         if dec_sq / dec_scale <= settings.newton_tol:
-            return x, it, SubproblemStatus.OPTIMAL
+            return point, it, SubproblemStatus.OPTIMAL
         phi0 = _barrier_value(c_obj, x, c, tau)
         # fraction-to-boundary: start below the step that would cross c = 0
         slopes = G @ d
         blocking = slopes < 0
         step = 1.0
-        if np.any(blocking):
+        if blocking.any():
             step = min(1.0, float((-0.99 * c[blocking] / slopes[blocking]).min()))
         while True:
             x_new = x + step * d
-            c_new, _, _ = problem.evaluate(x_new, with_grad=False)
-            if np.all(np.isfinite(c_new)) and np.all(c_new > 0):
+            c_new, _, ctx_new = problem.evaluate(x_new, with_grad=False)
+            if (c_new > 0).all() and np.isfinite(c_new).all():
                 phi_new = _barrier_value(c_obj, x_new, c_new, tau)
                 if phi_new <= phi0 - settings.armijo_slope * step * dec_sq:
                     break
@@ -383,37 +440,50 @@ def _center(problem, x, tau, settings):
             if step < settings.min_step:
                 # stagnation at machine precision: accept if the decrement is tiny
                 if dec_sq / dec_scale <= settings.newton_tol * 100:
-                    return x, it, SubproblemStatus.OPTIMAL
-                return x, it, SubproblemStatus.NUMERICAL_FAILURE
+                    return point, it, SubproblemStatus.OPTIMAL
+                return point, it, SubproblemStatus.NUMERICAL_FAILURE
         if np.array_equal(x_new, x):
-            return x, it, SubproblemStatus.OPTIMAL
-        x = x_new
-    return x, settings.max_newton_per_center, SubproblemStatus.MAX_ITERATIONS
+            return point, it, SubproblemStatus.OPTIMAL
+        point = _Iterate(x_new, c_new, ctx_new)
+    return point, settings.max_newton_per_center, SubproblemStatus.MAX_ITERATIONS
 
 
 def _barrier_minimize(problem, start, tol, settings):
-    """Run the full barrier loop; returns (x, multipliers, tau, iterations, status).
+    """Run the full barrier loop; returns (final _Iterate, multipliers, tau, iterations, status).
 
     The gap is driven one decade below tol so the complementary-slackness
-    terms 1/tau certify comfortably inside the requested tolerance.
+    terms 1/tau certify comfortably inside the requested tolerance. Raises
+    DomainError when the start is not strictly feasible. Overflow of 2^q
+    at trial points far outside the domain is expected and reads as an
+    infeasible trial, so it is silenced for the whole solve.
     """
-    x = np.asarray(start, dtype=float).copy()
+    x = np.array(start, dtype=float)
     m = problem.n_constraints
     tau = settings.tau0
     total = 0
     status = SubproblemStatus.OPTIMAL
-    while True:
-        x, iters, st = _center(problem, x, tau, settings)
-        total += iters
-        if st is not SubproblemStatus.OPTIMAL:
-            status = st
-            break
-        if m / tau <= 0.1 * tol:
-            break
-        tau *= settings.tau_factor
-    c, _, _ = problem.evaluate(x, with_grad=False)
-    lam = 1.0 / (tau * c)
-    return x, lam, tau, total, status
+    with np.errstate(over="ignore"):
+        c, _, ctx = problem.evaluate(x, with_grad=False)
+        if np.any(c <= 0):
+            raise DomainError("start point is not strictly feasible")
+        point = _Iterate(x, c, ctx)
+        if not np.all(np.isfinite(c)):
+            status = SubproblemStatus.NUMERICAL_FAILURE
+        while status is SubproblemStatus.OPTIMAL:
+            point, iters, status = _center(problem, point, tau, settings)
+            total += iters
+            if status is not SubproblemStatus.OPTIMAL or m / tau <= 0.1 * tol:
+                break
+            tau *= settings.tau_factor
+    lam = 1.0 / (tau * point.c)
+    return point, lam, tau, total, status
+
+
+def _certificate(objective_vector, c, G, lam) -> float:
+    stationarity = float(np.abs(objective_vector + G.T @ lam).max())
+    comp_slack = float(np.abs(lam * c).max())
+    primal = float(np.maximum(0.0, -c).max())
+    return max(stationarity, comp_slack, primal)
 
 
 def kkt_residual(sub, x: np.ndarray, multipliers: np.ndarray) -> float:
@@ -424,76 +494,26 @@ def kkt_residual(sub, x: np.ndarray, multipliers: np.ndarray) -> float:
     if np.any(lam < 0):
         raise DomainError("multipliers must be nonnegative")
     c, G, _ = sub.evaluate(x)
-    stationarity = float(np.abs(sub.objective_vector + G.T @ lam).max())
-    comp_slack = float(np.abs(lam * c).max())
-    primal = float(np.maximum(0.0, -c).max())
-    return max(stationarity, comp_slack, primal)
+    return _certificate(sub.objective_vector, c, G, lam)
 
 
-def _polish_multipliers(sub, x, lam_barrier, tau):
+def _polish_multipliers(objective_vector, c, G, tau):
     """Least-squares multipliers on the near-active set.
 
     The barrier multipliers carry an O(1/tau) bias on every row, which
     caps the stationarity certificate; refitting the active rows removes
     that bias while keeping |lambda_m c_m| at the 1/tau level.
     """
-    c, G, _ = sub.evaluate(x)
+    lam = np.zeros_like(c)
     active = c <= np.sqrt(max(float(c.max()), 1.0) / tau)
     if not np.any(active):
-        return np.zeros_like(lam_barrier)
-    lam = np.zeros_like(lam_barrier)
-    sol, *_ = np.linalg.lstsq(G[active].T, -sub.objective_vector, rcond=None)
+        return lam
+    sol, *_ = np.linalg.lstsq(G[active].T, -objective_vector, rcond=None)
     lam[active] = np.maximum(sol, 0.0)
     return lam
 
 
 # -- strictly feasible start ------------------------------------------------
-
-
-class _PhaseIProblem:
-    """max s subject to (normalized power and rate slacks) - s >= 0."""
-
-    def __init__(self, sub: ConvexSubproblem):
-        self.sub = sub
-        self.n_vars = sub.nq + 1
-        self.n_constraints = 2 * sub.n_users
-        c = np.zeros(self.n_vars)
-        c[-1] = 1.0
-        self.objective_vector = c
-
-    def evaluate(self, x, with_grad: bool = True):
-        sub = self.sub
-        inst = sub.model.instance
-        n, k = sub.n_users, sub.n_blocks
-        q = x[: sub.nq].reshape(n, k)
-        s = x[-1]
-        with np.errstate(over="ignore"):
-            exp_q = np.exp2(q)
-        row_power = exp_q.sum(axis=1)
-        ev = rate_evaluation(sub.model, q)
-        c_power = 1.0 - row_power * sub._power_scale - s
-        c_rate = (ev.rates - inst.min_rate) * sub._rate_scale - s
-        c = np.concatenate([c_power, c_rate])
-        ctx = {"ev": ev, "exp_q": exp_q}
-        if not with_grad:
-            return c, None, ctx
-        G = np.zeros((self.n_constraints, self.n_vars))
-        power_grad = -LN2 * exp_q * sub._power_scale[:, None]
-        for i in range(n):
-            G[i, i * k : (i + 1) * k] = power_grad[i]
-        G[n : 2 * n, : sub.nq] = ev.jac.reshape(n, sub.nq) * sub._rate_scale
-        G[:, -1] = -1.0
-        return c, G, ctx
-
-    def weighted_constraint_hessian(self, ctx, beta):
-        sub = self.sub
-        n = sub.n_users
-        H = np.zeros((self.n_vars, self.n_vars))
-        w = beta[n : 2 * n] * sub._rate_scale
-        H[: sub.nq, : sub.nq] = weighted_rate_hessian(sub.model, ctx["ev"], w)
-        diag = -LN2 * LN2 * beta[:n, None] * ctx["exp_q"] * sub._power_scale[:, None]
-        H[np.arange(sub.nq), np.arange(sub.nq)] += diag.ravel()
-        return H
 
 
 def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray, settings: BarrierSettings | None = None) -> np.ndarray:
@@ -518,10 +538,11 @@ def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray, settings:
     ev = rate_evaluation(sub.model, q)
     rate_slack = (ev.rates - inst.min_rate) * sub._rate_scale
     if rate_slack.min() <= 1e-9:
-        phase1 = _PhaseIProblem(sub)
+        phase1 = sub.phase_one()
         c0, _, _ = phase1.evaluate(np.append(q.ravel(), 0.0), with_grad=False)
         x0 = np.append(q.ravel(), float(c0.min()) - 1.0)
-        px, _, _, _, pstatus = _barrier_minimize(phase1, x0, 1e-6, settings)
+        end, _, _, _, pstatus = _barrier_minimize(phase1, x0, 1e-6, settings)
+        px = end.x
         s_star = px[-1]
         if pstatus is not SubproblemStatus.OPTIMAL or s_star <= 1e-12:
             raise InfeasibleSubproblemError(
@@ -556,15 +577,14 @@ def solve(sub: ConvexSubproblem, start: np.ndarray, tol: float = 1e-8,
     start = np.asarray(start, dtype=float)
     if start.shape != (sub.n_vars,):
         raise ShapeError(f"start has shape {start.shape}, expected ({sub.n_vars},)")
-    c0, _, _ = sub.evaluate(start, with_grad=False)
-    if np.any(c0 <= 0):
-        raise DomainError("start point is not strictly feasible")
 
-    x, lam, tau, iterations, status = _barrier_minimize(sub, start, tol, settings)
+    end, lam, tau, iterations, status = _barrier_minimize(sub, start, tol, settings)
+    # one (c, G) at the final point serves both certificates and the polish
+    x, c, G = end.x, end.c, end.jacobian(sub)
     lam = np.maximum(lam, 0.0)
-    residual = kkt_residual(sub, x, lam)
-    polished = _polish_multipliers(sub, x, lam, tau)
-    polished_residual = kkt_residual(sub, x, polished)
+    residual = _certificate(sub.objective_vector, c, G, lam)
+    polished = _polish_multipliers(sub.objective_vector, c, G, tau)
+    polished_residual = _certificate(sub.objective_vector, c, G, polished)
     if polished_residual < residual:
         lam, residual = polished, polished_residual
     q = sub.unpack_q(x)

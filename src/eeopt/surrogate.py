@@ -19,8 +19,10 @@ functions bounding the efficiency constraints,
     g(q, u)     = sum_i rate_i(q) - (sum_i mu_i sum_k 2^{q_i^k} + sum_i P_st,i) * 2^u
 
 are concave in (q, v) and (q, u) and strictly decreasing in the threshold
-variable. All evaluations return exact gradients computed in the same
-pass; the interference log-sum is evaluated with the max exponent
+variable. One evaluation pass computes the rates and keeps its
+stabilized interference terms; the interference shares, the exact
+Jacobian and the weighted Hessian are built from that kept pass on
+demand. The interference log-sum is evaluated with the max exponent
 subtracted so widely spread q values stay accurate.
 """
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +97,13 @@ class SurrogateModel:
         object.__setattr__(self, "_log_cross_gain", log_gain)
         object.__setattr__(self, "_log_direct_gain", np.log2(inst.direct_gain()))
         object.__setattr__(self, "_log_noise", np.log2(inst.noise))
+        object.__setattr__(self, "_rate_slope", inst.bandwidth_per_block * self.coefficients.a)
+        # index maps of the rate Hessian inside an (N*K, N*K) matrix: block k
+        # couples q_j^k with q_l^k at rows j*K + k and columns l*K + k
+        n, k = inst.n_users, inst.n_blocks
+        rows = np.arange(n)[None, :, None] * k + np.arange(k)[:, None, None]   # (k, j, 1)
+        object.__setattr__(self, "_block_index", (rows, rows.transpose(0, 2, 1)))
+        object.__setattr__(self, "_diag_index", np.arange(n * k))
 
 
 def build(instance: NetworkInstance, alloc: np.ndarray) -> SurrogateModel:
@@ -114,15 +124,34 @@ def build(instance: NetworkInstance, alloc: np.ndarray) -> SurrogateModel:
 
 @dataclass(frozen=True)
 class RateEvaluation:
-    """All surrogate rates at one q, with their Jacobian and interference shares."""
+    """Surrogate rates at one q and the pass data their derivatives reuse.
+
+    `rate_evaluation` computes the rates only; the interference shares and
+    the Jacobian are derived from the kept terms on first access.
+    """
 
     rates: np.ndarray   # (N,) bit/s
-    jac: np.ndarray     # (N, N, K): d rate_i / d q_j^k
-    shares: np.ndarray  # (N, N, K): interferer j's share of user i's denominator
+    scaled: np.ndarray  # (N, N, K): interferer j's term in user i's denominator, over 2^m_i^k
+    total: np.ndarray   # (N, K): sum over j of scaled plus the scaled noise
+    slope: np.ndarray   # (N, K): B a_i^k, the rate's slope in its own q_i^k
+
+    @cached_property
+    def shares(self) -> np.ndarray:
+        """(N, N, K): interferer j's share of user i's denominator."""
+        return self.scaled / self.total[None, :, :]
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        """(N, N, K): d rate_i / d q_j^k = B a_i^k (delta_ij - share_j,i^k); share_i,i^k = 0."""
+        n = self.rates.size
+        jac = np.swapaxes(-self.slope[None, :, :] * self.shares, 0, 1).copy()  # (i, j, k)
+        idx = np.arange(n)
+        jac[idx, idx, :] += self.slope
+        return jac
 
 
 def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
-    """Evaluate every surrogate rate and its exact gradient in one pass."""
+    """Evaluate every surrogate rate in one pass, keeping what its derivatives need."""
     inst = model.instance
     n, k = inst.n_users, inst.n_blocks
     q = np.asarray(q, dtype=float)
@@ -135,41 +164,36 @@ def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
     scaled = np.exp2(exponents - m[None, :, :])                # (j, i, k)
     total = scaled.sum(axis=0) + np.exp2(model._log_noise - m)
     log_denom = m + np.log2(total)
-    shares = scaled / total[None, :, :]
 
     a = model.coefficients.a
     b = model.coefficients.b
-    bw = inst.bandwidth_per_block
     terms = b + a * (model._log_direct_gain + q - log_denom)
-    rates = bw * terms.sum(axis=1)
-
-    # d rate_i / d q_j^k = B a_i^k (delta_ij - share_j,i^k); share_i,i^k = 0
-    jac = np.swapaxes(-bw * a[None, :, :] * shares, 0, 1).copy()  # (i, j, k)
-    idx = np.arange(n)
-    jac[idx, idx, :] += bw * a
-    return RateEvaluation(rates=rates, jac=jac, shares=shares)
+    rates = inst.bandwidth_per_block * terms.sum(axis=1)
+    return RateEvaluation(rates=rates, scaled=scaled, total=total, slope=model._rate_slope)
 
 
-def weighted_rate_hessian(model: SurrogateModel, ev: RateEvaluation, weights: np.ndarray) -> np.ndarray:
+def weighted_rate_hessian(model: SurrogateModel, ev: RateEvaluation, weights: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """sum_i weights[i] * hess(rate_i) as a dense (N*K, N*K) matrix.
 
     Per block k the Hessian of rate_i over the q_.^k column is
     -B a_i^k ln2 (diag(s) - s s^T) with s the interference shares, so the
-    weighted sum stays block-diagonal across blocks.
+    weighted sum stays block-diagonal across blocks. The blocks are
+    written straight into `out` when given, an (N*K, N*K) array or view
+    whose entries off the block diagonal are zero; else into a new zero
+    matrix.
     """
     inst = model.instance
     n, k = inst.n_users, inst.n_blocks
+    if out is None:
+        out = np.zeros((n * k, n * k))
     wa = inst.bandwidth_per_block * np.asarray(weights, float)[:, None] * model.coefficients.a  # (i, k)
     diag = np.einsum("jik,ik->jk", ev.shares, wa)
     outer = np.einsum("jik,ik,lik->kjl", ev.shares, wa, ev.shares)
-    blocks = LN2 * outer
-    cols = np.arange(k)
-    h4 = np.zeros((n, k, n, k))
-    h4[:, cols, :, cols] = blocks
-    h = h4.reshape(n * k, n * k)
-    flat_diag = (-LN2 * diag).reshape(-1)
-    h[np.arange(n * k), np.arange(n * k)] += flat_diag
-    return h
+    out[model._block_index] = LN2 * outer
+    d = model._diag_index
+    out[d, d] += (-LN2 * diag).reshape(-1)
+    return out
 
 
 def _threshold_terms(model: SurrogateModel, q: np.ndarray, log_threshold: float, user=None):

@@ -12,6 +12,7 @@ from eeopt.engine import (
 from eeopt.errors import DomainError, InfeasibleInitialPointError
 from eeopt.network import NetworkInstance, evaluate, is_feasible
 from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
+from eeopt.scenario import ScenarioConfig, generate
 
 from helpers import random_instance
 
@@ -175,6 +176,24 @@ class TestRunGeneral:
         result = run(inst, weighted_product(0.5), SolverConfig(tolerance=1e6))
         assert result.iterations == 1
         assert result.status is RunStatus.CONVERGED
+
+
+class TestCertification:
+    def test_certified_run_counts_none(self):
+        r = run(instance_i1(), weighted_product(1.0), SolverConfig(tolerance=1e-6))
+        assert all(s.certified for s in r.iteration_stats)
+        assert r.uncertified_subproblems == 0
+
+    def test_uncertified_subproblems_are_counted_not_failed(self):
+        # a paper-scale instance whose three subproblems stop with KKT residuals of 0.11-0.28
+        inst = generate(ScenarioConfig(d2d_distance=10.0), np.random.SeedSequence([1, 30]))
+        r = run(inst, weighted_minimum(0.5), SolverConfig(tolerance=1e-3))
+        assert r.iterations == 3
+        assert [s.certified for s in r.iteration_stats] == [False] * 3
+        assert all(0.1 < s.kkt_residual < 0.3 for s in r.iteration_stats)
+        assert r.uncertified_subproblems == 3
+        # the run status does not yet account for certification
+        assert r.status is RunStatus.CONVERGED
 
 
 class TestInitialPointValidation:

@@ -134,6 +134,12 @@ class TestJainIndex:
     def test_all_zero_defined_as_fair(self):
         assert jain_index(np.zeros(3)) == 1.0
 
+    def test_values_whose_squares_underflow(self):
+        # unscaled, v * v underflows to a subnormal and the index reads 1.0833
+        j = jain_index(np.array([5.66e-162, 5.66e-162]))
+        assert 0.5 <= j <= 1.0
+        assert j == pytest.approx(1.0)
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_bounds(self, values):

@@ -59,10 +59,11 @@ class _MonotoneRootToy:
     def evaluate(self, x, with_grad=True):
         z = 2.0 ** (x[0] - self.root)
         c = np.array([1.0 - z])
-        if not with_grad:
-            return c, None, {"z": z}
-        G = np.array([[-LN2 * z]])
-        return c, G, {"z": z}
+        ctx = {"z": z}
+        return c, (self.jacobian(ctx) if with_grad else None), ctx
+
+    def jacobian(self, ctx):
+        return np.array([[-LN2 * ctx["z"]]])
 
     def weighted_constraint_hessian(self, ctx, beta):
         return np.array([[-beta[0] * LN2 * LN2 * ctx["z"]]])
@@ -71,9 +72,9 @@ class _MonotoneRootToy:
 class TestBarrierEngine:
     def test_one_variable_root_is_found(self):
         toy = _MonotoneRootToy(root=1.75)
-        x, lam, _, iters, status = _barrier_minimize(toy, np.array([0.0]), 1e-8, BarrierSettings())
+        end, lam, _, iters, status = _barrier_minimize(toy, np.array([0.0]), 1e-8, BarrierSettings())
         assert status is SubproblemStatus.OPTIMAL
-        assert x[0] == pytest.approx(1.75, abs=1e-7)
+        assert end.x[0] == pytest.approx(1.75, abs=1e-7)
         assert lam[0] > 0
 
     def test_residual_zero_when_objective_and_multipliers_vanish(self):
@@ -116,14 +117,45 @@ class TestSubproblemStructure:
         assert c1[g_row] < c0[g_row]
         np.testing.assert_allclose(c1[: inst.n_users], c0[: inst.n_users])
 
-    def test_constraint_jacobian_matches_finite_differences(self):
-        rng = np.random.default_rng(42)
-        inst = random_instance(rng, 2, 2)
-        for scal in (weighted_product(0.3), weighted_minimum(0.4), product_ee()):
+    @staticmethod
+    def assembled_problems(rng):
+        """Every row shape the solver assembles, at interior-ish points.
+
+        Three users under one shared v exercise the repeated threshold
+        index in the Hessian; the phase-I problem adds the slack column.
+        """
+        for n_users, scal in ((2, weighted_product(0.3)), (2, weighted_minimum(0.4)),
+                              (2, product_ee()), (3, weighted_product(0.0)),
+                              (3, weighted_minimum(0.6))):
+            inst = random_instance(rng, n_users, 2)
             sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), scal)
             x = strictly_feasible_start(sub, sub.model.expansion_q)
-            x += rng.uniform(-0.05, 0.05, size=x.size)
-            c, G, _ = sub.evaluate(x)
+            yield sub, x + rng.uniform(-0.05, 0.05, size=x.size)
+        phase1 = sub.phase_one()
+        q = sub.model.expansion_q.ravel()
+        yield phase1, np.append(q + rng.uniform(-0.05, 0.05, size=q.size), -0.2)
+
+    def test_phase_one_is_the_power_and_rate_rows_minus_a_slack(self):
+        rng = np.random.default_rng(42)
+        inst = random_instance(rng, 3, 2)
+        sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), weighted_product(0.5))
+        phase1 = sub.phase_one()
+        assert (phase1.n_vars, phase1.n_constraints) == (sub.nq + 1, 2 * inst.n_users)
+        np.testing.assert_array_equal(phase1.objective_vector, np.eye(sub.nq + 1)[-1])
+        x = strictly_feasible_start(sub, sub.model.expansion_q)
+        c_sub, G_sub, _ = sub.evaluate(x)
+        c, G, _ = phase1.evaluate(np.append(x[: sub.nq], 0.25))
+        rows = slice(0, 2 * inst.n_users)
+        np.testing.assert_array_equal(c, c_sub[rows] - 0.25)
+        np.testing.assert_array_equal(G[:, : sub.nq], G_sub[rows, : sub.nq])
+        np.testing.assert_array_equal(G[:, -1], -1.0)
+
+    def test_constraint_jacobian_matches_finite_differences(self):
+        rng = np.random.default_rng(42)
+        for sub, x in self.assembled_problems(rng):
+            c, _, ctx = sub.evaluate(x, with_grad=False)
+            G = sub.jacobian(ctx)
+            np.testing.assert_array_equal(sub.evaluate(x)[1], G)
             step = 1e-6
             for col in range(sub.n_vars):
                 hi, lo = x.copy(), x.copy()
@@ -136,12 +168,9 @@ class TestSubproblemStructure:
 
     def test_weighted_hessian_matches_finite_differences(self):
         rng = np.random.default_rng(43)
-        inst = random_instance(rng, 2, 2)
-        for scal in (weighted_product(0.3), product_ee(), weighted_minimum(0.4)):
-            sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), scal)
-            x = strictly_feasible_start(sub, sub.model.expansion_q)
+        for sub, x in self.assembled_problems(rng):
             beta = rng.uniform(0.2, 1.5, size=sub.n_constraints)
-            _, _, ctx = sub.evaluate(x)
+            _, _, ctx = sub.evaluate(x, with_grad=False)
             H = sub.weighted_constraint_hessian(ctx, beta)
             step = 1e-6
             fd = np.zeros_like(H)
@@ -149,8 +178,8 @@ class TestSubproblemStructure:
                 hi, lo = x.copy(), x.copy()
                 hi[col] += step
                 lo[col] -= step
-                _, Ghi, _ = sub.evaluate(hi)
-                _, Glo, _ = sub.evaluate(lo)
+                Ghi = sub.jacobian(sub.evaluate(hi, with_grad=False)[2])
+                Glo = sub.jacobian(sub.evaluate(lo, with_grad=False)[2])
                 fd[:, col] = beta @ (Ghi - Glo) / (2 * step)
             np.testing.assert_allclose(H, fd, atol=2e-5 * max(1.0, np.abs(fd).max()))
 
