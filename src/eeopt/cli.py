@@ -22,6 +22,7 @@ import csv
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +47,13 @@ from .scenario import (
 )
 from .solver import BarrierSettings
 from .units import (
+    parse_db,
+    parse_dbm,
+    parse_dbm_per_hz,
     parse_distance,
     parse_frequency,
-    parse_power,
     parse_rate,
     parse_scalar,
-    watts_to_dbm,
 )
 
 __all__ = ["main", "run_command", "load_config", "ConfigError"]
@@ -84,58 +86,40 @@ def _write_csv(path: Path, header, rows):
             writer.writerow([_float_cell(v) for v in row])
 
 
-def _db_number(value, what):
-    """Accept 3, '3', or '3 dB' for fields whose canonical unit is dB."""
-    if isinstance(value, str) and value.strip().endswith("dB"):
-        return float(value.strip()[:-2])
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}: expected a dB value, got {value!r}") from None
-
-
-def _dbm_number(value, what):
-    """Accept 23, '23 dBm', or '0.2 W' for fields whose canonical unit is dBm."""
-    if isinstance(value, str):
-        s = value.strip()
-        if s.endswith("dBm"):
-            return float(s[:-3])
-        return watts_to_dbm(parse_power(s))
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}: expected a dBm value, got {value!r}") from None
-
-
-def _dbm_per_hz_number(value, what):
-    if isinstance(value, str) and value.strip().endswith("dBm/Hz"):
-        return float(value.strip()[: -len("dBm/Hz")])
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}: expected a dBm/Hz value, got {value!r}") from None
-
-
 _SCENARIO_PARSERS = {
-    "n_d2d_pairs": lambda v, k: int(v),
-    "n_blocks": lambda v, k: int(v),
-    "d2d_distance": lambda v, k: parse_distance(v),
-    "annulus_inner": lambda v, k: parse_distance(v),
-    "annulus_outer": lambda v, k: parse_distance(v),
-    "carrier_frequency": lambda v, k: parse_frequency(v),
-    "bandwidth_per_block": lambda v, k: parse_frequency(v),
-    "noise_figure_db": _db_number,
-    "thermal_noise_dbm_hz": _dbm_per_hz_number,
-    "amp_inefficiency": lambda v, k: parse_scalar(v),
-    "static_power_dbm": _dbm_number,
-    "max_power_dbm": _dbm_number,
-    "min_rate": lambda v, k: parse_rate(v),
-    "path_loss_exponent": lambda v, k: parse_scalar(v),
-    "path_loss_const_db": lambda v, k: None if v is None else _db_number(v, k),
-    "shadowing_sigma_db": _db_number,
-    "min_link_distance": lambda v, k: parse_distance(v),
-    "seed": lambda v, k: int(v),
+    "n_d2d_pairs": int,
+    "n_blocks": int,
+    "d2d_distance": parse_distance,
+    "annulus_inner": parse_distance,
+    "annulus_outer": parse_distance,
+    "carrier_frequency": parse_frequency,
+    "bandwidth_per_block": parse_frequency,
+    "noise_figure_db": parse_db,
+    "thermal_noise_dbm_hz": parse_dbm_per_hz,
+    "amp_inefficiency": parse_scalar,
+    "static_power_dbm": parse_dbm,
+    "max_power_dbm": parse_dbm,
+    "min_rate": parse_rate,
+    "path_loss_exponent": parse_scalar,
+    "path_loss_const_db": lambda v: None if v is None else parse_db(v),
+    "shadowing_sigma_db": parse_db,
+    "min_link_distance": parse_distance,
+    "seed": int,
 }
+
+# the keys each study command reads from its own section
+_STUDY_KEYS = {
+    "pareto": {"weights", "trials", "include_product_ee"},
+    "trend": {"distances", "weights", "trials"},
+    "convergence": {"weights", "zetas", "epsilons", "trials"},
+}
+
+
+def _integer(value, what) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what}: expected an integer, got {value!r}") from None
 
 
 def _build_scenario(section: dict, seed: int) -> ScenarioConfig:
@@ -144,8 +128,8 @@ def _build_scenario(section: dict, seed: int) -> ScenarioConfig:
         if key not in _SCENARIO_PARSERS:
             raise ConfigError(f"unknown scenario key {key!r}")
         try:
-            kwargs[key] = _SCENARIO_PARSERS[key](value, key)
-        except (DomainError, ValueError) as exc:
+            kwargs[key] = _SCENARIO_PARSERS[key](value)
+        except (DomainError, TypeError, ValueError) as exc:
             raise ConfigError(f"scenario.{key}: {exc}") from exc
     return ScenarioConfig(**kwargs)
 
@@ -217,13 +201,6 @@ def _weight_grid(spec) -> list[float]:
     return [parse_scalar(w) for w in spec]
 
 
-def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    out = {}
-    for name in ScenarioConfig.__dataclass_fields__:
-        out[name] = getattr(cfg, name)
-    return out
-
-
 def load_config(path) -> dict:
     """Read a config or record file; records replay through their `config` key."""
     try:
@@ -282,7 +259,7 @@ class _Resolved:
             raise ConfigError(
                 f"command must be one of solve|pareto|trend|convergence, got {self.command!r}"
             )
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _integer(raw.get("seed", 0), "seed")
         has_scenario = "scenario" in raw
         has_instance = "instance" in raw
         if has_scenario == has_instance:
@@ -293,12 +270,16 @@ class _Resolved:
             raise ConfigError(f"command {self.command!r} needs a `scenario` section")
         self.scalarization = _build_scalarization(raw.get("scalarization", {}))
         self.solver = _build_solver_config(raw.get("solver", {}))
-        self.workers = raw.get("workers")
-        self.sections = {
-            "pareto": raw.get("pareto", {}),
-            "trend": raw.get("trend", {}),
-            "convergence": raw.get("convergence", {}),
-        }
+        self.workers = None if raw.get("workers") is None else _integer(raw["workers"], "workers")
+        self.sections = {}
+        for name, known in _STUDY_KEYS.items():
+            section = raw.get(name) or {}
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name} must be a mapping, got {section!r}")
+            unknown = set(section) - known
+            if unknown:
+                raise ConfigError(f"unknown {name} keys {sorted(unknown)}")
+            self.sections[name] = section
         self.output_dir = Path(raw.get("output", {}).get("directory", "results"))
 
     def resolved_dict(self) -> dict:
@@ -321,7 +302,7 @@ class _Resolved:
             "output": {"directory": str(self.output_dir)},
         }
         if self.scenario is not None:
-            out["scenario"] = _scenario_to_dict(self.scenario)
+            out["scenario"] = asdict(self.scenario)
         else:
             inst = self.instance
             out["instance"] = {
@@ -374,26 +355,22 @@ def _cmd_solve(cfg: _Resolved):
     return tables, summary, failed
 
 
-def _sweep_tables(name, result, param_headers):
-    header = param_headers + [
-        "mee_mean", "mee_se", "tee_mean", "tee_se",
-        "jfi_mean", "iters_mean", "trials", "seed",
-    ]
-    rows = []
-    for row in result.rows:
-        params = [row.params.get(h, "") for h in param_headers]
-        rows.append(
-            params
-            + [row.mee_mean, row.mee_se, row.tee_mean, row.tee_se,
-               row.jfi_mean, row.iterations_mean, row.trials, result.master_seed]
-        )
-    return {f"{name}.csv": (header, rows)}
+def _sweep_tables(name, result, columns):
+    """One CSV of a sweep: a column per grid parameter or SweepRow field, in the given order."""
+    def cell(row, column):
+        if column in row.params:
+            return row.params[column]
+        if column == "seed":
+            return result.master_seed
+        return getattr(row, "iterations_mean" if column == "iters_mean" else column)
+
+    return {f"{name}.csv": (columns, [[cell(row, c) for c in columns] for row in result.rows])}
 
 
 def _cmd_pareto(cfg: _Resolved):
     section = cfg.sections["pareto"]
     weights = _weight_grid(section.get("weights", 21))
-    trials = int(section.get("trials", 50))
+    trials = _integer(section.get("trials", 50), "pareto.trials")
     include_pee = bool(section.get("include_product_ee", False))
     result = pareto_sweep(
         cfg.scenario, weights,
@@ -403,7 +380,10 @@ def _cmd_pareto(cfg: _Resolved):
         include_product_ee=include_pee,
         workers=cfg.workers,
     )
-    tables = _sweep_tables("pareto", result, ["w"])
+    tables = _sweep_tables("pareto", result, [
+        "w", "mee_mean", "mee_se", "tee_mean", "tee_se",
+        "jfi_mean", "iters_mean", "trials", "seed",
+    ])
     summary = {"rows": len(result.rows), "trials": trials}
     return tables, summary, False
 
@@ -412,20 +392,17 @@ def _cmd_trend(cfg: _Resolved):
     section = cfg.sections["trend"]
     distances = [parse_distance(d) for d in section.get("distances", [10, 20, 40, 80])]
     weights = [parse_scalar(w) for w in section.get("weights", [0.0, 0.5, 1.0])]
-    trials = int(section.get("trials", 200))
+    trials = _integer(section.get("trials", 200), "trend.trials")
     result = trend_study(
         cfg.scenario, distances, weights,
         trials=trials, solver_config=cfg.solver, workers=cfg.workers,
     )
-    header = ["d_d2d", "w", "tee_mean", "tee_se", "jfi_mean", "jfi_se",
-              "mee_mean", "mee_se", "iters_mean", "trials", "seed"]
-    rows = [
-        (r.params["d_d2d"], r.params["w"], r.tee_mean, r.tee_se, r.jfi_mean, r.jfi_se,
-         r.mee_mean, r.mee_se, r.iterations_mean, r.trials, result.master_seed)
-        for r in result.rows
-    ]
-    summary = {"rows": len(rows), "trials": trials}
-    return {"trend.csv": (header, rows)}, summary, False
+    tables = _sweep_tables("trend", result, [
+        "d_d2d", "w", "tee_mean", "tee_se", "jfi_mean", "jfi_se",
+        "mee_mean", "mee_se", "iters_mean", "trials", "seed",
+    ])
+    summary = {"rows": len(result.rows), "trials": trials}
+    return tables, summary, False
 
 
 def _cmd_convergence(cfg: _Resolved):
@@ -433,7 +410,7 @@ def _cmd_convergence(cfg: _Resolved):
     weights = [parse_scalar(w) for w in section.get("weights", [0.0, 0.7, 1.0])]
     zetas = [parse_scalar(z) for z in section.get("zetas", [1.0])]
     epsilons = [parse_scalar(e) for e in section.get("epsilons", [1e-3])]
-    trials = int(section.get("trials", 1))
+    trials = _integer(section.get("trials", 1), "convergence.trials")
     records = convergence_study(
         cfg.scenario, weights, zetas, epsilons,
         trials=trials, solver_config=cfg.solver, workers=cfg.workers,

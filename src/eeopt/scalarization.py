@@ -112,13 +112,6 @@ class SubproblemObjective:
     per_user_thresholds: bool        # product-EE: v_i per user instead of shared v
     epigraph_offsets: tuple[float, float] | None
 
-    def aux_variable_count(self, n_users: int) -> int:
-        if self.kind is ScalarizationKind.WEIGHTED_MINIMUM:
-            return 1
-        if self.per_user_thresholds:
-            return n_users
-        return 0
-
 
 def subproblem_objective_spec(s: Scalarization) -> SubproblemObjective:
     """Describe the convex subproblem's objective and auxiliary structure."""

@@ -10,6 +10,13 @@ configurable power-law path loss (free space at the carrier frequency
 by default, optional log-normal shadowing), identical across blocks;
 there is no fast fading.
 
+The three studies share one grid sweep. A study is a list of cells,
+each a scalarization plus an optional D2D distance, start scale and
+tolerance; every trial draws its instance (one per distance) and runs
+every cell on it, serially or on a process pool, and each cell's runs
+reduce to one row (trial means and standard errors) or one trajectory
+record.
+
 Reproducibility: a study is fully determined by its config and master
 seed. Trial i draws its instance from a generator seeded with
 SeedSequence([master_seed, i]), so trials are independent and the set of
@@ -25,16 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import RunStatus, SolverConfig, default_initial_point, run
+from .engine import RunStatus, SolverConfig, SolveResult, default_initial_point, run
 from .errors import DomainError
 from .network import NetworkInstance
-from .scalarization import (
-    Scalarization,
-    ScalarizationKind,
-    product_ee,
-    weighted_minimum,
-    weighted_product,
-)
+from .scalarization import Scalarization, ScalarizationKind, product_ee, weighted_product
 from .units import db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -172,12 +173,16 @@ class ConvergenceRecord:
 
 
 def resolve_workers(workers: int | None = None) -> int:
+    """Sweep worker processes: the argument, else EEOPT_WORKERS, else 1."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV)
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -187,35 +192,58 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, se
 
 
-def _scalarization_for(kind: str, w: float) -> Scalarization:
-    kind = ScalarizationKind(kind) if not isinstance(kind, ScalarizationKind) else kind
-    if kind is ScalarizationKind.WEIGHTED_PRODUCT:
-        return weighted_product(w)
-    if kind is ScalarizationKind.WEIGHTED_MINIMUM:
-        return weighted_minimum(w)
-    return product_ee()
+@dataclass(frozen=True)
+class _Cell:
+    """One grid point: a scalarization and what it changes in the trial's run."""
+
+    scalarization: Scalarization
+    d2d_distance: float | None = None   # replaces the scenario's link distance
+    start_scale: float | None = None    # start at this fraction of the uniform split
+    tolerance: float | None = None      # replaces the solver tolerance
 
 
-def _pareto_trial(args):
-    config, w_grid, kind, include_pee, solver_config, trial = args
-    inst = generate(config, trial_seed(config.seed, trial))
-    out = []
-    for w in w_grid:
-        result = run(inst, _scalarization_for(kind, w), solver_config)
-        m = result.metrics
-        out.append((m.ee_total, m.ee_min, m.jain_index, result.iterations))
-    if include_pee:
-        result = run(inst, product_ee(), solver_config)
-        m = result.metrics
-        out.append((m.ee_total, m.ee_min, m.jain_index, result.iterations))
-    return trial, out
+def _grid_trial(args) -> list[SolveResult]:
+    """Run every cell on one trial's instance, one instance per link distance."""
+    config, cells, solver_config, trial = args
+    instances = {}
+    results = []
+    for cell in cells:
+        d = cell.d2d_distance
+        if d not in instances:
+            scenario = config if d is None else replace(config, d2d_distance=d)
+            instances[d] = generate(scenario, trial_seed(config.seed, trial))
+        inst = instances[d]
+        cfg = solver_config
+        if cell.tolerance is not None:
+            cfg = replace(cfg, tolerance=cell.tolerance)
+        if cell.start_scale is not None:
+            cfg = replace(cfg, initial_allocation=cell.start_scale * default_initial_point(inst))
+        results.append(run(inst, cell.scalarization, cfg))
+    return results
 
 
-def _dispatch(worker, tasks, workers):
+def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
+              solver_config: SolverConfig | None, workers: int | None) -> list[list[SolveResult]]:
+    """Every cell on every trial's instance; returns results[cell][trial]."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    workers = resolve_workers(workers)
+    tasks = [(config, cells, solver_config or SolverConfig(), t) for t in range(trials)]
     if workers <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+        per_trial = [_grid_trial(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(_grid_trial, tasks))
+    return [list(runs) for runs in zip(*per_trial)]
+
+
+def _sweep_row(params: dict, runs: list[SolveResult]) -> SweepRow:
+    """Trial mean and standard error of one cell's metrics."""
+    tee = _mean_se([r.metrics.ee_total for r in runs])
+    mee = _mean_se([r.metrics.ee_min for r in runs])
+    jfi = _mean_se([r.metrics.jain_index for r in runs])
+    iters = _mean_se([r.iterations for r in runs])
+    return SweepRow(params, *tee, *mee, *jfi, *iters, trials=len(runs))
 
 
 def pareto_sweep(config: ScenarioConfig, w_grid, kind="weighted_product", trials: int = 1,
@@ -229,47 +257,15 @@ def pareto_sweep(config: ScenarioConfig, w_grid, kind="weighted_product", trials
     w_grid = [float(w) for w in w_grid]
     if any(not 0.0 <= w <= 1.0 for w in w_grid):
         raise DomainError("weights must lie in [0, 1]")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    solver_config = solver_config or SolverConfig()
-    workers = resolve_workers(workers)
-
-    tasks = [(config, w_grid, kind, include_product_ee, solver_config, t) for t in range(trials)]
-    per_trial = dict(_dispatch(_pareto_trial, tasks, workers))
-
+    kind = ScalarizationKind(kind)
+    cells = [_Cell(Scalarization(kind, w)) for w in w_grid]
     labels = [{"w": w} for w in w_grid]
     if include_product_ee:
+        cells.append(_Cell(product_ee()))
         labels.append({"w": float("nan"), "baseline": "product_ee"})
-    rows = []
-    for col, params in enumerate(labels):
-        tee, mee, jfi, iters = zip(*(per_trial[t][col] for t in range(trials)))
-        tee_mean, tee_se = _mean_se(tee)
-        mee_mean, mee_se = _mean_se(mee)
-        jfi_mean, jfi_se = _mean_se(jfi)
-        iters_mean, iters_se = _mean_se(iters)
-        rows.append(
-            SweepRow(
-                params=params,
-                tee_mean=tee_mean, tee_se=tee_se,
-                mee_mean=mee_mean, mee_se=mee_se,
-                jfi_mean=jfi_mean, jfi_se=jfi_se,
-                iterations_mean=iters_mean, iterations_se=iters_se,
-                trials=trials,
-            )
-        )
+    runs = _run_grid(config, cells, trials, solver_config, workers)
+    rows = [_sweep_row(params, col) for params, col in zip(labels, runs)]
     return SweepResult(rows=rows, master_seed=config.seed, trials=trials)
-
-
-def _trend_trial(args):
-    config, distances, w_list, solver_config, trial = args
-    out = []
-    for d in distances:
-        inst = generate(replace(config, d2d_distance=d), trial_seed(config.seed, trial))
-        for w in w_list:
-            result = run(inst, weighted_product(w), solver_config)
-            m = result.metrics
-            out.append((m.ee_total, m.ee_min, m.jain_index, result.iterations))
-    return trial, out
 
 
 def trend_study(config: ScenarioConfig, d2d_distances, w_list, trials: int = 1,
@@ -279,50 +275,11 @@ def trend_study(config: ScenarioConfig, d2d_distances, w_list, trials: int = 1,
     d2d_distances = [float(d) for d in d2d_distances]
     if any(d <= 0 for d in d2d_distances):
         raise DomainError("distances must be > 0")
-    w_list = [float(w) for w in w_list]
-    solver_config = solver_config or SolverConfig()
-    workers = resolve_workers(workers)
-
-    tasks = [(config, d2d_distances, w_list, solver_config, t) for t in range(trials)]
-    per_trial = dict(_dispatch(_trend_trial, tasks, workers))
-
-    rows = []
-    col = 0
-    for d in d2d_distances:
-        for w in w_list:
-            tee, mee, jfi, iters = zip(*(per_trial[t][col] for t in range(trials)))
-            tee_mean, tee_se = _mean_se(tee)
-            mee_mean, mee_se = _mean_se(mee)
-            jfi_mean, jfi_se = _mean_se(jfi)
-            iters_mean, iters_se = _mean_se(iters)
-            rows.append(
-                SweepRow(
-                    params={"d_d2d": d, "w": w},
-                    tee_mean=tee_mean, tee_se=tee_se,
-                    mee_mean=mee_mean, mee_se=mee_se,
-                    jfi_mean=jfi_mean, jfi_se=jfi_se,
-                    iterations_mean=iters_mean, iterations_se=iters_se,
-                    trials=trials,
-                )
-            )
-            col += 1
+    labels = [{"d_d2d": d, "w": float(w)} for d in d2d_distances for w in w_list]
+    cells = [_Cell(weighted_product(p["w"]), d2d_distance=p["d_d2d"]) for p in labels]
+    runs = _run_grid(config, cells, trials, solver_config, workers)
+    rows = [_sweep_row(params, col) for params, col in zip(labels, runs)]
     return SweepResult(rows=rows, master_seed=config.seed, trials=trials)
-
-
-def _convergence_trial(args):
-    config, w_list, zeta_list, epsilons, solver_config, trial = args
-    inst = generate(config, trial_seed(config.seed, trial))
-    uniform = default_initial_point(inst)
-    out = []
-    for w in w_list:
-        for zeta in zeta_list:
-            for eps in epsilons:
-                cfg = replace(solver_config, tolerance=eps, initial_allocation=zeta * uniform)
-                result = run(inst, weighted_product(w), cfg)
-                if result.status is RunStatus.SUBPROBLEM_FAILURE:
-                    raise RuntimeError(f"subproblem failure in trial {trial} (w={w}, zeta={zeta})")
-                out.append((result.iterations, result.trajectory, float(result.trajectory[-1])))
-    return trial, out
 
 
 def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trials: int = 1,
@@ -332,29 +289,25 @@ def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trial
     zeta_list = [float(z) for z in zeta_list]
     if any(not 0.0 < z <= 1.0 for z in zeta_list):
         raise DomainError("start scales must lie in (0, 1]")
-    solver_config = solver_config or SolverConfig()
-    workers = resolve_workers(workers)
-
-    tasks = [(config, list(w_list), zeta_list, list(epsilons), solver_config, t) for t in range(trials)]
-    per_trial = dict(_dispatch(_convergence_trial, tasks, workers))
-
-    records = []
-    col = 0
-    for w in w_list:
-        for zeta in zeta_list:
-            for eps in epsilons:
-                iters = [per_trial[t][col][0] for t in range(trials)]
-                finals = [per_trial[t][col][2] for t in range(trials)]
-                records.append(
-                    ConvergenceRecord(
-                        weight=float(w),
-                        zeta=zeta,
-                        epsilon=float(eps),
-                        iterations=iters,
-                        iterations_mean=float(np.mean(iters)),
-                        trajectory=per_trial[0][col][1],
-                        final_objectives=finals,
-                    )
-                )
-                col += 1
-    return records
+    cells = [
+        _Cell(weighted_product(w), start_scale=zeta, tolerance=float(eps))
+        for w in w_list for zeta in zeta_list for eps in epsilons
+    ]
+    runs = _run_grid(config, cells, trials, solver_config, workers)
+    for t in range(trials):
+        for cell, col in zip(cells, runs):
+            if col[t].status is RunStatus.SUBPROBLEM_FAILURE:
+                raise RuntimeError(f"subproblem failure in trial {t} "
+                                   f"(w={cell.scalarization.weight}, zeta={cell.start_scale})")
+    return [
+        ConvergenceRecord(
+            weight=cell.scalarization.weight,
+            zeta=cell.start_scale,
+            epsilon=cell.tolerance,
+            iterations=[r.iterations for r in col],
+            iterations_mean=float(np.mean([r.iterations for r in col])),
+            trajectory=col[0].trajectory,
+            final_objectives=[float(r.trajectory[-1]) for r in col],
+        )
+        for cell, col in zip(cells, runs)
+    ]

@@ -19,11 +19,16 @@ functions bounding the efficiency constraints,
     g(q, u)     = sum_i rate_i(q) - (sum_i mu_i sum_k 2^{q_i^k} + sum_i P_st,i) * 2^u
 
 are concave in (q, v) and (q, u) and strictly decreasing in the threshold
-variable. One evaluation pass computes the rates and keeps its
-stabilized interference terms; the interference shares, the exact
-Jacobian and the weighted Hessian are built from that kept pass on
-demand. The interference log-sum is evaluated with the max exponent
-subtracted so widely spread q values stay accurate.
+variable. This module evaluates the rates; psi and g exist only as the
+subproblem's constraint rows, assembled from those rates in one place:
+values in `solver.ConvexSubproblem.evaluate`, gradients in
+`ConvexSubproblem.jacobian`.
+
+One evaluation pass computes the rates and keeps its stabilized
+interference terms; the interference shares, the exact Jacobian and the
+weighted Hessian are built from that kept pass on demand. The
+interference log-sum is evaluated with the max exponent subtracted so
+widely spread q values stay accurate.
 """
 
 from __future__ import annotations
@@ -43,9 +48,6 @@ __all__ = [
     "RateEvaluation",
     "bound_coefficients",
     "build",
-    "surrogate_rate",
-    "surrogate_psi",
-    "surrogate_g",
     "rate_evaluation",
     "weighted_rate_hessian",
     "efficiency_roots",
@@ -196,41 +198,6 @@ def weighted_rate_hessian(model: SurrogateModel, ev: RateEvaluation, weights: np
     return out
 
 
-def _threshold_terms(model: SurrogateModel, q: np.ndarray, log_threshold: float, user=None):
-    """2^(q+thr) power terms and their common scale for psi/g gradients."""
-    inst = model.instance
-    if user is None:
-        exp_q = np.exp2(q + log_threshold)
-        dyn = inst.amp_inefficiency[:, None] * exp_q            # (N, K)
-        stat = inst.static_power * np.exp2(log_threshold)       # (N,)
-        return dyn, stat
-    exp_q = np.exp2(q[user] + log_threshold)
-    dyn = inst.amp_inefficiency[user] * exp_q                   # (K,)
-    stat = inst.static_power[user] * np.exp2(log_threshold)
-    return dyn, stat
-
-
-def surrogate_rate(model: SurrogateModel, q: np.ndarray, user: int):
-    """Lower bound of user's rate at q (bit/s) and its gradient over all of q."""
-    ev = rate_evaluation(model, q)
-    return float(ev.rates[user]), ev.jac[user].copy()
-
-
-def surrogate_psi(model: SurrogateModel, q: np.ndarray, v: float, user: int):
-    """Per-user efficiency slack: surrogate rate minus consumed power times 2^v.
-
-    Returns (value, grad_q, grad_v); concave in (q, v), strictly
-    decreasing in v.
-    """
-    ev = rate_evaluation(model, q)
-    dyn, stat = _threshold_terms(model, q, v, user)
-    value = float(ev.rates[user] - dyn.sum() - stat)
-    grad_q = ev.jac[user].copy()
-    grad_q[user] -= LN2 * dyn
-    grad_v = -LN2 * (dyn.sum() + stat)
-    return value, grad_q, grad_v
-
-
 def efficiency_roots(model: SurrogateModel, q: np.ndarray):
     """Thresholds at which the efficiency slacks vanish at q.
 
@@ -247,17 +214,3 @@ def efficiency_roots(model: SurrogateModel, q: np.ndarray):
         total = ev.rates.sum()
         u_root = float(np.log2(total / consumed.sum())) if total > 0 else -np.inf
     return u_root, v_roots
-
-
-def surrogate_g(model: SurrogateModel, q: np.ndarray, u: float):
-    """Total-efficiency slack: summed surrogate rates minus total power times 2^u.
-
-    Returns (value, grad_q, grad_u); concave in (q, u), strictly
-    decreasing in u.
-    """
-    ev = rate_evaluation(model, q)
-    dyn, stat = _threshold_terms(model, q, u)
-    value = float(ev.rates.sum() - dyn.sum() - stat.sum())
-    grad_q = ev.jac.sum(axis=0) - LN2 * dyn
-    grad_u = -LN2 * (dyn.sum() + stat.sum())
-    return value, grad_q, grad_u

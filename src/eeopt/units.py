@@ -2,7 +2,9 @@
 
 The math core works in SI (watts, Hz, bit/s, meters). dBm, dB and
 suffixed magnitudes exist only here: config files may say "23 dBm" or
-"500 kHz" and every parser returns the SI float.
+"500 kHz". Each parser returns its field's own unit: SI for the SI
+fields, and dB, dBm or dBm/Hz for the fields kept in those units. A bare
+number, or a string holding only a number, is already in that unit.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from .errors import DomainError
 
 __all__ = [
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
     "parse_power",
     "parse_frequency",
-    "parse_gain_db",
-    "parse_noise_density",
+    "parse_db",
+    "parse_dbm",
+    "parse_dbm_per_hz",
     "parse_distance",
     "parse_rate",
     "parse_scalar",
@@ -29,12 +31,6 @@ __all__ = [
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise DomainError("only positive ratios have a dB value")
-    return 10.0 * math.log10(x)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -47,7 +43,7 @@ def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
 
 
-_NUMBER = re.compile(r"^\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*(.*?)\s*$")
+_NUMBER = re.compile(r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*?)\s*$")
 
 
 def _split(value) -> tuple[float, str]:
@@ -97,18 +93,22 @@ def parse_frequency(value) -> float:
     )
 
 
-def parse_gain_db(value) -> float:
-    """Dimensionless ratios: plain numbers are linear; 'dB' converts."""
-    return _parse(value, {"": float, "dB": db_to_linear}, "ratio")
+def parse_db(value) -> float:
+    """Ratios in dB: plain numbers are dB."""
+    return _parse(value, {"": float, "dB": float}, "dB value")
 
 
-def parse_noise_density(value) -> float:
-    """Spectral densities: plain numbers are W/Hz; supports dBm/Hz."""
-    return _parse(
-        value,
-        {"": float, "W/Hz": float, "dBm/Hz": dbm_to_watts},
-        "noise density",
-    )
+def parse_dbm(value) -> float:
+    """Power levels in dBm: plain numbers are dBm; the other power units convert."""
+    magnitude, unit = _split(value)
+    if unit in ("", "dBm"):
+        return magnitude
+    return watts_to_dbm(parse_power(value))
+
+
+def parse_dbm_per_hz(value) -> float:
+    """Spectral densities in dBm/Hz: plain numbers are dBm/Hz."""
+    return _parse(value, {"": float, "dBm/Hz": float}, "dBm/Hz value")
 
 
 def parse_distance(value) -> float:

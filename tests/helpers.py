@@ -1,8 +1,11 @@
-"""Shared test fixtures: small random instances at O(1) scales."""
+"""Shared test fixtures: small random instances at O(1) scales, the true
+efficiency slacks, and the assembled constraint rows that bound them."""
 
 import numpy as np
 
-from eeopt.network import NetworkInstance
+from eeopt.network import NetworkInstance, evaluate
+from eeopt.scalarization import product_ee, weighted_product
+from eeopt.solver import ConvexSubproblem
 
 
 def random_instance(rng, n_users=2, n_blocks=2, min_rate=0.0, bandwidth=1.0):
@@ -53,3 +56,40 @@ def rel_err(actual, expected, floor=1e-9):
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
     return np.abs(actual - expected) / np.maximum(np.abs(expected), floor)
+
+
+def true_psi(instance, q, v):
+    """Per-user efficiency slacks of the true rates, R_i - consumed_i * 2^v_i, shape (N,)."""
+    rep = evaluate(instance, np.exp2(q))
+    consumed = instance.amp_inefficiency * np.exp2(q).sum(axis=1) + instance.static_power
+    return rep.rate - consumed * np.exp2(v)
+
+
+def true_g(instance, q, u):
+    """Total-efficiency slack of the true rates, sum R_i - total power * 2^u."""
+    rep = evaluate(instance, np.exp2(q))
+    return float(rep.rate_total - rep.power_total * 2.0**u)
+
+
+def psi_rows(model, q, v, with_grad=False):
+    """The solver's psi rows at (q, v): values (N,) and Jacobian rows (N, N*K + N).
+
+    They are rows 2N..3N-1 of the product-EE subproblem, whose variables
+    are x = [q, v_1..v_N]; a scalar v gives every user that threshold.
+    Rows are on the solver's 1/B scale.
+    """
+    sub = ConvexSubproblem(model, product_ee())
+    n = sub.n_users
+    c, G, _ = sub.evaluate(sub.pack(q, v=v), with_grad=with_grad)
+    return c[2 * n : 3 * n], None if G is None else G[2 * n : 3 * n]
+
+
+def g_row(model, q, u, with_grad=False):
+    """The solver's g row at (q, u): value and Jacobian row (N*K + 1,).
+
+    It is the last row of the weighted-product subproblem at w = 1, whose
+    variables are x = [q, u]. The row is on the solver's 1/B scale.
+    """
+    sub = ConvexSubproblem(model, weighted_product(1.0))
+    c, G, _ = sub.evaluate(sub.pack(q, u=u), with_grad=with_grad)
+    return float(c[-1]), None if G is None else G[-1]

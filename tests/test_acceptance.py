@@ -24,9 +24,18 @@ from eeopt.scenario import (
     trend_study,
     trial_seed,
 )
-from eeopt.surrogate import build, surrogate_g, surrogate_psi, surrogate_rate
+from eeopt.surrogate import build, rate_evaluation
 
-from helpers import central_diff, random_alloc, random_instance, rel_err
+from helpers import (
+    central_diff,
+    g_row,
+    psi_rows,
+    random_alloc,
+    random_instance,
+    rel_err,
+    true_g,
+    true_psi,
+)
 
 TRIALS = 100
 WORKERS = 2
@@ -119,6 +128,9 @@ def test_criterion_1_monotone_convergence(engine_runs):
 
 
 def test_criterion_2_minorization_tightness_gradients():
+    # rates and their gradients from the rate pass; psi and g are the
+    # solver's assembled rows (`ConvexSubproblem.evaluate`), compared with
+    # the true functions on the rows' 1/B scale
     rng = np.random.default_rng(2024)
     n_instances, points_per_instance = 200, 5
     worst_gap = 0.0          # positive would violate minorization
@@ -128,43 +140,41 @@ def test_criterion_2_minorization_tightness_gradients():
 
     for _ in range(n_instances):
         inst = random_instance(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        rs = 1.0 / inst.bandwidth_per_block
         p = random_alloc(rng, inst)
         model = build(inst, p)
         q0 = np.log2(p)
         rep = evaluate(inst, p)
         v_ref = float(rng.uniform(-2, 2))
         u_ref = float(rng.uniform(-2, 2))
-        consumed = inst.amp_inefficiency * p.sum(axis=1) + inst.static_power
 
         # tightness at the expansion point
+        ev = rate_evaluation(model, q0)
+        psi, _ = psi_rows(model, q0, v_ref)
+        psi_ref = true_psi(inst, q0, v_ref) * rs
         for i in range(inst.n_users):
-            s_val, s_grad = surrogate_rate(model, q0, i)
-            worst_tight = max(worst_tight, rel_err(s_val, float(rep.rate[i]), floor=1e-9))
-            psi_val, _, _ = surrogate_psi(model, q0, v_ref, i)
-            true_psi = float(rep.rate[i] - consumed[i] * 2.0**v_ref)
-            worst_tight = max(worst_tight, rel_err(psi_val, true_psi, floor=1e-9))
+            worst_tight = max(worst_tight, rel_err(ev.rates[i], float(rep.rate[i]), floor=1e-9))
+            worst_tight = max(worst_tight, rel_err(psi[i], psi_ref[i], floor=1e-9))
             fd = central_diff(lambda qq: float(evaluate(inst, np.exp2(qq)).rate[i]), q0)
-            worst_grad = max(worst_grad, float(np.max(rel_err(s_grad.ravel(), fd, floor=1e-6))))
-        g_val, _, _ = surrogate_g(model, q0, u_ref)
-        true_g = float(rep.rate_total - rep.power_total * 2.0**u_ref)
-        worst_tight = max(worst_tight, rel_err(g_val, true_g, floor=1e-9))
+            worst_grad = max(worst_grad, float(np.max(rel_err(ev.jac[i].ravel(), fd, floor=1e-6))))
+        g_val, _ = g_row(model, q0, u_ref)
+        worst_tight = max(worst_tight, rel_err(g_val, true_g(inst, q0, u_ref) * rs, floor=1e-9))
 
         # minorization at perturbed points
         for _ in range(points_per_instance):
             q = q0 + rng.uniform(-2.0, 2.0, size=q0.shape)
             v = float(rng.uniform(-2, 2))
-            rep_q = evaluate(inst, np.exp2(q))
-            consumed_q = inst.amp_inefficiency * np.exp2(q).sum(axis=1) + inst.static_power
+            rates = rate_evaluation(model, q).rates
+            true_rates = evaluate(inst, np.exp2(q)).rate
+            psi, _ = psi_rows(model, q, v)
+            psi_ref = true_psi(inst, q, v) * rs
             for i in range(inst.n_users):
-                s_val, _ = surrogate_rate(model, q, i)
-                scale = max(abs(rep_q.rate[i]), 1.0)
-                worst_gap = max(worst_gap, (s_val - float(rep_q.rate[i])) / scale)
-                psi_val, _, _ = surrogate_psi(model, q, v, i)
-                true_psi = float(rep_q.rate[i] - consumed_q[i] * 2.0**v)
-                worst_gap = max(worst_gap, (psi_val - true_psi) / max(abs(true_psi), 1.0))
-            g_val, _, _ = surrogate_g(model, q, v)
-            true_g = float(rep_q.rate_total - rep_q.power_total * 2.0**v)
-            worst_gap = max(worst_gap, (g_val - true_g) / max(abs(true_g), 1.0))
+                scale = max(abs(true_rates[i]), 1.0)
+                worst_gap = max(worst_gap, (rates[i] - float(true_rates[i])) / scale)
+                worst_gap = max(worst_gap, (psi[i] - psi_ref[i]) / max(abs(psi_ref[i]), 1.0))
+            g_val, _ = g_row(model, q, v)
+            g_ref = true_g(inst, q, v) * rs
+            worst_gap = max(worst_gap, (g_val - g_ref) / max(abs(g_ref), 1.0))
             samples += 1
 
     ok = worst_gap <= 1e-9 and worst_tight <= 1e-10 and worst_grad <= 1e-5

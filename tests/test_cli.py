@@ -116,6 +116,36 @@ class TestConfigErrors:
         assert main([cfg_path]) == EXIT_CONFIG
         assert "d2d_dist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ("pareto", "weight"), ("trend", "distance"), ("convergence", "zeta"),
+    ])
+    def test_unknown_study_key_named_in_error(self, tmp_path, capsys, section, key):
+        cfg = tiny_scenario(section, **{section: {key: [0.5]}})
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main([cfg_path, "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, change, env", [
+        ("solve", {"seed": "abc"}, None),
+        ("pareto", {"workers": "abc"}, None),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": "abc"}}, None),
+        ("trend", {"trend": {"trials": 0}}, None),
+        ("convergence", {"convergence": {"trials": 0}}, None),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": 1}}, "abc"),
+    ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
+            "env-workers"])
+    def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env):
+        if env is None:
+            monkeypatch.delenv("EEOPT_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("EEOPT_WORKERS", env)
+        cfg = tiny_scenario(command)
+        cfg.update(change)
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert main([cfg_path, "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_unit_reports_field(self, tmp_path, capsys):
         cfg = tiny_scenario("solve")
         cfg["scenario"]["d2d_distance"] = "10 volts"
@@ -205,14 +235,22 @@ class TestReplay:
         assert replayed["command"] == original["command"]
         assert replayed["seed"] == original["seed"]
 
-    def test_replay_reproduces_tables_bit_identically(self, tmp_path):
-        cfg = tiny_scenario("pareto", pareto={"weights": [0.2, 0.9], "trials": 2})
+    @pytest.mark.parametrize("command, section", [
+        ("pareto", {"weights": [0.2, 0.9], "trials": 2, "include_product_ee": True}),
+        ("trend", {"distances": ["10 m", "30 m"], "weights": [0.0, 0.6], "trials": 2}),
+        ("convergence", {"weights": [0.5], "zetas": [0.5, 1.0], "epsilons": [1e-2], "trials": 2}),
+    ], ids=["pareto", "trend", "convergence"])
+    def test_replay_reproduces_tables_bit_identically(self, tmp_path, command, section):
+        cfg = tiny_scenario(command, **{command: section})
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
         first = tmp_path / "first"
         assert main([cfg_path, "-o", str(first)]) == EXIT_OK
         second = tmp_path / "second"
         assert main([str(first / "record.yaml"), "-o", str(second)]) == EXIT_OK
-        assert (first / "pareto.csv").read_bytes() == (second / "pareto.csv").read_bytes()
+        tables = sorted(p.name for p in first.glob("*.csv"))
+        assert tables and tables == sorted(p.name for p in second.glob("*.csv"))
+        for name in tables:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
         rec1 = yaml.safe_load((first / "record.yaml").read_text())
         rec2 = yaml.safe_load((second / "record.yaml").read_text())
         rec1["config"].pop("output")
@@ -259,3 +297,15 @@ class TestRecordContents:
         assert scen["seed"] == 3
         assert record["config"]["seed"] == 3
         assert not np.isnan(record["results"]["tee"])
+
+    @pytest.mark.parametrize("field", ["max_power_dbm", "static_power_dbm"])
+    def test_quoted_and_bare_dbm_resolve_alike(self, tmp_path, field):
+        resolved = []
+        for value in ("23", 23):
+            cfg = tiny_scenario("solve")
+            cfg["scenario"][field] = value
+            out = tmp_path / type(value).__name__
+            assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_OK
+            record = yaml.safe_load((out / "record.yaml").read_text())
+            resolved.append(record["config"]["scenario"][field])
+        assert resolved == [23.0, 23.0]

@@ -175,9 +175,20 @@ class TestWorkers:
         monkeypatch.setenv("EEOPT_WORKERS", "3")
         assert resolve_workers(None) == 3
 
-    def test_parallel_matches_serial(self):
-        cfg = ScenarioConfig(seed=51)
-        serial = pareto_sweep(cfg, [0.4], trials=2, solver_config=FAST, workers=1)
-        parallel = pareto_sweep(cfg, [0.4], trials=2, solver_config=FAST, workers=2)
-        assert serial.rows[0].tee_mean == parallel.rows[0].tee_mean
-        assert serial.rows[0].mee_mean == parallel.rows[0].mee_mean
+    @pytest.mark.parametrize("study", ["pareto", "trend", "convergence"])
+    def test_parallel_matches_serial(self, study):
+        cfg = ScenarioConfig(seed=51, n_d2d_pairs=2, n_blocks=3)
+        sweep = {
+            "pareto": lambda workers: pareto_sweep(cfg, [0.4], trials=3, solver_config=FAST,
+                                                   include_product_ee=True, workers=workers).rows,
+            "trend": lambda workers: trend_study(cfg, [10.0, 40.0], [0.4], trials=3,
+                                                 solver_config=FAST, workers=workers).rows,
+            "convergence": lambda workers: convergence_study(cfg, [0.4], [0.5], [1e-2], trials=3,
+                                                             workers=workers),
+        }[study]
+        # every field bit-identical: arrays as bytes, the rest by repr so NaN matches NaN
+        def fields(row):
+            return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+                    for k, v in vars(row).items()}
+
+        assert [fields(r) for r in sweep(1)] == [fields(r) for r in sweep(2)]

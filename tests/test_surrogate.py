@@ -1,3 +1,7 @@
+"""The rate minorant from `rate_evaluation`, and the psi and g minorants
+as the solver assembles them (`ConvexSubproblem.evaluate`/`jacobian`),
+checked against the true functions on the solver's 1/B row scale."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,28 +13,29 @@ from eeopt.surrogate import (
     bound_coefficients,
     build,
     rate_evaluation,
-    surrogate_g,
-    surrogate_psi,
-    surrogate_rate,
     weighted_rate_hessian,
 )
 
-from helpers import central_diff, random_alloc, random_instance, rel_err
+from helpers import (
+    central_diff,
+    g_row,
+    psi_rows,
+    random_alloc,
+    random_instance,
+    rel_err,
+    true_g,
+    true_psi,
+)
 
 
 def true_rate(instance, q, user):
     return float(evaluate(instance, np.exp2(q)).rate[user])
 
 
-def true_psi(instance, q, v, user):
-    rep = evaluate(instance, np.exp2(q))
-    consumed = instance.amp_inefficiency[user] * np.exp2(q[user]).sum() + instance.static_power[user]
-    return float(rep.rate[user] - consumed * 2.0**v)
-
-
-def true_g(instance, q, u):
-    rep = evaluate(instance, np.exp2(q))
-    return float(rep.rate_total - rep.power_total * 2.0**u)
+def split_x(x, q_shape):
+    """x = [q, thresholds] back into (q, thresholds)."""
+    nq = int(np.prod(q_shape))
+    return x[:nq].reshape(q_shape), x[nq:]
 
 
 class TestBoundCoefficients:
@@ -101,7 +106,7 @@ class TestBuild:
         model = build(inst, random_alloc(rng, inst))
         q0 = rng.normal(size=(1, 3))
         d = rng.normal(size=(1, 3))
-        vals = [surrogate_rate(model, q0 + t * d, 0)[0] for t in (-1.0, 0.0, 1.0)]
+        vals = [rate_evaluation(model, q0 + t * d).rates[0] for t in (-1.0, 0.0, 1.0)]
         assert vals[0] + vals[2] == pytest.approx(2 * vals[1], rel=1e-12)
 
 
@@ -113,9 +118,9 @@ class TestSurrogateRate:
             p = random_alloc(rng, inst)
             model = build(inst, p)
             q = np.log2(p)
+            rates = rate_evaluation(model, q).rates
             for i in range(inst.n_users):
-                val, _ = surrogate_rate(model, q, i)
-                assert rel_err(val, true_rate(inst, q, i)) < 1e-10
+                assert rel_err(rates[i], true_rate(inst, q, i)) < 1e-10
 
     def test_minorizes_true_rate(self):
         rng = np.random.default_rng(14)
@@ -125,9 +130,9 @@ class TestSurrogateRate:
             model = build(inst, p)
             for _ in range(10):
                 q = np.log2(p) + rng.uniform(-2.0, 2.0, size=p.shape)
+                rates = rate_evaluation(model, q).rates
                 for i in range(inst.n_users):
-                    val, _ = surrogate_rate(model, q, i)
-                    assert val <= true_rate(inst, q, i) + 1e-9
+                    assert rates[i] <= true_rate(inst, q, i) + 1e-9
 
     def test_gradient_matches_true_rate_at_expansion(self):
         rng = np.random.default_rng(15)
@@ -136,20 +141,20 @@ class TestSurrogateRate:
             p = random_alloc(rng, inst)
             model = build(inst, p)
             q = np.log2(p)
+            jac = rate_evaluation(model, q).jac
             for i in range(inst.n_users):
-                _, grad = surrogate_rate(model, q, i)
                 fd = central_diff(lambda qq: true_rate(inst, qq, i), q)
-                assert np.max(rel_err(grad.ravel(), fd, floor=1e-6)) < 1e-5
+                assert np.max(rel_err(jac[i].ravel(), fd, floor=1e-6)) < 1e-5
 
     def test_gradient_matches_surrogate_anywhere(self):
         rng = np.random.default_rng(16)
         inst = random_instance(rng, 3, 2)
         model = build(inst, random_alloc(rng, inst))
         q = model.expansion_q + rng.uniform(-1, 1, size=model.expansion_q.shape)
+        jac = rate_evaluation(model, q).jac
         for i in range(inst.n_users):
-            _, grad = surrogate_rate(model, q, i)
-            fd = central_diff(lambda qq: surrogate_rate(model, qq, i)[0], q)
-            assert np.max(rel_err(grad.ravel(), fd, floor=1e-6)) < 1e-5
+            fd = central_diff(lambda qq: rate_evaluation(model, qq).rates[i], q)
+            assert np.max(rel_err(jac[i].ravel(), fd, floor=1e-6)) < 1e-5
 
 
 class TestSurrogatePsi:
@@ -158,10 +163,10 @@ class TestSurrogatePsi:
         inst = random_instance(rng, 2, 2)
         model = build(inst, random_alloc(rng, inst))
         q = model.expansion_q
-        vals = [surrogate_psi(model, q, v, 0)[0] for v in (2.0, 0.0, -5.0, -20.0)]
+        vals = [psi_rows(model, q, v)[0][0] for v in (2.0, 0.0, -5.0, -20.0)]
         assert vals == sorted(vals)
-        rate0, _ = surrogate_rate(model, q, 0)
-        assert surrogate_psi(model, q, -40.0, 0)[0] == pytest.approx(rate0, rel=1e-9)
+        rate0 = rate_evaluation(model, q).rates[0] / inst.bandwidth_per_block
+        assert psi_rows(model, q, -40.0)[0][0] == pytest.approx(rate0, rel=1e-9)
 
     def test_zero_at_expansion_for_min_ee_user(self):
         rng = np.random.default_rng(18)
@@ -170,10 +175,10 @@ class TestSurrogatePsi:
             p = random_alloc(rng, inst)
             rep = evaluate(inst, p)
             model = build(inst, p)
-            v = np.log2(rep.ee_min)
             i = int(np.argmin(rep.ee))
-            val, _, _ = surrogate_psi(model, np.log2(p), v, i)
-            assert abs(val) <= 1e-9 * max(rep.rate[i], 1.0)
+            psi, _ = psi_rows(model, np.log2(p), np.log2(rep.ee_min))
+            scale = max(rep.rate[i] / inst.bandwidth_per_block, 1.0)
+            assert abs(psi[i]) <= 1e-9 * scale
 
     def test_minorizes_true_psi_at_random_points(self):
         rng = np.random.default_rng(19)
@@ -183,28 +188,30 @@ class TestSurrogatePsi:
             p = random_alloc(rng, inst)
             model = build(inst, p)
             q = np.log2(p) + rng.uniform(-2, 2, size=p.shape)
-            v = rng.uniform(-3, 3)
-            for i in range(inst.n_users):
-                val, _, _ = surrogate_psi(model, q, v, i)
-                assert val <= true_psi(inst, q, v, i) + 1e-9
-                checked += 1
+            v = rng.uniform(-3, 3, size=inst.n_users)
+            psi, _ = psi_rows(model, q, v)
+            assert np.all(psi <= true_psi(inst, q, v) / inst.bandwidth_per_block + 1e-9)
+            checked += inst.n_users
 
     def test_gradients(self):
         rng = np.random.default_rng(20)
         inst = random_instance(rng, 2, 2)
         model = build(inst, random_alloc(rng, inst))
-        q = model.expansion_q + rng.uniform(-0.5, 0.5, size=model.expansion_q.shape)
-        v = 0.3
+        shape = model.expansion_q.shape
+        v = np.array([0.3, -0.2])
+        q = model.expansion_q + rng.uniform(-0.5, 0.5, size=shape)
+        _, jac = psi_rows(model, q, v, with_grad=True)
+        # at the expansion point the gradient is also the true function's
+        q0 = model.expansion_q
+        _, jac0 = psi_rows(model, q0, v, with_grad=True)
+        rs = 1.0 / inst.bandwidth_per_block
         for i in range(inst.n_users):
-            _, gq, gv = surrogate_psi(model, q, v, i)
-            fd_q = central_diff(lambda qq: surrogate_psi(model, qq, v, i)[0], q)
-            fd_v = central_diff(lambda vv: surrogate_psi(model, q, float(vv), i)[0], np.array(v))
-            assert np.max(rel_err(gq.ravel(), fd_q, floor=1e-6)) < 1e-5
-            assert rel_err(gv, fd_v[0]) < 1e-5
-            # tightness of the gradient against the true function at the expansion
-            _, gq0, gv0 = surrogate_psi(model, model.expansion_q, v, i)
-            fd_true = central_diff(lambda qq: true_psi(inst, qq, v, i), model.expansion_q)
-            assert np.max(rel_err(gq0.ravel(), fd_true, floor=1e-6)) < 1e-5
+            fd = central_diff(lambda x: psi_rows(model, *split_x(x, shape))[0][i],
+                              np.append(q.ravel(), v))
+            assert np.max(rel_err(jac[i], fd, floor=1e-6)) < 1e-5
+            fd_true = central_diff(lambda x: true_psi(inst, *split_x(x, shape))[i] * rs,
+                                   np.append(q0.ravel(), v))
+            assert np.max(rel_err(jac0[i], fd_true, floor=1e-6)) < 1e-5
 
 
 class TestSurrogateG:
@@ -215,8 +222,8 @@ class TestSurrogateG:
             p = random_alloc(rng, inst)
             rep = evaluate(inst, p)
             model = build(inst, p)
-            val, _, _ = surrogate_g(model, np.log2(p), np.log2(rep.ee_total))
-            assert abs(val) <= 1e-9 * rep.rate_total
+            val, _ = g_row(model, np.log2(p), np.log2(rep.ee_total))
+            assert abs(val) <= 1e-9 * rep.rate_total / inst.bandwidth_per_block
 
     def test_strictly_increasing_as_u_decreases(self):
         rng = np.random.default_rng(22)
@@ -225,8 +232,8 @@ class TestSurrogateG:
         rep = evaluate(inst, p)
         model = build(inst, p)
         u = np.log2(rep.ee_total)
-        v0, _, _ = surrogate_g(model, np.log2(p), u)
-        v1, _, _ = surrogate_g(model, np.log2(p), u - 1.0)
+        v0, _ = g_row(model, np.log2(p), u)
+        v1, _ = g_row(model, np.log2(p), u - 1.0)
         assert v1 > v0
 
     def test_minorizes_true_g(self):
@@ -237,20 +244,27 @@ class TestSurrogateG:
             model = build(inst, p)
             q = np.log2(p) + rng.uniform(-2, 2, size=p.shape)
             u = rng.uniform(-3, 3)
-            val, _, _ = surrogate_g(model, q, u)
-            assert val <= true_g(inst, q, u) + 1e-9
+            val, _ = g_row(model, q, u)
+            assert val <= true_g(inst, q, u) / inst.bandwidth_per_block + 1e-9
 
     def test_gradients(self):
         rng = np.random.default_rng(24)
         inst = random_instance(rng, 3, 2)
         model = build(inst, random_alloc(rng, inst))
-        q = model.expansion_q + rng.uniform(-0.5, 0.5, size=model.expansion_q.shape)
+        shape = model.expansion_q.shape
         u = -0.4
-        _, gq, gu = surrogate_g(model, q, u)
-        fd_q = central_diff(lambda qq: surrogate_g(model, qq, u)[0], q)
-        fd_u = central_diff(lambda uu: surrogate_g(model, q, float(uu))[0], np.array(u))
-        assert np.max(rel_err(gq.ravel(), fd_q, floor=1e-6)) < 1e-5
-        assert rel_err(gu, fd_u[0]) < 1e-5
+        q = model.expansion_q + rng.uniform(-0.5, 0.5, size=shape)
+        _, grad = g_row(model, q, u, with_grad=True)
+        fd = central_diff(lambda x: g_row(model, x[:-1].reshape(shape), x[-1])[0],
+                          np.append(q.ravel(), u))
+        assert np.max(rel_err(grad, fd, floor=1e-6)) < 1e-5
+        # at the expansion point the gradient is also the true function's
+        q0 = model.expansion_q
+        _, grad0 = g_row(model, q0, u, with_grad=True)
+        rs = 1.0 / inst.bandwidth_per_block
+        fd_true = central_diff(lambda x: true_g(inst, x[:-1].reshape(shape), x[-1]) * rs,
+                               np.append(q0.ravel(), u))
+        assert np.max(rel_err(grad0, fd_true, floor=1e-6)) < 1e-5
 
 
 class TestConcavity:
@@ -268,24 +282,15 @@ class TestConcavity:
             def sample():
                 return (
                     model.expansion_q + rng.uniform(-2, 2, size=shape),
-                    rng.uniform(-2, 2),
+                    rng.uniform(-2, 2, size=inst.n_users),
                 )
 
-            (qx, tx), (qy, ty) = sample(), sample()
-            for i in range(inst.n_users):
-                gap_rate = self.midpoint_gap(
-                    lambda z: surrogate_rate(model, z[0], i)[0],
-                    (qx, tx), (qy, ty),
-                )
-                gap_psi = self.midpoint_gap(
-                    lambda z: surrogate_psi(model, z[0], z[1], i)[0],
-                    (qx, tx), (qy, ty),
-                )
-                assert gap_rate >= -1e-12
-                assert gap_psi >= -1e-12
-            gap_g = self.midpoint_gap(
-                lambda z: surrogate_g(model, z[0], z[1])[0], (qx, tx), (qy, ty)
-            )
+            x, y = sample(), sample()
+            gap_rate = self.midpoint_gap(lambda z: rate_evaluation(model, z[0]).rates, x, y)
+            gap_psi = self.midpoint_gap(lambda z: psi_rows(model, z[0], z[1])[0], x, y)
+            gap_g = self.midpoint_gap(lambda z: g_row(model, z[0], z[1][0])[0], x, y)
+            assert np.all(gap_rate >= -1e-12)
+            assert np.all(gap_psi >= -1e-12)
             assert gap_g >= -1e-12
 
 

@@ -4,11 +4,11 @@ from eeopt.errors import DomainError
 from eeopt.units import (
     db_to_linear,
     dbm_to_watts,
-    linear_to_db,
+    parse_db,
+    parse_dbm,
+    parse_dbm_per_hz,
     parse_distance,
     parse_frequency,
-    parse_gain_db,
-    parse_noise_density,
     parse_power,
     parse_rate,
     parse_scalar,
@@ -32,13 +32,13 @@ class TestConversions:
 
     def test_db_round_trip(self):
         for x in (0.5, 1.0, 2.0, 123.4):
-            assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-12)
+            assert dbm_to_watts(parse_dbm(f"{x} W")) == pytest.approx(x, rel=1e-12)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             watts_to_dbm(0.0)
         with pytest.raises(DomainError):
-            linear_to_db(-1.0)
+            parse_dbm("-1 W")
 
 
 class TestParsers:
@@ -56,12 +56,25 @@ class TestParsers:
         assert parse_frequency(1e6) == 1e6
 
     def test_ratio_units(self):
-        assert parse_gain_db("3 dB") == pytest.approx(1.9952623149688795)
-        assert parse_gain_db(2.0) == 2.0
+        assert parse_db("3 dB") == 3.0
+        assert parse_db("3") == parse_db(3) == 3.0
+        assert db_to_linear(parse_db(".5 dB")) == pytest.approx(1.1220184543019633)
+        with pytest.raises(DomainError):
+            parse_db("2 W")
+
+    def test_dbm_levels(self):
+        # a bare number, quoted or not, is already dBm; other power units convert
+        assert parse_dbm("23") == parse_dbm(23) == parse_dbm("23 dBm") == 23.0
+        assert parse_dbm("200 mW") == pytest.approx(23.0103, abs=1e-4)
+        assert parse_dbm("-10 dBW") == pytest.approx(20.0)
+        with pytest.raises(DomainError):
+            parse_dbm("3 dB")
 
     def test_noise_density(self):
-        assert parse_noise_density("-174 dBm/Hz") == pytest.approx(3.9810717055349695e-21)
-        assert parse_noise_density(1e-20) == 1e-20
+        assert parse_dbm_per_hz("-174 dBm/Hz") == parse_dbm_per_hz("-174") == -174.0
+        assert dbm_to_watts(parse_dbm_per_hz(-174)) == pytest.approx(3.9810717055349695e-21)
+        with pytest.raises(DomainError):
+            parse_dbm_per_hz("1e-20 W/Hz")
 
     def test_distance_and_rate(self):
         assert parse_distance("20 m") == 20.0
