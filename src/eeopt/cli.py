@@ -12,6 +12,12 @@ Every invocation writes `record.yaml` holding the fully resolved config
 record back to the CLI replays the run and reproduces the tables
 byte-for-byte. Flat CSV tables sit next to it for plotting.
 
+Every section, the top level included, is read by `_read` through one
+table of key -> (parser, default): `_TOP` below the parsers, which names
+the table of each section. The table is the whole schema: it lists the
+keys, so unknown ones are errors; it parses, so every error names its
+`section.key`; and it holds the defaults, so a key appears once.
+
 Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 solver failure.
 """
 
@@ -22,7 +28,8 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +93,95 @@ def _write_csv(path: Path, header, rows):
             writer.writerow([_float_cell(v) for v in row])
 
 
-_SCENARIO_PARSERS = {
-    "n_d2d_pairs": int,
-    "n_blocks": int,
+_REQUIRED = object()   # the table default of a key that a section must give
+
+
+def _read(where: str, raw, table: dict) -> dict:
+    """Read one config section through its table of key -> (parser, default).
+
+    The section must be a mapping (null reads as empty) with no key outside
+    the table. A key left out takes its default, which is written as in a
+    config file and goes through the parser like a given value; _REQUIRED
+    makes the key mandatory. Null is kept only where the default is null.
+    A parser's error becomes a ConfigError naming `where.key`.
+    """
+    def name(key):
+        return f"{where}.{key}" if where else str(key)
+
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping, got {raw!r}")
+    unknown = sorted(name(key) for key in raw if key not in table)
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}")
+    values = {}
+    for key, (parser, default) in table.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{name(key)} is required")
+        try:
+            values[key] = None if value is None and default is None else parser(value)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{name(key)}: {exc}") from exc
+    return values
+
+
+def _section(where: str, table: dict, build=dict):
+    """The parser of a nested section: read it through `table`, then `build(**values)`."""
+    return lambda raw: build(**_read(where, raw, table))
+
+
+def _fields(cls, parsers: dict) -> dict:
+    """The table of a section that builds dataclass `cls`, with the fields' own defaults."""
+    return {
+        f.name: (parsers[f.name], _REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls) if f.name in parsers
+    }
+
+
+def _integer(value) -> int:
+    """An integral number or a string holding one; 2.5 is an error, not 2."""
+    try:
+        number = int(value)
+    except (OverflowError, TypeError, ValueError):
+        number = None
+    if number is None or (number != value and not isinstance(value, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return number
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _list(parse):
+    def parse_list(values) -> list:
+        if not isinstance(values, list):
+            raise TypeError(f"expected a list, got {values!r}")
+        return [parse(v) for v in values]
+    return parse_list
+
+
+def _weight_grid(spec) -> list[float]:
+    """An integer n >= 2 gives n equally spaced weights on [0, 1]; a list is taken as given."""
+    if isinstance(spec, list):
+        return [parse_scalar(w) for w in spec]
+    if not isinstance(spec, int) or spec < 2:
+        raise ValueError(f"expected a list of weights or an integer >= 2, got {spec!r}")
+    return [i / (spec - 1) for i in range(spec)]
+
+
+def _command(value) -> str:
+    if not (isinstance(value, str) and value in _COMMANDS):
+        raise ValueError(f"must be one of solve|pareto|trend|convergence, got {value!r}")
+    return value
+
+
+_SCENARIO = _fields(ScenarioConfig, {
+    "n_d2d_pairs": _integer,
+    "n_blocks": _integer,
     "d2d_distance": parse_distance,
     "annulus_inner": parse_distance,
     "annulus_outer": parse_distance,
@@ -101,104 +194,55 @@ _SCENARIO_PARSERS = {
     "max_power_dbm": parse_dbm,
     "min_rate": parse_rate,
     "path_loss_exponent": parse_scalar,
-    "path_loss_const_db": lambda v: None if v is None else parse_db(v),
+    "path_loss_const_db": parse_db,
     "shadowing_sigma_db": parse_db,
     "min_link_distance": parse_distance,
-    "seed": int,
+    "seed": _integer,
+})
+_INSTANCE = _fields(NetworkInstance, {
+    "bandwidth_per_block": float,
+    **dict.fromkeys(["gain", "noise", "amp_inefficiency", "static_power", "max_power",
+                     "min_rate"], partial(np.asarray, dtype=float)),
+})
+_SCALARIZATION = {"kind": (ScalarizationKind, "weighted_product"), "weight": (float, 0.5)}
+_BARRIER = {
+    f.name: (_integer if isinstance(f.default, int) else float, f.default)
+    for f in fields(BarrierSettings)
 }
-
-# the keys each study command reads from its own section
-_STUDY_KEYS = {
-    "pareto": {"weights", "trials", "include_product_ee"},
-    "trend": {"distances", "weights", "trials"},
-    "convergence": {"weights", "zetas", "epsilons", "trials"},
+_SOLVER = {
+    **_fields(SolverConfig, {"tolerance": float, "max_outer_iterations": _integer,
+                             "kkt_tolerance": float}),
+    "barrier": (_section("solver.barrier", _BARRIER, BarrierSettings), {}),
 }
-
-
-def _integer(value, what) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}: expected an integer, got {value!r}") from None
-
-
-def _build_scenario(section: dict, seed: int) -> ScenarioConfig:
-    kwargs = {"seed": seed}
-    for key, value in section.items():
-        if key not in _SCENARIO_PARSERS:
-            raise ConfigError(f"unknown scenario key {key!r}")
-        try:
-            kwargs[key] = _SCENARIO_PARSERS[key](value)
-        except (DomainError, TypeError, ValueError) as exc:
-            raise ConfigError(f"scenario.{key}: {exc}") from exc
-    return ScenarioConfig(**kwargs)
-
-
-def _build_instance(section: dict) -> NetworkInstance:
-    required = {"bandwidth_per_block", "gain", "noise", "amp_inefficiency",
-                "static_power", "max_power", "min_rate"}
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"instance section is missing {sorted(missing)}")
-    unknown = set(section) - required
-    if unknown:
-        raise ConfigError(f"unknown instance keys {sorted(unknown)}")
-    try:
-        return NetworkInstance(
-            bandwidth_per_block=float(section["bandwidth_per_block"]),
-            gain=np.asarray(section["gain"], dtype=float),
-            noise=np.asarray(section["noise"], dtype=float),
-            amp_inefficiency=np.asarray(section["amp_inefficiency"], dtype=float),
-            static_power=np.asarray(section["static_power"], dtype=float),
-            max_power=np.asarray(section["max_power"], dtype=float),
-            min_rate=np.asarray(section["min_rate"], dtype=float),
-        )
-    except (DomainError, ShapeError, ValueError) as exc:
-        raise ConfigError(f"instance: {exc}") from exc
-
-
-def _build_scalarization(section: dict) -> Scalarization:
-    kind = section.get("kind", "weighted_product")
-    try:
-        kind = ScalarizationKind(kind)
-    except ValueError:
-        raise ConfigError(f"unknown scalarization kind {kind!r}") from None
-    weight = float(section.get("weight", 0.5))
-    try:
-        return Scalarization(kind, weight)
-    except DomainError as exc:
-        raise ConfigError(f"scalarization: {exc}") from exc
-
-
-def _build_solver_config(section: dict) -> SolverConfig:
-    known = {"tolerance", "max_outer_iterations", "kkt_tolerance", "barrier"}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"unknown solver keys {sorted(unknown)}")
-    barrier_section = section.get("barrier", {})
-    barrier_fields = {f for f in BarrierSettings.__dataclass_fields__}
-    bad = set(barrier_section) - barrier_fields
-    if bad:
-        raise ConfigError(f"unknown barrier keys {sorted(bad)}")
-    try:
-        barrier = BarrierSettings(**{k: float(v) if k != "max_newton_per_center" else int(v)
-                                     for k, v in barrier_section.items()})
-        return SolverConfig(
-            tolerance=float(section.get("tolerance", 1e-3)),
-            max_outer_iterations=int(section.get("max_outer_iterations", 200)),
-            kkt_tolerance=float(section.get("kkt_tolerance", 1e-8)),
-            barrier=barrier,
-        )
-    except (DomainError, ValueError) as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-
-def _weight_grid(spec) -> list[float]:
-    if isinstance(spec, int):
-        if spec < 2:
-            raise ConfigError("a weight grid needs at least 2 points")
-        return [i / (spec - 1) for i in range(spec)]
-    return [parse_scalar(w) for w in spec]
+_STUDIES = {
+    "pareto": {
+        "weights": (_weight_grid, 21),
+        "trials": (_integer, 50),
+        "include_product_ee": (_boolean, False),
+    },
+    "trend": {
+        "distances": (_list(parse_distance), [10, 20, 40, 80]),
+        "weights": (_list(parse_scalar), [0.0, 0.5, 1.0]),
+        "trials": (_integer, 200),
+    },
+    "convergence": {
+        "weights": (_list(parse_scalar), [0.0, 0.7, 1.0]),
+        "zetas": (_list(parse_scalar), [1.0]),
+        "epsilons": (_list(parse_scalar), [1e-3]),
+        "trials": (_integer, 1),
+    },
+}
+_TOP = {
+    "command": (_command, _REQUIRED),
+    "seed": (_integer, 0),
+    "workers": (_integer, None),
+    "scenario": (_section("scenario", _SCENARIO, ScenarioConfig), None),
+    "instance": (_section("instance", _INSTANCE, NetworkInstance), None),
+    "scalarization": (_section("scalarization", _SCALARIZATION, Scalarization), {}),
+    "solver": (_section("solver", _SOLVER, SolverConfig), {}),
+    **{name: (_section(name, table), {}) for name, table in _STUDIES.items()},
+    "output": (_section("output", {"directory": (Path, "results")}), {}),
+}
 
 
 def load_config(path) -> dict:
@@ -249,38 +293,19 @@ class _Resolved:
     """A fully interpreted run configuration."""
 
     def __init__(self, raw: dict):
-        known = {"command", "seed", "scenario", "instance", "scalarization",
-                 "solver", "pareto", "trend", "convergence", "output", "workers"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-        self.command = raw.get("command")
-        if self.command not in {"solve", "pareto", "trend", "convergence"}:
-            raise ConfigError(
-                f"command must be one of solve|pareto|trend|convergence, got {self.command!r}"
-            )
-        self.seed = _integer(raw.get("seed", 0), "seed")
-        has_scenario = "scenario" in raw
-        has_instance = "instance" in raw
-        if has_scenario == has_instance:
+        top = _read("", raw, _TOP)
+        self.command, self.seed, self.workers = top["command"], top["seed"], top["workers"]
+        self.scenario, self.instance = top["scenario"], top["instance"]
+        if (self.scenario is None) == (self.instance is None):
             raise ConfigError("exactly one of `scenario` or `instance` must be present")
-        self.scenario = _build_scenario(raw["scenario"], self.seed) if has_scenario else None
-        self.instance = _build_instance(raw["instance"]) if has_instance else None
         if self.instance is not None and self.command != "solve":
             raise ConfigError(f"command {self.command!r} needs a `scenario` section")
-        self.scalarization = _build_scalarization(raw.get("scalarization", {}))
-        self.solver = _build_solver_config(raw.get("solver", {}))
-        self.workers = None if raw.get("workers") is None else _integer(raw["workers"], "workers")
-        self.sections = {}
-        for name, known in _STUDY_KEYS.items():
-            section = raw.get(name) or {}
-            if not isinstance(section, dict):
-                raise ConfigError(f"{name} must be a mapping, got {section!r}")
-            unknown = set(section) - known
-            if unknown:
-                raise ConfigError(f"unknown {name} keys {sorted(unknown)}")
-            self.sections[name] = section
-        self.output_dir = Path(raw.get("output", {}).get("directory", "results"))
+        if self.scenario is not None and "seed" not in raw["scenario"]:
+            self.scenario = replace(self.scenario, seed=self.seed)  # defaults to the run's seed
+        self.scalarization, self.solver = top["scalarization"], top["solver"]
+        self.studies = {name: top[name] for name in _STUDIES}
+        self.given = {name: raw[name] for name in _STUDIES if raw.get(name)}
+        self.output_dir = top["output"]["directory"]
 
     def resolved_dict(self) -> dict:
         out = {
@@ -290,33 +315,14 @@ class _Resolved:
                 "kind": self.scalarization.kind.value,
                 "weight": self.scalarization.weight,
             },
-            "solver": {
-                "tolerance": self.solver.tolerance,
-                "max_outer_iterations": self.solver.max_outer_iterations,
-                "kkt_tolerance": self.solver.kkt_tolerance,
-                "barrier": {
-                    name: getattr(self.solver.barrier, name)
-                    for name in BarrierSettings.__dataclass_fields__
-                },
-            },
+            "solver": {k: v for k, v in asdict(self.solver).items() if k in _SOLVER},
             "output": {"directory": str(self.output_dir)},
+            **self.given,   # study sections are recorded as given
         }
         if self.scenario is not None:
             out["scenario"] = asdict(self.scenario)
         else:
-            inst = self.instance
-            out["instance"] = {
-                "bandwidth_per_block": inst.bandwidth_per_block,
-                "gain": inst.gain.tolist(),
-                "noise": inst.noise.tolist(),
-                "amp_inefficiency": inst.amp_inefficiency.tolist(),
-                "static_power": inst.static_power.tolist(),
-                "max_power": inst.max_power.tolist(),
-                "min_rate": inst.min_rate.tolist(),
-            }
-        for name, section in self.sections.items():
-            if section:
-                out[name] = section
+            out["instance"] = {k: np.asarray(v).tolist() for k, v in asdict(self.instance).items()}
         if self.workers is not None:
             out["workers"] = self.workers
         return out
@@ -367,17 +373,13 @@ def _sweep_tables(name, result, columns):
     return {f"{name}.csv": (columns, [[cell(row, c) for c in columns] for row in result.rows])}
 
 
-def _cmd_pareto(cfg: _Resolved):
-    section = cfg.sections["pareto"]
-    weights = _weight_grid(section.get("weights", 21))
-    trials = _integer(section.get("trials", 50), "pareto.trials")
-    include_pee = bool(section.get("include_product_ee", False))
+def _cmd_pareto(cfg: _Resolved, weights, trials, include_product_ee):
     result = pareto_sweep(
         cfg.scenario, weights,
         kind=cfg.scalarization.kind,
         trials=trials,
         solver_config=cfg.solver,
-        include_product_ee=include_pee,
+        include_product_ee=include_product_ee,
         workers=cfg.workers,
     )
     tables = _sweep_tables("pareto", result, [
@@ -388,11 +390,7 @@ def _cmd_pareto(cfg: _Resolved):
     return tables, summary, False
 
 
-def _cmd_trend(cfg: _Resolved):
-    section = cfg.sections["trend"]
-    distances = [parse_distance(d) for d in section.get("distances", [10, 20, 40, 80])]
-    weights = [parse_scalar(w) for w in section.get("weights", [0.0, 0.5, 1.0])]
-    trials = _integer(section.get("trials", 200), "trend.trials")
+def _cmd_trend(cfg: _Resolved, distances, weights, trials):
     result = trend_study(
         cfg.scenario, distances, weights,
         trials=trials, solver_config=cfg.solver, workers=cfg.workers,
@@ -405,12 +403,7 @@ def _cmd_trend(cfg: _Resolved):
     return tables, summary, False
 
 
-def _cmd_convergence(cfg: _Resolved):
-    section = cfg.sections["convergence"]
-    weights = [parse_scalar(w) for w in section.get("weights", [0.0, 0.7, 1.0])]
-    zetas = [parse_scalar(z) for z in section.get("zetas", [1.0])]
-    epsilons = [parse_scalar(e) for e in section.get("epsilons", [1e-3])]
-    trials = _integer(section.get("trials", 1), "convergence.trials")
+def _cmd_convergence(cfg: _Resolved, weights, zetas, epsilons, trials):
     records = convergence_study(
         cfg.scenario, weights, zetas, epsilons,
         trials=trials, solver_config=cfg.solver, workers=cfg.workers,
@@ -453,7 +446,7 @@ def run_command(config: dict, output_dir=None) -> int:
         cfg.output_dir = Path(output_dir)
 
     try:
-        tables, summary, failed = _COMMANDS[cfg.command](cfg)
+        tables, summary, failed = _COMMANDS[cfg.command](cfg, **cfg.studies.get(cfg.command, {}))
     except (InfeasibleInitialPointError, InfeasibleSubproblemError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

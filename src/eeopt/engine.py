@@ -111,12 +111,6 @@ def default_initial_point(instance: NetworkInstance) -> np.ndarray:
     return np.tile(instance.max_power[:, None] / k, (1, k))
 
 
-def _log_domain_objective(s: Scalarization, report: MetricsReport) -> float:
-    if s.kind is ScalarizationKind.PRODUCT_EE:
-        return float(np.log2(report.ee).sum())
-    return log_objective(s, float(np.log2(report.ee_total)), float(np.log2(report.ee_min)))
-
-
 def _trajectory_value(s: Scalarization, u_root: float, v_roots: np.ndarray) -> float:
     if s.kind is ScalarizationKind.PRODUCT_EE:
         return float(v_roots.sum())
@@ -142,7 +136,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         )
 
     report = evaluate(instance, p)
-    f_prev = _log_domain_objective(scalarization, report)
+    f_prev = _trajectory_value(scalarization, float(np.log2(report.ee_total)), np.log2(report.ee))
     trajectory = [f_prev]
     stats: list[IterationStats] = []
     status = RunStatus.ITERATION_CAP

@@ -143,9 +143,6 @@ class FeasibilityResult:
     ok: bool
     violations: list[Violation]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _check_alloc(instance: NetworkInstance, alloc: np.ndarray, nonneg: bool = True) -> np.ndarray:
     p = np.asarray(alloc, dtype=float)

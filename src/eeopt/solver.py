@@ -93,6 +93,24 @@ class BarrierSettings:
     min_step: float = 1e-14
     interior_slack: float = 1e-3      # log2-units shift used by the start finder
 
+    def __post_init__(self):
+        # outside these ranges the barrier loop divides by zero, never
+        # ends, or reports a gap it did not close
+        holds = {
+            "tau0 > 0": self.tau0 > 0,
+            "tau_factor > 1": self.tau_factor > 1,
+            "0 < backtrack < 1": 0 < self.backtrack < 1,
+            "0 < armijo_slope < 0.5": 0 < self.armijo_slope < 0.5,
+            "0 < min_step < 1": 0 < self.min_step < 1,
+            "newton_tol > 0": self.newton_tol > 0,
+            "ridge >= 0": self.ridge >= 0,
+            "interior_slack > 0": self.interior_slack > 0,
+            "max_newton_per_center >= 1": self.max_newton_per_center >= 1,
+        }
+        broken = [rule for rule, ok in holds.items() if not ok]
+        if broken:
+            raise DomainError(f"barrier settings need {', '.join(broken)}")
+
 
 class SubproblemStatus(Enum):
     OPTIMAL = "optimal"

@@ -126,16 +126,33 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, change, env", [
-        ("solve", {"seed": "abc"}, None),
-        ("pareto", {"workers": "abc"}, None),
-        ("pareto", {"pareto": {"weights": [0.5], "trials": "abc"}}, None),
-        ("trend", {"trend": {"trials": 0}}, None),
-        ("convergence", {"convergence": {"trials": 0}}, None),
-        ("pareto", {"pareto": {"weights": [0.5], "trials": 1}}, "abc"),
+    @pytest.mark.parametrize("command, change, env, names", [
+        ("solve", {"seed": "abc"}, None, "seed"),
+        ("pareto", {"workers": "abc"}, None, "workers"),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": "abc"}}, None, "pareto.trials"),
+        ("trend", {"trend": {"trials": 0}}, None, "trials"),
+        ("convergence", {"convergence": {"trials": 0}}, None, "trials"),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": 1}}, "abc", "EEOPT_WORKERS"),
+        ("pareto", {"pareto": {"weights": 2.5, "trials": 1}}, None, "pareto.weights"),
+        ("trend", {"trend": {"distances": 10, "trials": 1}}, None, "trend.distances"),
+        ("solve", {"scalarization": {"weight": "abc"}}, None, "scalarization.weight"),
+        ("solve", {"output": 5}, None, "output"),
+        ("solve", {"solver": 5}, None, "solver"),
+        ("solve", {"scenario": 5}, None, "scenario"),
+        ("solve", {"scalarization": 5}, None, "scalarization"),
+        ("solve", {"solver": {"barrier": 5}}, None, "solver.barrier"),
+        ("solve", {"scalarization": {"wieght": 0.3}}, None, "scalarization.wieght"),
+        ("solve", {"output": {"dir": "x"}}, None, "output.dir"),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": 2.7}}, None, "pareto.trials"),
+        ("solve", {"scenario": {"n_blocks": 2.5}}, None, "scenario.n_blocks"),
+        ("solve", {"solver": {"barrier": {"tau0": 0}}}, None, "tau0"),
+        ("solve", {"scenario": {"annulus_inner": 200}}, None, "scenario: annulus"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
-            "env-workers"])
-    def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env):
+            "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
+            "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
+            "scalarization-unknown-key", "output-unknown-key", "pareto-trials-fraction",
+            "n_blocks-fraction", "barrier-tau0-0", "scenario-out-of-range"])
+    def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)
         else:
@@ -144,7 +161,30 @@ class TestConfigErrors:
         cfg.update(change)
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
         assert main([cfg_path, "-o", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and names in err
+        assert "Traceback" not in err
+
+    def test_quoted_false_is_not_a_boolean(self, tmp_path, capsys):
+        pareto = {"weights": [0.5], "trials": 1, "include_product_ee": "false"}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("pareto", pareto=pareto))
+        assert main([cfg_path, "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "pareto.include_product_ee" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "pareto.csv").exists()
+
+    def test_every_field_is_configurable(self):
+        from dataclasses import fields
+
+        import eeopt.cli as cli
+        from eeopt import BarrierSettings, NetworkInstance, ScenarioConfig, SolverConfig
+
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        assert set(cli._SCENARIO) == names(ScenarioConfig)
+        assert set(cli._INSTANCE) == names(NetworkInstance)
+        assert set(cli._BARRIER) == names(BarrierSettings)
+        assert set(cli._SOLVER) == names(SolverConfig) - {"initial_allocation"}
 
     def test_bad_unit_reports_field(self, tmp_path, capsys):
         cfg = tiny_scenario("solve")
