@@ -60,6 +60,8 @@ class SolverConfig:
             raise DomainError("tolerance must be > 0")
         if self.max_outer_iterations < 1:
             raise DomainError("max_outer_iterations must be >= 1")
+        if not self.kkt_tolerance > 0:
+            raise DomainError("kkt_tolerance must be > 0")
 
 
 class RunStatus(Enum):
@@ -155,7 +157,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
             break
 
         p = np.exp2(sol.q)
-        u_root, v_roots = efficiency_roots(model, sol.q)
+        u_root, v_roots = efficiency_roots(instance, sol.q, sol.rates)
         f_l = _trajectory_value(scalarization, u_root, v_roots)
         trajectory.append(f_l)
         stats.append(

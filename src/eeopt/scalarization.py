@@ -25,13 +25,11 @@ from .network import MetricsReport
 __all__ = [
     "ScalarizationKind",
     "Scalarization",
-    "SubproblemObjective",
     "weighted_product",
     "weighted_minimum",
     "product_ee",
     "log_objective",
     "direct_objective",
-    "subproblem_objective_spec",
 ]
 
 
@@ -89,59 +87,3 @@ def direct_objective(s: Scalarization, report: MetricsReport) -> float:
     if s.kind is ScalarizationKind.WEIGHTED_MINIMUM:
         return float(min(report.ee_total / w, report.ee_min / (1.0 - w)))
     return float(np.prod(report.ee))
-
-
-@dataclass(frozen=True)
-class SubproblemObjective:
-    """How a scalarization shapes the convex subproblem.
-
-    `u_coeff`/`v_coeff` are the linear objective weights on the log-TEE
-    and log-MEE thresholds. A threshold variable with zero objective
-    weight is dropped together with its constraint(s) so the barrier has
-    no dead directions. The weighted minimum maximizes an auxiliary t
-    under two linear epigraph constraints u + offset_u >= t and
-    v + offset_v >= t; the product-EE baseline replaces the shared
-    min-EE threshold with one per user and maximizes their sum.
-    """
-
-    kind: ScalarizationKind
-    u_coeff: float
-    v_coeff: float
-    has_tee_threshold: bool          # u variable and total-EE constraint present
-    has_mee_threshold: bool          # shared v variable and per-user constraints present
-    per_user_thresholds: bool        # product-EE: v_i per user instead of shared v
-    epigraph_offsets: tuple[float, float] | None
-
-
-def subproblem_objective_spec(s: Scalarization) -> SubproblemObjective:
-    """Describe the convex subproblem's objective and auxiliary structure."""
-    w = s.weight
-    if s.kind is ScalarizationKind.WEIGHTED_PRODUCT:
-        return SubproblemObjective(
-            kind=s.kind,
-            u_coeff=w,
-            v_coeff=1.0 - w,
-            has_tee_threshold=w > 0.0,
-            has_mee_threshold=w < 1.0,
-            per_user_thresholds=False,
-            epigraph_offsets=None,
-        )
-    if s.kind is ScalarizationKind.WEIGHTED_MINIMUM:
-        return SubproblemObjective(
-            kind=s.kind,
-            u_coeff=0.0,
-            v_coeff=0.0,
-            has_tee_threshold=True,
-            has_mee_threshold=True,
-            per_user_thresholds=False,
-            epigraph_offsets=(-math.log2(w), -math.log2(1.0 - w)),
-        )
-    return SubproblemObjective(
-        kind=s.kind,
-        u_coeff=0.0,
-        v_coeff=0.0,
-        has_tee_threshold=False,
-        has_mee_threshold=True,
-        per_user_thresholds=True,
-        epigraph_offsets=None,
-    )

@@ -82,6 +82,19 @@ class ScenarioConfig:
             raise DomainError("annulus bounds must satisfy 0 < inner < outer")
         if self.d2d_distance <= 0:
             raise DomainError("d2d_distance must be > 0")
+        if not 0 < self.carrier_frequency < math.inf:
+            raise DomainError("carrier_frequency must be finite and > 0")
+        # past these the conversions overflow or round to zero watts
+        for name, to_linear in (("noise_figure_db", db_to_linear),
+                                ("thermal_noise_dbm_hz", dbm_to_watts),
+                                ("static_power_dbm", dbm_to_watts),
+                                ("max_power_dbm", dbm_to_watts)):
+            try:
+                linear = to_linear(getattr(self, name))
+            except OverflowError:
+                linear = math.inf
+            if not 0 < linear < math.inf:
+                raise DomainError(f"{name} must have a finite, positive linear value")
 
     @property
     def n_users(self) -> int:

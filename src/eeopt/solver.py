@@ -1,12 +1,11 @@
 """Log-barrier Newton solver for the concave inner subproblems.
 
 Each subproblem maximizes a linear objective over smooth concave
-inequality constraints c_m(x) >= 0 built from one surrogate model:
-
-    variables    x = [q (N*K), thresholds...]
-    constraints  per-user power budgets, surrogate rate floors,
-                 per-user efficiency slacks, the total-efficiency slack,
-                 and (weighted minimum only) two linear epigraph rows.
+inequality constraints c_m(x) >= 0 built from one surrogate model: the
+powers q = log2 p and the threshold columns its scalarization needs,
+under per-user power budgets, surrogate rate floors and the efficiency
+rows. `ConvexSubproblem` alone turns a scalarization into that layout;
+its docstring gives the column and row order.
 
 The barrier method minimizes phi_tau(x) = -tau * f(x) - sum_m log c_m(x)
 by damped Newton with backtracking, multiplying tau by a fixed factor
@@ -32,8 +31,8 @@ when the subproblem is built, never by evaluating the point again. The
 barrier Hessian does not depend on tau, so the derivatives of a
 centering's last point, whose step is not taken, start the next
 centering; the final point's (c, G) serves the certificate and the
-multiplier polish. Phase-I uses the same assembly restricted to the power
-and rate rows, plus one slack column (`ConvexSubproblem.phase_one`).
+multiplier polish. Phase-I is one more layout of the same assembly: the
+power and rate rows, plus one slack column (`ConvexSubproblem.phase_one`).
 
 Everything here is deterministic: the same subproblem and start produce
 the identical iterate sequence.
@@ -41,19 +40,14 @@ the identical iterate sequence.
 
 from __future__ import annotations
 
-import copy
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleSubproblemError, ShapeError
-from .scalarization import (
-    Scalarization,
-    ScalarizationKind,
-    SubproblemObjective,
-    subproblem_objective_spec,
-)
+from .scalarization import Scalarization, ScalarizationKind
 from .surrogate import (
     LN2,
     SurrogateModel,
@@ -124,7 +118,7 @@ class SubproblemSolution:
     q: np.ndarray                     # (N, K)
     u: float | None                   # log2 total-EE threshold, if present
     v: float | None                   # log2 min-EE threshold (shared), if present
-    aux: dict
+    rates: np.ndarray                 # (N,) surrogate rates at q, from the final pass
     objective: float
     kkt_residual: float
     newton_iterations: int
@@ -133,57 +127,85 @@ class SubproblemSolution:
 
 
 class ConvexSubproblem:
-    """One concave subproblem: a surrogate model plus a scalarization shape."""
+    """One concave subproblem: a surrogate model plus the layout its scalarization induces.
+
+    Columns, in order: q (q_ik in column i*K + k), then u, then the
+    min-EE thresholds (one shared v, or v_1..v_N for the product-EE
+    baseline), then t. Rows, in order: N power budgets, N rate floors,
+    N efficiency slacks psi_i (where v is present), the total-efficiency
+    slack g (where u is present), and, for the weighted minimum only, the
+    epigraph rows u - log2 w - t and v - log2(1-w) - t. The objective is
+    linear:
+
+    * weighted product: w*u + (1-w)*v; a column with zero weight is
+      dropped with its rows (u at w = 0, v at w = 1), so the barrier has
+      no dead directions;
+    * weighted minimum: t, under the two epigraph rows;
+    * product-EE baseline: sum_i v_i.
+
+    Phase-I (`phase_one`) is q plus one slack column, maximized under the
+    power and rate rows minus the slack.
+    """
 
     def __init__(self, model: SurrogateModel, scalarization: Scalarization):
+        kind, w = scalarization.kind, scalarization.weight
+        if kind is ScalarizationKind.WEIGHTED_PRODUCT:
+            self._lay_out(model, u=w if w > 0.0 else None, v=1.0 - w if w < 1.0 else None)
+        elif kind is ScalarizationKind.WEIGHTED_MINIMUM:
+            self._lay_out(model, u=0.0, v=0.0, offsets=(-math.log2(w), -math.log2(1.0 - w)))
+        else:
+            self._lay_out(model, v=1.0, per_user=True)
+
+    def phase_one(self) -> "ConvexSubproblem":
+        """The start finder's problem: max s subject to (power and rate rows) - s >= 0."""
+        problem = object.__new__(ConvexSubproblem)
+        problem._lay_out(self.model, slack=True)
+        return problem
+
+    def _lay_out(self, model, u=None, v=None, per_user=False, offsets=None, slack=False):
+        """Columns, rows, objective and constant Jacobian entries of one shape.
+
+        `u` and `v` are the objective weights of the threshold columns, None
+        where the column and its rows are absent; `per_user` gives each user
+        its own v column. `offsets` adds t and the two epigraph rows, and
+        `slack` a column that every row subtracts.
+        """
         self.model = model
-        self.scalarization = scalarization
-        self.structure: SubproblemObjective = subproblem_objective_spec(scalarization)
         inst = model.instance
         n, k = inst.n_users, inst.n_blocks
         self.n_users, self.n_blocks = n, k
         self.nq = n * k
 
         idx = self.nq
-        self.u_index = None
-        self.v_index = None
-        self.v_slice = None
-        self.t_index = None
-        self.slack_index = None           # phase-I only
-        if self.structure.has_tee_threshold:
+        self.u_index = self.t_index = self.slack_index = self._v_cols = None
+        if u is not None:
             self.u_index = idx
             idx += 1
-        if self.structure.per_user_thresholds:
-            self.v_slice = slice(idx, idx + n)
-            idx += n
-        elif self.structure.has_mee_threshold:
-            self.v_index = idx
-            idx += 1
-        if self.structure.kind is ScalarizationKind.WEIGHTED_MINIMUM:
+        if v is not None:
+            # user i's threshold column; a shared v repeats its column
+            self._v_cols = idx + np.arange(n) if per_user else np.full(n, idx)
+            idx += n if per_user else 1
+        self._v_shared = v is not None and not per_user
+        if offsets is not None:
             self.t_index = idx
             idx += 1
+        if slack:
+            self.slack_index = idx
+            idx += 1
         self.n_vars = idx
+        self._epigraph_offsets = offsets
 
-        # rows: power, rate floors, [psi per user], [total-EE slack], [two epigraph rows]
-        self.has_psi = self.structure.has_mee_threshold
-        self.n_constraints = 2 * n                      # power + rate floors
-        if self.has_psi:
-            self.n_constraints += n
-        self._g_row = self.n_constraints
-        if self.structure.has_tee_threshold:
-            self.n_constraints += 1
-        if self.t_index is not None:
-            self.n_constraints += 2
+        self._g_row = 3 * n if v is not None else 2 * n
+        self.n_constraints = self._g_row + (u is not None) + (2 if offsets is not None else 0)
 
         c = np.zeros(self.n_vars)
-        if self.u_index is not None:
-            c[self.u_index] = self.structure.u_coeff
-        if self.v_index is not None:
-            c[self.v_index] = self.structure.v_coeff
-        if self.v_slice is not None:
-            c[self.v_slice] = 1.0
-        if self.t_index is not None:
-            c[self.t_index] = 1.0
+        if u is not None:
+            c[self.u_index] = u
+        if v is not None:
+            c[self._v_cols] = v
+        for col in (self.t_index, self.slack_index):
+            if col is not None:
+                c[col] = 1.0
         self.objective_vector = c
 
         # index maps: q_ik sits in column i*K + k and belongs to user i's power and psi rows
@@ -191,19 +213,17 @@ class ConvexSubproblem:
         self._q_user = np.repeat(np.arange(n), k)
         self._psi_rows = 2 * n + np.arange(n)
         self._psi_rows_q = 2 * n + self._q_user
-        if self.has_psi:
-            # user i's threshold column; a shared v repeats its index
-            self._v_cols = (self.v_slice.start + np.arange(n) if self.v_slice is not None
-                            else np.full(n, self.v_index))
+        if v is not None:
             self._v_cols_q = np.repeat(self._v_cols, k)
         # the Jacobian entries that do not depend on x
         G0 = np.zeros((self.n_constraints, self.n_vars))
-        if self.t_index is not None:
+        if offsets is not None:
             row = self._g_row + 1
             G0[row, self.u_index] = 1.0
-            G0[row, self.t_index] = -1.0
-            G0[row + 1, self.v_index] = 1.0
-            G0[row + 1, self.t_index] = -1.0
+            G0[row + 1, self._v_cols] = 1.0
+            G0[row : row + 2, self.t_index] = -1.0
+        if slack:
+            G0[:, self.slack_index] = -1.0
         self._jacobian_template = G0
 
         # normalization of constraint rows
@@ -211,39 +231,25 @@ class ConvexSubproblem:
         self._rate_scale = 1.0 / inst.bandwidth_per_block
         self._static_total = float(inst.static_power.sum())
 
-    def phase_one(self) -> "ConvexSubproblem":
-        """The start finder's problem: max s subject to (power and rate rows) - s >= 0.
-
-        It is this subproblem's assembly restricted to the power and
-        rate-floor rows, plus one slack column.
-        """
-        problem = copy.copy(self)
-        problem.u_index = problem.v_index = problem.v_slice = problem.t_index = None
-        problem.has_psi = False
-        problem.slack_index = self.nq
-        problem.n_vars = self.nq + 1
-        problem.n_constraints = 2 * self.n_users
-        problem.objective_vector = np.zeros(problem.n_vars)
-        problem.objective_vector[-1] = 1.0
-        problem._jacobian_template = np.zeros((problem.n_constraints, problem.n_vars))
-        problem._jacobian_template[:, -1] = -1.0
-        return problem
-
     # -- variable packing ------------------------------------------------
 
     def pack(self, q: np.ndarray, u: float | None = None, v=None, t: float | None = None) -> np.ndarray:
+        """The variable vector; values for columns this layout lacks are ignored.
+
+        `v` is one threshold for every user or one per user; users that
+        share a column get the smallest of theirs, the one all of them meet.
+        """
         x = np.zeros(self.n_vars)
         x[: self.nq] = np.asarray(q, dtype=float).ravel()
         if self.u_index is not None:
             if u is None:
                 raise DomainError("subproblem needs a total-EE threshold value")
             x[self.u_index] = u
-        if self.v_index is not None:
+        if self._v_cols is not None:
             if v is None:
                 raise DomainError("subproblem needs a min-EE threshold value")
-            x[self.v_index] = v
-        if self.v_slice is not None:
-            x[self.v_slice] = np.asarray(v, dtype=float)
+            x[self._v_cols] = np.inf
+            np.minimum.at(x, self._v_cols, v)
         if self.t_index is not None:
             if t is None:
                 raise DomainError("epigraph subproblem needs a t value")
@@ -274,7 +280,7 @@ class ConvexSubproblem:
         m_parts = [1.0 - row_power * self._power_scale, (ev.rates - inst.min_rate) * rs]
         ctx = {"ev": ev, "exp_q": exp_q}
 
-        if self.has_psi:
+        if self._v_cols is not None:
             pow_v = np.exp2(x[self._v_cols])
             dyn_v = inst.amp_inefficiency * row_power * pow_v
             stat_v = inst.static_power * pow_v
@@ -291,10 +297,10 @@ class ConvexSubproblem:
                        mu_exp_u=inst.amp_inefficiency[:, None] * exp_q * pow_u)
 
         if self.t_index is not None:
-            off_u, off_v = self.structure.epigraph_offsets
+            off_u, off_v = self._epigraph_offsets
             t = x[self.t_index]
             m_parts.append(
-                np.array([x[self.u_index] + off_u - t, x[self.v_index] + off_v - t])
+                np.array([x[self.u_index] + off_u - t, x[self._v_cols[0]] + off_v - t])
             )
 
         c = np.concatenate(m_parts)
@@ -315,7 +321,7 @@ class ConvexSubproblem:
         jac = ev.jac.reshape(n, nq)
         jac_rs = jac * rs
         G[n : 2 * n, :nq] = jac_rs
-        if self.has_psi:
+        if self._v_cols is not None:
             G[2 * n : 3 * n, :nq] = jac_rs
             G[self._psi_rows_q, self._q_cols] -= (LN2 * ctx["mu_exp_v"] * rs).ravel()
             G[self._psi_rows, self._v_cols] = -LN2 * (ctx["dyn_v"] + ctx["stat_v"]) * rs
@@ -333,7 +339,7 @@ class ConvexSubproblem:
 
         # curvature of the surrogate rates, shared by rate/psi/g rows
         w = beta[n : 2 * n] * rs
-        if self.has_psi:
+        if self._v_cols is not None:
             beta_psi = beta[2 * n : 3 * n]
             w = w + beta_psi * rs
         if self.u_index is not None:
@@ -342,7 +348,7 @@ class ConvexSubproblem:
         weighted_rate_hessian(self.model, ctx["ev"], w, out=H[:nq, :nq])
 
         diag = -(LN2 * LN2 * beta[:n, None] * ctx["exp_q"] * self._power_scale[:, None])
-        if self.has_psi:
+        if self._v_cols is not None:
             psi = LN2 * LN2 * beta_psi[:, None] * ctx["mu_exp_v"] * rs
             diag -= psi
             cross = -psi.ravel()                                 # (q_ik, v_i)
@@ -553,8 +559,8 @@ def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray, settings:
     shrink = np.minimum(1.0, (1.0 - delta) * budget / row_power)
     q += np.log2(shrink)[:, None]
 
-    ev = rate_evaluation(sub.model, q)
-    rate_slack = (ev.rates - inst.min_rate) * sub._rate_scale
+    rates = rate_evaluation(sub.model, q).rates
+    rate_slack = (rates - inst.min_rate) * sub._rate_scale
     if rate_slack.min() <= 1e-9:
         phase1 = sub.phase_one()
         c0, _, _ = phase1.evaluate(np.append(q.ravel(), 0.0), with_grad=False)
@@ -568,18 +574,14 @@ def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray, settings:
                 f"current minorant (max-min slack {s_star:.3e})"
             )
         q = px[: sub.nq].reshape(sub.n_users, sub.n_blocks)
+        rates = end.ctx["ev"].rates
 
-    u_root, v_roots = efficiency_roots(sub.model, q)
-    u = u_root - delta if sub.u_index is not None else None
-    v = None
-    if sub.v_slice is not None:
-        v = v_roots - delta
-    elif sub.v_index is not None:
-        v = float(v_roots.min()) - delta
+    u_root, v_roots = efficiency_roots(inst, q, rates)
+    u, v = u_root - delta, v_roots - delta
     t = None
     if sub.t_index is not None:
-        off_u, off_v = sub.structure.epigraph_offsets
-        t = min(u + off_u, v + off_v) - delta
+        off_u, off_v = sub._epigraph_offsets
+        t = min(u + off_u, float(v.min()) + off_v) - delta
     x = sub.pack(q, u=u, v=v, t=t)
 
     c, _, _ = sub.evaluate(x, with_grad=False)
@@ -607,18 +609,13 @@ def solve(sub: ConvexSubproblem, start: np.ndarray, tol: float = 1e-8,
         lam, residual = polished, polished_residual
     q = sub.unpack_q(x)
     u = float(x[sub.u_index]) if sub.u_index is not None else None
-    v = float(x[sub.v_index]) if sub.v_index is not None else None
-    aux = {}
-    if sub.v_slice is not None:
-        aux["v_per_user"] = x[sub.v_slice].copy()
-    if sub.t_index is not None:
-        aux["t"] = float(x[sub.t_index])
+    v = float(x[sub._v_cols[0]]) if sub._v_shared else None
     return SubproblemSolution(
         x=x,
         q=q,
         u=u,
         v=v,
-        aux=aux,
+        rates=end.ctx["ev"].rates,
         objective=float(sub.objective_vector @ x),
         kkt_residual=residual,
         newton_iterations=iterations,

@@ -198,19 +198,19 @@ def weighted_rate_hessian(model: SurrogateModel, ev: RateEvaluation, weights: np
     return out
 
 
-def efficiency_roots(model: SurrogateModel, q: np.ndarray):
+def efficiency_roots(instance: NetworkInstance, q: np.ndarray, rates: np.ndarray):
     """Thresholds at which the efficiency slacks vanish at q.
 
-    Both slack functions are affine in the exponentiated threshold, so the
-    roots are exact: 2^u = total surrogate rate / total consumed power and
-    2^{v_i} = rate_i / consumed_i. Returns (u_root, v_roots); entries are
-    -inf where the surrogate rate is nonpositive.
+    `rates` are the surrogate rates at q, as the caller's last rate pass
+    there returned them. Both slack functions are affine in the
+    exponentiated threshold, so the roots are exact: 2^u = total surrogate
+    rate / total consumed power and 2^{v_i} = rate_i / consumed_i. Returns
+    (u_root, v_roots); entries are -inf where the surrogate rate is
+    nonpositive.
     """
-    inst = model.instance
-    ev = rate_evaluation(model, q)
-    consumed = inst.amp_inefficiency * np.exp2(q).sum(axis=1) + inst.static_power
+    consumed = instance.amp_inefficiency * np.exp2(q).sum(axis=1) + instance.static_power
     with np.errstate(divide="ignore", invalid="ignore"):
-        v_roots = np.where(ev.rates > 0, np.log2(np.maximum(ev.rates, 1e-300) / consumed), -np.inf)
-        total = ev.rates.sum()
+        v_roots = np.where(rates > 0, np.log2(np.maximum(rates, 1e-300) / consumed), -np.inf)
+        total = rates.sum()
         u_root = float(np.log2(total / consumed.sum())) if total > 0 else -np.inf
     return u_root, v_roots

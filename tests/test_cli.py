@@ -147,11 +147,21 @@ class TestConfigErrors:
         ("solve", {"scenario": {"n_blocks": 2.5}}, None, "scenario.n_blocks"),
         ("solve", {"solver": {"barrier": {"tau0": 0}}}, None, "tau0"),
         ("solve", {"scenario": {"annulus_inner": 200}}, None, "scenario: annulus"),
+        ("solve", {"scenario": {"carrier_frequency": 0}}, None, "scenario: carrier_frequency"),
+        ("solve", {"scenario": {"carrier_frequency": -5}}, None, "scenario: carrier_frequency"),
+        ("solve", {"scenario": {"noise_figure_db": 1e6}}, None, "scenario: noise_figure_db"),
+        ("solve", {"scenario": {"thermal_noise_dbm_hz": 1e5}}, None,
+         "scenario: thermal_noise_dbm_hz"),
+        ("solve", {"scenario": {"max_power_dbm": 1e6}}, None, "scenario: max_power_dbm"),
+        ("solve", {"solver": {"kkt_tolerance": 0}}, None, "solver: kkt_tolerance"),
+        ("solve", {"solver": {"kkt_tolerance": -1}}, None, "solver: kkt_tolerance"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
             "scalarization-unknown-key", "output-unknown-key", "pareto-trials-fraction",
-            "n_blocks-fraction", "barrier-tau0-0", "scenario-out-of-range"])
+            "n_blocks-fraction", "barrier-tau0-0", "scenario-out-of-range", "carrier-0",
+            "carrier-negative", "noise-figure-huge", "thermal-noise-huge", "max-power-huge",
+            "kkt-tolerance-0", "kkt-tolerance-negative"])
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)

@@ -136,7 +136,7 @@ class TestRunGeneral:
             model = build(inst, p)
             sub = ConvexSubproblem(model, scal)
             sol = solve(sub, strictly_feasible_start(sub, model.expansion_q))
-            u_root, v_roots = efficiency_roots(model, sol.q)
+            u_root, v_roots = efficiency_roots(inst, sol.q, sol.rates)
             assert sol.u <= u_root + 1e-9
             assert sol.v <= float(v_roots.min()) + 1e-9
             p = np.exp2(sol.q)

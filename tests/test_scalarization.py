@@ -9,23 +9,11 @@ from eeopt.scalarization import (
     direct_objective,
     log_objective,
     product_ee,
-    subproblem_objective_spec,
     weighted_minimum,
     weighted_product,
 )
 
-from eeopt.solver import ConvexSubproblem
-from eeopt.surrogate import build
-
 from helpers import random_alloc, random_instance
-
-
-def threshold_variable_count(s, n_users, n_blocks=2):
-    """Variables the subproblem carries beyond the N*K powers."""
-    rng = np.random.default_rng(0)
-    inst = random_instance(rng, n_users, n_blocks)
-    sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), s)
-    return sub.n_vars - n_users * n_blocks
 
 
 def report_with_ees(ees):
@@ -132,31 +120,6 @@ class TestDirectObjective:
             for s in (weighted_product(rng.uniform(0.05, 0.95)), weighted_minimum(rng.uniform(0.05, 0.95))):
                 lo = log_objective(s, np.log2(rep.ee_total), np.log2(rep.ee_min))
                 assert 2.0**lo == pytest.approx(direct_objective(s, rep), rel=1e-10)
-
-
-class TestSubproblemSpec:
-    def test_weighted_product_structure(self):
-        spec = subproblem_objective_spec(weighted_product(0.7))
-        assert spec.u_coeff == pytest.approx(0.7)
-        assert spec.v_coeff == pytest.approx(0.3)
-        assert spec.has_tee_threshold and spec.has_mee_threshold
-        assert spec.epigraph_offsets is None
-        assert threshold_variable_count(weighted_product(0.7), 5) == 2   # u and v
-
-    def test_weighted_product_endpoints_drop_dead_threshold(self):
-        assert not subproblem_objective_spec(weighted_product(0.0)).has_tee_threshold
-        assert not subproblem_objective_spec(weighted_product(1.0)).has_mee_threshold
-
-    def test_weighted_minimum_epigraph_offsets(self):
-        spec = subproblem_objective_spec(weighted_minimum(0.5))
-        assert spec.epigraph_offsets == pytest.approx((1.0, 1.0))
-        assert threshold_variable_count(weighted_minimum(0.5), 3) == 3   # u, v and t
-
-    def test_product_ee_structure(self):
-        spec = subproblem_objective_spec(product_ee())
-        assert spec.per_user_thresholds
-        assert not spec.has_tee_threshold
-        assert threshold_variable_count(product_ee(), 3) == 3   # v_1..v_3
 
 
 class TestKindValues:

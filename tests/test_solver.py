@@ -13,7 +13,7 @@ from eeopt.solver import (
     solve,
     strictly_feasible_start,
 )
-from eeopt.surrogate import LN2, build
+from eeopt.surrogate import LN2, build, rate_evaluation
 
 from helpers import random_alloc, random_instance
 
@@ -118,6 +118,61 @@ class TestSubproblemStructure:
         sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), scal)
         assert sub.n_constraints == expect_m
         assert sub.n_vars == 3 * 2 + expect_extra_vars
+
+    # 3 users x 2 blocks: q fills columns 0..5; rows are 3 power, 3 rate,
+    # [3 psi], [g], [2 epigraph]. None stands for the phase-I problem.
+    @pytest.mark.parametrize(
+        "scal, n_rows, objective_tail, u_col, v_cols, t_col",
+        [
+            (weighted_product(0.7), 10, [0.7, 1.0 - 0.7], 6, [7, 7, 7], None),
+            (weighted_product(0.0), 9, [1.0], None, [6, 6, 6], None),
+            (weighted_product(1.0), 7, [1.0], 6, None, None),
+            (weighted_minimum(0.5), 12, [0.0, 0.0, 1.0], 6, [7, 7, 7], 8),
+            (weighted_minimum(0.2), 12, [0.0, 0.0, 1.0], 6, [7, 7, 7], 8),
+            (product_ee(), 9, [1.0, 1.0, 1.0], None, [6, 7, 8], None),
+            (None, 6, [1.0], None, None, None),
+        ],
+        ids=["wp-0.7", "wp-0", "wp-1", "wm-0.5", "wm-0.2", "product-ee", "phase-one"],
+    )
+    def test_layout(self, scal, n_rows, objective_tail, u_col, v_cols, t_col):
+        rng = np.random.default_rng(40)
+        inst = random_instance(rng, 3, 2)
+        model = build(inst, random_alloc(rng, inst))
+        if scal is None:
+            sub = ConvexSubproblem(model, weighted_product(0.5)).phase_one()
+        else:
+            sub = ConvexSubproblem(model, scal)
+        assert (sub.n_vars, sub.n_constraints) == (6 + len(objective_tail), n_rows)
+        np.testing.assert_array_equal(sub.objective_vector, [0.0] * 6 + objective_tail)
+        assert (sub.u_index, sub.t_index) == (u_col, t_col)
+        if v_cols is None:
+            assert sub._v_cols is None
+        else:
+            np.testing.assert_array_equal(sub._v_cols, v_cols)
+
+        # constant Jacobian entries: the epigraph rows and the phase-I slack column
+        expected = np.zeros((n_rows, sub.n_vars))
+        if t_col is not None:
+            expected[n_rows - 2, [u_col, t_col]] = 1.0, -1.0
+            expected[n_rows - 1, [v_cols[0], t_col]] = 1.0, -1.0
+        if scal is None:
+            expected[:, -1] = -1.0
+            assert sub.slack_index == 6
+        np.testing.assert_array_equal(sub._jacobian_template, expected)
+
+        if v_cols is not None:
+            # users sharing a column get the smallest of their thresholds
+            x = sub.pack(model.expansion_q, u=0.0, v=[0.3, -0.1, 0.2], t=0.0)
+            shared = len(set(v_cols)) == 1
+            np.testing.assert_array_equal(x[v_cols], [-0.1] * 3 if shared else [0.3, -0.1, 0.2])
+
+        if t_col is not None:
+            # epigraph rows u - log2 w - t and v - log2(1 - w) - t
+            c, _, _ = sub.evaluate(sub.pack(model.expansion_q, u=0.25, v=0.5, t=0.125),
+                                   with_grad=False)
+            w = scal.weight
+            np.testing.assert_allclose(
+                c[-2:], [0.25 - np.log2(w) - 0.125, 0.5 - np.log2(1.0 - w) - 0.125], rtol=1e-15)
 
     def test_increasing_u_decreases_total_ee_slack(self):
         rng = np.random.default_rng(41)
@@ -297,6 +352,26 @@ class TestSolve:
                 sol = solve(sub, x0, tol=1e-8)
                 start_obj = float(sub.objective_vector @ x0)
                 assert sol.objective >= start_obj - 1e-9
+
+    def test_solution_reads_its_threshold_columns_and_rates(self):
+        rng = np.random.default_rng(49)
+        inst = random_instance(rng, 3, 2)
+        p = random_alloc(rng, inst)
+        model = build(inst, p)
+        # (u present, shared v present) per shape; product-EE has per-user v only
+        for scal, present in ((weighted_product(0.5), (True, True)),
+                              (weighted_product(0.0), (False, True)),
+                              (weighted_product(1.0), (True, False)),
+                              (weighted_minimum(0.4), (True, True)),
+                              (product_ee(), (False, False))):
+            sub = ConvexSubproblem(model, scal)
+            sol = solve(sub, strictly_feasible_start(sub, np.log2(p)), tol=1e-8)
+            assert (sol.u is not None, sol.v is not None) == present
+            if sol.u is not None:
+                assert sol.u == sol.x[sub.u_index]
+            if sol.v is not None:
+                assert sol.v == sol.x[sub._v_cols[0]]
+            np.testing.assert_array_equal(sol.rates, rate_evaluation(model, sol.q).rates)
 
     def test_deterministic_iterates(self):
         rng = np.random.default_rng(46)
