@@ -11,7 +11,6 @@ from .engine import (
     RunStatus,
     SolverConfig,
     SolveResult,
-    complexity_probe,
     default_initial_point,
     run,
 )
@@ -48,7 +47,6 @@ from .scenario import (
     trend_study,
 )
 from .solver import (
-    BarrierSettings,
     ConvexSubproblem,
     SubproblemSolution,
     SubproblemStatus,
@@ -61,7 +59,6 @@ from .surrogate import SurrogateModel, bound_coefficients, build
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierSettings",
     "ConvexSubproblem",
     "DomainError",
     "EEOptError",
@@ -82,7 +79,6 @@ __all__ = [
     "SweepResult",
     "bound_coefficients",
     "build",
-    "complexity_probe",
     "convergence_study",
     "default_initial_point",
     "direct_objective",

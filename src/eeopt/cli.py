@@ -5,7 +5,8 @@ Commands (the `command` key of the config):
 * solve        one optimization run; emits the trajectory table
 * pareto       weight sweep; one row per weight
 * trend        distance x weight sweep; one row per pair
-* convergence  trajectories per (weight, start scale, tolerance)
+* convergence  trajectories per (weight, start scale, tolerance), with
+               the iteration bound 1 + (lambda - 1)/epsilon per record
 
 Every invocation writes `record.yaml` holding the fully resolved config
 (SI units, defaults materialized) plus result summaries; feeding the
@@ -18,7 +19,9 @@ the table of each section. The table is the whole schema: it lists the
 keys, so unknown ones are errors; it parses, so every error names its
 `section.key`; and it holds the defaults, so a key appears once.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 solver failure.
+Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 solver failure
+(a failed `solve` run, or a `convergence` count above its bound; the
+tables and the record are still written).
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .scenario import (
     pareto_sweep,
     trend_study,
 )
-from .solver import BarrierSettings
 from .units import (
     parse_db,
     parse_dbm,
@@ -205,15 +207,8 @@ _INSTANCE = _fields(NetworkInstance, {
                      "min_rate"], partial(np.asarray, dtype=float)),
 })
 _SCALARIZATION = {"kind": (ScalarizationKind, "weighted_product"), "weight": (float, 0.5)}
-_BARRIER = {
-    f.name: (_integer if isinstance(f.default, int) else float, f.default)
-    for f in fields(BarrierSettings)
-}
-_SOLVER = {
-    **_fields(SolverConfig, {"tolerance": float, "max_outer_iterations": _integer,
-                             "kkt_tolerance": float}),
-    "barrier": (_section("solver.barrier", _BARRIER, BarrierSettings), {}),
-}
+_SOLVER = _fields(SolverConfig, {"tolerance": float, "max_outer_iterations": _integer,
+                                  "kkt_tolerance": float})
 _STUDIES = {
     "pareto": {
         "weights": (_weight_grid, 21),
@@ -408,13 +403,22 @@ def _cmd_convergence(cfg: _Resolved, weights, zetas, epsilons, trials):
         cfg.scenario, weights, zetas, epsilons,
         trials=trials, solver_config=cfg.solver, workers=cfg.workers,
     )
+    rows, violated = [], False
+    for r in records:
+        # empty bound cells: no trial of the record started at a positive objective
+        bounded = [(b, b - n) for b, n in zip(r.bounds, r.iterations) if b is not None]
+        bound_min = slack_min = ""
+        if bounded:
+            bound_min = min(b for b, _ in bounded)
+            slack_min = min(s for _, s in bounded)
+            violated = violated or slack_min < -1e-9
+        rows.append((r.weight, r.zeta, r.epsilon, r.iterations_mean, trials, cfg.seed,
+                     bound_min, slack_min))
     tables = {
         "convergence_summary.csv": (
-            ["w", "zeta", "epsilon", "iters_mean", "trials", "seed"],
-            [
-                (r.weight, r.zeta, r.epsilon, r.iterations_mean, trials, cfg.seed)
-                for r in records
-            ],
+            ["w", "zeta", "epsilon", "iters_mean", "trials", "seed",
+             "bound_min", "bound_slack_min"],
+            rows,
         )
     }
     for r in records:
@@ -424,7 +428,7 @@ def _cmd_convergence(cfg: _Resolved, weights, zetas, epsilons, trials):
             [(l, float(f)) for l, f in enumerate(r.trajectory)],
         )
     summary = {"records": len(records), "trials": trials}
-    return tables, summary, False
+    return tables, summary, violated
 
 
 _COMMANDS = {

@@ -18,7 +18,7 @@ objective then reflects thresholds the allocation actually achieves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,13 +26,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleInitialPointError, InfeasibleSubproblemError
 from .network import MetricsReport, NetworkInstance, evaluate, is_feasible
 from .scalarization import Scalarization, ScalarizationKind, log_objective
-from .solver import (
-    BarrierSettings,
-    ConvexSubproblem,
-    SubproblemStatus,
-    solve,
-    strictly_feasible_start,
-)
+from .solver import ConvexSubproblem, SubproblemStatus, solve, strictly_feasible_start
 from .surrogate import build, efficiency_roots
 
 __all__ = [
@@ -40,10 +34,8 @@ __all__ = [
     "RunStatus",
     "IterationStats",
     "SolveResult",
-    "ComplexityRow",
     "default_initial_point",
     "run",
-    "complexity_probe",
 ]
 
 
@@ -53,10 +45,9 @@ class SolverConfig:
     max_outer_iterations: int = 200
     initial_allocation: np.ndarray | None = None   # defaults to uniform max_power/K
     kkt_tolerance: float = 1e-8
-    barrier: BarrierSettings = field(default_factory=BarrierSettings)
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise DomainError("tolerance must be > 0")
         if self.max_outer_iterations < 1:
             raise DomainError("max_outer_iterations must be >= 1")
@@ -147,11 +138,11 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         model = build(instance, p)
         sub = ConvexSubproblem(model, scalarization)
         try:
-            x0 = strictly_feasible_start(sub, model.expansion_q, config.barrier)
+            x0 = strictly_feasible_start(sub, model.expansion_q)
         except InfeasibleSubproblemError:
             status = RunStatus.SUBPROBLEM_FAILURE
             break
-        sol = solve(sub, x0, config.kkt_tolerance, config.barrier)
+        sol = solve(sub, x0, config.kkt_tolerance)
         if sol.status is SubproblemStatus.NUMERICAL_FAILURE:
             status = RunStatus.SUBPROBLEM_FAILURE
             break
@@ -189,65 +180,3 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         status=status,
         scalarization=scalarization,
     )
-
-
-@dataclass(frozen=True)
-class ComplexityRow:
-    epsilon: float
-    iterations: int
-    f_initial: float
-    f_final: float
-    bound: float | None       # 1 + (lambda - 1)/epsilon when f_initial > 0
-
-
-def complexity_probe(instance: NetworkInstance, scalarization: Scalarization,
-                     epsilons, config: SolverConfig | None = None) -> list[ComplexityRow]:
-    """Iteration counts versus tolerance, checked against the monotonicity bound.
-
-    Runs the optimizer once per tolerance from the same initial point. When
-    the starting log-domain objective is positive, the count must respect
-    iterations <= 1 + (lambda - 1)/epsilon with lambda the ratio of the best
-    realized objective to the starting one; counts must be nonincreasing in
-    epsilon. Violations raise RuntimeError since they would falsify the
-    method's own convergence guarantee.
-    """
-    config = config or SolverConfig()
-    epsilons = [float(e) for e in epsilons]
-    if any(e <= 0 for e in epsilons):
-        raise DomainError("tolerances must be > 0")
-
-    results = {}
-    for eps in epsilons:
-        results[eps] = run(instance, scalarization, replace(config, tolerance=eps))
-
-    f_best = max(float(r.trajectory[-1]) for r in results.values())
-    rows = []
-    for eps in epsilons:
-        r = results[eps]
-        f0 = float(r.trajectory[0])
-        bound = None
-        if f0 > 0:
-            bound = 1.0 + max(f_best / f0 - 1.0, 0.0) / eps
-            if r.iterations > bound + 1e-9:
-                raise RuntimeError(
-                    f"iteration count {r.iterations} exceeds the bound {bound:.2f} "
-                    f"at tolerance {eps}"
-                )
-        rows.append(
-            ComplexityRow(
-                epsilon=eps,
-                iterations=r.iterations,
-                f_initial=f0,
-                f_final=float(r.trajectory[-1]),
-                bound=bound,
-            )
-        )
-
-    by_eps = sorted(rows, key=lambda row: row.epsilon, reverse=True)
-    for earlier, later in zip(by_eps, by_eps[1:]):
-        if later.iterations < earlier.iterations:
-            raise RuntimeError(
-                "iteration counts are not monotone in the tolerance: "
-                f"{earlier.epsilon} -> {earlier.iterations}, {later.epsilon} -> {later.iterations}"
-            )
-    return rows

@@ -95,6 +95,22 @@ class ScenarioConfig:
                 linear = math.inf
             if not 0 < linear < math.inf:
                 raise DomainError(f"{name} must have a finite, positive linear value")
+        if not 0 < self.path_loss_exponent < math.inf:
+            raise DomainError("path_loss_exponent must be finite and > 0")
+        if not 0 <= self.shadowing_sigma_db < math.inf:
+            raise DomainError("shadowing_sigma_db must be finite and >= 0")
+        if self.path_loss_const_db is not None and not math.isfinite(self.path_loss_const_db):
+            raise DomainError("path_loss_const_db must be finite or null")
+        # a user on the longest direct link, unshadowed at full power, must
+        # get a nonzero rate, or its log2 EE is -inf and no run can start
+        longest = max(self.annulus_outer, self.d2d_distance)
+        gain = 10.0 ** (-self.path_loss_db(longest) / 10.0)
+        snr = dbm_to_watts(self.max_power_dbm) * gain / self.noise_watts()
+        if not math.log2(1.0 + snr) > 0:
+            raise DomainError(
+                f"path_loss_exponent and path_loss_const_db leave a {longest:g} m link "
+                "no rate at max_power_dbm"
+            )
 
     @property
     def n_users(self) -> int:
@@ -183,6 +199,7 @@ class ConvergenceRecord:
     iterations_mean: float
     trajectory: np.ndarray     # first trial's objective trajectory
     final_objectives: list[float]
+    bounds: list[float | None]  # per trial 1 + (lambda - 1)/epsilon; None unless f_0 > 0
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -298,12 +315,22 @@ def trend_study(config: ScenarioConfig, d2d_distances, w_list, trials: int = 1,
 def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trials: int = 1,
                       solver_config: SolverConfig | None = None,
                       workers: int | None = None) -> list[ConvergenceRecord]:
-    """Objective trajectories and iteration counts per (weight, start scale, tolerance)."""
+    """Objective trajectories and iteration counts per (weight, start scale, tolerance).
+
+    Each record carries the method's iteration bound per trial,
+    1 + (lambda - 1)/epsilon, where lambda is the best final objective of
+    that trial over the tolerances of its (weight, start scale) pair,
+    divided by the common start value f_0. The bound holds for f_0 > 0
+    only; elsewhere it is None.
+    """
     zeta_list = [float(z) for z in zeta_list]
     if any(not 0.0 < z <= 1.0 for z in zeta_list):
         raise DomainError("start scales must lie in (0, 1]")
+    epsilons = [float(e) for e in epsilons]
+    if any(not e > 0.0 for e in epsilons):
+        raise DomainError("tolerances must be > 0")
     cells = [
-        _Cell(weighted_product(w), start_scale=zeta, tolerance=float(eps))
+        _Cell(weighted_product(w), start_scale=zeta, tolerance=eps)
         for w in w_list for zeta in zeta_list for eps in epsilons
     ]
     runs = _run_grid(config, cells, trials, solver_config, workers)
@@ -312,6 +339,14 @@ def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trial
             if col[t].status is RunStatus.SUBPROBLEM_FAILURE:
                 raise RuntimeError(f"subproblem failure in trial {t} "
                                    f"(w={cell.scalarization.weight}, zeta={cell.start_scale})")
+    keys = [(cell.scalarization.weight, cell.start_scale) for cell in cells]
+    best = {}     # (w, zeta) -> per-trial best final objective over the tolerances
+    for key, col in zip(keys, runs):
+        best[key] = np.maximum(best.get(key, -np.inf), [r.trajectory[-1] for r in col])
+
+    def bound(f_0, f_best, eps):
+        return 1.0 + max(f_best / f_0 - 1.0, 0.0) / eps if f_0 > 0 else None
+
     return [
         ConvergenceRecord(
             weight=cell.scalarization.weight,
@@ -321,6 +356,8 @@ def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trial
             iterations_mean=float(np.mean([r.iterations for r in col])),
             trajectory=col[0].trajectory,
             final_objectives=[float(r.trajectory[-1]) for r in col],
+            bounds=[bound(float(r.trajectory[0]), float(f_best), cell.tolerance)
+                    for r, f_best in zip(col, best[key])],
         )
-        for cell, col in zip(cells, runs)
+        for cell, key, col in zip(cells, keys, runs)
     ]

@@ -57,7 +57,6 @@ from .surrogate import (
 )
 
 __all__ = [
-    "BarrierSettings",
     "ConvexSubproblem",
     "SubproblemStatus",
     "SubproblemSolution",
@@ -67,43 +66,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BarrierSettings:
-    """Knobs of the barrier loop.
-
-    `newton_tol` bounds the centering suboptimality measured in objective
-    units: a centering stops once decrement^2 / (2 max(1, tau)) falls
-    below it, so the criterion stays meaningful when tau is large and the
-    raw barrier value sits far outside double precision.
-    """
-
-    tau0: float = 1.0
-    tau_factor: float = 20.0
-    newton_tol: float = 1e-9
-    armijo_slope: float = 0.01
-    backtrack: float = 0.5
-    max_newton_per_center: int = 100
-    ridge: float = 1e-10
-    min_step: float = 1e-14
-    interior_slack: float = 1e-3      # log2-units shift used by the start finder
-
-    def __post_init__(self):
-        # outside these ranges the barrier loop divides by zero, never
-        # ends, or reports a gap it did not close
-        holds = {
-            "tau0 > 0": self.tau0 > 0,
-            "tau_factor > 1": self.tau_factor > 1,
-            "0 < backtrack < 1": 0 < self.backtrack < 1,
-            "0 < armijo_slope < 0.5": 0 < self.armijo_slope < 0.5,
-            "0 < min_step < 1": 0 < self.min_step < 1,
-            "newton_tol > 0": self.newton_tol > 0,
-            "ridge >= 0": self.ridge >= 0,
-            "interior_slack > 0": self.interior_slack > 0,
-            "max_newton_per_center >= 1": self.max_newton_per_center >= 1,
-        }
-        broken = [rule for rule, ok in holds.items() if not ok]
-        if broken:
-            raise DomainError(f"barrier settings need {', '.join(broken)}")
+# Knobs of the barrier loop. A centering stops once
+# decrement^2 / (2 max(1, tau)) falls below _NEWTON_TOL: that bounds the
+# centering suboptimality in objective units, so the criterion stays
+# meaningful when tau is large and the raw barrier value sits far outside
+# double precision.
+_TAU0 = 1.0
+_TAU_FACTOR = 20.0
+_NEWTON_TOL = 1e-9
+_ARMIJO_SLOPE = 0.01
+_BACKTRACK = 0.5
+_MAX_NEWTON_PER_CENTER = 100
+_RIDGE = 1e-10
+_MIN_STEP = 1e-14
+_INTERIOR_SLACK = 1e-3      # log2-units shift used by the start finder
 
 
 class SubproblemStatus(Enum):
@@ -401,7 +377,7 @@ class _Iterate:
         return self.H
 
 
-def _newton_direction(H: np.ndarray, grad: np.ndarray, ridge: float):
+def _newton_direction(H: np.ndarray, grad: np.ndarray):
     """Solve H d = -grad with escalating ridge until we get a descent direction.
 
     The ridge goes onto H's diagonal in place; the diagonal is restored
@@ -411,7 +387,7 @@ def _newton_direction(H: np.ndarray, grad: np.ndarray, ridge: float):
     saved = diagonal.copy()
     rhs = -grad
     try:
-        for boost in (ridge, ridge * 1e4, ridge * 1e8, 1e-2):
+        for boost in (_RIDGE, _RIDGE * 1e4, _RIDGE * 1e8, 1e-2):
             np.add(saved, boost, out=diagonal)
             try:
                 d = np.linalg.solve(H, rhs)
@@ -429,7 +405,7 @@ def _barrier_value(c_obj, x, c, tau):
     return -tau * float(c_obj @ x) - float(np.log(c).sum())
 
 
-def _center(problem, point, tau, settings):
+def _center(problem, point, tau):
     """Damped Newton to the central point for one tau. Returns (point, iters, status).
 
     A line-search trial point costs one value pass; the accepted one is
@@ -437,14 +413,14 @@ def _center(problem, point, tau, settings):
     """
     c_obj = problem.objective_vector
     dec_scale = 2.0 * max(1.0, tau)
-    for it in range(settings.max_newton_per_center):
+    for it in range(_MAX_NEWTON_PER_CENTER):
         H = point.newton_matrix(problem)
         x, c, G = point.x, point.c, point.G
         grad = -tau * c_obj - G.T @ point.inv_c
-        d, dec_sq = _newton_direction(H, grad, settings.ridge)
+        d, dec_sq = _newton_direction(H, grad)
         if d is None:
             return point, it, SubproblemStatus.NUMERICAL_FAILURE
-        if dec_sq / dec_scale <= settings.newton_tol:
+        if dec_sq / dec_scale <= _NEWTON_TOL:
             return point, it, SubproblemStatus.OPTIMAL
         phi0 = _barrier_value(c_obj, x, c, tau)
         # fraction-to-boundary: start below the step that would cross c = 0
@@ -458,21 +434,21 @@ def _center(problem, point, tau, settings):
             c_new, _, ctx_new = problem.evaluate(x_new, with_grad=False)
             if (c_new > 0).all() and np.isfinite(c_new).all():
                 phi_new = _barrier_value(c_obj, x_new, c_new, tau)
-                if phi_new <= phi0 - settings.armijo_slope * step * dec_sq:
+                if phi_new <= phi0 - _ARMIJO_SLOPE * step * dec_sq:
                     break
-            step *= settings.backtrack
-            if step < settings.min_step:
+            step *= _BACKTRACK
+            if step < _MIN_STEP:
                 # stagnation at machine precision: accept if the decrement is tiny
-                if dec_sq / dec_scale <= settings.newton_tol * 100:
+                if dec_sq / dec_scale <= _NEWTON_TOL * 100:
                     return point, it, SubproblemStatus.OPTIMAL
                 return point, it, SubproblemStatus.NUMERICAL_FAILURE
         if np.array_equal(x_new, x):
             return point, it, SubproblemStatus.OPTIMAL
         point = _Iterate(x_new, c_new, ctx_new)
-    return point, settings.max_newton_per_center, SubproblemStatus.MAX_ITERATIONS
+    return point, _MAX_NEWTON_PER_CENTER, SubproblemStatus.MAX_ITERATIONS
 
 
-def _barrier_minimize(problem, start, tol, settings):
+def _barrier_minimize(problem, start, tol):
     """Run the full barrier loop; returns (final _Iterate, multipliers, tau, iterations, status).
 
     The gap is driven one decade below tol so the complementary-slackness
@@ -483,7 +459,7 @@ def _barrier_minimize(problem, start, tol, settings):
     """
     x = np.array(start, dtype=float)
     m = problem.n_constraints
-    tau = settings.tau0
+    tau = _TAU0
     total = 0
     status = SubproblemStatus.OPTIMAL
     with np.errstate(over="ignore"):
@@ -494,11 +470,11 @@ def _barrier_minimize(problem, start, tol, settings):
         if not np.all(np.isfinite(c)):
             status = SubproblemStatus.NUMERICAL_FAILURE
         while status is SubproblemStatus.OPTIMAL:
-            point, iters, status = _center(problem, point, tau, settings)
+            point, iters, status = _center(problem, point, tau)
             total += iters
             if status is not SubproblemStatus.OPTIMAL or m / tau <= 0.1 * tol:
                 break
-            tau *= settings.tau_factor
+            tau *= _TAU_FACTOR
     lam = 1.0 / (tau * point.c)
     return point, lam, tau, total, status
 
@@ -540,7 +516,7 @@ def _polish_multipliers(objective_vector, c, G, tau):
 # -- strictly feasible start ------------------------------------------------
 
 
-def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray, settings: BarrierSettings | None = None) -> np.ndarray:
+def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray) -> np.ndarray:
     """Move a (weakly) feasible q strictly inside the subproblem's domain.
 
     Power rows are pulled in multiplicatively, the threshold variables are
@@ -549,8 +525,7 @@ def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray, settings:
     nonpositive phase-I optimum means the floors are unattainable under
     the current minorant and raises InfeasibleSubproblemError.
     """
-    settings = settings or BarrierSettings()
-    delta = settings.interior_slack
+    delta = _INTERIOR_SLACK
     inst = sub.model.instance
     q = np.asarray(hint_q, dtype=float).reshape(sub.n_users, sub.n_blocks).copy()
 
@@ -565,7 +540,7 @@ def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray, settings:
         phase1 = sub.phase_one()
         c0, _, _ = phase1.evaluate(np.append(q.ravel(), 0.0), with_grad=False)
         x0 = np.append(q.ravel(), float(c0.min()) - 1.0)
-        end, _, _, _, pstatus = _barrier_minimize(phase1, x0, 1e-6, settings)
+        end, _, _, _, pstatus = _barrier_minimize(phase1, x0, 1e-6)
         px = end.x
         s_star = px[-1]
         if pstatus is not SubproblemStatus.OPTIMAL or s_star <= 1e-12:
@@ -590,15 +565,13 @@ def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray, settings:
     return x
 
 
-def solve(sub: ConvexSubproblem, start: np.ndarray, tol: float = 1e-8,
-          settings: BarrierSettings | None = None) -> SubproblemSolution:
+def solve(sub: ConvexSubproblem, start: np.ndarray, tol: float = 1e-8) -> SubproblemSolution:
     """Barrier-solve one subproblem from a strictly feasible start."""
-    settings = settings or BarrierSettings()
     start = np.asarray(start, dtype=float)
     if start.shape != (sub.n_vars,):
         raise ShapeError(f"start has shape {start.shape}, expected ({sub.n_vars},)")
 
-    end, lam, tau, iterations, status = _barrier_minimize(sub, start, tol, settings)
+    end, lam, tau, iterations, status = _barrier_minimize(sub, start, tol)
     # one (c, G) at the final point serves both certificates and the polish
     x, c, G = end.x, end.c, end.jacobian(sub)
     lam = np.maximum(lam, 0.0)

@@ -145,7 +145,8 @@ class TestConfigErrors:
         ("solve", {"output": {"dir": "x"}}, None, "output.dir"),
         ("pareto", {"pareto": {"weights": [0.5], "trials": 2.7}}, None, "pareto.trials"),
         ("solve", {"scenario": {"n_blocks": 2.5}}, None, "scenario.n_blocks"),
-        ("solve", {"solver": {"barrier": {"tau0": 0}}}, None, "tau0"),
+        ("solve", {"solver": {"barrier": {"tau0": 0}}}, None, "unknown keys ['solver.barrier']"),
+        ("solve", {"solver": {"barrier": {"tau0": 1}}}, None, "unknown keys ['solver.barrier']"),
         ("solve", {"scenario": {"annulus_inner": 200}}, None, "scenario: annulus"),
         ("solve", {"scenario": {"carrier_frequency": 0}}, None, "scenario: carrier_frequency"),
         ("solve", {"scenario": {"carrier_frequency": -5}}, None, "scenario: carrier_frequency"),
@@ -155,13 +156,23 @@ class TestConfigErrors:
         ("solve", {"scenario": {"max_power_dbm": 1e6}}, None, "scenario: max_power_dbm"),
         ("solve", {"solver": {"kkt_tolerance": 0}}, None, "solver: kkt_tolerance"),
         ("solve", {"solver": {"kkt_tolerance": -1}}, None, "solver: kkt_tolerance"),
+        ("solve", {"solver": {"tolerance": float("nan")}}, None, "solver: tolerance"),
+        ("solve", {"scenario": {"shadowing_sigma_db": -3}}, None, "scenario: shadowing_sigma_db"),
+        ("solve", {"scenario": {"path_loss_exponent": -2}}, None, "scenario: path_loss_exponent"),
+        ("solve", {"scenario": {"path_loss_exponent": float("inf")}}, None,
+         "scenario: path_loss_exponent"),
+        ("solve", {"scenario": {"path_loss_const_db": 1000}}, None, "path_loss_const_db"),
+        ("solve", {"scenario": {"path_loss_const_db": float("nan")}}, None,
+         "scenario: path_loss_const_db"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
             "scalarization-unknown-key", "output-unknown-key", "pareto-trials-fraction",
-            "n_blocks-fraction", "barrier-tau0-0", "scenario-out-of-range", "carrier-0",
-            "carrier-negative", "noise-figure-huge", "thermal-noise-huge", "max-power-huge",
-            "kkt-tolerance-0", "kkt-tolerance-negative"])
+            "n_blocks-fraction", "barrier-tau0-0", "barrier-tau0-1", "scenario-out-of-range",
+            "carrier-0", "carrier-negative", "noise-figure-huge", "thermal-noise-huge",
+            "max-power-huge", "kkt-tolerance-0", "kkt-tolerance-negative", "tolerance-nan",
+            "shadowing-negative", "path-loss-exponent-negative", "path-loss-exponent-inf",
+            "path-loss-const-no-rate", "path-loss-const-nan"])
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)
@@ -186,14 +197,13 @@ class TestConfigErrors:
         from dataclasses import fields
 
         import eeopt.cli as cli
-        from eeopt import BarrierSettings, NetworkInstance, ScenarioConfig, SolverConfig
+        from eeopt import NetworkInstance, ScenarioConfig, SolverConfig
 
         def names(cls):
             return {f.name for f in fields(cls)}
 
         assert set(cli._SCENARIO) == names(ScenarioConfig)
         assert set(cli._INSTANCE) == names(NetworkInstance)
-        assert set(cli._BARRIER) == names(BarrierSettings)
         assert set(cli._SOLVER) == names(SolverConfig) - {"initial_allocation"}
 
     def test_bad_unit_reports_field(self, tmp_path, capsys):
@@ -271,6 +281,38 @@ class TestConvergenceCommand:
         files = sorted(p.name for p in out.glob("convergence_w*.csv"))
         assert len(files) == 4
         assert (out / "convergence_summary.csv").exists()
+
+    def test_default_grid_reports_the_iteration_bound(self, tmp_path):
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence"))
+        out = tmp_path / "out"
+        assert main([cfg_path, "-o", str(out)]) == EXIT_OK
+        header, *rows = (out / "convergence_summary.csv").read_text().strip().splitlines()
+        assert header.split(",")[-2:] == ["bound_min", "bound_slack_min"]
+        assert len(rows) == 3
+        for row in rows:
+            bound, slack = (float(cell) for cell in row.split(",")[-2:])
+            assert bound >= 1.0 and slack >= 0.0
+
+    def test_count_above_its_bound_exits_4_with_tables(self, tmp_path, monkeypatch, capsys):
+        import eeopt.cli as cli_module
+        from eeopt.cli import EXIT_SOLVER
+        from eeopt.scenario import ConvergenceRecord
+
+        def record(zeta, iterations, bound):
+            return ConvergenceRecord(weight=0.5, zeta=zeta, epsilon=1e-2, iterations=[iterations],
+                                     iterations_mean=float(iterations),
+                                     trajectory=np.array([1.0, 1.01]), final_objectives=[1.01],
+                                     bounds=[bound])
+
+        monkeypatch.setattr(cli_module, "convergence_study",
+                            lambda *args, **kwargs: [record(0.5, 3, 2.0), record(1.0, 1, None)])
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence")),
+                     "-o", str(out)]) == EXIT_SOLVER
+        assert "solver failure" in capsys.readouterr().err
+        rows = (out / "convergence_summary.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[-2:] for row in rows] == [["2.0", "-1.0"], ["", ""]]
+        assert yaml.safe_load((out / "record.yaml").read_text())["status"] == "failed"
 
 
 class TestReplay:

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from eeopt.engine import (
-    ComplexityRow,
     RunStatus,
     SolverConfig,
-    complexity_probe,
     default_initial_point,
     run,
 )
@@ -228,31 +226,7 @@ class TestInitialPointValidation:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SolverConfig(tolerance=0.0)
+        with pytest.raises(DomainError, match="tolerance"):
+            SolverConfig(tolerance=float("nan"))
         with pytest.raises(DomainError):
             SolverConfig(max_outer_iterations=0)
-
-
-class TestComplexityProbe:
-    def test_counts_monotone_and_bounded(self):
-        rng = np.random.default_rng(71)
-        inst = random_instance(rng, 3, 2, bandwidth=100.0)  # keeps log2 EE > 0
-        rows = complexity_probe(inst, weighted_product(0.7), [1e-2, 1e-3, 1e-4])
-        counts = {row.epsilon: row.iterations for row in rows}
-        assert counts[1e-2] <= counts[1e-3] <= counts[1e-4]
-        for row in rows:
-            assert isinstance(row, ComplexityRow)
-            if row.f_initial > 0:
-                assert row.bound is not None
-                assert row.iterations <= row.bound
-
-    def test_large_epsilon_gives_one_iteration(self):
-        rng = np.random.default_rng(72)
-        inst = random_instance(rng, 2, 2)
-        rows = complexity_probe(inst, weighted_product(0.5), [10.0])
-        assert rows[0].iterations == 1
-
-    def test_rejects_nonpositive_epsilon(self):
-        rng = np.random.default_rng(73)
-        inst = random_instance(rng, 2, 1)
-        with pytest.raises(DomainError):
-            complexity_probe(inst, weighted_product(0.5), [1e-3, 0.0])

@@ -157,6 +157,33 @@ class TestConvergenceStudy:
         with pytest.raises(DomainError):
             convergence_study(ScenarioConfig(), [0.5], [0.0], [1e-3], trials=1)
 
+    def test_counts_monotone_and_bounded(self):
+        cfg = ScenarioConfig(seed=71, n_d2d_pairs=2, n_blocks=2)   # log2 EE > 0 at the start
+        records = convergence_study(cfg, [0.7], [0.5], [1e-2, 1e-3, 1e-4], trials=2)
+        counts = np.array([rec.iterations for rec in records])     # (epsilon, trial)
+        assert np.all(np.diff(counts, axis=0) >= 0)
+        for rec in records:
+            for iterations, bound in zip(rec.iterations, rec.bounds):
+                assert bound is not None
+                assert iterations <= bound
+        # lambda takes the trial's best final objective over all tolerances
+        f_0 = records[0].trajectory[0]
+        f_best = max(rec.final_objectives[0] for rec in records)
+        for rec in records:
+            assert rec.bounds[0] == pytest.approx(1.0 + max(f_best / f_0 - 1.0, 0.0) / rec.epsilon)
+
+    def test_large_epsilon_gives_one_iteration(self):
+        cfg = ScenarioConfig(seed=72, n_d2d_pairs=1, n_blocks=2)
+        (record,) = convergence_study(cfg, [0.5], [1.0], [10.0])
+        assert record.iterations == [1]
+
+    def test_rejects_nonpositive_epsilon(self, monkeypatch):
+        # rejected up front, before any run
+        monkeypatch.setattr("eeopt.scenario._run_grid", lambda *args: pytest.fail("ran"))
+        for epsilons in ([1e-3, 0.0], [-1e-3], [float("nan")]):
+            with pytest.raises(DomainError):
+                convergence_study(ScenarioConfig(), [0.5], [1.0], epsilons)
+
     def test_final_objective_insensitive_to_start_scale(self):
         cfg = ScenarioConfig(seed=42)
         records = convergence_study(cfg, [0.7], [0.1, 0.5, 1.0], [1e-4], trials=3,
