@@ -18,7 +18,6 @@ from .errors import (
     DomainError,
     EEOptError,
     InfeasibleInitialPointError,
-    InfeasibleSubproblemError,
     ShapeError,
 )
 from .network import (
@@ -52,7 +51,6 @@ from .solver import (
     SubproblemStatus,
     kkt_residual,
     solve,
-    strictly_feasible_start,
 )
 from .surrogate import SurrogateModel, bound_coefficients, build
 
@@ -63,7 +61,6 @@ __all__ = [
     "DomainError",
     "EEOptError",
     "InfeasibleInitialPointError",
-    "InfeasibleSubproblemError",
     "MetricsReport",
     "NetworkInstance",
     "RunStatus",
@@ -93,7 +90,6 @@ __all__ = [
     "run",
     "sinr",
     "solve",
-    "strictly_feasible_start",
     "trend_study",
     "weighted_minimum",
     "weighted_product",

@@ -43,7 +43,6 @@ from .errors import (
     DomainError,
     EEOptError,
     InfeasibleInitialPointError,
-    InfeasibleSubproblemError,
     ShapeError,
 )
 from .network import NetworkInstance
@@ -451,7 +450,7 @@ def run_command(config: dict, output_dir=None) -> int:
 
     try:
         tables, summary, failed = _COMMANDS[cfg.command](cfg, **cfg.studies.get(cfg.command, {}))
-    except (InfeasibleInitialPointError, InfeasibleSubproblemError) as exc:
+    except InfeasibleInitialPointError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigError, DomainError, ShapeError) as exc:

@@ -10,10 +10,11 @@ The relative-change stopping rule |f_l - f_{l-1}| / |f_{l-1}| < tolerance
 divides by the previous log-domain objective; a 1e-12 floor guards the
 denominator when the objective crosses zero.
 
-Threshold variables returned by the subproblem carry interior slack, so
-after each solve they are tightened to the exact roots of the efficiency
-slack functions before the trajectory value is recorded; the recorded
-objective then reflects thresholds the allocation actually achieves.
+Threshold variables returned by the subproblem may sit below their roots,
+so after each solve they are tightened to the exact roots of the
+efficiency slack functions before the trajectory value is recorded; the
+recorded objective then reflects thresholds the allocation actually
+achieves.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleInitialPointError, InfeasibleSubproblemError
+from .errors import DomainError, InfeasibleInitialPointError
 from .network import MetricsReport, NetworkInstance, evaluate, is_feasible
 from .scalarization import Scalarization, ScalarizationKind, log_objective
-from .solver import ConvexSubproblem, SubproblemStatus, solve, strictly_feasible_start
+from .solver import ConvexSubproblem, SubproblemStatus, solve
 from .surrogate import build, efficiency_roots
 
 __all__ = [
@@ -136,13 +137,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
 
     for l in range(1, config.max_outer_iterations + 1):
         model = build(instance, p)
-        sub = ConvexSubproblem(model, scalarization)
-        try:
-            x0 = strictly_feasible_start(sub, model.expansion_q)
-        except InfeasibleSubproblemError:
-            status = RunStatus.SUBPROBLEM_FAILURE
-            break
-        sol = solve(sub, x0, config.kkt_tolerance)
+        sol = solve(ConvexSubproblem(model, scalarization), config.kkt_tolerance)
         if sol.status is SubproblemStatus.NUMERICAL_FAILURE:
             status = RunStatus.SUBPROBLEM_FAILURE
             break

@@ -13,14 +13,5 @@ class DomainError(EEOptError, ValueError):
     """A numeric argument is outside the domain an operation supports."""
 
 
-class InfeasibleSubproblemError(EEOptError):
-    """No strictly interior point exists for a convex subproblem.
-
-    Raised when the phase-I slack maximization tops out at a nonpositive
-    value, i.e. the rate thresholds are unattainable under the current
-    minorant.
-    """
-
-
 class InfeasibleInitialPointError(EEOptError):
     """The starting allocation violates the original constraint set."""

@@ -104,7 +104,8 @@ class ScenarioConfig:
         # a user on the longest direct link, unshadowed at full power, must
         # get a nonzero rate, or its log2 EE is -inf and no run can start
         longest = max(self.annulus_outer, self.d2d_distance)
-        gain = 10.0 ** (-self.path_loss_db(longest) / 10.0)
+        with np.errstate(over="ignore"):    # an infinite gain is reported by `generate`
+            gain = 10.0 ** (-self.path_loss_db(longest) / 10.0)
         snr = dbm_to_watts(self.max_power_dbm) * gain / self.noise_watts()
         if not math.log2(1.0 + snr) > 0:
             raise DomainError(
@@ -151,7 +152,11 @@ def generate(config: ScenarioConfig, seed) -> NetworkInstance:
     gain_db = -config.path_loss_db(dist)
     if config.shadowing_sigma_db > 0:
         gain_db = gain_db + rng.normal(0.0, config.shadowing_sigma_db, size=dist.shape)
-    gain = np.repeat(10.0 ** (gain_db / 10.0)[:, :, None], config.n_blocks, axis=2)
+    with np.errstate(over="ignore"):
+        gain = np.repeat(10.0 ** (gain_db / 10.0)[:, :, None], config.n_blocks, axis=2)
+    if not np.isfinite(gain).all():
+        raise DomainError("path_loss_const_db and shadowing_sigma_db give a channel gain "
+                          "too large for a float")
 
     return NetworkInstance(
         bandwidth_per_block=config.bandwidth_per_block,

@@ -1,4 +1,4 @@
-"""Log-barrier Newton solver for the concave inner subproblems.
+"""Primal-dual interior-point solver for the concave inner subproblems.
 
 Each subproblem maximizes a linear objective over smooth concave
 inequality constraints c_m(x) >= 0 built from one surrogate model: the
@@ -7,35 +7,44 @@ under per-user power budgets, surrogate rate floors and the efficiency
 rows. `ConvexSubproblem` alone turns a scalarization into that layout;
 its docstring gives the column and row order.
 
-The barrier method minimizes phi_tau(x) = -tau * f(x) - sum_m log c_m(x)
-by damped Newton with backtracking, multiplying tau by a fixed factor
-until the duality gap M/tau drops below the requested KKT tolerance.
-Multipliers fall out of the barrier as lambda_m = 1/(tau c_m), and the
-certificate reported is
+The solver runs one Newton iteration on the perturbed KKT system of
+c(x) - s = 0, s > 0 (Nocedal & Wright, sections 19.2-19.3): primal x,
+slacks s and multipliers lambda move together, and a step eliminates ds
+and dlambda to solve the reduced system
+
+    (G' diag(lambda/s) G - sum_m lambda_m hess c_m) dx = rhs
+
+with G the constraint Jacobian. The barrier parameter mu falls
+monotonically, and only once the iterate is close to the central point
+of the current mu. The slacks make any start with c >= 0 legal, so the
+loop starts at the expansion point with every threshold at its exact
+root, where the surrogate is tight. A step goes at most 99.5% of the way
+to the boundary of s or lambda, and is halved while it would grow the
+primal infeasibility ||c(x) - s||_1 more than fivefold and past 1e-3.
+The loop stops when
 
     max( ||grad f + sum_m lambda_m grad c_m||_inf,
          max_m |lambda_m c_m|,
-         max_m max(0, -c_m) ).
+         max_m max(0, -c_m) )  <=  tol   and   s'lambda <= tol / 10,
+
+so OPTIMAL always means certified. A subproblem that stops short
+returns its best iterate whose rows are violated by at most tol.
 
 Constraints are normalized internally (power rows by the power budget,
 rate-type rows by the block bandwidth) so the Newton systems stay well
 conditioned when bandwidths are in the hundreds of kHz; the feasible set
 is unchanged and multipliers refer to the normalized rows.
 
-Each iterate costs one rate pass. A line-search trial point gets only a
+Each iterate costs one rate pass, and the start's pass serves both its
+threshold roots and its rows. A line-search trial point gets only a
 value pass (`ConvexSubproblem.evaluate` without the Jacobian): constraint
 values plus the kept rate, power and threshold terms. Once a trial is
 accepted, its Jacobian and constraint Hessian are built from that kept
 pass (`jacobian`, `weighted_constraint_hessian`) with index maps fixed
-when the subproblem is built, never by evaluating the point again. The
-barrier Hessian does not depend on tau, so the derivatives of a
-centering's last point, whose step is not taken, start the next
-centering; the final point's (c, G) serves the certificate and the
-multiplier polish. Phase-I is one more layout of the same assembly: the
-power and rate rows, plus one slack column (`ConvexSubproblem.phase_one`).
+when the subproblem is built, never by evaluating the point again.
 
-Everything here is deterministic: the same subproblem and start produce
-the identical iterate sequence.
+Everything here is deterministic: the same subproblem produces the
+identical iterate sequence.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleSubproblemError, ShapeError
+from .errors import DomainError, ShapeError
 from .scalarization import Scalarization, ScalarizationKind
 from .surrogate import (
     LN2,
@@ -60,26 +69,28 @@ __all__ = [
     "ConvexSubproblem",
     "SubproblemStatus",
     "SubproblemSolution",
-    "strictly_feasible_start",
     "solve",
     "kkt_residual",
 ]
 
 
-# Knobs of the barrier loop. A centering stops once
-# decrement^2 / (2 max(1, tau)) falls below _NEWTON_TOL: that bounds the
-# centering suboptimality in objective units, so the criterion stays
-# meaningful when tau is large and the raw barrier value sits far outside
-# double precision.
-_TAU0 = 1.0
-_TAU_FACTOR = 20.0
-_NEWTON_TOL = 1e-9
-_ARMIJO_SLOPE = 0.01
+# Knobs of the interior-point loop. The barrier parameter mu is held while
+# the KKT error of the barrier problem exceeds _KAPPA * mu, then cut to
+# min(_MU_FACTOR * mu, mu ** _MU_POWER), down to a floor that puts the gap
+# s'lam below the stopping test. A trial step is kept when its primal
+# infeasibility ||c(x) - s||_1 is at most _GROWTH times the current one, or
+# below _SMALL; otherwise the step is halved.
+_MAX_NEWTON = 100
+_MU0 = 0.1
+_MU_FACTOR = 0.2
+_MU_POWER = 1.5
+_KAPPA = 10.0
+_TO_BOUNDARY = 0.995
+_GROWTH = 5.0
+_SMALL = 1e-3
 _BACKTRACK = 0.5
-_MAX_NEWTON_PER_CENTER = 100
+_MIN_STEP = 1e-10
 _RIDGE = 1e-10
-_MIN_STEP = 1e-14
-_INTERIOR_SLACK = 1e-3      # log2-units shift used by the start finder
 
 
 class SubproblemStatus(Enum):
@@ -114,13 +125,10 @@ class ConvexSubproblem:
     linear:
 
     * weighted product: w*u + (1-w)*v; a column with zero weight is
-      dropped with its rows (u at w = 0, v at w = 1), so the barrier has
-      no dead directions;
+      dropped with its rows (u at w = 0, v at w = 1), so the Newton matrix
+      has no dead directions;
     * weighted minimum: t, under the two epigraph rows;
     * product-EE baseline: sum_i v_i.
-
-    Phase-I (`phase_one`) is q plus one slack column, maximized under the
-    power and rate rows minus the slack.
     """
 
     def __init__(self, model: SurrogateModel, scalarization: Scalarization):
@@ -132,19 +140,12 @@ class ConvexSubproblem:
         else:
             self._lay_out(model, v=1.0, per_user=True)
 
-    def phase_one(self) -> "ConvexSubproblem":
-        """The start finder's problem: max s subject to (power and rate rows) - s >= 0."""
-        problem = object.__new__(ConvexSubproblem)
-        problem._lay_out(self.model, slack=True)
-        return problem
-
-    def _lay_out(self, model, u=None, v=None, per_user=False, offsets=None, slack=False):
+    def _lay_out(self, model, u=None, v=None, per_user=False, offsets=None):
         """Columns, rows, objective and constant Jacobian entries of one shape.
 
         `u` and `v` are the objective weights of the threshold columns, None
         where the column and its rows are absent; `per_user` gives each user
-        its own v column. `offsets` adds t and the two epigraph rows, and
-        `slack` a column that every row subtracts.
+        its own v column. `offsets` adds t and the two epigraph rows.
         """
         self.model = model
         inst = model.instance
@@ -153,7 +154,7 @@ class ConvexSubproblem:
         self.nq = n * k
 
         idx = self.nq
-        self.u_index = self.t_index = self.slack_index = self._v_cols = None
+        self.u_index = self.t_index = self._v_cols = None
         if u is not None:
             self.u_index = idx
             idx += 1
@@ -164,9 +165,6 @@ class ConvexSubproblem:
         self._v_shared = v is not None and not per_user
         if offsets is not None:
             self.t_index = idx
-            idx += 1
-        if slack:
-            self.slack_index = idx
             idx += 1
         self.n_vars = idx
         self._epigraph_offsets = offsets
@@ -179,9 +177,8 @@ class ConvexSubproblem:
             c[self.u_index] = u
         if v is not None:
             c[self._v_cols] = v
-        for col in (self.t_index, self.slack_index):
-            if col is not None:
-                c[col] = 1.0
+        if offsets is not None:
+            c[self.t_index] = 1.0
         self.objective_vector = c
 
         # index maps: q_ik sits in column i*K + k and belongs to user i's power and psi rows
@@ -198,8 +195,6 @@ class ConvexSubproblem:
             G0[row, self.u_index] = 1.0
             G0[row + 1, self._v_cols] = 1.0
             G0[row : row + 2, self.t_index] = -1.0
-        if slack:
-            G0[:, self.slack_index] = -1.0
         self._jacobian_template = G0
 
         # normalization of constraint rows
@@ -245,12 +240,31 @@ class ConvexSubproblem:
         derivatives. The returned pass holds what `jacobian` and
         `weighted_constraint_hessian` build the derivatives from.
         """
-        inst = self.model.instance
-        q = self.unpack_q(x)
-        exp_q = np.exp2(q)
-        row_power = exp_q.sum(axis=1)
+        c, ctx = self._rows(x, rate_evaluation(self.model, self.unpack_q(x)))
+        return c, (self.jacobian(ctx) if with_grad else None), ctx
 
+    def start(self):
+        """The expansion point with each threshold at its exact root: (x, c, kept pass).
+
+        The surrogate is tight at the expansion point, so every row is
+        nonnegative there and the threshold rows that bind are zero. The
+        one rate pass serves both the roots and the rows.
+        """
+        q = self.model.expansion_q
         ev = rate_evaluation(self.model, q)
+        u, v = efficiency_roots(self.model.instance, q, ev.rates)
+        t = None
+        if self.t_index is not None:
+            off_u, off_v = self._epigraph_offsets
+            t = min(u + off_u, float(v.min()) + off_v)
+        x = self.pack(q, u=u, v=v, t=t)
+        return (x, *self._rows(x, ev))
+
+    def _rows(self, x: np.ndarray, ev):
+        """Constraint values at x from the rate pass `ev` at x's q, and the kept pass."""
+        inst = self.model.instance
+        exp_q = np.exp2(self.unpack_q(x))
+        row_power = exp_q.sum(axis=1)
         rs = self._rate_scale
 
         m_parts = [1.0 - row_power * self._power_scale, (ev.rates - inst.min_rate) * rs]
@@ -279,12 +293,7 @@ class ConvexSubproblem:
                 np.array([x[self.u_index] + off_u - t, x[self._v_cols[0]] + off_v - t])
             )
 
-        c = np.concatenate(m_parts)
-        if self.slack_index is not None:
-            c -= x[self.slack_index]
-        if not with_grad:
-            return c, None, ctx
-        return c, self.jacobian(ctx), ctx
+        return np.concatenate(m_parts), ctx
 
     def jacobian(self, ctx) -> np.ndarray:
         """Constraint Jacobian at the point of a kept pass."""
@@ -346,144 +355,36 @@ class ConvexSubproblem:
         return H
 
 
-# -- barrier engine -------------------------------------------------------
+# -- primal-dual interior point ---------------------------------------------
 
 
-class _Iterate:
-    """A barrier iterate: x, its constraint values and kept pass, and its derivatives.
-
-    The barrier Hessian sum_m grad c_m grad c_m^T / c_m^2 - hess c_m / c_m
-    does not depend on tau, so the derivatives of a point whose step was
-    not taken serve the next centering as they are.
-    """
-
-    __slots__ = ("x", "c", "ctx", "inv_c", "G", "H")
-
-    def __init__(self, x, c, ctx):
-        self.x, self.c, self.ctx = x, c, ctx
-        self.inv_c = self.G = self.H = None
-
-    def jacobian(self, problem):
-        if self.G is None:
-            self.G = problem.jacobian(self.ctx)
-        return self.G
-
-    def newton_matrix(self, problem):
-        if self.H is None:
-            G = self.jacobian(problem)
-            self.inv_c = 1.0 / self.c
-            self.H = (G * (self.inv_c**2)[:, None]).T @ G
-            self.H -= problem.weighted_constraint_hessian(self.ctx, self.inv_c)
-        return self.H
-
-
-def _newton_direction(H: np.ndarray, grad: np.ndarray):
-    """Solve H d = -grad with escalating ridge until we get a descent direction.
-
-    The ridge goes onto H's diagonal in place; the diagonal is restored
-    before returning, so H is unchanged for a later centering.
-    """
-    diagonal = H.reshape(-1)[:: H.shape[0] + 1]
+def _newton_direction(M: np.ndarray, rhs: np.ndarray):
+    """Solve M d = rhs, retrying with an escalating ridge on M's diagonal; None if all fail."""
+    diagonal = M.reshape(-1)[:: M.shape[0] + 1]
     saved = diagonal.copy()
-    rhs = -grad
-    try:
-        for boost in (_RIDGE, _RIDGE * 1e4, _RIDGE * 1e8, 1e-2):
-            np.add(saved, boost, out=diagonal)
-            try:
-                d = np.linalg.solve(H, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            dec_sq = -float(grad @ d)
-            if dec_sq > 0 and np.isfinite(d).all():
-                return d, dec_sq
-        return None, 0.0
-    finally:
-        diagonal[...] = saved
+    for boost in (_RIDGE, _RIDGE * 1e4, _RIDGE * 1e8, 1e-2):
+        np.add(saved, boost, out=diagonal)
+        try:
+            d = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.isfinite(d).all():
+            return d
+    return None
 
 
-def _barrier_value(c_obj, x, c, tau):
-    return -tau * float(c_obj @ x) - float(np.log(c).sum())
+def _to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps v + step * dv above (1 - _TO_BOUNDARY) v."""
+    shrinking = dv < 0
+    if not shrinking.any():
+        return 1.0
+    return min(1.0, _TO_BOUNDARY * float((-v[shrinking] / dv[shrinking]).min()))
 
 
-def _center(problem, point, tau):
-    """Damped Newton to the central point for one tau. Returns (point, iters, status).
-
-    A line-search trial point costs one value pass; the accepted one is
-    differentiated from that same pass.
-    """
-    c_obj = problem.objective_vector
-    dec_scale = 2.0 * max(1.0, tau)
-    for it in range(_MAX_NEWTON_PER_CENTER):
-        H = point.newton_matrix(problem)
-        x, c, G = point.x, point.c, point.G
-        grad = -tau * c_obj - G.T @ point.inv_c
-        d, dec_sq = _newton_direction(H, grad)
-        if d is None:
-            return point, it, SubproblemStatus.NUMERICAL_FAILURE
-        if dec_sq / dec_scale <= _NEWTON_TOL:
-            return point, it, SubproblemStatus.OPTIMAL
-        phi0 = _barrier_value(c_obj, x, c, tau)
-        # fraction-to-boundary: start below the step that would cross c = 0
-        slopes = G @ d
-        blocking = slopes < 0
-        step = 1.0
-        if blocking.any():
-            step = min(1.0, float((-0.99 * c[blocking] / slopes[blocking]).min()))
-        while True:
-            x_new = x + step * d
-            c_new, _, ctx_new = problem.evaluate(x_new, with_grad=False)
-            if (c_new > 0).all() and np.isfinite(c_new).all():
-                phi_new = _barrier_value(c_obj, x_new, c_new, tau)
-                if phi_new <= phi0 - _ARMIJO_SLOPE * step * dec_sq:
-                    break
-            step *= _BACKTRACK
-            if step < _MIN_STEP:
-                # stagnation at machine precision: accept if the decrement is tiny
-                if dec_sq / dec_scale <= _NEWTON_TOL * 100:
-                    return point, it, SubproblemStatus.OPTIMAL
-                return point, it, SubproblemStatus.NUMERICAL_FAILURE
-        if np.array_equal(x_new, x):
-            return point, it, SubproblemStatus.OPTIMAL
-        point = _Iterate(x_new, c_new, ctx_new)
-    return point, _MAX_NEWTON_PER_CENTER, SubproblemStatus.MAX_ITERATIONS
-
-
-def _barrier_minimize(problem, start, tol):
-    """Run the full barrier loop; returns (final _Iterate, multipliers, tau, iterations, status).
-
-    The gap is driven one decade below tol so the complementary-slackness
-    terms 1/tau certify comfortably inside the requested tolerance. Raises
-    DomainError when the start is not strictly feasible. Overflow of 2^q
-    at trial points far outside the domain is expected and reads as an
-    infeasible trial, so it is silenced for the whole solve.
-    """
-    x = np.array(start, dtype=float)
-    m = problem.n_constraints
-    tau = _TAU0
-    total = 0
-    status = SubproblemStatus.OPTIMAL
-    with np.errstate(over="ignore"):
-        c, _, ctx = problem.evaluate(x, with_grad=False)
-        if np.any(c <= 0):
-            raise DomainError("start point is not strictly feasible")
-        point = _Iterate(x, c, ctx)
-        if not np.all(np.isfinite(c)):
-            status = SubproblemStatus.NUMERICAL_FAILURE
-        while status is SubproblemStatus.OPTIMAL:
-            point, iters, status = _center(problem, point, tau)
-            total += iters
-            if status is not SubproblemStatus.OPTIMAL or m / tau <= 0.1 * tol:
-                break
-            tau *= _TAU_FACTOR
-    lam = 1.0 / (tau * point.c)
-    return point, lam, tau, total, status
-
-
-def _certificate(objective_vector, c, G, lam) -> float:
-    stationarity = float(np.abs(objective_vector + G.T @ lam).max())
-    comp_slack = float(np.abs(lam * c).max())
-    primal = float(np.maximum(0.0, -c).max())
-    return max(stationarity, comp_slack, primal)
+def _certificate(stationarity: np.ndarray, c: np.ndarray, lam: np.ndarray) -> float:
+    """max(||grad f + G'lam||_inf, max |lam_m c_m|, max(0, -c_m)), from grad f + G'lam."""
+    return max(float(np.abs(stationarity).max()), float(np.abs(lam * c).max()),
+               float(np.maximum(0.0, -c).max()))
 
 
 def kkt_residual(sub, x: np.ndarray, multipliers: np.ndarray) -> float:
@@ -494,101 +395,78 @@ def kkt_residual(sub, x: np.ndarray, multipliers: np.ndarray) -> float:
     if np.any(lam < 0):
         raise DomainError("multipliers must be nonnegative")
     c, G, _ = sub.evaluate(x)
-    return _certificate(sub.objective_vector, c, G, lam)
+    return _certificate(sub.objective_vector + G.T @ lam, c, lam)
 
 
-def _polish_multipliers(objective_vector, c, G, tau):
-    """Least-squares multipliers on the near-active set.
+def _interior_point(problem, tol: float):
+    """Primal-dual Newton from `problem.start()` until the KKT certificate meets tol.
 
-    The barrier multipliers carry an O(1/tau) bias on every row, which
-    caps the stationarity certificate; refitting the active rows removes
-    that bias while keeping |lambda_m c_m| at the 1/tau level.
+    Returns (x, kept pass, multipliers, certificate, Newton steps, status).
+    A problem that stops short of the certificate returns the start or, if
+    one beats it, its best iterate whose rows are violated by at most tol.
     """
-    lam = np.zeros_like(c)
-    active = c <= np.sqrt(max(float(c.max()), 1.0) / tau)
-    if not np.any(active):
-        return lam
-    sol, *_ = np.linalg.lstsq(G[active].T, -objective_vector, rcond=None)
-    lam[active] = np.maximum(sol, 0.0)
-    return lam
+    c_obj = problem.objective_vector
+    m = problem.n_constraints
+    mu, mu_floor = _MU0, 0.01 * tol / m
+    status = SubproblemStatus.MAX_ITERATIONS
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, c, ctx = problem.start()
+        s = np.maximum(c, 1.0)
+        lam = np.ones(m)
+        best = None
+        for it in range(_MAX_NEWTON + 1):
+            G = problem.jacobian(ctx)
+            r_d, r_p = c_obj + G.T @ lam, c - s
+            residual = _certificate(r_d, c, lam)
+            if residual <= tol and s @ lam <= 0.1 * tol:
+                status = SubproblemStatus.OPTIMAL
+                best = (x, ctx, lam, residual)
+                break
+            if best is None or (-c.min() <= tol and c_obj @ x > c_obj @ best[0]):
+                best = (x, ctx, lam, residual)
+            if it == _MAX_NEWTON:
+                break
+            kkt = max(float(np.abs(r_d).max()), float(np.abs(r_p).max()))
+            while mu > mu_floor and max(kkt, float(np.abs(s * lam - mu).max())) <= _KAPPA * mu:
+                mu = max(mu_floor, min(_MU_FACTOR * mu, mu**_MU_POWER))
+
+            # the reduced Newton system G' diag(lam/s) G - sum_m lam_m hess c_m
+            M = (G * (lam / s)[:, None]).T @ G
+            M -= problem.weighted_constraint_hessian(ctx, lam)
+            dx = _newton_direction(M, c_obj + G.T @ ((mu - lam * r_p) / s))
+            if dx is None:
+                status = SubproblemStatus.NUMERICAL_FAILURE
+                break
+            ds = G @ dx + r_p
+            dlam = mu / s - lam - lam * ds / s
+            step = min(_to_boundary(s, ds), _to_boundary(lam, dlam))
+            allowed = max(_GROWTH * float(np.abs(r_p).sum()), _SMALL)
+            while step >= _MIN_STEP:
+                x_new = x + step * dx
+                c_new, _, ctx_new = problem.evaluate(x_new, with_grad=False)
+                if np.abs(c_new - s - step * ds).sum() <= allowed:   # False on inf or nan
+                    break
+                step *= _BACKTRACK
+            else:
+                status = SubproblemStatus.NUMERICAL_FAILURE
+                break
+            x, c, ctx = x_new, c_new, ctx_new
+            s = s + step * ds
+            lam = lam + step * dlam
+    return (*best, it, status)
 
 
-# -- strictly feasible start ------------------------------------------------
-
-
-def strictly_feasible_start(sub: ConvexSubproblem, hint_q: np.ndarray) -> np.ndarray:
-    """Move a (weakly) feasible q strictly inside the subproblem's domain.
-
-    Power rows are pulled in multiplicatively, the threshold variables are
-    set a fixed log2 slack below their exact roots, and if the rate floors
-    cannot be made strict this way a phase-I slack maximization runs; a
-    nonpositive phase-I optimum means the floors are unattainable under
-    the current minorant and raises InfeasibleSubproblemError.
-    """
-    delta = _INTERIOR_SLACK
-    inst = sub.model.instance
-    q = np.asarray(hint_q, dtype=float).reshape(sub.n_users, sub.n_blocks).copy()
-
-    row_power = np.exp2(q).sum(axis=1)
-    budget = inst.max_power
-    shrink = np.minimum(1.0, (1.0 - delta) * budget / row_power)
-    q += np.log2(shrink)[:, None]
-
-    rates = rate_evaluation(sub.model, q).rates
-    rate_slack = (rates - inst.min_rate) * sub._rate_scale
-    if rate_slack.min() <= 1e-9:
-        phase1 = sub.phase_one()
-        c0, _, _ = phase1.evaluate(np.append(q.ravel(), 0.0), with_grad=False)
-        x0 = np.append(q.ravel(), float(c0.min()) - 1.0)
-        end, _, _, _, pstatus = _barrier_minimize(phase1, x0, 1e-6)
-        px = end.x
-        s_star = px[-1]
-        if pstatus is not SubproblemStatus.OPTIMAL or s_star <= 1e-12:
-            raise InfeasibleSubproblemError(
-                "no strictly interior point: rate floors unattainable under the "
-                f"current minorant (max-min slack {s_star:.3e})"
-            )
-        q = px[: sub.nq].reshape(sub.n_users, sub.n_blocks)
-        rates = end.ctx["ev"].rates
-
-    u_root, v_roots = efficiency_roots(inst, q, rates)
-    u, v = u_root - delta, v_roots - delta
-    t = None
-    if sub.t_index is not None:
-        off_u, off_v = sub._epigraph_offsets
-        t = min(u + off_u, float(v.min()) + off_v) - delta
-    x = sub.pack(q, u=u, v=v, t=t)
-
-    c, _, _ = sub.evaluate(x, with_grad=False)
-    if np.any(c <= 0) or not np.all(np.isfinite(c)):
-        raise InfeasibleSubproblemError("failed to construct a strictly interior point")
-    return x
-
-
-def solve(sub: ConvexSubproblem, start: np.ndarray, tol: float = 1e-8) -> SubproblemSolution:
-    """Barrier-solve one subproblem from a strictly feasible start."""
-    start = np.asarray(start, dtype=float)
-    if start.shape != (sub.n_vars,):
-        raise ShapeError(f"start has shape {start.shape}, expected ({sub.n_vars},)")
-
-    end, lam, tau, iterations, status = _barrier_minimize(sub, start, tol)
-    # one (c, G) at the final point serves both certificates and the polish
-    x, c, G = end.x, end.c, end.jacobian(sub)
-    lam = np.maximum(lam, 0.0)
-    residual = _certificate(sub.objective_vector, c, G, lam)
-    polished = _polish_multipliers(sub.objective_vector, c, G, tau)
-    polished_residual = _certificate(sub.objective_vector, c, G, polished)
-    if polished_residual < residual:
-        lam, residual = polished, polished_residual
-    q = sub.unpack_q(x)
+def solve(sub: ConvexSubproblem, tol: float = 1e-8) -> SubproblemSolution:
+    """Solve one subproblem from its start; OPTIMAL means the certificate is within tol."""
+    x, ctx, lam, residual, iterations, status = _interior_point(sub, tol)
     u = float(x[sub.u_index]) if sub.u_index is not None else None
     v = float(x[sub._v_cols[0]]) if sub._v_shared else None
     return SubproblemSolution(
         x=x,
-        q=q,
+        q=sub.unpack_q(x),
         u=u,
         v=v,
-        rates=end.ctx["ev"].rates,
+        rates=ctx["ev"].rates,
         objective=float(sub.objective_vector @ x),
         kkt_residual=residual,
         newton_iterations=iterations,

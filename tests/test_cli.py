@@ -87,6 +87,25 @@ class TestSolveCommand:
         alloc = np.asarray(record["results"]["allocation"])
         assert is_feasible(inst, alloc, tol=1e-6).ok
 
+    def test_optimum_at_vanishing_power_converges(self, tmp_path):
+        # gains of 1e11 to 1e12: the surrogate optimum drives powers toward
+        # zero, so subproblems approach optima they never reach, ending with
+        # two powers below 1e-30 W
+        from eeopt import ScenarioConfig, generate, run, weighted_product
+
+        scenario = {"n_d2d_pairs": 1, "n_blocks": 2, "path_loss_const_db": -150}
+        cfg = {"command": "solve", "seed": 1, "scenario": scenario,
+               "scalarization": {"kind": "weighted_product", "weight": 0.5}}
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_OK
+        results = yaml.safe_load((out / "record.yaml").read_text())["results"]
+        assert results["status"] == "converged"
+        assert results["trajectory"][-1] == pytest.approx(31.7593, abs=1e-4)
+        assert np.sort(np.ravel(results["allocation"]))[1] < 1e-30
+        r = run(generate(ScenarioConfig(**scenario, seed=1), 1), weighted_product(0.5))
+        assert r.iterations == results["iterations"]
+        assert r.uncertified_subproblems == 0
+
 
 class TestConfigErrors:
     def test_unknown_command_exits_2(self, tmp_path, capsys):
@@ -164,6 +183,10 @@ class TestConfigErrors:
         ("solve", {"scenario": {"path_loss_const_db": 1000}}, None, "path_loss_const_db"),
         ("solve", {"scenario": {"path_loss_const_db": float("nan")}}, None,
          "scenario: path_loss_const_db"),
+        ("solve", {"scenario": {"path_loss_const_db": -1e6}}, None,
+         "path_loss_const_db and shadowing_sigma_db"),
+        ("solve", {"scenario": {"shadowing_sigma_db": 1e5}}, None,
+         "path_loss_const_db and shadowing_sigma_db"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -172,7 +195,9 @@ class TestConfigErrors:
             "carrier-0", "carrier-negative", "noise-figure-huge", "thermal-noise-huge",
             "max-power-huge", "kkt-tolerance-0", "kkt-tolerance-negative", "tolerance-nan",
             "shadowing-negative", "path-loss-exponent-negative", "path-loss-exponent-inf",
-            "path-loss-const-no-rate", "path-loss-const-nan"])
+            "path-loss-const-no-rate", "path-loss-const-nan", "path-loss-const-huge-gain",
+            "shadowing-huge-gain"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)

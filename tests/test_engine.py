@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from eeopt import engine
 from eeopt.engine import (
     RunStatus,
     SolverConfig,
@@ -11,6 +14,7 @@ from eeopt.errors import DomainError, InfeasibleInitialPointError
 from eeopt.network import NetworkInstance, evaluate, is_feasible
 from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import ScenarioConfig, generate
+from eeopt.solver import ConvexSubproblem, SubproblemStatus, solve
 
 from helpers import random_instance
 
@@ -123,7 +127,6 @@ class TestRunGeneral:
     def test_threshold_inequalities_hold_at_every_iterate(self):
         # step the loop by hand: realized EEs dominate both the raw solver
         # thresholds and their tightened roots at every iterate
-        from eeopt.solver import ConvexSubproblem, solve, strictly_feasible_start
         from eeopt.surrogate import build, efficiency_roots
 
         rng = np.random.default_rng(76)
@@ -133,7 +136,7 @@ class TestRunGeneral:
         for _ in range(4):
             model = build(inst, p)
             sub = ConvexSubproblem(model, scal)
-            sol = solve(sub, strictly_feasible_start(sub, model.expansion_q))
+            sol = solve(sub)
             u_root, v_roots = efficiency_roots(inst, sol.q, sol.rates)
             assert sol.u <= u_root + 1e-9
             assert sol.v <= float(v_roots.min()) + 1e-9
@@ -182,14 +185,27 @@ class TestCertification:
         assert all(s.certified for s in r.iteration_stats)
         assert r.uncertified_subproblems == 0
 
-    def test_uncertified_subproblems_are_counted_not_failed(self):
-        # a paper-scale instance whose three subproblems stop with KKT residuals of 0.11-0.28
+    def test_paper_scale_weighted_minimum_certifies(self):
+        # the earlier barrier solver left all three subproblems of this paper-scale
+        # run at KKT residuals of 0.11-0.28; the trajectory is frozen from it
         inst = generate(ScenarioConfig(d2d_distance=10.0), np.random.SeedSequence([1, 30]))
         r = run(inst, weighted_minimum(0.5), SolverConfig(tolerance=1e-3))
-        assert r.iterations == 3
-        assert [s.certified for s in r.iteration_stats] == [False] * 3
-        assert all(0.1 < s.kkt_residual < 0.3 for s in r.iteration_stats)
-        assert r.uncertified_subproblems == 3
+        assert r.status is RunStatus.CONVERGED
+        assert r.uncertified_subproblems == 0
+        assert all(s.kkt_residual <= 1e-10 for s in r.iteration_stats)
+        np.testing.assert_allclose(
+            r.trajectory,
+            [21.102121390655125, 27.27443814567582, 27.75595376269137, 27.76297997643861],
+            rtol=0.0, atol=1e-8)
+
+    def test_uncertified_subproblems_are_counted_not_failed(self, monkeypatch):
+        # every subproblem reports stopping short of its certificate
+        monkeypatch.setattr(engine, "solve", lambda sub, tol: replace(
+            solve(sub, tol), status=SubproblemStatus.MAX_ITERATIONS))
+        r = run(instance_i1(), weighted_product(1.0), SolverConfig(tolerance=1e-6))
+        assert r.iterations > 1
+        assert [s.certified for s in r.iteration_stats] == [False] * r.iterations
+        assert r.uncertified_subproblems == r.iterations
         # the run status does not yet account for certification
         assert r.status is RunStatus.CONVERGED
 

@@ -1,16 +1,20 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from eeopt.errors import DomainError, InfeasibleSubproblemError
+from eeopt import solver
+from eeopt.engine import default_initial_point
 from eeopt.network import NetworkInstance, evaluate
 from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
+from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import (
     ConvexSubproblem,
     SubproblemStatus,
-    _barrier_minimize,
+    _interior_point,
     kkt_residual,
     solve,
-    strictly_feasible_start,
 )
 from eeopt.surrogate import LN2, build, rate_evaluation
 
@@ -21,15 +25,16 @@ from helpers import random_alloc, random_instance
 I1_SURROGATE_OPTIMUM_U = 0.8165859978771477
 
 
-def instance_i1():
+def single_user(min_rate=0.0, max_power=10.0, direct=10.0):
+    """One user on one block; the defaults are the instance of the grid oracle below."""
     return NetworkInstance(
         bandwidth_per_block=1.0,
-        gain=np.array([[[10.0]]]),
+        gain=np.array([[[direct]]]),
         noise=np.array([[1.0]]),
         amp_inefficiency=1.0,
         static_power=1.0,
-        max_power=10.0,
-        min_rate=0.0,
+        max_power=max_power,
+        min_rate=min_rate,
     )
 
 
@@ -47,7 +52,7 @@ def symmetric_pair(direct=1.0, cross=0.2, noise=0.5, p_max=4.0):
 
 
 class _MonotoneRootToy:
-    """max u subject to 1 - 2^(u - root) >= 0: optimum exactly at the root."""
+    """max u subject to 1 - 2^(u - root) >= 0: optimum exactly at the root; starts at u = 0."""
 
     def __init__(self, root, objective=1.0):
         self.root = root
@@ -61,6 +66,11 @@ class _MonotoneRootToy:
         ctx = {"z": z}
         return c, (self.jacobian(ctx) if with_grad else None), ctx
 
+    def start(self):
+        x = np.zeros(1)
+        c, _, ctx = self.evaluate(x, with_grad=False)
+        return x, c, ctx
+
     def jacobian(self, ctx):
         return np.array([[-LN2 * ctx["z"]]])
 
@@ -71,9 +81,10 @@ class _MonotoneRootToy:
 class TestBarrierEngine:
     def test_one_variable_root_is_found(self):
         toy = _MonotoneRootToy(root=1.75)
-        end, lam, _, iters, status = _barrier_minimize(toy, np.array([0.0]), 1e-8)
+        x, _, lam, residual, _, status = _interior_point(toy, 1e-8)
         assert status is SubproblemStatus.OPTIMAL
-        assert end.x[0] == pytest.approx(1.75, abs=1e-7)
+        assert residual <= 1e-8
+        assert x[0] == pytest.approx(1.75, abs=1e-7)
         assert lam[0] > 0
 
     def test_residual_zero_when_objective_and_multipliers_vanish(self):
@@ -104,7 +115,7 @@ class TestSubproblemStructure:
         assert sub.n_vars == 3 * 2 + expect_extra_vars
 
     # 3 users x 2 blocks: q fills columns 0..5; rows are 3 power, 3 rate,
-    # [3 psi], [g], [2 epigraph]. None stands for the phase-I problem.
+    # [3 psi], [g], [2 epigraph].
     @pytest.mark.parametrize(
         "scal, n_rows, objective_tail, u_col, v_cols, t_col",
         [
@@ -114,18 +125,14 @@ class TestSubproblemStructure:
             (weighted_minimum(0.5), 12, [0.0, 0.0, 1.0], 6, [7, 7, 7], 8),
             (weighted_minimum(0.2), 12, [0.0, 0.0, 1.0], 6, [7, 7, 7], 8),
             (product_ee(), 9, [1.0, 1.0, 1.0], None, [6, 7, 8], None),
-            (None, 6, [1.0], None, None, None),
         ],
-        ids=["wp-0.7", "wp-0", "wp-1", "wm-0.5", "wm-0.2", "product-ee", "phase-one"],
+        ids=["wp-0.7", "wp-0", "wp-1", "wm-0.5", "wm-0.2", "product-ee"],
     )
     def test_layout(self, scal, n_rows, objective_tail, u_col, v_cols, t_col):
         rng = np.random.default_rng(40)
         inst = random_instance(rng, 3, 2)
         model = build(inst, random_alloc(rng, inst))
-        if scal is None:
-            sub = ConvexSubproblem(model, weighted_product(0.5)).phase_one()
-        else:
-            sub = ConvexSubproblem(model, scal)
+        sub = ConvexSubproblem(model, scal)
         assert (sub.n_vars, sub.n_constraints) == (6 + len(objective_tail), n_rows)
         np.testing.assert_array_equal(sub.objective_vector, [0.0] * 6 + objective_tail)
         assert (sub.u_index, sub.t_index) == (u_col, t_col)
@@ -134,14 +141,11 @@ class TestSubproblemStructure:
         else:
             np.testing.assert_array_equal(sub._v_cols, v_cols)
 
-        # constant Jacobian entries: the epigraph rows and the phase-I slack column
+        # constant Jacobian entries: the epigraph rows
         expected = np.zeros((n_rows, sub.n_vars))
         if t_col is not None:
             expected[n_rows - 2, [u_col, t_col]] = 1.0, -1.0
             expected[n_rows - 1, [v_cols[0], t_col]] = 1.0, -1.0
-        if scal is None:
-            expected[:, -1] = -1.0
-            assert sub.slack_index == 6
         np.testing.assert_array_equal(sub._jacobian_template, expected)
 
         if v_cols is not None:
@@ -162,8 +166,7 @@ class TestSubproblemStructure:
         rng = np.random.default_rng(41)
         inst = random_instance(rng, 2, 2)
         sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), weighted_product(0.5))
-        x = strictly_feasible_start(sub, sub.model.expansion_q)
-        c0, _, _ = sub.evaluate(x, with_grad=False)
+        x, c0, _ = sub.start()
         bumped = x.copy()
         bumped[sub.u_index] += 0.1
         c1, _, _ = sub.evaluate(bumped, with_grad=False)
@@ -173,36 +176,18 @@ class TestSubproblemStructure:
 
     @staticmethod
     def assembled_problems(rng):
-        """Every row shape the solver assembles, at interior-ish points.
+        """Every row shape the solver assembles, at points near the start.
 
         Three users under one shared v exercise the repeated threshold
-        index in the Hessian; the phase-I problem adds the slack column.
+        index in the Hessian.
         """
         for n_users, scal in ((2, weighted_product(0.3)), (2, weighted_minimum(0.4)),
                               (2, product_ee()), (3, weighted_product(0.0)),
                               (3, weighted_minimum(0.6))):
             inst = random_instance(rng, n_users, 2)
             sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), scal)
-            x = strictly_feasible_start(sub, sub.model.expansion_q)
+            x, _, _ = sub.start()
             yield sub, x + rng.uniform(-0.05, 0.05, size=x.size)
-        phase1 = sub.phase_one()
-        q = sub.model.expansion_q.ravel()
-        yield phase1, np.append(q + rng.uniform(-0.05, 0.05, size=q.size), -0.2)
-
-    def test_phase_one_is_the_power_and_rate_rows_minus_a_slack(self):
-        rng = np.random.default_rng(42)
-        inst = random_instance(rng, 3, 2)
-        sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), weighted_product(0.5))
-        phase1 = sub.phase_one()
-        assert (phase1.n_vars, phase1.n_constraints) == (sub.nq + 1, 2 * inst.n_users)
-        np.testing.assert_array_equal(phase1.objective_vector, np.eye(sub.nq + 1)[-1])
-        x = strictly_feasible_start(sub, sub.model.expansion_q)
-        c_sub, G_sub, _ = sub.evaluate(x)
-        c, G, _ = phase1.evaluate(np.append(x[: sub.nq], 0.25))
-        rows = slice(0, 2 * inst.n_users)
-        np.testing.assert_array_equal(c, c_sub[rows] - 0.25)
-        np.testing.assert_array_equal(G[:, : sub.nq], G_sub[rows, : sub.nq])
-        np.testing.assert_array_equal(G[:, -1], -1.0)
 
     def test_constraint_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -238,75 +223,84 @@ class TestSubproblemStructure:
             np.testing.assert_allclose(H, fd, atol=2e-5 * max(1.0, np.abs(fd).max()))
 
 
-class TestFeasibleStart:
-    def test_expansion_point_gets_strict_slack(self):
+class TestStart:
+    @staticmethod
+    def check_start(monkeypatch, inst, p):
+        """Every row >= 0 at sub.start(), each threshold at the root of the rows it bounds."""
+        passes = []
+        monkeypatch.setattr(solver, "rate_evaluation",
+                            lambda *a: passes.append(a) or rate_evaluation(*a))
+        n = inst.n_users
+        for scal in (weighted_product(0.6), weighted_product(1.0), weighted_minimum(0.5),
+                     product_ee()):
+            sub = ConvexSubproblem(build(inst, p), scal)
+            passes.clear()
+            x, c, _ = sub.start()
+            assert len(passes) == 1
+            np.testing.assert_array_equal(sub.unpack_q(x), np.log2(p))
+            np.testing.assert_array_equal(c, sub.evaluate(x, with_grad=False)[0])
+            assert c.min() >= -1e-12
+            if sub._v_cols is not None:
+                psi = c[2 * n : 3 * n]
+                assert np.abs(psi if not sub._v_shared else psi.min()).max() <= 1e-12
+            if sub.u_index is not None:
+                assert abs(c[sub._g_row]) <= 1e-12
+            if sub.t_index is not None:
+                assert abs(c[-2:].min()) <= 1e-12
+
+    def test_expansion_point_rows_are_nonnegative_and_thresholds_at_their_roots(
+            self, monkeypatch):
         rng = np.random.default_rng(44)
         inst = random_instance(rng, 3, 2)
         # power rows start exactly tight, like the uniform initial allocation
         p = np.tile(inst.max_power[:, None] / inst.n_blocks, (1, inst.n_blocks))
-        for scal in (weighted_product(0.6), weighted_minimum(0.5), product_ee()):
-            sub = ConvexSubproblem(build(inst, p), scal)
-            x = strictly_feasible_start(sub, np.log2(p))
-            c, _, _ = sub.evaluate(x, with_grad=False)
-            assert np.all(c > 1e-7)
+        self.check_start(monkeypatch, inst, p)
 
-    def test_single_user_huge_budget_needs_no_phase1(self):
-        inst = NetworkInstance(
-            bandwidth_per_block=1.0,
-            gain=np.array([[[5.0]]]),
-            noise=np.array([[1.0]]),
-            amp_inefficiency=1.0,
-            static_power=1.0,
-            max_power=1e6,
-            min_rate=0.0,
-        )
-        sub = ConvexSubproblem(build(inst, np.array([[1.0]])), weighted_product(1.0))
-        x = strictly_feasible_start(sub, np.zeros((1, 1)))
-        c, _, _ = sub.evaluate(x, with_grad=False)
-        assert np.all(c > 0)
+    def test_single_user_huge_budget_start_rows_are_nonnegative(self, monkeypatch):
+        self.check_start(monkeypatch, single_user(max_power=1e6, direct=5.0), np.ones((1, 1)))
 
-    def test_unattainable_rate_floor_raises(self):
-        inst = instance_i1()
-        capacity = 1.0 * np.log2(1.0 + 10.0 * 10.0 / 1.0)
-        strict = NetworkInstance(
-            bandwidth_per_block=1.0,
-            gain=np.array([[[10.0]]]),
-            noise=np.array([[1.0]]),
-            amp_inefficiency=1.0,
-            static_power=1.0,
-            max_power=10.0,
-            min_rate=1.1 * capacity,
-        )
-        sub = ConvexSubproblem(build(strict, np.array([[1.0]])), weighted_product(1.0))
-        with pytest.raises(InfeasibleSubproblemError):
-            strictly_feasible_start(sub, np.zeros((1, 1)))
-        del inst
-
-    def test_tight_rate_floor_goes_through_phase1(self):
-        base = instance_i1()
+    def test_tight_rate_floor_solves_optimal(self):
         p0 = np.array([[2.5]])
-        r0 = float(evaluate(base, p0).rate[0])
-        inst = NetworkInstance(
-            bandwidth_per_block=1.0,
-            gain=np.array([[[10.0]]]),
-            noise=np.array([[1.0]]),
-            amp_inefficiency=1.0,
-            static_power=1.0,
-            max_power=10.0,
-            min_rate=r0,  # exactly tight at the hint
-        )
-        sub = ConvexSubproblem(build(inst, p0), weighted_product(1.0))
-        x = strictly_feasible_start(sub, np.log2(p0))
-        c, _, _ = sub.evaluate(x, with_grad=False)
-        assert np.all(c > 0)
+        r0 = float(evaluate(single_user(), p0).rate[0])
+        sub = ConvexSubproblem(build(single_user(min_rate=r0), p0), weighted_product(1.0))
+        _, c, _ = sub.start()
+        assert abs(c[1]) <= 1e-12              # the floor is tight at the expansion point
+        sol = solve(sub, tol=1e-8)
+        assert sol.status is SubproblemStatus.OPTIMAL
+        assert sol.kkt_residual <= 1e-8
+        assert (sol.rates[0] - r0) >= -1e-8
+
+    def test_unattainable_rate_floor_ends_uncertified(self):
+        capacity = 1.0 * np.log2(1.0 + 10.0 * 10.0 / 1.0)
+        sub = ConvexSubproblem(build(single_user(min_rate=1.1 * capacity), np.ones((1, 1))),
+                               weighted_product(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(sub, tol=1e-8)
+        assert sol.status is not SubproblemStatus.OPTIMAL
+        assert not sol.kkt_residual <= 1e-8
+
+    def test_uncertified_end_keeps_its_rows_within_tol(self):
+        # floors at the rates of the uniform full-budget start leave this
+        # paper-scale instance no strictly feasible point, and its subproblems
+        # end uncertified; what they return must still meet every row within
+        # tol and not fall below the start
+        inst = generate(ScenarioConfig(d2d_distance=20.0), np.random.SeedSequence([0, 77]))
+        p = default_initial_point(inst)
+        inst = replace(inst, min_rate=evaluate(inst, p).rate)
+        for scal in (weighted_product(0.5), product_ee()):
+            sub = ConvexSubproblem(build(inst, p), scal)
+            sol = solve(sub, tol=1e-8)
+            c, _, _ = sub.evaluate(sol.x, with_grad=False)
+            assert c.min() >= -1e-8
+            assert sol.objective >= sub.objective_vector @ sub.start()[0]
 
 
 class TestSolve:
     def test_single_user_matches_grid_oracle(self):
-        inst = instance_i1()
+        inst = single_user()
         sub = ConvexSubproblem(build(inst, np.array([[1.0]])), weighted_product(1.0))
-        x0 = strictly_feasible_start(sub, np.zeros((1, 1)))
-        sol = solve(sub, x0, tol=1e-8)
+        sol = solve(sub, tol=1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
         assert sol.kkt_residual <= 1e-8
 
@@ -332,9 +326,8 @@ class TestSolve:
             p = random_alloc(rng, inst)
             for scal in (weighted_product(0.5), weighted_product(0.0), product_ee()):
                 sub = ConvexSubproblem(build(inst, p), scal)
-                x0 = strictly_feasible_start(sub, np.log2(p))
-                sol = solve(sub, x0, tol=1e-8)
-                start_obj = float(sub.objective_vector @ x0)
+                sol = solve(sub, tol=1e-8)
+                start_obj = float(sub.objective_vector @ sub.start()[0])
                 assert sol.objective >= start_obj - 1e-9
 
     def test_solution_reads_its_threshold_columns_and_rates(self):
@@ -349,7 +342,7 @@ class TestSolve:
                               (weighted_minimum(0.4), (True, True)),
                               (product_ee(), (False, False))):
             sub = ConvexSubproblem(model, scal)
-            sol = solve(sub, strictly_feasible_start(sub, np.log2(p)), tol=1e-8)
+            sol = solve(sub, tol=1e-8)
             assert (sol.u is not None, sol.v is not None) == present
             if sol.u is not None:
                 assert sol.u == sol.x[sub.u_index]
@@ -362,29 +355,17 @@ class TestSolve:
         inst = random_instance(rng, 2, 2)
         p = random_alloc(rng, inst)
         sub = ConvexSubproblem(build(inst, p), weighted_product(0.7))
-        x0 = strictly_feasible_start(sub, np.log2(p))
-        s1 = solve(sub, x0, tol=1e-8)
-        s2 = solve(sub, x0, tol=1e-8)
+        s1 = solve(sub, tol=1e-8)
+        s2 = solve(sub, tol=1e-8)
         assert np.array_equal(s1.x, s2.x)
         assert s1.newton_iterations == s2.newton_iterations
-
-    def test_start_must_be_interior(self):
-        rng = np.random.default_rng(47)
-        inst = random_instance(rng, 2, 1)
-        p = random_alloc(rng, inst)
-        sub = ConvexSubproblem(build(inst, p), weighted_product(0.5))
-        x0 = strictly_feasible_start(sub, np.log2(p))
-        bad = x0.copy()
-        bad[sub.u_index] += 50.0  # pushes the total-EE slack negative
-        with pytest.raises(DomainError):
-            solve(sub, bad, tol=1e-8)
 
     def test_multipliers_certify_solution(self):
         rng = np.random.default_rng(48)
         inst = random_instance(rng, 2, 2)
         p = random_alloc(rng, inst)
         sub = ConvexSubproblem(build(inst, p), weighted_product(0.3))
-        sol = solve(sub, strictly_feasible_start(sub, np.log2(p)), tol=1e-8)
+        sol = solve(sub, tol=1e-8)
         assert kkt_residual(sub, sol.x, sol.multipliers) == pytest.approx(sol.kkt_residual)
         assert sol.kkt_residual <= 1e-8
 
@@ -431,7 +412,7 @@ class TestGridOracles:
             scal = weighted_product(w)
             model = build(inst, p)
             sub = ConvexSubproblem(model, scal)
-            sol = solve(sub, strictly_feasible_start(sub, np.log2(p)), tol=1e-8)
+            sol = solve(sub, tol=1e-8)
             assert sol.status is SubproblemStatus.OPTIMAL
             oracle, _, _ = pair_grid_objective(
                 inst, model, scal, 1e-6, float(inst.max_power.min()), 400
@@ -444,7 +425,7 @@ class TestGridOracles:
         model = build(inst, p)
         scal = weighted_minimum(0.5)
         sub = ConvexSubproblem(model, scal)
-        sol = solve(sub, strictly_feasible_start(sub, np.log2(p)), tol=1e-8)
+        sol = solve(sub, tol=1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
         # symmetric data, symmetric start: thresholds coincide at the optimum
         assert abs(sol.u - sol.v) <= 1e-6
