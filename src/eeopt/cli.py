@@ -342,6 +342,8 @@ def _cmd_solve(cfg: _Resolved):
     summary = {
         "status": result.status.value,
         "iterations": result.iterations,
+        "newton_steps": sum(s.newton_iterations for s in result.iteration_stats),
+        "uncertified_subproblems": result.uncertified_subproblems,
         "tee": m.ee_total,
         "mee": m.ee_min,
         "jain_index": m.jain_index,

@@ -2,9 +2,12 @@
 
 One iteration expands the bound at the current allocation, solves the
 resulting concave subproblem to global optimality, and moves to its
-optimizer. Because every surrogate minorizes the true function and is
-tight at the expansion point, the objective trajectory is monotonically
-nondecreasing and every iterate stays feasible for the original problem.
+optimizer. Each subproblem after the first starts its multipliers from
+the previous one's, when that one was certified: the layout is the
+same, and consecutive surrogates differ little near convergence.
+Because every surrogate minorizes the true function and is tight at the
+expansion point, the objective trajectory is monotonically nondecreasing
+and every iterate stays feasible for the original problem.
 
 The relative-change stopping rule |f_l - f_{l-1}| / |f_{l-1}| < tolerance
 divides by the previous log-domain objective; a 1e-12 floor guards the
@@ -135,9 +138,10 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
     stats: list[IterationStats] = []
     status = RunStatus.ITERATION_CAP
 
+    warm = None   # the previous subproblem's multipliers, if it was certified
     for l in range(1, config.max_outer_iterations + 1):
         model = build(instance, p)
-        sol = solve(ConvexSubproblem(model, scalarization), config.kkt_tolerance)
+        sol = solve(ConvexSubproblem(model, scalarization), config.kkt_tolerance, warm)
         if sol.status is SubproblemStatus.NUMERICAL_FAILURE:
             status = RunStatus.SUBPROBLEM_FAILURE
             break
@@ -146,6 +150,9 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         u_root, v_roots = efficiency_roots(instance, sol.q, sol.rates)
         f_l = _trajectory_value(scalarization, u_root, v_roots)
         trajectory.append(f_l)
+        certified = (sol.status is SubproblemStatus.OPTIMAL
+                     and sol.kkt_residual <= config.kkt_tolerance)
+        warm = sol.multipliers if certified else None
         stats.append(
             IterationStats(
                 index=l,
@@ -156,8 +163,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
                 newton_iterations=sol.newton_iterations,
                 subproblem_status=sol.status,
                 feasible=is_feasible(instance, p, tol=1e-6).ok,
-                certified=(sol.status is SubproblemStatus.OPTIMAL
-                           and sol.kkt_residual <= config.kkt_tolerance),
+                certified=certified,
             )
         )
         rel_change = abs(f_l - f_prev) / max(abs(f_prev), 1e-12)

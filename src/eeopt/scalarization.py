@@ -68,10 +68,20 @@ def product_ee() -> Scalarization:
 
 
 def log_objective(s: Scalarization, u: float, v: float) -> float:
-    """Concave log-domain objective at u = log2 TEE, v = log2 MEE."""
+    """Concave log-domain objective at u = log2 TEE, v = log2 MEE.
+
+    The weighted product at w = 1 (w = 0) is u (v) alone, and only that
+    term must be finite: the other has weight 0, as its column has in
+    the subproblem.
+    """
+    w = s.weight
+    if s.kind is ScalarizationKind.WEIGHTED_PRODUCT and w in (0.0, 1.0):
+        term = u if w == 1.0 else v
+        if not math.isfinite(term):
+            raise DomainError(f"{'u' if w == 1.0 else 'v'} must be finite")
+        return term
     if not (math.isfinite(u) and math.isfinite(v)):
         raise DomainError("u and v must be finite")
-    w = s.weight
     if s.kind is ScalarizationKind.WEIGHTED_PRODUCT:
         return w * u + (1.0 - w) * v
     if s.kind is ScalarizationKind.WEIGHTED_MINIMUM:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 import yaml
@@ -105,6 +107,21 @@ class TestSolveCommand:
         r = run(generate(ScenarioConfig(**scenario, seed=1), 1), weighted_product(0.5))
         assert r.iterations == results["iterations"]
         assert r.uncertified_subproblems == 0
+
+    @pytest.mark.parametrize("path_loss_const_db", [-120, -150, -200, -400])
+    def test_vanishing_power_certifies_every_subproblem(self, tmp_path, path_loss_const_db):
+        # huge gains put the surrogate optimum at powers that vanish; every
+        # subproblem must still meet its KKT certificate, read from the record
+        scenario = {"n_d2d_pairs": 1, "n_blocks": 2, "path_loss_const_db": path_loss_const_db}
+        cfg = {"command": "solve", "seed": 1, "scenario": scenario,
+               "scalarization": {"kind": "weighted_product", "weight": 0.5}}
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_OK
+        results = yaml.safe_load((out / "record.yaml").read_text())["results"]
+        assert results["status"] == "converged"
+        assert results["uncertified_subproblems"] == 0
+        rows = list(csv.DictReader((out / "trajectory.csv").read_text().splitlines()))
+        assert results["newton_steps"] == sum(int(r["newton_iterations"]) for r in rows[1:])
 
 
 class TestConfigErrors:

@@ -200,14 +200,27 @@ class TestCertification:
 
     def test_uncertified_subproblems_are_counted_not_failed(self, monkeypatch):
         # every subproblem reports stopping short of its certificate
-        monkeypatch.setattr(engine, "solve", lambda sub, tol: replace(
-            solve(sub, tol), status=SubproblemStatus.MAX_ITERATIONS))
+        monkeypatch.setattr(engine, "solve", lambda sub, tol, multipliers: replace(
+            solve(sub, tol, multipliers), status=SubproblemStatus.MAX_ITERATIONS))
         r = run(instance_i1(), weighted_product(1.0), SolverConfig(tolerance=1e-6))
         assert r.iterations > 1
         assert [s.certified for s in r.iteration_stats] == [False] * r.iterations
         assert r.uncertified_subproblems == r.iterations
         # the run status does not yet account for certification
         assert r.status is RunStatus.CONVERGED
+
+
+class TestEndpointWeights:
+    @pytest.mark.parametrize("d2d_distance, trial", [(20.0, 506), (40.0, 433)])
+    def test_tee_run_survives_a_minus_inf_v_root(self, d2d_distance, trial):
+        # at w = 1 a certified subproblem can end with one user's surrogate rate
+        # a hair below 0, within tolerance of its floor of 0; that user's v root
+        # is -inf, which used to raise DomainError although v has weight 0
+        inst = generate(ScenarioConfig(d2d_distance=d2d_distance, seed=20),
+                        np.random.SeedSequence([20, trial]))
+        r = run(inst, weighted_product(1.0), SolverConfig(tolerance=1e-3))
+        assert r.status is RunStatus.CONVERGED
+        assert np.isfinite(r.trajectory).all()
 
 
 class TestInitialPointValidation:

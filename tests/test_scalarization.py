@@ -75,6 +75,22 @@ class TestLogObjective:
         with pytest.raises(DomainError):
             log_objective(weighted_product(0.5), np.inf, 0.0)
 
+    def test_endpoint_weights_ignore_the_zero_weight_term(self):
+        # a surrogate rate a hair below 0 gives a v root of -inf; at w = 1 v has
+        # weight 0, so only u must be finite (and u at w = 0)
+        assert log_objective(weighted_product(1.0), 2.3, -np.inf) == 2.3
+        assert log_objective(weighted_product(0.0), np.nan, -1.25) == -1.25
+        with pytest.raises(DomainError, match="u must be finite"):
+            log_objective(weighted_product(1.0), -np.inf, 0.0)
+        with pytest.raises(DomainError, match="v must be finite"):
+            log_objective(weighted_product(0.0), 0.0, -np.inf)
+
+    def test_endpoint_weights_match_the_weighted_sum_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for u, v in rng.normal(0.0, 20.0, size=(50, 2)):
+            assert log_objective(weighted_product(1.0), u, v) == 1.0 * u + 0.0 * v
+            assert log_objective(weighted_product(0.0), u, v) == 0.0 * u + 1.0 * v
+
     def test_concave_and_nondecreasing(self):
         rng = np.random.default_rng(30)
         for s in (weighted_product(0.3), weighted_minimum(0.6)):

@@ -6,6 +6,7 @@ import pytest
 
 from eeopt import solver
 from eeopt.engine import default_initial_point
+from eeopt.errors import DomainError, ShapeError
 from eeopt.network import NetworkInstance, evaluate
 from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import ScenarioConfig, generate
@@ -368,6 +369,67 @@ class TestSolve:
         sol = solve(sub, tol=1e-8)
         assert kkt_residual(sub, sol.x, sol.multipliers) == pytest.approx(sol.kkt_residual)
         assert sol.kkt_residual <= 1e-8
+
+
+def paper_scale_subproblems(scalarizations):
+    """Per scalarization, on 4 D2D pairs and 1 cellular user over 5 blocks: the
+    subproblem at the uniform start, the one at its optimum, and its solution."""
+    inst = generate(ScenarioConfig(d2d_distance=10.0), np.random.SeedSequence([1, 30]))
+    for scal in scalarizations:
+        sub = ConvexSubproblem(build(inst, default_initial_point(inst)), scal)
+        first = solve(sub)
+        yield sub, ConvexSubproblem(build(inst, np.exp2(first.q)), scal), first
+
+
+SHAPES = (weighted_product(0.5), weighted_product(0.0), weighted_product(1.0),
+          weighted_minimum(0.5), product_ee())
+
+
+class TestPredictorCorrector:
+    def test_one_linear_solve_per_newton_step(self, monkeypatch):
+        calls = []
+        linalg_solve = solver.np.linalg.solve
+
+        def counted(a, b):
+            call = [b.shape, False]          # (right-hand side shape, finite result)
+            calls.append(call)
+            out = linalg_solve(a, b)
+            call[1] = bool(np.isfinite(out).all())
+            return out
+
+        monkeypatch.setattr(solver.np.linalg, "solve", counted)
+        for first_sub, sub, _ in paper_scale_subproblems(SHAPES):
+            for problem in (first_sub, sub):
+                calls.clear()
+                sol = solve(problem)
+                assert sol.status is SubproblemStatus.OPTIMAL
+                assert all(finite for _, finite in calls)        # no ridge retry fired
+                assert len(calls) == sol.newton_iterations
+                # the affine direction and one column per row's centering target
+                assert {shape for shape, _ in calls} == {
+                    (problem.n_vars, problem.n_constraints + 1)}
+
+    def test_warm_start_certifies_the_same_optimum(self):
+        cold_steps = warm_steps = 0
+        for _, sub, first in paper_scale_subproblems(SHAPES):
+            cold = solve(sub, tol=1e-8)
+            warm = solve(sub, tol=1e-8, multipliers=first.multipliers)
+            for sol in (cold, warm):
+                assert sol.status is SubproblemStatus.OPTIMAL
+                assert sol.kkt_residual <= 1e-8
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            cold_steps += cold.newton_iterations
+            warm_steps += warm.newton_iterations
+        assert warm_steps < cold_steps
+
+    def test_warm_start_must_fit_the_layout(self):
+        rng = np.random.default_rng(47)
+        inst = random_instance(rng, 2, 2)
+        sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), weighted_product(0.5))
+        with pytest.raises(ShapeError):
+            solve(sub, multipliers=np.ones(sub.n_constraints + 1))
+        with pytest.raises(DomainError):
+            solve(sub, multipliers=np.full(sub.n_constraints, np.nan))
 
 
 def surrogate_pair_rates(inst, model, p1, p2):
