@@ -141,9 +141,9 @@ def _fields(cls, parsers: dict) -> dict:
 
 
 def _integer(value) -> int:
-    """An integral number or a string holding one; 2.5 is an error, not 2."""
+    """An integral number or a string holding one; 2.5 and true are errors, not 2 and 1."""
     try:
-        number = int(value)
+        number = None if isinstance(value, bool) else int(value)
     except (OverflowError, TypeError, ValueError):
         number = None
     if number is None or (number != value and not isinstance(value, str)):

@@ -78,10 +78,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_d2d_pairs < 1 or self.n_blocks < 1:
             raise DomainError("need at least one D2D pair and one block")
-        if not 0 < self.annulus_inner < self.annulus_outer:
-            raise DomainError("annulus bounds must satisfy 0 < inner < outer")
-        if self.d2d_distance <= 0:
-            raise DomainError("d2d_distance must be > 0")
+        if not 0 < self.annulus_inner < self.annulus_outer < math.inf:
+            raise DomainError("annulus bounds must satisfy 0 < inner < outer < inf")
+        for name in ("d2d_distance", "min_link_distance"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0")
         if not 0 < self.carrier_frequency < math.inf:
             raise DomainError("carrier_frequency must be finite and > 0")
         # past these the conversions overflow or round to zero watts
@@ -208,16 +209,17 @@ class ConvergenceRecord:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Sweep worker processes: the argument, else EEOPT_WORKERS, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
+    """Sweep worker processes: the argument, else EEOPT_WORKERS, else 1; at least 1."""
+    name, value = "workers", workers
+    if workers is None:
+        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV) or 1
     try:
-        return max(1, int(env))
+        count = int(value)
     except ValueError:
-        raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise DomainError(f"{name} must be >= 1, got {value!r}")
+    return count
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -308,8 +310,8 @@ def trend_study(config: ScenarioConfig, d2d_distances, w_list, trials: int = 1,
                 workers: int | None = None) -> SweepResult:
     """Averaged total EE and fairness index versus D2D link distance and weight."""
     d2d_distances = [float(d) for d in d2d_distances]
-    if any(d <= 0 for d in d2d_distances):
-        raise DomainError("distances must be > 0")
+    if not all(0 < d < math.inf for d in d2d_distances):
+        raise DomainError(f"distances must be finite and > 0, got {d2d_distances}")
     labels = [{"d_d2d": d, "w": float(w)} for d in d2d_distances for w in w_list]
     cells = [_Cell(weighted_product(p["w"]), d2d_distance=p["d_d2d"]) for p in labels]
     runs = _run_grid(config, cells, trials, solver_config, workers)

@@ -2,10 +2,17 @@
 
 Each subproblem maximizes a linear objective over smooth concave
 inequality constraints c_m(x) >= 0 built from one surrogate model: the
-powers q = log2 p and the threshold columns its scalarization needs,
-under per-user power budgets, surrogate rate floors and the efficiency
-rows. `ConvexSubproblem` alone turns a scalarization into that layout;
-its docstring gives the column and row order.
+powers q = log2 p and the threshold columns theta its scalarization
+needs, under per-user power budgets, surrogate rate floors and the
+efficiency rows. Every row has the one form
+
+    c = c0 + A x + R rates(q) - 2^(S theta) * (W 2^q + P)
+
+`ConvexSubproblem` alone turns a scalarization into that layout, as the
+tables c0, A, R, W, P and S built once per subproblem; its docstring
+gives the column and row order and the table meanings. Values, Jacobian
+and constraint Hessian are then the same few array operations for every
+layout.
 
 The solver runs one Newton iteration on the perturbed KKT system of
 c(x) - s = 0, s > 0 (Nocedal & Wright, sections 19.2-19.3): primal x,
@@ -46,8 +53,8 @@ threshold roots and its rows. A line-search trial point gets only a
 value pass (`ConvexSubproblem.evaluate` without the Jacobian): constraint
 values plus the kept rate, power and threshold terms. Once a trial is
 accepted, its Jacobian and constraint Hessian are built from that kept
-pass (`jacobian`, `weighted_constraint_hessian`) with index maps fixed
-when the subproblem is built, never by evaluating the point again.
+pass (`jacobian`, `weighted_constraint_hessian`) and the row tables,
+never by evaluating the point again.
 
 Everything here is deterministic: the same subproblem produces the
 identical iterate sequence.
@@ -121,12 +128,32 @@ class SubproblemSolution:
 class ConvexSubproblem:
     """One concave subproblem: a surrogate model plus the layout its scalarization induces.
 
-    Columns, in order: q (q_ik in column i*K + k), then u, then the
-    min-EE thresholds (one shared v, or v_1..v_N for the product-EE
-    baseline), then t. Rows, in order: N power budgets, N rate floors,
-    N efficiency slacks psi_i (where v is present), the total-efficiency
+    Columns, in order: q (q_ik in column i*K + k), then the columns theta:
+    u, the min-EE thresholds (one shared v, or v_1..v_N for the product-EE
+    baseline), and t. Rows, in order: N power budgets, N rate floors, N
+    efficiency slacks psi_i (where v is present), the total-efficiency
     slack g (where u is present), and, for the weighted minimum only, the
-    epigraph rows u - log2 w - t and v - log2(1-w) - t. The objective is
+    epigraph rows u - log2 w - t and v - log2(1-w) - t. Every row has the
+    one form
+
+        c = c0 + A x + R rates(q) - 2^(S theta) * (W 2^q + P)
+
+    with the tables built once here (attributes `_c0`, `_jacobian_template`
+    for A, `_R`, `_W`, `_P` and `_S`):
+
+    * c0 (m,): 1 on the power rows, -min_rate / B on the floors, the
+      epigraph offsets -log2 w and -log2(1-w);
+    * A (m, n_vars): the constant Jacobian, nonzero on the epigraph rows;
+    * R (m, N): which rates enter each row, scaled by 1/B;
+    * W (m, NK) and P (m,): each row's consumed-power weights on 2^q and
+      its static power, over the budget on the power rows and over B on
+      psi and g;
+    * S (m, n_vars - NK): at most one 1 per row, on the threshold that
+      scales the row's power term; a shared v is a repeated column.
+
+    So a power row is 1 - sum_k 2^q_ik / Pmax_i and a floor
+    (rate_i - min_rate_i) / B, both with S theta = 0, and psi_i and g are
+    the surrogate slacks of `eeopt.surrogate` over B. The objective is
     linear:
 
     * weighted product: w*u + (1-w)*v; a column with zero weight is
@@ -146,7 +173,7 @@ class ConvexSubproblem:
             self._lay_out(model, v=1.0, per_user=True)
 
     def _lay_out(self, model, u=None, v=None, per_user=False, offsets=None):
-        """Columns, rows, objective and constant Jacobian entries of one shape.
+        """Columns, objective and row tables of one shape.
 
         `u` and `v` are the objective weights of the threshold columns, None
         where the column and its rows are absent; `per_user` gives each user
@@ -156,9 +183,9 @@ class ConvexSubproblem:
         inst = model.instance
         n, k = inst.n_users, inst.n_blocks
         self.n_users, self.n_blocks = n, k
-        self.nq = n * k
+        self.nq = nq = n * k
 
-        idx = self.nq
+        idx = nq
         self.u_index = self.t_index = self._v_cols = None
         if u is not None:
             self.u_index = idx
@@ -172,40 +199,43 @@ class ConvexSubproblem:
             self.t_index = idx
             idx += 1
         self.n_vars = idx
-        self._epigraph_offsets = offsets
 
         self._g_row = 3 * n if v is not None else 2 * n
-        self.n_constraints = self._g_row + (u is not None) + (2 if offsets is not None else 0)
+        m = self._g_row + (u is not None) + (2 if offsets is not None else 0)
+        self.n_constraints = m
 
-        c = np.zeros(self.n_vars)
+        # the objective and the row tables; power rows are normalized by the
+        # budget and the rate-type rows by the block bandwidth B
+        own_q = np.repeat(np.eye(n), k, axis=1)            # (N, NK): user i's q columns
+        per_b = 1.0 / inst.bandwidth_per_block
+        obj, c0, A = np.zeros(self.n_vars), np.zeros(m), np.zeros((m, self.n_vars))
+        R, W, P = np.zeros((m, n)), np.zeros((m, nq)), np.zeros(m)
+        S = np.zeros((m, self.n_vars - nq))
+        c0[:n] = 1.0
+        W[:n] = own_q / inst.max_power[:, None]
+        c0[n : 2 * n] = -inst.min_rate * per_b
+        R[n : 2 * n] = np.eye(n) * per_b
+        if v is not None:
+            obj[self._v_cols] = v
+            R[2 * n : 3 * n] = np.eye(n) * per_b
+            W[2 * n : 3 * n] = own_q * (inst.amp_inefficiency * per_b)[:, None]
+            P[2 * n : 3 * n] = inst.static_power * per_b
+            S[2 * n + np.arange(n), self._v_cols - nq] = 1.0
         if u is not None:
-            c[self.u_index] = u
-        if v is not None:
-            c[self._v_cols] = v
+            g = self._g_row
+            obj[self.u_index] = u
+            R[g] = per_b
+            W[g] = np.repeat(inst.amp_inefficiency * per_b, k)
+            P[g] = inst.static_power.sum() * per_b
+            S[g, self.u_index - nq] = 1.0
         if offsets is not None:
-            c[self.t_index] = 1.0
-        self.objective_vector = c
-
-        # index maps: q_ik sits in column i*K + k and belongs to user i's power and psi rows
-        self._q_cols = np.arange(self.nq)
-        self._q_user = np.repeat(np.arange(n), k)
-        self._psi_rows = 2 * n + np.arange(n)
-        self._psi_rows_q = 2 * n + self._q_user
-        if v is not None:
-            self._v_cols_q = np.repeat(self._v_cols, k)
-        # the Jacobian entries that do not depend on x
-        G0 = np.zeros((self.n_constraints, self.n_vars))
-        if offsets is not None:
-            row = self._g_row + 1
-            G0[row, self.u_index] = 1.0
-            G0[row + 1, self._v_cols] = 1.0
-            G0[row : row + 2, self.t_index] = -1.0
-        self._jacobian_template = G0
-
-        # normalization of constraint rows
-        self._power_scale = 1.0 / inst.max_power
-        self._rate_scale = 1.0 / inst.bandwidth_per_block
-        self._static_total = float(inst.static_power.sum())
+            rows = [self._g_row + 1, self._g_row + 2]
+            obj[self.t_index] = 1.0
+            c0[rows] = offsets
+            A[rows, [self.u_index, self._v_cols[0]]] = 1.0
+            A[rows, self.t_index] = -1.0
+        self.objective_vector = obj
+        self._c0, self._jacobian_template, self._R, self._W, self._P, self._S = c0, A, R, W, P, S
 
     # -- variable packing ------------------------------------------------
 
@@ -242,11 +272,12 @@ class ConvexSubproblem:
 
         Without the Jacobian this is the value pass: one rate evaluation
         plus the power and threshold terms, no interference shares or
-        derivatives. The returned pass holds what `jacobian` and
-        `weighted_constraint_hessian` build the derivatives from.
+        derivatives. The kept pass (rate pass, 2^q, 2^(S theta),
+        W 2^q + P) holds what `jacobian` and `weighted_constraint_hessian`
+        build the derivatives from.
         """
-        c, ctx = self._rows(x, rate_evaluation(self.model, self.unpack_q(x)))
-        return c, (self.jacobian(ctx) if with_grad else None), ctx
+        c, kept = self._rows(x, rate_evaluation(self.model, self.unpack_q(x)))
+        return c, (self.jacobian(kept) if with_grad else None), kept
 
     def start(self):
         """The expansion point with each threshold at its exact root: (x, c, kept pass).
@@ -260,103 +291,49 @@ class ConvexSubproblem:
         u, v = efficiency_roots(self.model.instance, q, ev.rates)
         t = None
         if self.t_index is not None:
-            off_u, off_v = self._epigraph_offsets
+            off_u, off_v = self._c0[-2:]
             t = min(u + off_u, float(v.min()) + off_v)
         x = self.pack(q, u=u, v=v, t=t)
         return (x, *self._rows(x, ev))
 
     def _rows(self, x: np.ndarray, ev):
         """Constraint values at x from the rate pass `ev` at x's q, and the kept pass."""
-        inst = self.model.instance
-        exp_q = np.exp2(self.unpack_q(x))
-        row_power = exp_q.sum(axis=1)
-        rs = self._rate_scale
+        exp_q = np.exp2(x[: self.nq])
+        scale = np.exp2(self._S @ x[self.nq :])
+        drawn = self._W @ exp_q
+        c = (self._c0 + self._jacobian_template @ x + self._R @ ev.rates
+             - (drawn * scale + self._P * scale))
+        return c, (ev, exp_q, scale, drawn + self._P)
 
-        m_parts = [1.0 - row_power * self._power_scale, (ev.rates - inst.min_rate) * rs]
-        ctx = {"ev": ev, "exp_q": exp_q}
-
-        if self._v_cols is not None:
-            pow_v = np.exp2(x[self._v_cols])
-            dyn_v = inst.amp_inefficiency * row_power * pow_v
-            stat_v = inst.static_power * pow_v
-            m_parts.append((ev.rates - dyn_v - stat_v) * rs)
-            mu_exp_v = inst.amp_inefficiency[:, None] * exp_q * pow_v[:, None]
-            ctx.update(dyn_v=dyn_v, stat_v=stat_v, mu_exp_v=mu_exp_v)
-
-        if self.u_index is not None:
-            pow_u = 2.0 ** x[self.u_index]
-            dyn_u = inst.amp_inefficiency * row_power * pow_u
-            c_g = (ev.rates.sum() - dyn_u.sum() - self._static_total * pow_u) * rs
-            m_parts.append(np.array([c_g]))
-            ctx.update(pow_u=pow_u, dyn_u=dyn_u,
-                       mu_exp_u=inst.amp_inefficiency[:, None] * exp_q * pow_u)
-
-        if self.t_index is not None:
-            off_u, off_v = self._epigraph_offsets
-            t = x[self.t_index]
-            m_parts.append(
-                np.array([x[self.u_index] + off_u - t, x[self._v_cols[0]] + off_v - t])
-            )
-
-        return np.concatenate(m_parts), ctx
-
-    def jacobian(self, ctx) -> np.ndarray:
+    def jacobian(self, kept) -> np.ndarray:
         """Constraint Jacobian at the point of a kept pass."""
-        n, nq = self.n_users, self.nq
-        ev = ctx["ev"]
-        rs = self._rate_scale
+        ev, exp_q, scale, consumed = kept
+        nq = self.nq
         G = self._jacobian_template.copy()
-        # power rows: d/dq_ik = -ln2 * 2^q_ik / Pmax_i on own row
-        G[self._q_user, self._q_cols] = (-LN2 * ctx["exp_q"] * self._power_scale[:, None]).ravel()
-        jac = ev.jac.reshape(n, nq)
-        jac_rs = jac * rs
-        G[n : 2 * n, :nq] = jac_rs
-        if self._v_cols is not None:
-            G[2 * n : 3 * n, :nq] = jac_rs
-            G[self._psi_rows_q, self._q_cols] -= (LN2 * ctx["mu_exp_v"] * rs).ravel()
-            G[self._psi_rows, self._v_cols] = -LN2 * (ctx["dyn_v"] + ctx["stat_v"]) * rs
-        if self.u_index is not None:
-            row = self._g_row
-            G[row, :nq] = (jac.sum(axis=0) - LN2 * ctx["mu_exp_u"].ravel()) * rs
-            G[row, self.u_index] = -LN2 * (ctx["dyn_u"].sum() + self._static_total * ctx["pow_u"]) * rs
+        G[:, :nq] += (self._R @ ev.jac.reshape(self.n_users, nq)
+                      - LN2 * scale[:, None] * self._W * exp_q)
+        G[:, nq:] -= (LN2 * scale * consumed)[:, None] * self._S
         return G
 
-    def weighted_constraint_hessian(self, ctx, beta: np.ndarray) -> np.ndarray:
-        """sum_m beta[m] * hess(c_m) over the full variable vector, from a kept pass."""
-        n, nq = self.n_users, self.nq
-        rs = self._rate_scale
+    def weighted_constraint_hessian(self, kept, beta: np.ndarray) -> np.ndarray:
+        """sum_m beta[m] * hess(c_m) over the full variable vector, from a kept pass.
+
+        The rates contribute the rate Hessian weighted by R'beta. With
+        b = ln2^2 * beta * 2^(S theta), the power terms subtract the q
+        diagonal 2^q * (W'b), the (theta, q) block S' diag(b) W diag(2^q)
+        and the (theta, theta) block S' diag(b * (W 2^q + P)) S.
+        """
+        ev, exp_q, scale, consumed = kept
+        nq = self.nq
         H = np.zeros((self.n_vars, self.n_vars))
-
-        # curvature of the surrogate rates, shared by rate/psi/g rows
-        w = beta[n : 2 * n] * rs
-        if self._v_cols is not None:
-            beta_psi = beta[2 * n : 3 * n]
-            w = w + beta_psi * rs
-        if self.u_index is not None:
-            beta_g = beta[self._g_row]
-            w = w + beta_g * rs
-        weighted_rate_hessian(self.model, ctx["ev"], w, out=H[:nq, :nq])
-
-        diag = -(LN2 * LN2 * beta[:n, None] * ctx["exp_q"] * self._power_scale[:, None])
-        if self._v_cols is not None:
-            psi = LN2 * LN2 * beta_psi[:, None] * ctx["mu_exp_v"] * rs
-            diag -= psi
-            cross = -psi.ravel()                                 # (q_ik, v_i)
-            H[self._q_cols, self._v_cols_q] = cross
-            H[self._v_cols_q, self._q_cols] = cross
-            # add.at, not +=: with a shared v the index repeats and every user's term counts
-            np.add.at(H, (self._v_cols, self._v_cols),
-                      -LN2 * LN2 * beta_psi * (ctx["dyn_v"] + ctx["stat_v"]) * rs)
-        if self.u_index is not None:
-            g = LN2 * LN2 * beta_g * ctx["mu_exp_u"] * rs
-            diag -= g
-            cross_u = -g.ravel()
-            H[:nq, self.u_index] = cross_u
-            H[self.u_index, :nq] = cross_u
-            H[self.u_index, self.u_index] = (
-                -LN2 * LN2 * beta_g * (ctx["dyn_u"].sum() + self._static_total * ctx["pow_u"]) * rs
-            )
-        H[self._q_cols, self._q_cols] += diag.ravel()
+        weighted_rate_hessian(self.model, ev, self._R.T @ beta, out=H[:nq, :nq])
+        b = LN2 * LN2 * beta * scale
+        q_diagonal = np.einsum("ii->i", H[:nq, :nq])       # a writable view
+        q_diagonal -= exp_q * (b @ self._W)
+        cross = -(self._S.T * b) @ self._W * exp_q
+        H[nq:, :nq] = cross
+        H[:nq, nq:] = cross.T
+        H[nq:, nq:] = -(self._S.T * (b * consumed)) @ self._S
         return H
 
 
@@ -498,7 +475,7 @@ def solve(sub: ConvexSubproblem, tol: float = 1e-8,
         q=sub.unpack_q(x),
         u=u,
         v=v,
-        rates=ctx["ev"].rates,
+        rates=ctx[0].rates,
         objective=float(sub.objective_vector @ x),
         kkt_residual=residual,
         newton_iterations=iterations,

@@ -204,6 +204,18 @@ class TestConfigErrors:
          "path_loss_const_db and shadowing_sigma_db"),
         ("solve", {"scenario": {"shadowing_sigma_db": 1e5}}, None,
          "path_loss_const_db and shadowing_sigma_db"),
+        ("solve", {"seed": True}, None, "seed"),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": True}}, None, "pareto.trials"),
+        ("solve", {"scenario": {"n_blocks": True}}, None, "scenario.n_blocks"),
+        ("pareto", {"workers": 0, "pareto": {"weights": [0.5], "trials": 1}}, None, "workers"),
+        ("pareto", {"workers": -4, "pareto": {"weights": [0.5], "trials": 1}}, None, "workers"),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": 1}}, "0", "EEOPT_WORKERS"),
+        ("solve", {"scenario": {"min_link_distance": -5}}, None, "scenario: min_link_distance"),
+        ("solve", {"scenario": {"min_link_distance": float("nan")}}, None,
+         "scenario: min_link_distance"),
+        ("solve", {"scenario": {"d2d_distance": float("nan")}}, None, "scenario: d2d_distance"),
+        ("solve", {"scenario": {"annulus_outer": float("inf")}}, None, "scenario: annulus"),
+        ("trend", {"trend": {"distances": [10, float("nan")], "trials": 1}}, None, "distances"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -213,8 +225,10 @@ class TestConfigErrors:
             "max-power-huge", "kkt-tolerance-0", "kkt-tolerance-negative", "tolerance-nan",
             "shadowing-negative", "path-loss-exponent-negative", "path-loss-exponent-inf",
             "path-loss-const-no-rate", "path-loss-const-nan", "path-loss-const-huge-gain",
-            "shadowing-huge-gain"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+            "shadowing-huge-gain", "seed-bool", "pareto-trials-bool", "n_blocks-bool",
+            "workers-0", "workers-negative", "env-workers-0", "min-link-distance-negative",
+            "min-link-distance-nan", "d2d-distance-nan", "annulus-outer-inf",
+            "trend-distance-nan"])
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)

@@ -141,6 +141,13 @@ class TestTrendStudy:
         result = trend_study(cfg, [20.0], [0.0], trials=3, solver_config=SolverConfig(tolerance=1e-4))
         assert result.rows[0].jfi_mean == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("distance", [0.0, -10.0, float("nan"), float("inf")])
+    def test_rejects_bad_distances(self, monkeypatch, distance):
+        # rejected up front, before any run
+        monkeypatch.setattr("eeopt.scenario._run_grid", lambda *args: pytest.fail("ran"))
+        with pytest.raises(DomainError, match="distances"):
+            trend_study(ScenarioConfig(), [10.0, distance], [0.5])
+
 
 class TestConvergenceStudy:
     def test_records_and_monotone_trajectories(self):
@@ -201,6 +208,15 @@ class TestWorkers:
         assert resolve_workers(4) == 4
         monkeypatch.setenv("EEOPT_WORKERS", "3")
         assert resolve_workers(None) == 3
+
+    def test_fewer_than_one_worker_is_an_error(self, monkeypatch):
+        monkeypatch.delenv("EEOPT_WORKERS", raising=False)
+        for workers in (0, -4):
+            with pytest.raises(DomainError, match="workers"):
+                resolve_workers(workers)
+        monkeypatch.setenv("EEOPT_WORKERS", "0")
+        with pytest.raises(DomainError, match="EEOPT_WORKERS"):
+            resolve_workers(None)
 
     @pytest.mark.parametrize("study", ["pareto", "trend", "convergence"])
     def test_parallel_matches_serial(self, study):

@@ -163,6 +163,37 @@ class TestSubproblemStructure:
             np.testing.assert_allclose(
                 c[-2:], [0.25 - np.log2(w) - 0.125, 0.5 - np.log2(1.0 - w) - 0.125], rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "scal",
+        [weighted_product(0.7), weighted_product(0.0), weighted_product(1.0),
+         weighted_minimum(0.5), weighted_minimum(0.2), product_ee()],
+        ids=["wp-0.7", "wp-0", "wp-1", "wm-0.5", "wm-0.2", "product-ee"],
+    )
+    def test_rows_match_their_formulas_away_from_the_expansion_point(self, scal):
+        # every row written out from the rates and the instance fields, in the
+        # documented order: power, floor, [psi], [g], [epigraph]
+        rng = np.random.default_rng(52)
+        inst = random_instance(rng, 3, 2, min_rate=0.4, bandwidth=2.5)
+        model = build(inst, random_alloc(rng, inst))
+        sub = ConvexSubproblem(model, scal)
+        b = inst.bandwidth_per_block
+        for _ in range(5):
+            x = sub.start()[0] + rng.uniform(-1.0, 1.0, size=sub.n_vars)
+            c, _, _ = sub.evaluate(x, with_grad=False)
+            q = x[:6].reshape(3, 2)
+            rates = rate_evaluation(model, q).rates
+            power = np.exp2(q).sum(axis=1)
+            consumed = inst.amp_inefficiency * power + inst.static_power
+            expected = [1.0 - power / inst.max_power, (rates - inst.min_rate) / b]
+            if sub._v_cols is not None:
+                expected.append((rates - consumed * np.exp2(x[sub._v_cols])) / b)
+            if sub.u_index is not None:
+                expected.append([(rates.sum() - consumed.sum() * np.exp2(x[sub.u_index])) / b])
+            if sub.t_index is not None:
+                u, v, t, w = x[sub.u_index], x[sub._v_cols[0]], x[sub.t_index], scal.weight
+                expected.append([u - np.log2(w) - t, v - np.log2(1.0 - w) - t])
+            np.testing.assert_allclose(c, np.concatenate(expected), rtol=1e-12, atol=1e-12)
+
     def test_increasing_u_decreases_total_ee_slack(self):
         rng = np.random.default_rng(41)
         inst = random_instance(rng, 2, 2)
