@@ -54,6 +54,7 @@ from .scenario import (
     pareto_sweep,
     trend_study,
 )
+from .solver import SubproblemStatus
 from .units import (
     parse_db,
     parse_dbm,
@@ -327,15 +328,16 @@ def _cmd_solve(cfg: _Resolved):
     result = run(inst, cfg.scalarization, cfg.solver)
     m = result.metrics
     rows = [
-        (0, float(result.trajectory[0]), "", "", "", "")
+        (0, float(result.trajectory[0]), "", "", "", "", "")
     ] + [
-        (s.index, s.objective, s.u, s.v, s.kkt_residual, s.newton_iterations)
+        (s.index, s.objective, s.u, s.v, s.kkt_residual, s.newton_iterations,
+         s.subproblem_status.value)
         for s in result.iteration_stats
     ]
     tables = {
         "trajectory.csv": (
             ["iteration", "objective_log2", "u_log2_tee", "v_log2_mee",
-             "kkt_residual", "newton_iterations"],
+             "kkt_residual", "newton_iterations", "subproblem_status"],
             rows,
         )
     }
@@ -344,6 +346,8 @@ def _cmd_solve(cfg: _Resolved):
         "iterations": result.iterations,
         "newton_steps": sum(s.newton_iterations for s in result.iteration_stats),
         "uncertified_subproblems": result.uncertified_subproblems,
+        "ascent_subproblems": sum(s.subproblem_status is SubproblemStatus.ASCENT
+                                  for s in result.iteration_stats),
         "tee": m.ee_total,
         "mee": m.ee_min,
         "jain_index": m.jain_index,

@@ -1,13 +1,25 @@
 """The outer optimization loop: build a surrogate, solve, re-expand, repeat.
 
 One iteration expands the bound at the current allocation, solves the
-resulting concave subproblem to global optimality, and moves to its
-optimizer. Each subproblem after the first starts its multipliers from
-the previous one's, when that one was certified: the layout is the
-same, and consecutive surrogates differ little near convergence.
-Because every surrogate minorizes the true function and is tight at the
-expansion point, the objective trajectory is monotonically nondecreasing
-and every iterate stays feasible for the original problem.
+resulting concave subproblem, and moves to its solution. Each subproblem
+after the first starts its multipliers from the previous one's, when
+that one was certified: the layout is the same, and consecutive
+surrogates differ little near convergence. Because every surrogate
+minorizes the true function and is tight at the expansion point, any
+feasible subproblem point that beats the expansion point raises the
+true objective, so the trajectory is monotonically nondecreasing and
+every iterate stays feasible for the original problem.
+
+A subproblem therefore need not be solved to its KKT tolerance when its
+gain alone makes another outer iteration certain. `run` passes
+min_gain = tolerance * max(|f_prev|, 1e-12) to `solve`, which may stop
+early as ASCENT at a feasible point whose surrogate objective beats the
+start's by at least 2 min_gain. The trajectory value at the tightened
+roots is at least that surrogate objective, so f moves by at least
+tolerance * |f_prev| and the stopping rule below cannot fire; the run
+does not stop on an ASCENT subproblem even if rounding says otherwise.
+So the subproblem that ends a converged run met the full test: OPTIMAL
+within kkt_tolerance, or stopped short and counted as uncertified.
 
 The relative-change stopping rule |f_l - f_{l-1}| / |f_{l-1}| < tolerance
 divides by the previous log-domain objective; a 1e-12 floor guards the
@@ -75,7 +87,7 @@ class IterationStats:
     newton_iterations: int
     subproblem_status: SubproblemStatus
     feasible: bool            # original constraint set, relative tol 1e-6
-    certified: bool           # OPTIMAL and kkt_residual <= the run's kkt_tolerance
+    certified: bool           # OPTIMAL within the run's kkt_tolerance, or ASCENT
 
 
 @dataclass(frozen=True)
@@ -94,7 +106,7 @@ class SolveResult:
 
     @property
     def uncertified_subproblems(self) -> int:
-        """Subproblems whose solution did not meet its KKT certificate.
+        """Subproblems that met neither their KKT certificate nor the ASCENT test.
 
         The run status does not account for them: a run can be
         ``converged`` over uncertified subproblems.
@@ -141,7 +153,8 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
     warm = None   # the previous subproblem's multipliers, if it was certified
     for l in range(1, config.max_outer_iterations + 1):
         model = build(instance, p)
-        sol = solve(ConvexSubproblem(model, scalarization), config.kkt_tolerance, warm)
+        min_gain = config.tolerance * max(abs(f_prev), 1e-12)
+        sol = solve(ConvexSubproblem(model, scalarization), config.kkt_tolerance, warm, min_gain)
         if sol.status is SubproblemStatus.NUMERICAL_FAILURE:
             status = RunStatus.SUBPROBLEM_FAILURE
             break
@@ -150,8 +163,9 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         u_root, v_roots = efficiency_roots(instance, sol.q, sol.rates)
         f_l = _trajectory_value(scalarization, u_root, v_roots)
         trajectory.append(f_l)
-        certified = (sol.status is SubproblemStatus.OPTIMAL
-                     and sol.kkt_residual <= config.kkt_tolerance)
+        ascent = sol.status is SubproblemStatus.ASCENT
+        certified = ascent or (sol.status is SubproblemStatus.OPTIMAL
+                               and sol.kkt_residual <= config.kkt_tolerance)
         warm = sol.multipliers if certified else None
         stats.append(
             IterationStats(
@@ -168,7 +182,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         )
         rel_change = abs(f_l - f_prev) / max(abs(f_prev), 1e-12)
         f_prev = f_l
-        if rel_change < config.tolerance:
+        if rel_change < config.tolerance and not ascent:
             status = RunStatus.CONVERGED
             break
 

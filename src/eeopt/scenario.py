@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -269,6 +268,9 @@ def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
     if workers <= 1:
         per_trial = [_grid_trial(t) for t in tasks]
     else:
+        # imported here: concurrent.futures costs about a tenth of `import eeopt`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_grid_trial, tasks))
     return [list(runs) for runs in zip(*per_trial)]

@@ -43,6 +43,15 @@ efficiency), and is halved while it would grow the primal infeasibility
 so OPTIMAL always means certified. A subproblem that stops short
 returns its best iterate whose rows are violated by at most tol.
 
+Given `min_gain`, the loop may also stop early, as ASCENT, at an iterate
+x after the start whose rows hold within tol and whose objective gain
+g = c_obj'x - c_obj'x_start is at least 2 min_gain, once its certificate
+and s'lambda are both at most g / 10. That iterate is feasible and beats
+the expansion point, which is all the outer loop's minorize-maximize
+ascent argument needs (Sun, Babu & Palomar, IEEE TSP 2017); the outer
+loop sets min_gain so that such a gain always earns another outer
+iteration, whose subproblem is solved in turn.
+
 Constraints are normalized internally (power rows by the power budget,
 rate-type rows by the block bandwidth) so the Newton systems stay well
 conditioned when bandwidths are in the hundreds of kHz; the feasible set
@@ -103,10 +112,13 @@ _SMALL = 1e-3
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-10
 _RIDGE = 1e-10
+# An ASCENT stop needs the certificate and s'lam within this share of the gain.
+_ASCENT_SLACK = 0.1
 
 
 class SubproblemStatus(Enum):
     OPTIMAL = "optimal"
+    ASCENT = "ascent"                 # stopped early on a feasible gain of at least 2 min_gain
     MAX_ITERATIONS = "max_iterations"
     NUMERICAL_FAILURE = "numerical_failure"
 
@@ -378,11 +390,15 @@ def kkt_residual(sub, x: np.ndarray, multipliers: np.ndarray) -> float:
     return _certificate(sub.objective_vector + G.T @ lam, c, lam)
 
 
-def _interior_point(problem, tol: float, multipliers=None):
+def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
     """Primal-dual Newton from `problem.start()` until the KKT certificate meets tol.
 
     `multipliers`, when given, warm-start lambda and must come from a
-    subproblem of the same layout; otherwise the start is cold. Returns
+    subproblem of the same layout; otherwise the start is cold. With
+    `min_gain`, an iterate after the start may end the loop as ASCENT: its
+    rows hold within tol, its objective gain g over the start is at least
+    2 min_gain, and its certificate and s'lam are at most
+    _ASCENT_SLACK * g. None never stops early. Returns
     (x, kept pass, multipliers, certificate, Newton steps, status). A
     problem that stops short of the certificate returns the start or, if
     one beats it, its best iterate whose rows are violated by at most tol.
@@ -393,6 +409,7 @@ def _interior_point(problem, tol: float, multipliers=None):
     status = SubproblemStatus.MAX_ITERATIONS
     with np.errstate(over="ignore", invalid="ignore"):
         x, c, ctx = problem.start()
+        f_start = float(c_obj @ x)
         if multipliers is None:
             s, lam = np.maximum(c, 1.0), np.ones(m)
         else:
@@ -405,6 +422,12 @@ def _interior_point(problem, tol: float, multipliers=None):
             gap = float(s @ lam)
             if residual <= tol and gap <= 0.1 * tol:
                 status = SubproblemStatus.OPTIMAL
+                best = (x, ctx, lam, residual)
+                break
+            gain = float(c_obj @ x) - f_start
+            if (min_gain is not None and it > 0 and -c.min() <= tol and gain >= 2.0 * min_gain
+                    and max(residual, gap) <= _ASCENT_SLACK * gain):
+                status = SubproblemStatus.ASCENT
                 best = (x, ctx, lam, residual)
                 break
             if best is None or (-c.min() <= tol and c_obj @ x > c_obj @ best[0]):
@@ -455,19 +478,25 @@ def _interior_point(problem, tol: float, multipliers=None):
 
 
 def solve(sub: ConvexSubproblem, tol: float = 1e-8,
-          multipliers: np.ndarray | None = None) -> SubproblemSolution:
+          multipliers: np.ndarray | None = None,
+          min_gain: float | None = None) -> SubproblemSolution:
     """Solve one subproblem from its start; OPTIMAL means the certificate is within tol.
 
     `multipliers` warm-starts the multipliers, e.g. from the previous outer
     iteration's subproblem of the same scalarization; None starts cold.
+    `min_gain` lets the solve stop early as ASCENT at a feasible iterate
+    whose objective beats the start's by at least 2 min_gain (see the
+    module docstring); None always solves to the certificate.
     """
+    if min_gain is not None and not min_gain >= 0:
+        raise DomainError("min_gain must be >= 0")
     if multipliers is not None:
         multipliers = np.asarray(multipliers, dtype=float)
         if multipliers.shape != (sub.n_constraints,):
             raise ShapeError("multiplier vector has the wrong length")
         if not np.isfinite(multipliers).all():
             raise DomainError("multipliers must be finite")
-    x, ctx, lam, residual, iterations, status = _interior_point(sub, tol, multipliers)
+    x, ctx, lam, residual, iterations, status = _interior_point(sub, tol, multipliers, min_gain)
     u = float(x[sub.u_index]) if sub.u_index is not None else None
     v = float(x[sub._v_cols[0]]) if sub._v_shared else None
     return SubproblemSolution(

@@ -4,8 +4,18 @@ efficiency slacks, and the assembled constraint rows that bound them."""
 import numpy as np
 
 from eeopt.network import NetworkInstance, evaluate
-from eeopt.scalarization import product_ee, weighted_product
+from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
+from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import ConvexSubproblem
+
+# one scalarization of each subproblem shape, the weight endpoints included
+SHAPES = (weighted_product(0.5), weighted_product(0.0), weighted_product(1.0),
+          weighted_minimum(0.5), product_ee())
+
+
+def paper_scale_instance():
+    """4 D2D pairs and 1 cellular user over 5 blocks, pairs 10 m apart."""
+    return generate(ScenarioConfig(d2d_distance=10.0), np.random.SeedSequence([1, 30]))
 
 
 def random_instance(rng, n_users=2, n_blocks=2, min_rate=0.0, bandwidth=1.0):

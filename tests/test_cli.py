@@ -89,6 +89,23 @@ class TestSolveCommand:
         alloc = np.asarray(record["results"]["allocation"])
         assert is_feasible(inst, alloc, tol=1e-6).ok
 
+    def test_subproblem_statuses_match_the_run(self, tmp_path):
+        from eeopt import ScenarioConfig, SolverConfig, generate, run, weighted_product
+
+        cfg_path = write_yaml(tmp_path / "cfg.yaml",
+                              tiny_scenario("solve", solver={"tolerance": 1e-3}))
+        out = tmp_path / "out"
+        assert main([cfg_path, "-o", str(out)]) == EXIT_OK
+        record = yaml.safe_load((out / "record.yaml").read_text())
+        inst = generate(ScenarioConfig(**record["config"]["scenario"]), record["config"]["seed"])
+        r = run(inst, weighted_product(0.5), SolverConfig(tolerance=1e-3))
+        statuses = [s.subproblem_status.value for s in r.iteration_stats]
+        rows = list(csv.DictReader((out / "trajectory.csv").read_text().splitlines()))
+        assert rows[0]["subproblem_status"] == ""
+        assert [row["subproblem_status"] for row in rows[1:]] == statuses
+        assert record["results"]["ascent_subproblems"] == statuses.count("ascent") > 0
+        assert statuses[-1] == "optimal"
+
     def test_optimum_at_vanishing_power_converges(self, tmp_path):
         # gains of 1e11 to 1e12: the surrogate optimum drives powers toward
         # zero, so subproblems approach optima they never reach, ending with

@@ -16,7 +16,7 @@ from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import ConvexSubproblem, SubproblemStatus, solve
 
-from helpers import random_instance
+from helpers import SHAPES, paper_scale_instance, random_instance
 
 # frozen from the 1-D oracle over p in (0, 10], step 1e-4, for the single-user
 # instance below: max of log2(1 + 10 p) / (p + 1)
@@ -187,21 +187,56 @@ class TestCertification:
 
     def test_paper_scale_weighted_minimum_certifies(self):
         # the earlier barrier solver left all three subproblems of this paper-scale
-        # run at KKT residuals of 0.11-0.28; the trajectory is frozen from it
-        inst = generate(ScenarioConfig(d2d_distance=10.0), np.random.SeedSequence([1, 30]))
+        # run at KKT residuals of 0.11-0.28. The early subproblems now stop on
+        # their ascent and the last one is solved to the full certificate; the
+        # trajectory is frozen from that
+        inst = paper_scale_instance()
         r = run(inst, weighted_minimum(0.5), SolverConfig(tolerance=1e-3))
         assert r.status is RunStatus.CONVERGED
         assert r.uncertified_subproblems == 0
-        assert all(s.kkt_residual <= 1e-10 for s in r.iteration_stats)
+        *early, last = r.iteration_stats
+        assert last.subproblem_status is SubproblemStatus.OPTIMAL
+        assert last.kkt_residual <= 1e-10
+        assert early and all(s.subproblem_status is SubproblemStatus.ASCENT and s.certified
+                             for s in early)
         np.testing.assert_allclose(
             r.trajectory,
-            [21.102121390655125, 27.27443814567582, 27.75595376269137, 27.76297997643861],
+            [21.102121390655125, 27.273814889283127, 27.75581918070597, 27.76297115087355],
             rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("tolerance", [1e-2, 1e-4, 1e-6])
+    def test_paper_scale_ascents_raise_f_and_never_end_a_run(self, tolerance):
+        inst = paper_scale_instance()
+        ascents = 0
+        for scal in SHAPES:
+            r = run(inst, scal, SolverConfig(tolerance=tolerance))
+            assert r.status is RunStatus.CONVERGED
+            last = r.iteration_stats[-1]
+            assert last.subproblem_status is SubproblemStatus.OPTIMAL
+            assert last.kkt_residual <= SolverConfig().kkt_tolerance
+            for s in r.iteration_stats:
+                if s.subproblem_status is SubproblemStatus.ASCENT:
+                    ascents += 1
+                    f_prev, f = r.trajectory[s.index - 1], r.trajectory[s.index]
+                    assert f - f_prev >= tolerance * abs(f_prev)
+                    assert s.index < r.iterations
+        assert ascents >= len(SHAPES)
+
+    def test_ascent_status_blocks_the_stopping_rule(self, monkeypatch):
+        # even where rounding would let the stopping rule fire, a subproblem that
+        # stopped early on its ascent earns another outer iteration
+        monkeypatch.setattr(engine, "solve", lambda sub, tol, multipliers, min_gain: replace(
+            solve(sub, tol, multipliers, min_gain), status=SubproblemStatus.ASCENT))
+        r = run(instance_i1(), weighted_product(1.0),
+                SolverConfig(tolerance=1e-6, max_outer_iterations=6))
+        assert r.status is RunStatus.ITERATION_CAP
+        assert r.iterations == 6
+        assert r.uncertified_subproblems == 0
 
     def test_uncertified_subproblems_are_counted_not_failed(self, monkeypatch):
         # every subproblem reports stopping short of its certificate
-        monkeypatch.setattr(engine, "solve", lambda sub, tol, multipliers: replace(
-            solve(sub, tol, multipliers), status=SubproblemStatus.MAX_ITERATIONS))
+        monkeypatch.setattr(engine, "solve", lambda sub, tol, multipliers, min_gain: replace(
+            solve(sub, tol, multipliers, min_gain), status=SubproblemStatus.MAX_ITERATIONS))
         r = run(instance_i1(), weighted_product(1.0), SolverConfig(tolerance=1e-6))
         assert r.iterations > 1
         assert [s.certified for s in r.iteration_stats] == [False] * r.iterations

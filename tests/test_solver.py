@@ -19,7 +19,7 @@ from eeopt.solver import (
 )
 from eeopt.surrogate import LN2, build, rate_evaluation
 
-from helpers import random_alloc, random_instance
+from helpers import SHAPES, paper_scale_instance, random_alloc, random_instance
 
 # frozen from the 1-D grid oracle over q in [log2 1e-6, log2 10], step 1e-5:
 # maximize log2(rate~(q)) - log2(2^q + 1) for the surrogate expanded at p = 1
@@ -95,6 +95,44 @@ class TestBarrierEngine:
     def test_residual_is_objective_norm_with_zero_multipliers(self):
         toy = _MonotoneRootToy(root=0.0)
         assert kkt_residual(toy, np.array([-3.0]), np.zeros(1)) == pytest.approx(1.0)
+
+
+class TestAscentStop:
+    # the toy's objective is u and it starts at u = 0, so the largest gain is the root
+    ROOT = 1.75
+
+    def test_no_min_gain_never_stops_early(self):
+        toy = _MonotoneRootToy(root=self.ROOT)
+        exact = _interior_point(toy, 1e-8)
+        assert exact[-1] is SubproblemStatus.OPTIMAL
+        # a gain no point can reach takes the identical path
+        unreachable = _interior_point(toy, 1e-8, None, np.inf)
+        assert unreachable[-1] is SubproblemStatus.OPTIMAL
+        assert unreachable[0][0] == exact[0][0]
+        assert unreachable[4] == exact[4]
+
+    @pytest.mark.parametrize("min_gain", [0.0, 0.3, 0.5, 0.87, 0.9, 2.0])
+    def test_stops_only_past_twice_min_gain_at_a_feasible_point(self, min_gain):
+        toy = _MonotoneRootToy(root=self.ROOT)
+        x, _, _, residual, steps, status = _interior_point(toy, 1e-8, None, min_gain)
+        gain = x[0]
+        if 2.0 * min_gain > self.ROOT:
+            assert status is SubproblemStatus.OPTIMAL
+            assert residual <= 1e-8
+        else:
+            assert status is SubproblemStatus.ASCENT
+            assert steps > 0
+            assert gain >= 2.0 * min_gain
+            assert toy.evaluate(x, with_grad=False)[0][0] >= -1e-8
+            assert residual <= 0.1 * gain
+
+    @pytest.mark.parametrize("min_gain", [float("nan"), -1e-9, -np.inf])
+    def test_bad_min_gain_is_a_domain_error(self, min_gain):
+        rng = np.random.default_rng(46)
+        inst = random_instance(rng, 2, 2)
+        sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), weighted_product(0.5))
+        with pytest.raises(DomainError, match="min_gain"):
+            solve(sub, min_gain=min_gain)
 
 
 class TestSubproblemStructure:
@@ -403,17 +441,13 @@ class TestSolve:
 
 
 def paper_scale_subproblems(scalarizations):
-    """Per scalarization, on 4 D2D pairs and 1 cellular user over 5 blocks: the
-    subproblem at the uniform start, the one at its optimum, and its solution."""
-    inst = generate(ScenarioConfig(d2d_distance=10.0), np.random.SeedSequence([1, 30]))
+    """Per scalarization, on the paper-scale instance: the subproblem at the
+    uniform start, the one at its optimum, and its solution."""
+    inst = paper_scale_instance()
     for scal in scalarizations:
         sub = ConvexSubproblem(build(inst, default_initial_point(inst)), scal)
         first = solve(sub)
         yield sub, ConvexSubproblem(build(inst, np.exp2(first.q)), scal), first
-
-
-SHAPES = (weighted_product(0.5), weighted_product(0.0), weighted_product(1.0),
-          weighted_minimum(0.5), product_ee())
 
 
 class TestPredictorCorrector:
