@@ -31,7 +31,6 @@ from .network import (
 from .scalarization import (
     Scalarization,
     ScalarizationKind,
-    direct_objective,
     log_objective,
     product_ee,
     weighted_minimum,
@@ -49,7 +48,6 @@ from .solver import (
     ConvexSubproblem,
     SubproblemSolution,
     SubproblemStatus,
-    kkt_residual,
     solve,
 )
 from .surrogate import SurrogateModel, bound_coefficients, build
@@ -78,12 +76,10 @@ __all__ = [
     "build",
     "convergence_study",
     "default_initial_point",
-    "direct_objective",
     "evaluate",
     "generate",
     "is_feasible",
     "jain_index",
-    "kkt_residual",
     "log_objective",
     "pareto_sweep",
     "product_ee",

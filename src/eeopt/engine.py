@@ -4,32 +4,39 @@ One iteration expands the bound at the current allocation, solves the
 resulting concave subproblem, and moves to its solution. Each subproblem
 after the first starts its multipliers from the previous one's, when
 that one was certified: the layout is the same, and consecutive
-surrogates differ little near convergence. Because every surrogate
-minorizes the true function and is tight at the expansion point, any
-feasible subproblem point that beats the expansion point raises the
-true objective, so the trajectory is monotonically nondecreasing and
-every iterate stays feasible for the original problem.
+surrogates differ little near convergence.
+
+The trajectory is the true objective sequence f_l = f(p_l): the
+log-domain scalarization of the TEE and MEE that the allocation p_l
+achieves. Each accepted allocation, the start included, gets exactly one
+network pass (`is_feasible`, which evaluates it once), and that one
+report gives f_l, the recorded log2 TEE and MEE, the feasibility flag,
+the next surrogate's expansion SINR and, for the last one, the run's
+metrics.
+
+The subproblem starts at the expansion point p_{l-1} with its thresholds
+at their roots, where the surrogate is tight, so its start objective is
+f(p_{l-1}). Every surrogate minorizes the true function, so any feasible
+subproblem point that beats the start raises the true objective: f(p_l)
+is at least the subproblem's objective at its solution, which is at
+least f(p_{l-1}). The trajectory is therefore monotonically
+nondecreasing and every iterate stays feasible for the original problem
+(Sun, Babu & Palomar, IEEE TSP 2017).
 
 A subproblem therefore need not be solved to its KKT tolerance when its
 gain alone makes another outer iteration certain. `run` passes
 min_gain = tolerance * max(|f_prev|, 1e-12) to `solve`, which may stop
 early as ASCENT at a feasible point whose surrogate objective beats the
-start's by at least 2 min_gain. The trajectory value at the tightened
-roots is at least that surrogate objective, so f moves by at least
-tolerance * |f_prev| and the stopping rule below cannot fire; the run
-does not stop on an ASCENT subproblem even if rounding says otherwise.
-So the subproblem that ends a converged run met the full test: OPTIMAL
-within kkt_tolerance, or stopped short and counted as uncertified.
+start's by at least 2 min_gain. Then f(p_l) >= f(p_{l-1}) + 2 min_gain,
+so f moves by at least tolerance * |f_prev| and the stopping rule below
+cannot fire; the run does not stop on an ASCENT subproblem even if
+rounding says otherwise. So the subproblem that ends a converged run met
+the full test: OPTIMAL within kkt_tolerance, or stopped short and
+counted as uncertified.
 
 The relative-change stopping rule |f_l - f_{l-1}| / |f_{l-1}| < tolerance
 divides by the previous log-domain objective; a 1e-12 floor guards the
 denominator when the objective crosses zero.
-
-Threshold variables returned by the subproblem may sit below their roots,
-so after each solve they are tightened to the exact roots of the
-efficiency slack functions before the trajectory value is recorded; the
-recorded objective then reflects thresholds the allocation actually
-achieves.
 """
 
 from __future__ import annotations
@@ -40,10 +47,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InfeasibleInitialPointError
-from .network import MetricsReport, NetworkInstance, evaluate, is_feasible
+from .network import MetricsReport, NetworkInstance, is_feasible
 from .scalarization import Scalarization, ScalarizationKind, log_objective
 from .solver import ConvexSubproblem, SubproblemStatus, solve
-from .surrogate import build, efficiency_roots
+from .surrogate import build
 
 __all__ = [
     "SolverConfig",
@@ -80,9 +87,9 @@ class RunStatus(Enum):
 @dataclass(frozen=True)
 class IterationStats:
     index: int
-    objective: float          # log-domain trajectory value f_l
-    u: float                  # tightened log2 total-EE threshold
-    v: float                  # tightened log2 min-EE threshold
+    objective: float          # log-domain trajectory value f_l = f(p_l)
+    u: float                  # log2 total EE at p_l
+    v: float                  # log2 min EE at p_l
     kkt_residual: float
     newton_iterations: int
     subproblem_status: SubproblemStatus
@@ -101,10 +108,6 @@ class SolveResult:
     scalarization: Scalarization
 
     @property
-    def converged(self) -> bool:
-        return self.status is RunStatus.CONVERGED
-
-    @property
     def uncertified_subproblems(self) -> int:
         """Subproblems that met neither their KKT certificate nor the ASCENT test.
 
@@ -120,10 +123,18 @@ def default_initial_point(instance: NetworkInstance) -> np.ndarray:
     return np.tile(instance.max_power[:, None] / k, (1, k))
 
 
-def _trajectory_value(s: Scalarization, u_root: float, v_roots: np.ndarray) -> float:
+def _trajectory_value(s: Scalarization, report: MetricsReport):
+    """(f, log2 TEE, log2 MEE) at the allocation of a metrics report.
+
+    A user whose true rate underflows to 0 has log2 EE = -inf, which
+    only the weighted product at w = 1 tolerates, as its v weight is 0.
+    """
+    with np.errstate(divide="ignore"):
+        u, log_ee = float(np.log2(report.ee_total)), np.log2(report.ee)
+    v = float(log_ee.min())
     if s.kind is ScalarizationKind.PRODUCT_EE:
-        return float(v_roots.sum())
-    return log_objective(s, u_root, float(v_roots.min()))
+        return float(log_ee.sum()), u, v
+    return log_objective(s, u, v), u, v
 
 
 def run(instance: NetworkInstance, scalarization: Scalarization,
@@ -144,15 +155,15 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
             f"initial allocation violates the constraint set: {feas.violations}"
         )
 
-    report = evaluate(instance, p)
-    f_prev = _trajectory_value(scalarization, float(np.log2(report.ee_total)), np.log2(report.ee))
+    report = feas.report
+    f_prev = _trajectory_value(scalarization, report)[0]
     trajectory = [f_prev]
     stats: list[IterationStats] = []
     status = RunStatus.ITERATION_CAP
 
     warm = None   # the previous subproblem's multipliers, if it was certified
     for l in range(1, config.max_outer_iterations + 1):
-        model = build(instance, p)
+        model = build(instance, p, report.sinr)
         min_gain = config.tolerance * max(abs(f_prev), 1e-12)
         sol = solve(ConvexSubproblem(model, scalarization), config.kkt_tolerance, warm, min_gain)
         if sol.status is SubproblemStatus.NUMERICAL_FAILURE:
@@ -160,8 +171,9 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
             break
 
         p = np.exp2(sol.q)
-        u_root, v_roots = efficiency_roots(instance, sol.q, sol.rates)
-        f_l = _trajectory_value(scalarization, u_root, v_roots)
+        feas = is_feasible(instance, p, tol=1e-6)
+        report = feas.report
+        f_l, u, v = _trajectory_value(scalarization, report)
         trajectory.append(f_l)
         ascent = sol.status is SubproblemStatus.ASCENT
         certified = ascent or (sol.status is SubproblemStatus.OPTIMAL
@@ -171,12 +183,12 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
             IterationStats(
                 index=l,
                 objective=f_l,
-                u=u_root,
-                v=float(v_roots.min()),
+                u=u,
+                v=v,
                 kkt_residual=sol.kkt_residual,
                 newton_iterations=sol.newton_iterations,
                 subproblem_status=sol.status,
-                feasible=is_feasible(instance, p, tol=1e-6).ok,
+                feasible=feas.ok,
                 certified=certified,
             )
         )
@@ -188,7 +200,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
 
     return SolveResult(
         allocation=p,
-        metrics=evaluate(instance, p),
+        metrics=report,
         trajectory=np.asarray(trajectory),
         iterations=len(trajectory) - 1,
         iteration_stats=stats,

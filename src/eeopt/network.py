@@ -142,6 +142,7 @@ class Violation:
 class FeasibilityResult:
     ok: bool
     violations: list[Violation]
+    report: MetricsReport    # the metrics the check read, at the allocation clipped to >= 0
 
 
 def _check_alloc(instance: NetworkInstance, alloc: np.ndarray, nonneg: bool = True) -> np.ndarray:
@@ -206,6 +207,7 @@ def is_feasible(instance: NetworkInstance, alloc: np.ndarray, tol: float = 0.0) 
 
     `tol` is a relative slack: power sums may exceed the budget by a factor
     (1 + tol) and rates may fall short of the floor by a factor (1 - tol).
+    The result carries the one metrics report the check evaluated.
     """
     p = _check_alloc(instance, alloc, nonneg=False)
     violations: list[Violation] = []
@@ -227,4 +229,4 @@ def is_feasible(instance: NetworkInstance, alloc: np.ndarray, tol: float = 0.0) 
         if report.rate[i] < instance.min_rate[i] * (1.0 - tol):
             violations.append(Violation("min_rate", (i,), slack))
 
-    return FeasibilityResult(ok=not violations, violations=violations)
+    return FeasibilityResult(ok=not violations, violations=violations, report=report)

@@ -17,10 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError
-from .network import MetricsReport
 
 __all__ = [
     "ScalarizationKind",
@@ -29,7 +26,6 @@ __all__ = [
     "weighted_minimum",
     "product_ee",
     "log_objective",
-    "direct_objective",
 ]
 
 
@@ -88,12 +84,3 @@ def log_objective(s: Scalarization, u: float, v: float) -> float:
         return min(u - math.log2(w), v - math.log2(1.0 - w))
     raise DomainError("product-EE objective is not a function of (u, v)")
 
-
-def direct_objective(s: Scalarization, report: MetricsReport) -> float:
-    """The objective in natural units (bit/J scale) for a metrics report."""
-    w = s.weight
-    if s.kind is ScalarizationKind.WEIGHTED_PRODUCT:
-        return float(report.ee_total**w * report.ee_min ** (1.0 - w))
-    if s.kind is ScalarizationKind.WEIGHTED_MINIMUM:
-        return float(min(report.ee_total / w, report.ee_min / (1.0 - w)))
-    return float(np.prod(report.ee))

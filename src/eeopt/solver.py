@@ -48,9 +48,14 @@ x after the start whose rows hold within tol and whose objective gain
 g = c_obj'x - c_obj'x_start is at least 2 min_gain, once its certificate
 and s'lambda are both at most g / 10. That iterate is feasible and beats
 the expansion point, which is all the outer loop's minorize-maximize
-ascent argument needs (Sun, Babu & Palomar, IEEE TSP 2017); the outer
-loop sets min_gain so that such a gain always earns another outer
-iteration, whose subproblem is solved in turn.
+ascent argument needs (Sun, Babu & Palomar, IEEE TSP 2017): the start
+sits at the expansion point p_{l-1} with its thresholds at their roots,
+where the surrogate is tight, so its objective is the true f(p_{l-1});
+the surrogate minorizes f, so the outer loop's trajectory value
+f_l = f(p_l) is at least the surrogate objective at the returned point,
+which is at least f(p_{l-1}) + 2 min_gain. The outer loop sets min_gain
+so that such a gain always earns another outer iteration, whose
+subproblem is solved in turn.
 
 Constraints are normalized internally (power rows by the power budget,
 rate-type rows by the block bandwidth) so the Newton systems stay well
@@ -92,7 +97,6 @@ __all__ = [
     "SubproblemStatus",
     "SubproblemSolution",
     "solve",
-    "kkt_residual",
 ]
 
 
@@ -125,12 +129,8 @@ class SubproblemStatus(Enum):
 
 @dataclass(frozen=True)
 class SubproblemSolution:
-    x: np.ndarray
+    x: np.ndarray                     # the layout's variables; thresholds at its threshold columns
     q: np.ndarray                     # (N, K)
-    u: float | None                   # log2 total-EE threshold, if present
-    v: float | None                   # log2 min-EE threshold (shared), if present
-    rates: np.ndarray                 # (N,) surrogate rates at q, from the final pass
-    objective: float
     kkt_residual: float
     newton_iterations: int
     status: SubproblemStatus
@@ -206,7 +206,6 @@ class ConvexSubproblem:
             # user i's threshold column; a shared v repeats its column
             self._v_cols = idx + np.arange(n) if per_user else np.full(n, idx)
             idx += n if per_user else 1
-        self._v_shared = v is not None and not per_user
         if offsets is not None:
             self.t_index = idx
             idx += 1
@@ -260,17 +259,11 @@ class ConvexSubproblem:
         x = np.zeros(self.n_vars)
         x[: self.nq] = np.asarray(q, dtype=float).ravel()
         if self.u_index is not None:
-            if u is None:
-                raise DomainError("subproblem needs a total-EE threshold value")
             x[self.u_index] = u
         if self._v_cols is not None:
-            if v is None:
-                raise DomainError("subproblem needs a min-EE threshold value")
             x[self._v_cols] = np.inf
             np.minimum.at(x, self._v_cols, v)
         if self.t_index is not None:
-            if t is None:
-                raise DomainError("epigraph subproblem needs a t value")
             x[self.t_index] = t
         return x
 
@@ -379,17 +372,6 @@ def _certificate(stationarity: np.ndarray, c: np.ndarray, lam: np.ndarray) -> fl
                float(np.maximum(0.0, -c).max()))
 
 
-def kkt_residual(sub, x: np.ndarray, multipliers: np.ndarray) -> float:
-    """Certificate: stationarity, complementary slackness and primal violation."""
-    lam = np.asarray(multipliers, dtype=float)
-    if lam.shape != (sub.n_constraints,):
-        raise ShapeError("multiplier vector has the wrong length")
-    if np.any(lam < 0):
-        raise DomainError("multipliers must be nonnegative")
-    c, G, _ = sub.evaluate(x)
-    return _certificate(sub.objective_vector + G.T @ lam, c, lam)
-
-
 def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
     """Primal-dual Newton from `problem.start()` until the KKT certificate meets tol.
 
@@ -399,7 +381,7 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
     rows hold within tol, its objective gain g over the start is at least
     2 min_gain, and its certificate and s'lam are at most
     _ASCENT_SLACK * g. None never stops early. Returns
-    (x, kept pass, multipliers, certificate, Newton steps, status). A
+    (x, multipliers, certificate, Newton steps, status). A
     problem that stops short of the certificate returns the start or, if
     one beats it, its best iterate whose rows are violated by at most tol.
     """
@@ -422,16 +404,16 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
             gap = float(s @ lam)
             if residual <= tol and gap <= 0.1 * tol:
                 status = SubproblemStatus.OPTIMAL
-                best = (x, ctx, lam, residual)
+                best = (x, lam, residual)
                 break
             gain = float(c_obj @ x) - f_start
             if (min_gain is not None and it > 0 and -c.min() <= tol and gain >= 2.0 * min_gain
                     and max(residual, gap) <= _ASCENT_SLACK * gain):
                 status = SubproblemStatus.ASCENT
-                best = (x, ctx, lam, residual)
+                best = (x, lam, residual)
                 break
             if best is None or (-c.min() <= tol and c_obj @ x > c_obj @ best[0]):
-                best = (x, ctx, lam, residual)
+                best = (x, lam, residual)
             if it == _MAX_NEWTON:
                 break
 
@@ -496,16 +478,10 @@ def solve(sub: ConvexSubproblem, tol: float = 1e-8,
             raise ShapeError("multiplier vector has the wrong length")
         if not np.isfinite(multipliers).all():
             raise DomainError("multipliers must be finite")
-    x, ctx, lam, residual, iterations, status = _interior_point(sub, tol, multipliers, min_gain)
-    u = float(x[sub.u_index]) if sub.u_index is not None else None
-    v = float(x[sub._v_cols[0]]) if sub._v_shared else None
+    x, lam, residual, iterations, status = _interior_point(sub, tol, multipliers, min_gain)
     return SubproblemSolution(
         x=x,
         q=sub.unpack_q(x),
-        u=u,
-        v=v,
-        rates=ctx[0].rates,
-        objective=float(sub.objective_vector @ x),
         kkt_residual=residual,
         newton_iterations=iterations,
         status=status,

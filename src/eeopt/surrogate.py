@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .network import NetworkInstance, sinr
+from .network import NetworkInstance
 
 __all__ = [
     "BoundCoefficients",
@@ -108,17 +108,22 @@ class SurrogateModel:
         object.__setattr__(self, "_diag_index", np.arange(n * k))
 
 
-def build(instance: NetworkInstance, alloc: np.ndarray) -> SurrogateModel:
-    """Expand the bound at the SINRs produced by a strictly positive allocation."""
+def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarray) -> SurrogateModel:
+    """Expand the bound at a strictly positive allocation, given its SINRs.
+
+    `expansion_sinr` is `sinr(instance, alloc)`, as the caller's metrics
+    report of the allocation already holds it.
+    """
     p = np.asarray(alloc, dtype=float)
-    if p.shape != (instance.n_users, instance.n_blocks):
-        raise ShapeError(f"allocation shape {p.shape} does not match instance")
+    gamma = np.asarray(expansion_sinr, dtype=float)
+    if p.shape != (instance.n_users, instance.n_blocks) or gamma.shape != p.shape:
+        raise ShapeError(f"allocation shape {p.shape} or SINR shape {gamma.shape} "
+                         "does not match instance")
     if np.any(p <= 0):
         raise DomainError(
             "surrogate expansion needs strictly positive powers (q = log2 p must be "
             "finite); start from a strictly positive allocation"
         )
-    gamma = sinr(instance, p)
     a, b = bound_coefficients(gamma)
     coeffs = BoundCoefficients(a=a, b=b, expansion_sinr=gamma)
     return SurrogateModel(instance=instance, coefficients=coeffs, expansion_q=np.log2(p))

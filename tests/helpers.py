@@ -1,12 +1,20 @@
 """Shared test fixtures: small random instances at O(1) scales, the true
-efficiency slacks, and the assembled constraint rows that bound them."""
+efficiency slacks, the assembled constraint rows that bound them, and
+oracles for the objective in natural units and the KKT certificate."""
 
 import numpy as np
 
 from eeopt.network import NetworkInstance, evaluate
-from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
+from eeopt.scalarization import (
+    ScalarizationKind,
+    log_objective,
+    product_ee,
+    weighted_minimum,
+    weighted_product,
+)
 from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import ConvexSubproblem
+from eeopt.surrogate import build
 
 # one scalarization of each subproblem shape, the weight endpoints included
 SHAPES = (weighted_product(0.5), weighted_product(0.0), weighted_product(1.0),
@@ -46,6 +54,11 @@ def random_alloc(rng, instance, scale=1.0):
     raw = rng.uniform(0.05, 1.0, size=(n, k))
     budget = scale * instance.max_power / raw.sum(axis=1)
     return raw * budget[:, None] * rng.uniform(0.3, 0.999)
+
+
+def expand(instance, alloc):
+    """The surrogate expanded at alloc, at the SINR of its metrics report as `run` passes it."""
+    return build(instance, alloc, evaluate(instance, alloc).sinr)
 
 
 def central_diff(f, x, step=1e-6):
@@ -103,3 +116,30 @@ def g_row(model, q, u, with_grad=False):
     sub = ConvexSubproblem(model, weighted_product(1.0))
     c, G, _ = sub.evaluate(sub.pack(q, u=u), with_grad=with_grad)
     return float(c[-1]), None if G is None else G[-1]
+
+
+def log_true_objective(s, report):
+    """The log-domain objective f at the allocation of a metrics report."""
+    if s.kind is ScalarizationKind.PRODUCT_EE:
+        return float(np.log2(report.ee).sum())
+    return log_objective(s, float(np.log2(report.ee_total)), float(np.log2(report.ee_min)))
+
+
+def direct_objective(s, report):
+    """The objective in natural units (bit/J scale) for a metrics report."""
+    w = s.weight
+    if s.kind is ScalarizationKind.WEIGHTED_PRODUCT:
+        return float(report.ee_total**w * report.ee_min ** (1.0 - w))
+    if s.kind is ScalarizationKind.WEIGHTED_MINIMUM:
+        return float(min(report.ee_total / w, report.ee_min / (1.0 - w)))
+    return float(np.prod(report.ee))
+
+
+def kkt_residual(sub, x, multipliers):
+    """The solver's certificate recomputed at (x, multipliers) from a fresh Jacobian pass:
+    max(||grad f + G'lam||_inf, max |lam_m c_m|, max(0, -c_m))."""
+    lam = np.asarray(multipliers, dtype=float)
+    c, G, _ = sub.evaluate(x)
+    stationarity = sub.objective_vector + G.T @ lam
+    return max(float(np.abs(stationarity).max()), float(np.abs(lam * c).max()),
+               float(np.maximum(0.0, -c).max()))

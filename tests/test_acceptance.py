@@ -24,10 +24,11 @@ from eeopt.scenario import (
     trend_study,
     trial_seed,
 )
-from eeopt.surrogate import build, rate_evaluation
+from eeopt.surrogate import rate_evaluation
 
 from helpers import (
     central_diff,
+    expand,
     g_row,
     psi_rows,
     random_alloc,
@@ -142,7 +143,7 @@ def test_criterion_2_minorization_tightness_gradients():
         inst = random_instance(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
         rs = 1.0 / inst.bandwidth_per_block
         p = random_alloc(rng, inst)
-        model = build(inst, p)
+        model = expand(inst, p)
         q0 = np.log2(p)
         rep = evaluate(inst, p)
         v_ref = float(rng.uniform(-2, 2))

@@ -6,14 +6,13 @@ from eeopt.network import evaluate
 from eeopt.scalarization import (
     Scalarization,
     ScalarizationKind,
-    direct_objective,
     log_objective,
     product_ee,
     weighted_minimum,
     weighted_product,
 )
 
-from helpers import random_alloc, random_instance
+from helpers import direct_objective, random_alloc, random_instance
 
 
 def report_with_ees(ees):

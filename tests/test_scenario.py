@@ -13,7 +13,8 @@ from eeopt.scenario import (
     trend_study,
     trial_seed,
 )
-from eeopt.surrogate import build
+
+from helpers import expand
 
 FAST = SolverConfig(tolerance=1e-2)
 
@@ -76,7 +77,7 @@ class TestGenerate:
 
     def test_bound_coefficients_in_range_at_uniform_start(self):
         inst = generate(ScenarioConfig(), 17)
-        model = build(inst, default_initial_point(inst))
+        model = expand(inst, default_initial_point(inst))
         a = model.coefficients.a
         assert np.all(a >= 0.0) and np.all(a < 1.0)
 

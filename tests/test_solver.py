@@ -14,12 +14,18 @@ from eeopt.solver import (
     ConvexSubproblem,
     SubproblemStatus,
     _interior_point,
-    kkt_residual,
     solve,
 )
-from eeopt.surrogate import LN2, build, rate_evaluation
+from eeopt.surrogate import LN2, rate_evaluation
 
-from helpers import SHAPES, paper_scale_instance, random_alloc, random_instance
+from helpers import (
+    SHAPES,
+    expand,
+    kkt_residual,
+    paper_scale_instance,
+    random_alloc,
+    random_instance,
+)
 
 # frozen from the 1-D grid oracle over q in [log2 1e-6, log2 10], step 1e-5:
 # maximize log2(rate~(q)) - log2(2^q + 1) for the surrogate expanded at p = 1
@@ -82,7 +88,7 @@ class _MonotoneRootToy:
 class TestBarrierEngine:
     def test_one_variable_root_is_found(self):
         toy = _MonotoneRootToy(root=1.75)
-        x, _, lam, residual, _, status = _interior_point(toy, 1e-8)
+        x, lam, residual, _, status = _interior_point(toy, 1e-8)
         assert status is SubproblemStatus.OPTIMAL
         assert residual <= 1e-8
         assert x[0] == pytest.approx(1.75, abs=1e-7)
@@ -109,12 +115,12 @@ class TestAscentStop:
         unreachable = _interior_point(toy, 1e-8, None, np.inf)
         assert unreachable[-1] is SubproblemStatus.OPTIMAL
         assert unreachable[0][0] == exact[0][0]
-        assert unreachable[4] == exact[4]
+        assert unreachable[3] == exact[3]
 
     @pytest.mark.parametrize("min_gain", [0.0, 0.3, 0.5, 0.87, 0.9, 2.0])
     def test_stops_only_past_twice_min_gain_at_a_feasible_point(self, min_gain):
         toy = _MonotoneRootToy(root=self.ROOT)
-        x, _, _, residual, steps, status = _interior_point(toy, 1e-8, None, min_gain)
+        x, _, residual, steps, status = _interior_point(toy, 1e-8, None, min_gain)
         gain = x[0]
         if 2.0 * min_gain > self.ROOT:
             assert status is SubproblemStatus.OPTIMAL
@@ -130,7 +136,7 @@ class TestAscentStop:
     def test_bad_min_gain_is_a_domain_error(self, min_gain):
         rng = np.random.default_rng(46)
         inst = random_instance(rng, 2, 2)
-        sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), weighted_product(0.5))
+        sub = ConvexSubproblem(expand(inst, random_alloc(rng, inst)), weighted_product(0.5))
         with pytest.raises(DomainError, match="min_gain"):
             solve(sub, min_gain=min_gain)
 
@@ -149,7 +155,7 @@ class TestSubproblemStructure:
     def test_constraint_and_variable_counts(self, scal, expect_m, expect_extra_vars):
         rng = np.random.default_rng(40)
         inst = random_instance(rng, 3, 2)
-        sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), scal)
+        sub = ConvexSubproblem(expand(inst, random_alloc(rng, inst)), scal)
         assert sub.n_constraints == expect_m
         assert sub.n_vars == 3 * 2 + expect_extra_vars
 
@@ -170,7 +176,7 @@ class TestSubproblemStructure:
     def test_layout(self, scal, n_rows, objective_tail, u_col, v_cols, t_col):
         rng = np.random.default_rng(40)
         inst = random_instance(rng, 3, 2)
-        model = build(inst, random_alloc(rng, inst))
+        model = expand(inst, random_alloc(rng, inst))
         sub = ConvexSubproblem(model, scal)
         assert (sub.n_vars, sub.n_constraints) == (6 + len(objective_tail), n_rows)
         np.testing.assert_array_equal(sub.objective_vector, [0.0] * 6 + objective_tail)
@@ -212,7 +218,7 @@ class TestSubproblemStructure:
         # documented order: power, floor, [psi], [g], [epigraph]
         rng = np.random.default_rng(52)
         inst = random_instance(rng, 3, 2, min_rate=0.4, bandwidth=2.5)
-        model = build(inst, random_alloc(rng, inst))
+        model = expand(inst, random_alloc(rng, inst))
         sub = ConvexSubproblem(model, scal)
         b = inst.bandwidth_per_block
         for _ in range(5):
@@ -235,7 +241,7 @@ class TestSubproblemStructure:
     def test_increasing_u_decreases_total_ee_slack(self):
         rng = np.random.default_rng(41)
         inst = random_instance(rng, 2, 2)
-        sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), weighted_product(0.5))
+        sub = ConvexSubproblem(expand(inst, random_alloc(rng, inst)), weighted_product(0.5))
         x, c0, _ = sub.start()
         bumped = x.copy()
         bumped[sub.u_index] += 0.1
@@ -255,7 +261,7 @@ class TestSubproblemStructure:
                               (2, product_ee()), (3, weighted_product(0.0)),
                               (3, weighted_minimum(0.6))):
             inst = random_instance(rng, n_users, 2)
-            sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), scal)
+            sub = ConvexSubproblem(expand(inst, random_alloc(rng, inst)), scal)
             x, _, _ = sub.start()
             yield sub, x + rng.uniform(-0.05, 0.05, size=x.size)
 
@@ -303,7 +309,7 @@ class TestStart:
         n = inst.n_users
         for scal in (weighted_product(0.6), weighted_product(1.0), weighted_minimum(0.5),
                      product_ee()):
-            sub = ConvexSubproblem(build(inst, p), scal)
+            sub = ConvexSubproblem(expand(inst, p), scal)
             passes.clear()
             x, c, _ = sub.start()
             assert len(passes) == 1
@@ -312,7 +318,8 @@ class TestStart:
             assert c.min() >= -1e-12
             if sub._v_cols is not None:
                 psi = c[2 * n : 3 * n]
-                assert np.abs(psi if not sub._v_shared else psi.min()).max() <= 1e-12
+                # per-user columns meet every root; a shared v meets the smallest
+                assert np.abs(psi if scal == product_ee() else psi.min()).max() <= 1e-12
             if sub.u_index is not None:
                 assert abs(c[sub._g_row]) <= 1e-12
             if sub.t_index is not None:
@@ -332,17 +339,17 @@ class TestStart:
     def test_tight_rate_floor_solves_optimal(self):
         p0 = np.array([[2.5]])
         r0 = float(evaluate(single_user(), p0).rate[0])
-        sub = ConvexSubproblem(build(single_user(min_rate=r0), p0), weighted_product(1.0))
+        sub = ConvexSubproblem(expand(single_user(min_rate=r0), p0), weighted_product(1.0))
         _, c, _ = sub.start()
         assert abs(c[1]) <= 1e-12              # the floor is tight at the expansion point
         sol = solve(sub, tol=1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
         assert sol.kkt_residual <= 1e-8
-        assert (sol.rates[0] - r0) >= -1e-8
+        assert (rate_evaluation(sub.model, sol.q).rates[0] - r0) >= -1e-8
 
     def test_unattainable_rate_floor_ends_uncertified(self):
         capacity = 1.0 * np.log2(1.0 + 10.0 * 10.0 / 1.0)
-        sub = ConvexSubproblem(build(single_user(min_rate=1.1 * capacity), np.ones((1, 1))),
+        sub = ConvexSubproblem(expand(single_user(min_rate=1.1 * capacity), np.ones((1, 1))),
                                weighted_product(1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -359,17 +366,17 @@ class TestStart:
         p = default_initial_point(inst)
         inst = replace(inst, min_rate=evaluate(inst, p).rate)
         for scal in (weighted_product(0.5), product_ee()):
-            sub = ConvexSubproblem(build(inst, p), scal)
+            sub = ConvexSubproblem(expand(inst, p), scal)
             sol = solve(sub, tol=1e-8)
             c, _, _ = sub.evaluate(sol.x, with_grad=False)
             assert c.min() >= -1e-8
-            assert sol.objective >= sub.objective_vector @ sub.start()[0]
+            assert sub.objective_vector @ sol.x >= sub.objective_vector @ sub.start()[0]
 
 
 class TestSolve:
     def test_single_user_matches_grid_oracle(self):
         inst = single_user()
-        sub = ConvexSubproblem(build(inst, np.array([[1.0]])), weighted_product(1.0))
+        sub = ConvexSubproblem(expand(inst, np.array([[1.0]])), weighted_product(1.0))
         sol = solve(sub, tol=1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
         assert sol.kkt_residual <= 1e-8
@@ -386,8 +393,8 @@ class TestSolve:
         )
         oracle = float(u_grid.max())
         assert oracle == pytest.approx(I1_SURROGATE_OPTIMUM_U, abs=1e-12)
-        assert sol.objective == pytest.approx(oracle, abs=1e-6)
-        assert sol.u == pytest.approx(oracle, abs=1e-6)
+        assert sub.objective_vector @ sol.x == pytest.approx(oracle, abs=1e-6)
+        assert sol.x[sub.u_index] == pytest.approx(oracle, abs=1e-6)
 
     def test_objective_never_below_start(self):
         rng = np.random.default_rng(45)
@@ -395,16 +402,16 @@ class TestSolve:
             inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
             p = random_alloc(rng, inst)
             for scal in (weighted_product(0.5), weighted_product(0.0), product_ee()):
-                sub = ConvexSubproblem(build(inst, p), scal)
+                sub = ConvexSubproblem(expand(inst, p), scal)
                 sol = solve(sub, tol=1e-8)
                 start_obj = float(sub.objective_vector @ sub.start()[0])
-                assert sol.objective >= start_obj - 1e-9
+                assert sub.objective_vector @ sol.x >= start_obj - 1e-9
 
-    def test_solution_reads_its_threshold_columns_and_rates(self):
+    def test_solution_holds_its_threshold_columns(self):
         rng = np.random.default_rng(49)
         inst = random_instance(rng, 3, 2)
         p = random_alloc(rng, inst)
-        model = build(inst, p)
+        model = expand(inst, p)
         # (u present, shared v present) per shape; product-EE has per-user v only
         for scal, present in ((weighted_product(0.5), (True, True)),
                               (weighted_product(0.0), (False, True)),
@@ -413,18 +420,17 @@ class TestSolve:
                               (product_ee(), (False, False))):
             sub = ConvexSubproblem(model, scal)
             sol = solve(sub, tol=1e-8)
-            assert (sol.u is not None, sol.v is not None) == present
-            if sol.u is not None:
-                assert sol.u == sol.x[sub.u_index]
-            if sol.v is not None:
-                assert sol.v == sol.x[sub._v_cols[0]]
-            np.testing.assert_array_equal(sol.rates, rate_evaluation(model, sol.q).rates)
+            shared_v = sub._v_cols is not None and np.unique(sub._v_cols).size == 1
+            assert (sub.u_index is not None, shared_v) == present
+            assert sol.x.shape == (sub.n_vars,)
+            assert sol.multipliers.shape == (sub.n_constraints,)
+            np.testing.assert_array_equal(sol.q, sol.x[: sub.nq].reshape(3, 2))
 
     def test_deterministic_iterates(self):
         rng = np.random.default_rng(46)
         inst = random_instance(rng, 2, 2)
         p = random_alloc(rng, inst)
-        sub = ConvexSubproblem(build(inst, p), weighted_product(0.7))
+        sub = ConvexSubproblem(expand(inst, p), weighted_product(0.7))
         s1 = solve(sub, tol=1e-8)
         s2 = solve(sub, tol=1e-8)
         assert np.array_equal(s1.x, s2.x)
@@ -434,7 +440,7 @@ class TestSolve:
         rng = np.random.default_rng(48)
         inst = random_instance(rng, 2, 2)
         p = random_alloc(rng, inst)
-        sub = ConvexSubproblem(build(inst, p), weighted_product(0.3))
+        sub = ConvexSubproblem(expand(inst, p), weighted_product(0.3))
         sol = solve(sub, tol=1e-8)
         assert kkt_residual(sub, sol.x, sol.multipliers) == pytest.approx(sol.kkt_residual)
         assert sol.kkt_residual <= 1e-8
@@ -445,9 +451,9 @@ def paper_scale_subproblems(scalarizations):
     uniform start, the one at its optimum, and its solution."""
     inst = paper_scale_instance()
     for scal in scalarizations:
-        sub = ConvexSubproblem(build(inst, default_initial_point(inst)), scal)
+        sub = ConvexSubproblem(expand(inst, default_initial_point(inst)), scal)
         first = solve(sub)
-        yield sub, ConvexSubproblem(build(inst, np.exp2(first.q)), scal), first
+        yield sub, ConvexSubproblem(expand(inst, np.exp2(first.q)), scal), first
 
 
 class TestPredictorCorrector:
@@ -482,7 +488,8 @@ class TestPredictorCorrector:
             for sol in (cold, warm):
                 assert sol.status is SubproblemStatus.OPTIMAL
                 assert sol.kkt_residual <= 1e-8
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            c_obj = sub.objective_vector
+            assert c_obj @ warm.x == pytest.approx(c_obj @ cold.x, abs=1e-9)
             cold_steps += cold.newton_iterations
             warm_steps += warm.newton_iterations
         assert warm_steps < cold_steps
@@ -490,7 +497,7 @@ class TestPredictorCorrector:
     def test_warm_start_must_fit_the_layout(self):
         rng = np.random.default_rng(47)
         inst = random_instance(rng, 2, 2)
-        sub = ConvexSubproblem(build(inst, random_alloc(rng, inst)), weighted_product(0.5))
+        sub = ConvexSubproblem(expand(inst, random_alloc(rng, inst)), weighted_product(0.5))
         with pytest.raises(ShapeError):
             solve(sub, multipliers=np.ones(sub.n_constraints + 1))
         with pytest.raises(DomainError):
@@ -537,29 +544,29 @@ class TestGridOracles:
             p = random_alloc(rng, inst)
             w = float(rng.choice([0.0, 0.3, 0.7, 1.0]))
             scal = weighted_product(w)
-            model = build(inst, p)
+            model = expand(inst, p)
             sub = ConvexSubproblem(model, scal)
             sol = solve(sub, tol=1e-8)
             assert sol.status is SubproblemStatus.OPTIMAL
             oracle, _, _ = pair_grid_objective(
                 inst, model, scal, 1e-6, float(inst.max_power.min()), 400
             )
-            assert sol.objective >= oracle - 1e-4 * abs(oracle) - 1e-9
+            assert sub.objective_vector @ sol.x >= oracle - 1e-4 * abs(oracle) - 1e-9
 
     def test_weighted_minimum_symmetric_instance(self):
         inst = symmetric_pair()
         p = np.full((2, 1), 1.0)
-        model = build(inst, p)
+        model = expand(inst, p)
         scal = weighted_minimum(0.5)
         sub = ConvexSubproblem(model, scal)
         sol = solve(sub, tol=1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
         # symmetric data, symmetric start: thresholds coincide at the optimum
-        assert abs(sol.u - sol.v) <= 1e-6
+        assert abs(sol.x[sub.u_index] - sol.x[sub._v_cols[0]]) <= 1e-6
 
         coarse, p1c, p2c = pair_grid_objective(inst, model, scal, 1e-6, 4.0, 400)
         lo = max(1e-7, min(p1c, p2c) * 0.5)
         hi = min(4.0, max(p1c, p2c) * 2.0)
         fine, _, _ = pair_grid_objective(inst, model, scal, lo, hi, 600)
         oracle = max(coarse, fine)
-        assert sol.objective == pytest.approx(oracle, rel=1e-3)
+        assert sub.objective_vector @ sol.x == pytest.approx(oracle, rel=1e-3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eeopt.errors import DomainError
+from eeopt.errors import DomainError, ShapeError
 from eeopt.network import evaluate, sinr
 from eeopt.surrogate import (
     bound_coefficients,
@@ -18,6 +18,7 @@ from eeopt.surrogate import (
 
 from helpers import (
     central_diff,
+    expand,
     g_row,
     psi_rows,
     random_alloc,
@@ -87,9 +88,11 @@ class TestBuild:
         rng = np.random.default_rng(10)
         inst = random_instance(rng, 3, 2)
         p = random_alloc(rng, inst)
-        model = build(inst, p)
+        model = expand(inst, p)
         np.testing.assert_allclose(model.coefficients.expansion_sinr, sinr(inst, p), rtol=1e-13)
         np.testing.assert_allclose(model.expansion_q, np.log2(p), rtol=1e-13)
+        with pytest.raises(ShapeError, match="SINR shape"):
+            build(inst, p, sinr(inst, p)[:, :1])
 
     def test_zero_power_rejected(self):
         rng = np.random.default_rng(11)
@@ -97,13 +100,13 @@ class TestBuild:
         p = random_alloc(rng, inst)
         p[0, 1] = 0.0
         with pytest.raises(DomainError, match="strictly positive"):
-            build(inst, p)
+            expand(inst, p)
 
     def test_single_user_rate_is_affine_in_q(self):
         # no interferers: the log-denominator is the constant noise
         rng = np.random.default_rng(12)
         inst = random_instance(rng, 1, 3)
-        model = build(inst, random_alloc(rng, inst))
+        model = expand(inst, random_alloc(rng, inst))
         q0 = rng.normal(size=(1, 3))
         d = rng.normal(size=(1, 3))
         vals = [rate_evaluation(model, q0 + t * d).rates[0] for t in (-1.0, 0.0, 1.0)]
@@ -116,7 +119,7 @@ class TestSurrogateRate:
         for _ in range(20):
             inst = random_instance(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
             p = random_alloc(rng, inst)
-            model = build(inst, p)
+            model = expand(inst, p)
             q = np.log2(p)
             rates = rate_evaluation(model, q).rates
             for i in range(inst.n_users):
@@ -127,7 +130,7 @@ class TestSurrogateRate:
         for _ in range(20):
             inst = random_instance(rng, 3, 2)
             p = random_alloc(rng, inst)
-            model = build(inst, p)
+            model = expand(inst, p)
             for _ in range(10):
                 q = np.log2(p) + rng.uniform(-2.0, 2.0, size=p.shape)
                 rates = rate_evaluation(model, q).rates
@@ -139,7 +142,7 @@ class TestSurrogateRate:
         for _ in range(10):
             inst = random_instance(rng, 3, 2)
             p = random_alloc(rng, inst)
-            model = build(inst, p)
+            model = expand(inst, p)
             q = np.log2(p)
             jac = rate_evaluation(model, q).jac
             for i in range(inst.n_users):
@@ -149,7 +152,7 @@ class TestSurrogateRate:
     def test_gradient_matches_surrogate_anywhere(self):
         rng = np.random.default_rng(16)
         inst = random_instance(rng, 3, 2)
-        model = build(inst, random_alloc(rng, inst))
+        model = expand(inst, random_alloc(rng, inst))
         q = model.expansion_q + rng.uniform(-1, 1, size=model.expansion_q.shape)
         jac = rate_evaluation(model, q).jac
         for i in range(inst.n_users):
@@ -161,7 +164,7 @@ class TestSurrogatePsi:
     def test_decreasing_in_v_and_rate_limit(self):
         rng = np.random.default_rng(17)
         inst = random_instance(rng, 2, 2)
-        model = build(inst, random_alloc(rng, inst))
+        model = expand(inst, random_alloc(rng, inst))
         q = model.expansion_q
         vals = [psi_rows(model, q, v)[0][0] for v in (2.0, 0.0, -5.0, -20.0)]
         assert vals == sorted(vals)
@@ -174,7 +177,7 @@ class TestSurrogatePsi:
             inst = random_instance(rng, 3, 2)
             p = random_alloc(rng, inst)
             rep = evaluate(inst, p)
-            model = build(inst, p)
+            model = expand(inst, p)
             i = int(np.argmin(rep.ee))
             psi, _ = psi_rows(model, np.log2(p), np.log2(rep.ee_min))
             scale = max(rep.rate[i] / inst.bandwidth_per_block, 1.0)
@@ -186,7 +189,7 @@ class TestSurrogatePsi:
         while checked < 100:
             inst = random_instance(rng, 3, 2)
             p = random_alloc(rng, inst)
-            model = build(inst, p)
+            model = expand(inst, p)
             q = np.log2(p) + rng.uniform(-2, 2, size=p.shape)
             v = rng.uniform(-3, 3, size=inst.n_users)
             psi, _ = psi_rows(model, q, v)
@@ -196,7 +199,7 @@ class TestSurrogatePsi:
     def test_gradients(self):
         rng = np.random.default_rng(20)
         inst = random_instance(rng, 2, 2)
-        model = build(inst, random_alloc(rng, inst))
+        model = expand(inst, random_alloc(rng, inst))
         shape = model.expansion_q.shape
         v = np.array([0.3, -0.2])
         q = model.expansion_q + rng.uniform(-0.5, 0.5, size=shape)
@@ -221,7 +224,7 @@ class TestSurrogateG:
             inst = random_instance(rng, 3, 2)
             p = random_alloc(rng, inst)
             rep = evaluate(inst, p)
-            model = build(inst, p)
+            model = expand(inst, p)
             val, _ = g_row(model, np.log2(p), np.log2(rep.ee_total))
             assert abs(val) <= 1e-9 * rep.rate_total / inst.bandwidth_per_block
 
@@ -230,7 +233,7 @@ class TestSurrogateG:
         inst = random_instance(rng, 2, 2)
         p = random_alloc(rng, inst)
         rep = evaluate(inst, p)
-        model = build(inst, p)
+        model = expand(inst, p)
         u = np.log2(rep.ee_total)
         v0, _ = g_row(model, np.log2(p), u)
         v1, _ = g_row(model, np.log2(p), u - 1.0)
@@ -241,7 +244,7 @@ class TestSurrogateG:
         for _ in range(25):
             inst = random_instance(rng, 3, 2)
             p = random_alloc(rng, inst)
-            model = build(inst, p)
+            model = expand(inst, p)
             q = np.log2(p) + rng.uniform(-2, 2, size=p.shape)
             u = rng.uniform(-3, 3)
             val, _ = g_row(model, q, u)
@@ -250,7 +253,7 @@ class TestSurrogateG:
     def test_gradients(self):
         rng = np.random.default_rng(24)
         inst = random_instance(rng, 3, 2)
-        model = build(inst, random_alloc(rng, inst))
+        model = expand(inst, random_alloc(rng, inst))
         shape = model.expansion_q.shape
         u = -0.4
         q = model.expansion_q + rng.uniform(-0.5, 0.5, size=shape)
@@ -276,7 +279,7 @@ class TestConcavity:
         rng = np.random.default_rng(25)
         for _ in range(20):
             inst = random_instance(rng, 3, 2)
-            model = build(inst, random_alloc(rng, inst))
+            model = expand(inst, random_alloc(rng, inst))
             shape = model.expansion_q.shape
 
             def sample():
@@ -298,7 +301,7 @@ class TestWeightedHessian:
     def test_matches_finite_difference_of_jacobian(self):
         rng = np.random.default_rng(26)
         inst = random_instance(rng, 3, 2)
-        model = build(inst, random_alloc(rng, inst))
+        model = expand(inst, random_alloc(rng, inst))
         q = model.expansion_q + rng.uniform(-0.5, 0.5, size=model.expansion_q.shape)
         w = rng.uniform(0.1, 2.0, size=inst.n_users)
         ev = rate_evaluation(model, q)
