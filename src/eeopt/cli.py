@@ -328,7 +328,7 @@ def _cmd_solve(cfg: _Resolved):
     result = run(inst, cfg.scalarization, cfg.solver)
     m = result.metrics
     rows = [
-        (0, float(result.trajectory[0]), "", "", "", "", "")
+        (0, float(result.trajectory[0]), *result.start_log2_ee, "", "", "")
     ] + [
         (s.index, s.objective, s.u, s.v, s.kkt_residual, s.newton_iterations,
          s.subproblem_status.value)

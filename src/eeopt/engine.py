@@ -1,7 +1,9 @@
 """The outer optimization loop: build a surrogate, solve, re-expand, repeat.
 
 One iteration expands the bound at the current allocation, solves the
-resulting concave subproblem, and moves to its solution. Each subproblem
+resulting concave subproblem, and moves to its solution. The subproblem's
+tables depend only on the instance and the scalarization, so a run lays
+them out once and swaps in each iteration's surrogate. Each subproblem
 after the first starts its multipliers from the previous one's, when
 that one was certified: the layout is the same, and consecutive
 surrogates differ little near convergence.
@@ -102,6 +104,7 @@ class SolveResult:
     allocation: np.ndarray
     metrics: MetricsReport
     trajectory: np.ndarray    # f_0 .. f_L, log domain
+    start_log2_ee: tuple[float, float]   # (log2 TEE, log2 MEE) at the start, beside f_0
     iterations: int           # L, outer iterations executed
     iteration_stats: list[IterationStats]
     status: RunStatus
@@ -156,16 +159,21 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         )
 
     report = feas.report
-    f_prev = _trajectory_value(scalarization, report)[0]
+    f_prev, u_start, v_start = _trajectory_value(scalarization, report)
     trajectory = [f_prev]
     stats: list[IterationStats] = []
     status = RunStatus.ITERATION_CAP
 
     warm = None   # the previous subproblem's multipliers, if it was certified
+    model = sub = None
     for l in range(1, config.max_outer_iterations + 1):
-        model = build(instance, p, report.sinr)
+        model = build(instance, p, report.sinr, model)
+        if sub is None:
+            sub = ConvexSubproblem(model, scalarization)
+        else:
+            sub.model = model
         min_gain = config.tolerance * max(abs(f_prev), 1e-12)
-        sol = solve(ConvexSubproblem(model, scalarization), config.kkt_tolerance, warm, min_gain)
+        sol = solve(sub, config.kkt_tolerance, warm, min_gain)
         if sol.status is SubproblemStatus.NUMERICAL_FAILURE:
             status = RunStatus.SUBPROBLEM_FAILURE
             break
@@ -202,6 +210,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         allocation=p,
         metrics=report,
         trajectory=np.asarray(trajectory),
+        start_log2_ee=(u_start, v_start),
         iterations=len(trajectory) - 1,
         iteration_stats=stats,
         status=status,

@@ -220,13 +220,11 @@ def is_feasible(instance: NetworkInstance, alloc: np.ndarray, tol: float = 0.0) 
     p_eval = np.clip(p, 0.0, None)
     report = evaluate(instance, p_eval)
 
-    power_used = p_eval.sum(axis=1)
-    for i in range(instance.n_users):
-        slack = float(instance.max_power[i] - power_used[i])
-        if power_used[i] > instance.max_power[i] * (1.0 + tol):
-            violations.append(Violation("power_budget", (i,), slack))
-        slack = float(report.rate[i] - instance.min_rate[i])
-        if report.rate[i] < instance.min_rate[i] * (1.0 - tol):
-            violations.append(Violation("min_rate", (i,), slack))
+    # per user its budget, then its floor: (kind, flagged, slack)
+    used = p_eval.sum(axis=1)
+    checks = [("power_budget", used > instance.max_power * (1.0 + tol), instance.max_power - used),
+              ("min_rate", report.rate < instance.min_rate * (1.0 - tol), report.rate - instance.min_rate)]
+    for i in np.flatnonzero(checks[0][1] | checks[1][1]):
+        violations += [Violation(kind, (int(i),), float(slack[i])) for kind, bad, slack in checks if bad[i]]
 
     return FeasibilityResult(ok=not violations, violations=violations, report=report)

@@ -9,17 +9,15 @@ efficiency rows. Every row has the one form
     c = c0 + A x + R rates(q) - 2^(S theta) * (W 2^q + P)
 
 `ConvexSubproblem` alone turns a scalarization into that layout, as the
-tables c0, A, R, W, P and S built once per subproblem; its docstring
-gives the column and row order and the table meanings. Values, Jacobian
-and constraint Hessian are then the same few array operations for every
-layout.
+tables c0, A, R, W, P and S built once per run; its docstring gives the
+column and row order and the table meanings.
 
 The solver runs one Newton iteration on the perturbed KKT system of
 c(x) - s = 0, s > 0 (Nocedal & Wright, sections 19.2-19.3): primal x,
 slacks s and multipliers lambda move together, and a step eliminates ds
 and dlambda to solve the reduced system
 
-    (G' diag(lambda/s) G - sum_m lambda_m hess c_m) dx = rhs
+    M dx = (G' diag(lambda/s) G - sum_m lambda_m hess c_m) dx = rhs
 
 with G the constraint Jacobian. Each step is a Mehrotra
 predictor-corrector (section 14.2) on one solve of that system: its
@@ -44,31 +42,40 @@ so OPTIMAL always means certified. A subproblem that stops short
 returns its best iterate whose rows are violated by at most tol.
 
 Given `min_gain`, the loop may also stop early, as ASCENT, at an iterate
-x after the start whose rows hold within tol and whose objective gain
-g = c_obj'x - c_obj'x_start is at least 2 min_gain, once its certificate
-and s'lambda are both at most g / 10. That iterate is feasible and beats
-the expansion point, which is all the outer loop's minorize-maximize
-ascent argument needs (Sun, Babu & Palomar, IEEE TSP 2017): the start
-sits at the expansion point p_{l-1} with its thresholds at their roots,
-where the surrogate is tight, so its objective is the true f(p_{l-1});
-the surrogate minorizes f, so the outer loop's trajectory value
-f_l = f(p_l) is at least the surrogate objective at the returned point,
-which is at least f(p_{l-1}) + 2 min_gain. The outer loop sets min_gain
-so that such a gain always earns another outer iteration, whose
-subproblem is solved in turn.
+after the start whose rows hold within tol, whose objective gain g over
+the start is at least 2 min_gain, and whose certificate and s'lambda are
+both at most g / 10. That point is feasible and beats the expansion
+point, which is all the outer loop's minorize-maximize ascent needs
+(`eeopt.engine`); its min_gain makes such a gain earn another outer
+iteration, whose subproblem is solved in turn.
 
 Constraints are normalized internally (power rows by the power budget,
 rate-type rows by the block bandwidth) so the Newton systems stay well
 conditioned when bandwidths are in the hundreds of kHz; the feasible set
 is unchanged and multipliers refer to the normalized rows.
 
-Each iterate costs one rate pass, and the start's pass serves both its
-threshold roots and its rows. A line-search trial point gets only a
-value pass (`ConvexSubproblem.evaluate` without the Jacobian): constraint
-values plus the kept rate, power and threshold terms. Once a trial is
-accepted, its Jacobian and constraint Hessian are built from that kept
-pass (`jacobian`, `weighted_constraint_hessian`) and the row tables,
-never by evaluating the point again.
+Both derivatives read off one derivative table Z with a fixed pattern.
+Each power term, a nonzero W_mj or P_m, enters row m's Jacobian as -u e'
+and its Hessian as -ln2 u e e', with u = ln2 2^(S_m theta) W_mj 2^q_j (or
+ln2 2^(S_m theta) P_m) and e the unit q_j column plus S_m (S_m alone for
+P_m); each rate_i on block k adds R_mi B a_ik ln2 (s s' - diag(s)) over
+the interference shares s = s_.ik (`eeopt.surrogate`). With Z the rows
+of G, a row e per power term and a share row per user and block,
+
+    G = A + R B a - U Z[m:]       (R B a: R_mi B a_ik in q column i*K + k)
+    M = Z' diag(omega) Z + diag(ln2 sum_i wa_ik s_jik),   wa = (R'lambda) B a,
+
+U holding each u in its row and R_mi B a_ik against share row i*K + k,
+and omega = [lambda/s, ln2 lambda_m u, -ln2 wa]. Z is read by its
+pattern, never formed densely: the power terms sit at fixed positions,
+summed by one bincount into G and one into M, and the share rows form K
+blocks of N x N, so both products cost about their nonzeros.
+
+Each iterate costs one rate pass; the start's serves both its threshold
+roots and its rows. A line-search trial point gets only a value pass
+(`ConvexSubproblem.evaluate` without the Jacobian). Once a trial is
+accepted, `jacobian` fills the table from that kept pass, never
+evaluating the point again, and `newton_matrix` reads it.
 
 Everything here is deterministic: the same subproblem produces the
 identical iterate sequence.
@@ -84,13 +91,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .scalarization import Scalarization, ScalarizationKind
-from .surrogate import (
-    LN2,
-    SurrogateModel,
-    efficiency_roots,
-    rate_evaluation,
-    weighted_rate_hessian,
-)
+from .surrogate import LN2, SurrogateModel, efficiency_roots, rate_evaluation
 
 __all__ = [
     "ConvexSubproblem",
@@ -173,26 +174,28 @@ class ConvexSubproblem:
       has no dead directions;
     * weighted minimum: t, under the two epigraph rows;
     * product-EE baseline: sum_i v_i.
+
+    `model` may be set to another model of the same instance; every table
+    stays. `jacobian` fills the derivative table and `newton_matrix` reads it.
     """
 
     def __init__(self, model: SurrogateModel, scalarization: Scalarization):
-        kind, w = scalarization.kind, scalarization.weight
+        kind, w, inst = scalarization.kind, scalarization.weight, model.instance
         if kind is ScalarizationKind.WEIGHTED_PRODUCT:
-            self._lay_out(model, u=w if w > 0.0 else None, v=1.0 - w if w < 1.0 else None)
+            self._lay_out(inst, u=w if w > 0.0 else None, v=1.0 - w if w < 1.0 else None)
         elif kind is ScalarizationKind.WEIGHTED_MINIMUM:
-            self._lay_out(model, u=0.0, v=0.0, offsets=(-math.log2(w), -math.log2(1.0 - w)))
+            self._lay_out(inst, u=0.0, v=0.0, offsets=(-math.log2(w), -math.log2(1.0 - w)))
         else:
-            self._lay_out(model, v=1.0, per_user=True)
+            self._lay_out(inst, v=1.0, per_user=True)
+        self.model = model
 
-    def _lay_out(self, model, u=None, v=None, per_user=False, offsets=None):
-        """Columns, objective and row tables of one shape.
+    def _lay_out(self, inst, u=None, v=None, per_user=False, offsets=None):
+        """Columns, objective, row tables and derivative table of one shape.
 
         `u` and `v` are the objective weights of the threshold columns, None
         where the column and its rows are absent; `per_user` gives each user
         its own v column. `offsets` adds t and the two epigraph rows.
         """
-        self.model = model
-        inst = model.instance
         n, k = inst.n_users, inst.n_blocks
         self.n_users, self.n_blocks = n, k
         self.nq = nq = n * k
@@ -248,6 +251,31 @@ class ConvexSubproblem:
         self.objective_vector = obj
         self._c0, self._jacobian_template, self._R, self._W, self._P, self._S = c0, A, R, W, P, S
 
+        # the derivative table: each power term's row and ln2-scaled coefficient,
+        # the W terms first with their q columns; the term and flat position of
+        # each entry of its Jacobian row (the nonzeros of e) and of its Hessian
+        # term e e'; the shares, s_jik at [k, i, j]
+        w_rows, w_cols = np.nonzero(W)
+        p_rows = np.flatnonzero(P)
+        self._term_rows = rows = np.concatenate((w_rows, p_rows))
+        self._term_q = w_cols
+        self._term_coef = LN2 * np.concatenate((W[w_rows, w_cols], P[p_rows]))
+        nv = self.n_vars
+        with_theta, theta = np.nonzero(S[rows])
+        term = np.concatenate((np.arange(w_rows.size), with_theta))
+        order = np.argsort(term, kind="stable")         # a term's columns side by side
+        term, col = term[order], np.concatenate((w_cols, nq + theta))[order]
+        self._jac_pattern = (term, rows[term] * nv + col)
+        pair = np.flatnonzero(term[1:] == term[:-1])    # the terms with two columns
+        left = np.concatenate((np.arange(term.size), pair, pair + 1))
+        right = np.concatenate((np.arange(term.size), pair + 1, pair))
+        self._hess_pattern = (term[left], col[left] * nv + col[right])
+        self._shares, self._eye = np.empty((k, n, n)), np.eye(n)
+        # the Newton matrix's buffer, its q columns' K diagonal blocks at [k, j, l], its q diagonal
+        self._M = np.empty((nv, nv))
+        self._M_blocks = np.einsum("jklk->kjl", self._M[:nq, :nq].reshape(n, k, n, k))
+        self._M_diagonal = self._M.reshape(-1)[:: nv + 1][:nq].reshape(n, k).T
+
     # -- variable packing ------------------------------------------------
 
     def pack(self, q: np.ndarray, u: float | None = None, v=None, t: float | None = None) -> np.ndarray:
@@ -277,9 +305,8 @@ class ConvexSubproblem:
 
         Without the Jacobian this is the value pass: one rate evaluation
         plus the power and threshold terms, no interference shares or
-        derivatives. The kept pass (rate pass, 2^q, 2^(S theta),
-        W 2^q + P) holds what `jacobian` and `weighted_constraint_hessian`
-        build the derivatives from.
+        derivatives. The kept pass (rate pass, 2^q, 2^(S theta)) holds
+        what `jacobian` fills the derivative table from.
         """
         c, kept = self._rows(x, rate_evaluation(self.model, self.unpack_q(x)))
         return c, (self.jacobian(kept) if with_grad else None), kept
@@ -308,38 +335,42 @@ class ConvexSubproblem:
         drawn = self._W @ exp_q
         c = (self._c0 + self._jacobian_template @ x + self._R @ ev.rates
              - (drawn * scale + self._P * scale))
-        return c, (ev, exp_q, scale, drawn + self._P)
+        return c, (ev, exp_q, scale)
 
     def jacobian(self, kept) -> np.ndarray:
-        """Constraint Jacobian at the point of a kept pass."""
-        ev, exp_q, scale, consumed = kept
-        nq = self.nq
+        """G = A + R B a - U Z[m:] at a kept pass's point, filling the derivative table there."""
+        ev, exp_q, scale = kept
+        n, k, sh = self.n_users, self.n_blocks, self._shares
+        np.divide(ev.scaled.transpose(2, 1, 0), ev.total.T[:, :, None], out=sh)
+        self._u = u = scale[self._term_rows] * self._term_coef
+        u[: self._term_q.size] *= exp_q[self._term_q]
         G = self._jacobian_template.copy()
-        G[:, :nq] += (self._R @ ev.jac.reshape(self.n_users, nq)
-                      - LN2 * scale[:, None] * self._W * exp_q)
-        G[:, nq:] -= (LN2 * scale * consumed)[:, None] * self._S
+        # the rate Jacobian block by block: B a_ik (delta_ij - s_jik) at [k, i, j]
+        rate_jacobian = self.model.rate_slope.T[:, :, None] * (self._eye - sh)
+        G[:, : self.nq].reshape(len(G), n, k).transpose(2, 0, 1)[...] = self._R @ rate_jacobian
+        term, flat = self._jac_pattern
+        G -= np.bincount(flat, u[term], minlength=G.size).reshape(G.shape)
+        self._G = G
         return G
 
-    def weighted_constraint_hessian(self, kept, beta: np.ndarray) -> np.ndarray:
-        """sum_m beta[m] * hess(c_m) over the full variable vector, from a kept pass.
+    def newton_matrix(self, sigma: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """G' diag(sigma) G - sum_m lam_m hess c_m at the point of the last `jacobian`.
 
-        The rates contribute the rate Hessian weighted by R'beta. With
-        b = ln2^2 * beta * 2^(S theta), the power terms subtract the q
-        diagonal 2^q * (W'b), the (theta, q) block S' diag(b) W diag(2^q)
-        and the (theta, theta) block S' diag(b * (W 2^q + P)) S.
+        Z' diag(omega) Z plus the shares' diagonal, read by Z's pattern: the
+        rows of G as one product, the power terms on their pattern, the
+        shares block by block. The matrix is a buffer the next call overwrites.
         """
-        ev, exp_q, scale, consumed = kept
-        nq = self.nq
-        H = np.zeros((self.n_vars, self.n_vars))
-        weighted_rate_hessian(self.model, ev, self._R.T @ beta, out=H[:nq, :nq])
-        b = LN2 * LN2 * beta * scale
-        q_diagonal = np.einsum("ii->i", H[:nq, :nq])       # a writable view
-        q_diagonal -= exp_q * (b @ self._W)
-        cross = -(self._S.T * b) @ self._W * exp_q
-        H[nq:, :nq] = cross
-        H[:nq, nq:] = cross.T
-        H[nq:, nq:] = -(self._S.T * (b * consumed)) @ self._S
-        return H
+        G, sh, M = self._G, self._shares, self._M
+        np.matmul(G.T * sigma, G, out=M)
+        ln2_lam = LN2 * lam
+        term, flat = self._hess_pattern
+        omega = (ln2_lam[self._term_rows] * self._u)[term]       # ln2 lam_m u on e e'
+        M += np.bincount(flat, omega, minlength=M.size).reshape(M.shape)
+        ln2_wa = self.model.rate_slope.T * (self._R.T @ ln2_lam)   # at [k, i]
+        weighted = sh.transpose(0, 2, 1) * ln2_wa[:, None, :]        # ln2 wa_ik s_jik at [k, j, i]
+        self._M_blocks -= np.matmul(weighted, sh)
+        self._M_diagonal += weighted.sum(axis=2)
+        return M
 
 
 # -- primal-dual interior point ---------------------------------------------
@@ -360,9 +391,9 @@ def _newton_direction(M: np.ndarray, rhs: np.ndarray):
     return None
 
 
-def _to_boundary(v: np.ndarray, dv: np.ndarray, fraction: float = _TO_BOUNDARY) -> float:
-    """Largest step in (0, 1] that keeps v + step * dv above (1 - fraction) v, for v > 0."""
-    fastest = float((dv / v).min())        # the steepest relative decrease sets the step
+def _to_boundary(s, ds, lam, dlam, fraction: float = _TO_BOUNDARY) -> float:
+    """Largest step in (0, 1] keeping s, lam > 0 above (1 - fraction) of themselves."""
+    fastest = float(np.minimum((ds / s).min(), (dlam / lam).min()))
     return 1.0 if fastest >= 0.0 else min(1.0, -fraction / fastest)
 
 
@@ -387,6 +418,7 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
     """
     c_obj = problem.objective_vector
     m = problem.n_constraints
+    rhs = np.empty((problem.n_vars, m + 1))
     mu_floor = 0.01 * tol / m
     status = SubproblemStatus.MAX_ITERATIONS
     with np.errstate(over="ignore", invalid="ignore"):
@@ -420,19 +452,18 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
             # Mehrotra predictor-corrector (Nocedal & Wright, section 14.2) on one
             # factorization of the reduced Newton matrix G' diag(lam/s) G - sum_m
             # lam_m hess c_m: column 0 of the solve is the affine direction, and
-            # the other columns Y map a centering target tau, one entry per row,
-            # to its share of the step, so dx = dx_aff + Y tau.
-            G_s = G / s[:, None]
-            M = (G_s * lam[:, None]).T @ G
-            M -= problem.weighted_constraint_hessian(ctx, lam)
-            d = _newton_direction(M, np.column_stack((c_obj - G_s.T @ (lam * r_p), G_s.T)))
+            # the other columns Y = M^-1 G' diag(1/s) map a centering target tau,
+            # one entry per row, to its share of the step, so dx = dx_aff + Y tau.
+            np.divide(G.T, s, out=rhs[:, 1:])
+            rhs[:, 0] = c_obj - rhs[:, 1:] @ (lam * r_p)
+            d = _newton_direction(problem.newton_matrix(lam / s, lam), rhs)
             if d is None:
                 status = SubproblemStatus.NUMERICAL_FAILURE
                 break
             ds_aff = G @ d[:, 0] + r_p
             dlam_aff = -lam - lam * ds_aff / s
             # the affine step goes all the way to the boundary: it only predicts mu_aff
-            step = _to_boundary(np.concatenate((s, lam)), np.concatenate((ds_aff, dlam_aff)), 1.0)
+            step = _to_boundary(s, ds_aff, lam, dlam_aff, 1.0)
             mu = gap / m
             mu_aff = float((s + step * ds_aff) @ (lam + step * dlam_aff)) / m
             infeasibility = np.abs(r_p)
@@ -441,7 +472,7 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
             dx = d[:, 0] + d[:, 1:] @ tau
             ds = G @ dx + r_p
             dlam = (tau - lam * ds) / s - lam
-            step = min(_to_boundary(np.concatenate((s, lam)), np.concatenate((ds, dlam))),
+            step = min(_to_boundary(s, ds, lam, dlam),
                        _MAX_MOVE / max(float(np.abs(dx).max()), _MAX_MOVE))
             allowed = max(_GROWTH * float(infeasibility.sum()), _SMALL)
             while step >= _MIN_STEP:

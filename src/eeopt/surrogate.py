@@ -20,22 +20,24 @@ functions bounding the efficiency constraints,
 
 are concave in (q, v) and (q, u) and strictly decreasing in the threshold
 variable. This module evaluates the rates; psi and g exist only as the
-subproblem's constraint rows, assembled from those rates in one place:
-values in `solver.ConvexSubproblem.evaluate`, gradients in
-`ConvexSubproblem.jacobian`.
+subproblem's constraint rows, assembled from those rates in one place,
+`solver.ConvexSubproblem`, which also builds every derivative.
 
 One evaluation pass computes the rates and keeps its stabilized
-interference terms; the interference shares, the exact Jacobian and the
-weighted Hessian are built from that kept pass on demand. The
-interference log-sum is evaluated with the max exponent subtracted so
+interference terms, from which the solver reads the interference shares
+s_jik (interferer j's share of user i's denominator on block k):
+
+    d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik)
+    hess_k rate_i      = -B a_i^k ln2 (diag(s_ik) - s_ik s_ik')
+
+The interference log-sum is evaluated with the max exponent subtracted so
 widely spread q values stay accurate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +51,6 @@ __all__ = [
     "bound_coefficients",
     "build",
     "rate_evaluation",
-    "weighted_rate_hessian",
     "efficiency_roots",
 ]
 
@@ -89,30 +90,32 @@ class SurrogateModel:
     coefficients: BoundCoefficients
     expansion_q: np.ndarray     # (N, K), log2 of the expansion powers
 
+    # log2 cross gains (-inf on zero gains and the diagonal), direct gains and
+    # noise; computed here unless `build` takes them from a model of the instance
+    log_tables: tuple | None = field(default=None, repr=False, compare=False)
+
     def __post_init__(self):
         inst = self.instance
-        # cross-gain exponents log2 w_ji with -inf on zero gains and the diagonal
-        with np.errstate(divide="ignore"):
-            log_gain = np.log2(inst.gain)
-        idx = np.arange(inst.n_users)
-        log_gain[idx, idx, :] = -np.inf
-        object.__setattr__(self, "_log_cross_gain", log_gain)
-        object.__setattr__(self, "_log_direct_gain", np.log2(inst.direct_gain()))
-        object.__setattr__(self, "_log_noise", np.log2(inst.noise))
-        object.__setattr__(self, "_rate_slope", inst.bandwidth_per_block * self.coefficients.a)
-        # index maps of the rate Hessian inside an (N*K, N*K) matrix: block k
-        # couples q_j^k with q_l^k at rows j*K + k and columns l*K + k
-        n, k = inst.n_users, inst.n_blocks
-        rows = np.arange(n)[None, :, None] * k + np.arange(k)[:, None, None]   # (k, j, 1)
-        object.__setattr__(self, "_block_index", (rows, rows.transpose(0, 2, 1)))
-        object.__setattr__(self, "_diag_index", np.arange(n * k))
+        if self.log_tables is None:
+            with np.errstate(divide="ignore"):
+                log_gain = np.log2(inst.gain)
+            idx = np.arange(inst.n_users)
+            log_gain[idx, idx, :] = -np.inf
+            tables = (log_gain, np.log2(inst.direct_gain()), np.log2(inst.noise))
+            object.__setattr__(self, "log_tables", tables)
+        # the constant part of each rate term, b + a log2 w_ii, and its slope B a
+        c = self.coefficients
+        object.__setattr__(self, "_rate_offset", c.b + c.a * self.log_tables[1])
+        object.__setattr__(self, "rate_slope", inst.bandwidth_per_block * c.a)
 
 
-def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarray) -> SurrogateModel:
+def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarray,
+          previous: SurrogateModel | None = None) -> SurrogateModel:
     """Expand the bound at a strictly positive allocation, given its SINRs.
 
     `expansion_sinr` is `sinr(instance, alloc)`, as the caller's metrics
-    report of the allocation already holds it.
+    report of the allocation already holds it. `previous`, an earlier
+    model of the same instance, lends its instance-only tables.
     """
     p = np.asarray(alloc, dtype=float)
     gamma = np.asarray(expansion_sinr, dtype=float)
@@ -126,35 +129,18 @@ def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarr
         )
     a, b = bound_coefficients(gamma)
     coeffs = BoundCoefficients(a=a, b=b, expansion_sinr=gamma)
-    return SurrogateModel(instance=instance, coefficients=coeffs, expansion_q=np.log2(p))
+    tables = previous.log_tables if previous is not None and previous.instance is instance else None
+    return SurrogateModel(instance=instance, coefficients=coeffs, expansion_q=np.log2(p),
+                          log_tables=tables)
 
 
 @dataclass(frozen=True)
 class RateEvaluation:
-    """Surrogate rates at one q and the pass data their derivatives reuse.
-
-    `rate_evaluation` computes the rates only; the interference shares and
-    the Jacobian are derived from the kept terms on first access.
-    """
+    """Surrogate rates at one q and the stabilized terms their derivatives reuse."""
 
     rates: np.ndarray   # (N,) bit/s
     scaled: np.ndarray  # (N, N, K): interferer j's term in user i's denominator, over 2^m_i^k
-    total: np.ndarray   # (N, K): sum over j of scaled plus the scaled noise
-    slope: np.ndarray   # (N, K): B a_i^k, the rate's slope in its own q_i^k
-
-    @cached_property
-    def shares(self) -> np.ndarray:
-        """(N, N, K): interferer j's share of user i's denominator."""
-        return self.scaled / self.total[None, :, :]
-
-    @cached_property
-    def jac(self) -> np.ndarray:
-        """(N, N, K): d rate_i / d q_j^k = B a_i^k (delta_ij - share_j,i^k); share_i,i^k = 0."""
-        n = self.rates.size
-        jac = np.swapaxes(-self.slope[None, :, :] * self.shares, 0, 1).copy()  # (i, j, k)
-        idx = np.arange(n)
-        jac[idx, idx, :] += self.slope
-        return jac
+    total: np.ndarray   # (N, K): sum over j of scaled plus the scaled noise; s_jik = scaled / total
 
 
 def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
@@ -166,41 +152,16 @@ def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
         raise ShapeError(f"q shape {q.shape} does not match instance ({n}, {k})")
 
     # log2 of (sum_{j!=i} w_ji 2^{q_j} + noise), stabilized by the max exponent
-    exponents = model._log_cross_gain + q[:, None, :]          # (j, i, k)
-    m = np.maximum(exponents.max(axis=0), model._log_noise)    # (i, k)
+    log_gain, _, log_noise = model.log_tables
+    exponents = log_gain + q[:, None, :]                       # (j, i, k)
+    m = np.maximum(exponents.max(axis=0), log_noise)           # (i, k)
     scaled = np.exp2(exponents - m[None, :, :])                # (j, i, k)
-    total = scaled.sum(axis=0) + np.exp2(model._log_noise - m)
+    total = scaled.sum(axis=0) + np.exp2(log_noise - m)
     log_denom = m + np.log2(total)
 
-    a = model.coefficients.a
-    b = model.coefficients.b
-    terms = b + a * (model._log_direct_gain + q - log_denom)
+    terms = model._rate_offset + model.coefficients.a * (q - log_denom)
     rates = inst.bandwidth_per_block * terms.sum(axis=1)
-    return RateEvaluation(rates=rates, scaled=scaled, total=total, slope=model._rate_slope)
-
-
-def weighted_rate_hessian(model: SurrogateModel, ev: RateEvaluation, weights: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """sum_i weights[i] * hess(rate_i) as a dense (N*K, N*K) matrix.
-
-    Per block k the Hessian of rate_i over the q_.^k column is
-    -B a_i^k ln2 (diag(s) - s s^T) with s the interference shares, so the
-    weighted sum stays block-diagonal across blocks. The blocks are
-    written straight into `out` when given, an (N*K, N*K) array or view
-    whose entries off the block diagonal are zero; else into a new zero
-    matrix.
-    """
-    inst = model.instance
-    n, k = inst.n_users, inst.n_blocks
-    if out is None:
-        out = np.zeros((n * k, n * k))
-    wa = inst.bandwidth_per_block * np.asarray(weights, float)[:, None] * model.coefficients.a  # (i, k)
-    diag = np.einsum("jik,ik->jk", ev.shares, wa)
-    outer = np.einsum("jik,ik,lik->kjl", ev.shares, wa, ev.shares)
-    out[model._block_index] = LN2 * outer
-    d = model._diag_index
-    out[d, d] += (-LN2 * diag).reshape(-1)
-    return out
+    return RateEvaluation(rates=rates, scaled=scaled, total=total)
 
 
 def efficiency_roots(instance: NetworkInstance, q: np.ndarray, rates: np.ndarray):

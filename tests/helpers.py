@@ -1,6 +1,7 @@
 """Shared test fixtures: small random instances at O(1) scales, the true
 efficiency slacks, the assembled constraint rows that bound them, and
-oracles for the objective in natural units and the KKT certificate."""
+oracles for the objective in natural units, the KKT certificate and the
+dense derivatives that the solver's derivative table replaces."""
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from eeopt.scalarization import (
 )
 from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import ConvexSubproblem
-from eeopt.surrogate import build
+from eeopt.surrogate import LN2, build
 
 # one scalarization of each subproblem shape, the weight endpoints included
 SHAPES = (weighted_product(0.5), weighted_product(0.0), weighted_product(1.0),
@@ -118,6 +119,15 @@ def g_row(model, q, u, with_grad=False):
     return float(c[-1]), None if G is None else G[-1]
 
 
+def rate_rows_jacobian(model, q):
+    """The surrogate rate Jacobian (N, N*K) at q, read off the solver's rate-floor rows:
+    rows N..2N-1 of every layout are (rate_i - min_rate_i) / B, so B G[N:2N, :NK]."""
+    sub = ConvexSubproblem(model, weighted_product(1.0))
+    n = sub.n_users
+    _, G, _ = sub.evaluate(sub.pack(q, u=0.0))
+    return model.instance.bandwidth_per_block * G[n : 2 * n, : sub.nq]
+
+
 def log_true_objective(s, report):
     """The log-domain objective f at the allocation of a metrics report."""
     if s.kind is ScalarizationKind.PRODUCT_EE:
@@ -143,3 +153,59 @@ def kkt_residual(sub, x, multipliers):
     stationarity = sub.objective_vector + G.T @ lam
     return max(float(np.abs(stationarity).max()), float(np.abs(lam * c).max()),
                float(np.maximum(0.0, -c).max()))
+
+
+def rate_jacobian(model, ev):
+    """(N, N, K): d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik), from a rate pass."""
+    shares = ev.scaled / ev.total[None, :, :]
+    slope = model.instance.bandwidth_per_block * model.coefficients.a
+    jac = np.swapaxes(-slope[None, :, :] * shares, 0, 1).copy()   # (i, j, k)
+    idx = np.arange(ev.rates.size)
+    jac[idx, idx, :] += slope
+    return jac
+
+
+def weighted_rate_hessian(model, ev, weights):
+    """sum_i weights[i] * hess(rate_i) as a dense (N*K, N*K) matrix.
+
+    Per block k the Hessian of rate_i over the q_.^k column is
+    -B a_i^k ln2 (diag(s) - s s^T) with s the interference shares.
+    """
+    n, k = model.instance.n_users, model.instance.n_blocks
+    shares = ev.scaled / ev.total[None, :, :]                              # (j, i, k)
+    wa = model.instance.bandwidth_per_block * np.asarray(weights, float)[:, None] * model.coefficients.a
+    h = np.zeros((n, k, n, k))
+    for b in range(k):
+        s = shares[:, :, b]                                                # (j, i)
+        h[:, b, :, b] = LN2 * (np.einsum("ji,i,li->jl", s, wa[:, b], s) - np.diag(s @ wa[:, b]))
+    return h.reshape(n * k, n * k)
+
+
+def dense_jacobian(sub, kept):
+    """The constraint Jacobian formed densely from the row tables and the rate Jacobian."""
+    ev, exp_q, scale = kept
+    consumed = sub._W @ exp_q + sub._P
+    nq = sub.nq
+    G = sub._jacobian_template.copy()
+    G[:, :nq] += (sub._R @ rate_jacobian(sub.model, ev).reshape(sub.n_users, nq)
+                  - LN2 * scale[:, None] * sub._W * exp_q)
+    G[:, nq:] -= (LN2 * scale * consumed)[:, None] * sub._S
+    return G
+
+
+def weighted_constraint_hessian(sub, kept, beta):
+    """sum_m beta[m] * hess(c_m) formed densely: the rate Hessians weighted by R'beta,
+    minus, with b = ln2^2 beta 2^(S theta), the q diagonal 2^q (W'b), the (theta, q)
+    block S' diag(b) W diag(2^q) and the (theta, theta) block S' diag(b (W 2^q + P)) S."""
+    ev, exp_q, scale = kept
+    consumed = sub._W @ exp_q + sub._P
+    nq = sub.nq
+    H = np.zeros((sub.n_vars, sub.n_vars))
+    H[:nq, :nq] = weighted_rate_hessian(sub.model, ev, sub._R.T @ beta)
+    b = LN2 * LN2 * beta * scale
+    H[:nq, :nq] -= np.diag(exp_q * (b @ sub._W))
+    cross = -(sub._S.T * b) @ sub._W * exp_q
+    H[nq:, :nq] = cross
+    H[:nq, nq:] = cross.T
+    H[nq:, nq:] = -(sub._S.T * (b * consumed)) @ sub._S
+    return H

@@ -106,6 +106,20 @@ class TestSolveCommand:
         assert record["results"]["ascent_subproblems"] == statuses.count("ascent") > 0
         assert statuses[-1] == "optimal"
 
+    def test_row_zero_holds_the_start_tee_and_mee(self, tmp_path):
+        from eeopt import ScenarioConfig, default_initial_point, evaluate, generate
+
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("solve"))
+        out = tmp_path / "out"
+        assert main([cfg_path, "-o", str(out)]) == EXIT_OK
+        record = yaml.safe_load((out / "record.yaml").read_text())
+        inst = generate(ScenarioConfig(**record["config"]["scenario"]), record["config"]["seed"])
+        start = evaluate(inst, default_initial_point(inst))
+        row = next(csv.DictReader((out / "trajectory.csv").read_text().splitlines()))
+        assert row["iteration"] == "0"
+        assert float(row["u_log2_tee"]) == float(np.log2(start.ee_total))
+        assert float(row["v_log2_mee"]) == float(np.log2(start.ee_min))
+
     def test_optimum_at_vanishing_power_converges(self, tmp_path):
         # gains of 1e11 to 1e12: the surrogate optimum drives powers toward
         # zero, so subproblems approach optima they never reach, ending with

@@ -258,6 +258,24 @@ class TestCertification:
         assert r.status is RunStatus.CONVERGED
 
 
+class TestWorkCounts:
+    # the 41 scalarizations of the paper-scale Pareto study on one instance took
+    # 952 Newton steps and 117 outer iterations before the Newton matrix was read
+    # off the derivative table; a cheaper step must not hide more steps
+    NEWTON_STEPS, OUTER_ITERATIONS = 952, 117
+
+    def test_pareto_grid_work_stays_within_2_percent(self):
+        inst = generate(ScenarioConfig(d2d_distance=10.0), np.random.SeedSequence([1, 0]))
+        grid = np.linspace(0.0, 1.0, 21)
+        scals = ([weighted_product(float(w)) for w in grid]
+                 + [weighted_minimum(float(w)) for w in grid[1:-1]] + [product_ee()])
+        runs = [run(inst, s, SolverConfig(tolerance=1e-3)) for s in scals]
+        assert all(r.status is RunStatus.CONVERGED for r in runs)
+        steps = sum(st.newton_iterations for r in runs for st in r.iteration_stats)
+        assert steps <= 1.02 * self.NEWTON_STEPS
+        assert sum(r.iterations for r in runs) <= 1.02 * self.OUTER_ITERATIONS
+
+
 class TestEndpointWeights:
     @pytest.mark.parametrize("d2d_distance, trial", [(20.0, 506), (40.0, 433)])
     def test_tee_run_survives_a_minus_inf_v_root(self, d2d_distance, trial):

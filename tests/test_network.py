@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,28 @@ class TestFeasibility:
         assert not res.ok
         assert res.violations[0].kind == "min_rate"
         assert res.violations[0].slack == pytest.approx(1.0 - 10.0)
+
+    def test_violations_keep_their_order(self):
+        # a negative entry, then per user its budget before its floor: users 0
+        # and 2 break both, user 1 only its floor and user 3 only its budget
+        rng = np.random.default_rng(7)
+        inst = random_instance(rng, 4, 2)
+        p = np.tile(0.4 * inst.max_power[:, None], (1, 2))
+        p[[0, 2, 3]] *= 2.0
+        p[1, 1] = -0.01
+        clipped = np.clip(p, 0.0, None)
+        rate = evaluate(inst, clipped).rate
+        inst = replace(inst, min_rate=rate * np.array([1.5, 1.5, 1.5, 0.5]))
+        res = is_feasible(inst, p)
+        expected = [("nonnegativity", (1, 1), -0.01)]
+        for i, kinds in enumerate((("power_budget", "min_rate"), ("min_rate",),
+                                   ("power_budget", "min_rate"), ("power_budget",))):
+            for kind in kinds:
+                slack = (inst.max_power[i] - clipped[i].sum() if kind == "power_budget"
+                         else rate[i] - inst.min_rate[i])
+                expected.append((kind, (i,), float(slack)))
+        assert not res.ok
+        assert [(v.kind, v.index, v.slack) for v in res.violations] == expected
 
     def test_relative_tolerance(self):
         inst = single_user(p_max=1.0)

@@ -16,15 +16,17 @@ from eeopt.solver import (
     _interior_point,
     solve,
 )
-from eeopt.surrogate import LN2, rate_evaluation
+from eeopt.surrogate import LN2, build, rate_evaluation
 
 from helpers import (
     SHAPES,
+    dense_jacobian,
     expand,
     kkt_residual,
     paper_scale_instance,
     random_alloc,
     random_instance,
+    weighted_constraint_hessian,
 )
 
 # frozen from the 1-D grid oracle over q in [log2 1e-6, log2 10], step 1e-5:
@@ -79,10 +81,12 @@ class _MonotoneRootToy:
         return x, c, ctx
 
     def jacobian(self, ctx):
+        self._at = ctx
         return np.array([[-LN2 * ctx["z"]]])
 
-    def weighted_constraint_hessian(self, ctx, beta):
-        return np.array([[-beta[0] * LN2 * LN2 * ctx["z"]]])
+    def newton_matrix(self, sigma, lam):
+        g, z = -LN2 * self._at["z"], self._at["z"]
+        return np.array([[sigma[0] * g * g + lam[0] * LN2 * LN2 * z]])
 
 
 class TestBarrierEngine:
@@ -255,15 +259,27 @@ class TestSubproblemStructure:
         """Every row shape the solver assembles, at points near the start.
 
         Three users under one shared v exercise the repeated threshold
-        index in the Hessian.
+        index in the Hessian; w = 1 drops v and its rows.
         """
         for n_users, scal in ((2, weighted_product(0.3)), (2, weighted_minimum(0.4)),
                               (2, product_ee()), (3, weighted_product(0.0)),
-                              (3, weighted_minimum(0.6))):
+                              (3, weighted_minimum(0.6)), (2, weighted_product(1.0))):
             inst = random_instance(rng, n_users, 2)
             sub = ConvexSubproblem(expand(inst, random_alloc(rng, inst)), scal)
             x, _, _ = sub.start()
             yield sub, x + rng.uniform(-0.05, 0.05, size=x.size)
+
+    @staticmethod
+    def central_jacobian(sub, x, step=1e-6):
+        """Central differences of the value pass, one column per variable."""
+        fd = np.zeros((sub.n_constraints, sub.n_vars))
+        for col in range(sub.n_vars):
+            hi, lo = x.copy(), x.copy()
+            hi[col] += step
+            lo[col] -= step
+            fd[:, col] = (sub.evaluate(hi, with_grad=False)[0]
+                          - sub.evaluate(lo, with_grad=False)[0]) / (2 * step)
+        return fd
 
     def test_constraint_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -271,32 +287,93 @@ class TestSubproblemStructure:
             c, _, ctx = sub.evaluate(x, with_grad=False)
             G = sub.jacobian(ctx)
             np.testing.assert_array_equal(sub.evaluate(x)[1], G)
-            step = 1e-6
-            for col in range(sub.n_vars):
-                hi, lo = x.copy(), x.copy()
-                hi[col] += step
-                lo[col] -= step
-                chi, _, _ = sub.evaluate(hi, with_grad=False)
-                clo, _, _ = sub.evaluate(lo, with_grad=False)
-                fd = (chi - clo) / (2 * step)
-                np.testing.assert_allclose(G[:, col], fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
+            fd = self.central_jacobian(sub, x)
+            np.testing.assert_allclose(G, fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
+
+    @staticmethod
+    def central_weighted_hessian(sub, x, beta, step=1e-6):
+        """Central differences of beta'G, the Jacobian taken from value passes."""
+        fd = np.zeros((sub.n_vars, sub.n_vars))
+        for col in range(sub.n_vars):
+            hi, lo = x.copy(), x.copy()
+            hi[col] += step
+            lo[col] -= step
+            fd[:, col] = beta @ (sub.jacobian(sub.evaluate(hi, with_grad=False)[2])
+                                 - sub.jacobian(sub.evaluate(lo, with_grad=False)[2])) / (2 * step)
+        return fd
 
     def test_weighted_hessian_matches_finite_differences(self):
+        # G' diag(sigma) G - M = sum_m beta_m hess c_m, the derivative of beta'G
         rng = np.random.default_rng(43)
         for sub, x in self.assembled_problems(rng):
             beta = rng.uniform(0.2, 1.5, size=sub.n_constraints)
-            _, _, ctx = sub.evaluate(x, with_grad=False)
-            H = sub.weighted_constraint_hessian(ctx, beta)
-            step = 1e-6
-            fd = np.zeros_like(H)
-            for col in range(sub.n_vars):
-                hi, lo = x.copy(), x.copy()
-                hi[col] += step
-                lo[col] -= step
-                Ghi = sub.jacobian(sub.evaluate(hi, with_grad=False)[2])
-                Glo = sub.jacobian(sub.evaluate(lo, with_grad=False)[2])
-                fd[:, col] = beta @ (Ghi - Glo) / (2 * step)
+            sigma = rng.uniform(0.1, 3.0, size=sub.n_constraints)
+            G = sub.jacobian(sub.evaluate(x, with_grad=False)[2])
+            H = (G.T * sigma) @ G - sub.newton_matrix(sigma, beta)
+            fd = self.central_weighted_hessian(sub, x, beta)
             np.testing.assert_allclose(H, fd, atol=2e-5 * max(1.0, np.abs(fd).max()))
+
+    @pytest.mark.parametrize("scal", SHAPES, ids=lambda s: f"{s.kind.value}-{s.weight}")
+    def test_derivatives_at_a_vanishing_power(self, scal):
+        # one D2D pair over 2 blocks at -300 dB, with one power all but zero:
+        # power terms that span many orders of magnitude
+        inst = generate(ScenarioConfig(n_d2d_pairs=1, n_blocks=2, path_loss_const_db=-300.0),
+                        np.random.SeedSequence([5, 0]))
+        p = default_initial_point(inst)
+        p[0, 1] = 1e-12 * p[0, 1]
+        sub = ConvexSubproblem(expand(inst, p), scal)
+        x, _, _ = sub.start()
+        rng = np.random.default_rng(47)
+        beta = rng.uniform(0.2, 1.5, size=sub.n_constraints)
+        sigma = rng.uniform(0.1, 3.0, size=sub.n_constraints)
+        G = sub.jacobian(sub.evaluate(x, with_grad=False)[2])
+        fd = self.central_jacobian(sub, x)
+        np.testing.assert_allclose(G, fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
+        H = (G.T * sigma) @ G - sub.newton_matrix(sigma, beta)
+        fd = self.central_weighted_hessian(sub, x, beta)
+        np.testing.assert_allclose(H, fd, atol=2e-5 * max(1.0, np.abs(fd).max()))
+
+    @pytest.mark.parametrize("scal", SHAPES, ids=lambda s: f"{s.kind.value}-{s.weight}")
+    def test_swapped_model_matches_a_fresh_layout(self, scal):
+        # a run lays a subproblem out once and swaps in each outer iteration's
+        # surrogate, which borrows the first one's instance-only tables
+        inst = paper_scale_instance()
+        rng = np.random.default_rng(49)
+        first = expand(inst, random_alloc(rng, inst))
+        p = random_alloc(rng, inst)
+        second = build(inst, p, evaluate(inst, p).sinr, first)
+        assert second.log_tables is first.log_tables
+        fresh_model = expand(inst, p)
+        swapped = ConvexSubproblem(first, scal)
+        swapped.model = second
+        fresh = ConvexSubproblem(fresh_model, scal)
+        lam = rng.uniform(0.1, 2.0, size=fresh.n_constraints)
+        sigma = rng.uniform(0.1, 2.0, size=fresh.n_constraints)
+        results = []
+        for sub in (swapped, fresh):
+            x, c, kept = sub.start()
+            results.append((x, c, sub.jacobian(kept), sub.newton_matrix(sigma, lam).copy()))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("config", [ScenarioConfig(d2d_distance=10.0),
+                                        ScenarioConfig(n_d2d_pairs=19, n_blocks=16,
+                                                       d2d_distance=20.0)],
+                             ids=["5x5", "20x16"])
+    def test_table_equals_the_dense_oracle(self, config):
+        inst = generate(config, np.random.SeedSequence([1, 3]))
+        rng = np.random.default_rng(48)
+        for scal in SHAPES:
+            sub = ConvexSubproblem(expand(inst, random_alloc(rng, inst)), scal)
+            x, _, _ = sub.start()
+            kept = sub.evaluate(x + rng.uniform(-0.3, 0.3, size=x.size), with_grad=False)[2]
+            lam = rng.uniform(0.1, 2.0, size=sub.n_constraints)
+            sigma = lam / rng.uniform(0.1, 2.0, size=sub.n_constraints)
+            G, G_dense = sub.jacobian(kept), dense_jacobian(sub, kept)
+            M = sub.newton_matrix(sigma, lam)
+            M_dense = (G_dense.T * sigma) @ G_dense - weighted_constraint_hessian(sub, kept, lam)
+            assert np.abs(G - G_dense).max() <= 1e-12 * np.abs(G_dense).max()
+            assert np.abs(M - M_dense).max() <= 1e-12 * np.abs(M_dense).max()
 
 
 class TestStart:

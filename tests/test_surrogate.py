@@ -1,6 +1,7 @@
 """The rate minorant from `rate_evaluation`, and the psi and g minorants
 as the solver assembles them (`ConvexSubproblem.evaluate`/`jacobian`),
-checked against the true functions on the solver's 1/B row scale."""
+checked against the true functions on the solver's 1/B row scale. Rate
+derivatives are read off the solver's rate-floor rows."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,9 @@ from hypothesis import strategies as st
 
 from eeopt.errors import DomainError, ShapeError
 from eeopt.network import evaluate, sinr
-from eeopt.surrogate import (
-    bound_coefficients,
-    build,
-    rate_evaluation,
-    weighted_rate_hessian,
-)
+from eeopt.scalarization import weighted_product
+from eeopt.solver import ConvexSubproblem
+from eeopt.surrogate import bound_coefficients, build, rate_evaluation
 
 from helpers import (
     central_diff,
@@ -22,6 +20,7 @@ from helpers import (
     g_row,
     psi_rows,
     random_alloc,
+    rate_rows_jacobian,
     random_instance,
     rel_err,
     true_g,
@@ -144,7 +143,7 @@ class TestSurrogateRate:
             p = random_alloc(rng, inst)
             model = expand(inst, p)
             q = np.log2(p)
-            jac = rate_evaluation(model, q).jac
+            jac = rate_rows_jacobian(model, q)
             for i in range(inst.n_users):
                 fd = central_diff(lambda qq: true_rate(inst, qq, i), q)
                 assert np.max(rel_err(jac[i].ravel(), fd, floor=1e-6)) < 1e-5
@@ -154,7 +153,7 @@ class TestSurrogateRate:
         inst = random_instance(rng, 3, 2)
         model = expand(inst, random_alloc(rng, inst))
         q = model.expansion_q + rng.uniform(-1, 1, size=model.expansion_q.shape)
-        jac = rate_evaluation(model, q).jac
+        jac = rate_rows_jacobian(model, q)
         for i in range(inst.n_users):
             fd = central_diff(lambda qq: rate_evaluation(model, qq).rates[i], q)
             assert np.max(rel_err(jac[i].ravel(), fd, floor=1e-6)) < 1e-5
@@ -299,22 +298,26 @@ class TestConcavity:
 
 class TestWeightedHessian:
     def test_matches_finite_difference_of_jacobian(self):
+        # with weight B w_i on rate floor i and nothing else, minus the Newton
+        # matrix is sum_i w_i hess(rate_i): the floors are (rate_i - min_rate_i) / B
         rng = np.random.default_rng(26)
         inst = random_instance(rng, 3, 2)
         model = expand(inst, random_alloc(rng, inst))
         q = model.expansion_q + rng.uniform(-0.5, 0.5, size=model.expansion_q.shape)
         w = rng.uniform(0.1, 2.0, size=inst.n_users)
-        ev = rate_evaluation(model, q)
-        h = weighted_rate_hessian(model, ev, w)
+        sub = ConvexSubproblem(model, weighted_product(1.0))
+        n, nq = inst.n_users, sub.nq
+        beta = np.zeros(sub.n_constraints)
+        beta[n : 2 * n] = inst.bandwidth_per_block * w
+        sub.evaluate(sub.pack(q, u=0.0))
+        h = -sub.newton_matrix(np.zeros(sub.n_constraints), beta)[:nq, :nq]
 
         def weighted_grad(qq):
-            evq = rate_evaluation(model, qq)
-            return np.einsum("i,ijk->jk", w, evq.jac).ravel()
+            return w @ rate_rows_jacobian(model, qq)
 
-        n = q.size
-        fd = np.zeros((n, n))
+        fd = np.zeros((nq, nq))
         step = 1e-6
-        for c in range(n):
+        for c in range(nq):
             hi = q.ravel().copy()
             lo = q.ravel().copy()
             hi[c] += step
