@@ -84,6 +84,8 @@ class NetworkInstance:
         object.__setattr__(self, "max_power", _frozen(per_user("max_power", self.max_power)))
         object.__setattr__(self, "min_rate", _frozen(per_user("min_rate", self.min_rate)))
         object.__setattr__(self, "bandwidth_per_block", float(self.bandwidth_per_block))
+        idx = np.arange(n)
+        object.__setattr__(self, "_direct_gain", _frozen(gain[idx, idx, :]))
 
         if self.bandwidth_per_block <= 0:
             raise DomainError("bandwidth_per_block must be > 0")
@@ -109,9 +111,8 @@ class NetworkInstance:
         return self.gain.shape[2]
 
     def direct_gain(self) -> np.ndarray:
-        """The (N, K) array of gains from each user to its own receiver."""
-        n = self.gain.shape[0]
-        return self.gain[np.arange(n), np.arange(n), :]
+        """The (N, K) array of gains from each user to its own receiver (read-only)."""
+        return self._direct_gain
 
 
 @dataclass(frozen=True)
@@ -147,19 +148,24 @@ class FeasibilityResult:
 
 def _check_alloc(instance: NetworkInstance, alloc: np.ndarray, nonneg: bool = True) -> np.ndarray:
     p = np.asarray(alloc, dtype=float)
-    expected = (instance.n_users, instance.n_blocks)
+    expected = instance.noise.shape
     if p.shape != expected:
         raise ShapeError(f"allocation shape {p.shape} does not match instance {expected}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("allocation entries must be finite")
-    if nonneg and np.any(p < 0):
-        raise DomainError("allocation entries must be nonnegative")
+    if not (p.min() >= 0 and p.max() < np.inf):        # False on nan
+        if not np.isfinite(p).all():
+            raise DomainError("allocation entries must be finite")
+        if nonneg:
+            raise DomainError("allocation entries must be nonnegative")
     return p
 
 
 def sinr(instance: NetworkInstance, alloc: np.ndarray) -> np.ndarray:
     """Per-(user, block) SINR: direct power over interference plus noise."""
-    p = _check_alloc(instance, alloc)
+    return _sinr(instance, _check_alloc(instance, alloc))
+
+
+def _sinr(instance: NetworkInstance, p: np.ndarray) -> np.ndarray:
+    """`sinr` at an allocation that has passed the check."""
     received = np.einsum("jik,jk->ik", instance.gain, p)
     direct = instance.direct_gain() * p
     interference = received - direct
@@ -177,25 +183,27 @@ def jain_index(values: np.ndarray) -> float:
     if peak == 0.0:
         return 1.0
     v = v / peak
-    return float(v.sum() ** 2 / (v.size * np.sum(v * v)))
+    return float(v.sum() ** 2 / (v.size * (v * v).sum()))
 
 
 def evaluate(instance: NetworkInstance, alloc: np.ndarray) -> MetricsReport:
     """Rates, consumed powers, energy efficiencies and fairness for one allocation."""
     p = _check_alloc(instance, alloc)
-    gamma = sinr(instance, p)
+    gamma = _sinr(instance, p)
     rate = instance.bandwidth_per_block * np.log2(1.0 + gamma).sum(axis=1)
     power = instance.amp_inefficiency * p.sum(axis=1) + instance.static_power
     ee = rate / power
     rate_total = float(rate.sum())
     power_total = float(power.sum())
+    for a in (gamma, rate, power, ee):      # fresh arrays, frozen in place
+        a.setflags(write=False)
     return MetricsReport(
-        sinr=_frozen(gamma),
-        rate=_frozen(rate),
+        sinr=gamma,
+        rate=rate,
         rate_total=rate_total,
-        power=_frozen(power),
+        power=power,
         power_total=power_total,
-        ee=_frozen(ee),
+        ee=ee,
         ee_total=rate_total / power_total,
         ee_min=float(ee.min()),
         jain_index=jain_index(ee),
@@ -209,19 +217,18 @@ def is_feasible(instance: NetworkInstance, alloc: np.ndarray, tol: float = 0.0) 
     (1 + tol) and rates may fall short of the floor by a factor (1 - tol).
     The result carries the one metrics report the check evaluated.
     """
-    p = _check_alloc(instance, alloc, nonneg=False)
+    p = np.asarray(alloc, dtype=float)
     violations: list[Violation] = []
-
-    for i, k in zip(*np.nonzero(p < 0)):
-        violations.append(Violation("nonnegativity", (int(i), int(k)), float(p[i, k])))
-
-    # Rates are evaluated on the clipped allocation so a stray negative
-    # entry cannot poison the remaining checks.
-    p_eval = np.clip(p, 0.0, None)
-    report = evaluate(instance, p_eval)
+    if p.size and p.min() < 0:
+        # rates are evaluated on the clipped allocation, which `evaluate` checks
+        p = _check_alloc(instance, p, nonneg=False)
+        for i, k in zip(*np.nonzero(p < 0)):
+            violations.append(Violation("nonnegativity", (int(i), int(k)), float(p[i, k])))
+        p = np.maximum(p, 0.0)
+    report = evaluate(instance, p)
 
     # per user its budget, then its floor: (kind, flagged, slack)
-    used = p_eval.sum(axis=1)
+    used = p.sum(axis=1)
     checks = [("power_budget", used > instance.max_power * (1.0 + tol), instance.max_power - used),
               ("min_rate", report.rate < instance.min_rate * (1.0 - tol), report.rate - instance.min_rate)]
     for i in np.flatnonzero(checks[0][1] | checks[1][1]):

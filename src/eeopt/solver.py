@@ -49,33 +49,36 @@ point, which is all the outer loop's minorize-maximize ascent needs
 (`eeopt.engine`); its min_gain makes such a gain earn another outer
 iteration, whose subproblem is solved in turn.
 
-Constraints are normalized internally (power rows by the power budget,
-rate-type rows by the block bandwidth) so the Newton systems stay well
-conditioned when bandwidths are in the hundreds of kHz; the feasible set
-is unchanged and multipliers refer to the normalized rows.
+Rows are normalized internally, power rows by the budget and rate-type
+rows by the block bandwidth, so the Newton systems stay well conditioned;
+the feasible set is unchanged and multipliers refer to the normalized rows.
 
-Both derivatives read off one derivative table Z with a fixed pattern.
-Each power term, a nonzero W_mj or P_m, enters row m's Jacobian as -u e'
-and its Hessian as -ln2 u e e', with u = ln2 2^(S_m theta) W_mj 2^q_j (or
-ln2 2^(S_m theta) P_m) and e the unit q_j column plus S_m (S_m alone for
-P_m); each rate_i on block k adds R_mi B a_ik ln2 (s s' - diag(s)) over
-the interference shares s = s_.ik (`eeopt.surrogate`). With Z the rows
-of G, a row e per power term and a share row per user and block,
+Every rate is affine in q and in the log2 of its interference sum
+(`eeopt.surrogate`), so setting `ConvexSubproblem.model` folds the
+surrogate's offset and slope into the rows once per outer iteration:
+c0' = c0 + R B sum_k (b + a log2 w_ii), RA = R (x) B a and AR = A + RA
+on the q columns give c = c0' + AR x - RA log2(total) - 2^(S theta) *
+(W 2^q + P), one 2^q serving the rows and the interference sum.
 
-    G = A + R B a - U Z[m:]       (R B a: R_mi B a_ik in q column i*K + k)
+Both derivatives read off one derivative table Z. Each power term, a
+nonzero W_mj or P_m, enters row m's Jacobian as -u e' and its Hessian as
+-ln2 u e e', with u = ln2 2^(S_m theta) W_mj 2^q_j (or ln2 2^(S_m theta)
+P_m) and e the unit q_j column plus S_m (S_m alone for P_m); each rate_i
+on block k adds R_mi B a_ik ln2 (s s' - diag(s)) over the interference
+shares s = s_.ik. With Z the rows of G, a row e per power term and a
+share row per user and block, and U holding each u in its row,
+
+    G = AR - RA shares - U Z[m:]    (RA shares: K products of m x N by N x N)
     M = Z' diag(omega) Z + diag(ln2 sum_i wa_ik s_jik),   wa = (R'lambda) B a,
 
-U holding each u in its row and R_mi B a_ik against share row i*K + k,
-and omega = [lambda/s, ln2 lambda_m u, -ln2 wa]. Z is read by its
-pattern, never formed densely: the power terms sit at fixed positions,
-summed by one bincount into G and one into M, and the share rows form K
-blocks of N x N, so both products cost about their nonzeros.
+omega = [lambda/s, ln2 lambda_m u, -ln2 wa]. Z is never formed: the power
+terms, the K share blocks and their diagonal sit at fixed positions,
+summed by one bincount into G and one into M.
 
-Each iterate costs one rate pass; the start's serves both its threshold
-roots and its rows. A line-search trial point gets only a value pass
-(`ConvexSubproblem.evaluate` without the Jacobian). Once a trial is
-accepted, `jacobian` fills the table from that kept pass, never
-evaluating the point again, and `newton_matrix` reads it.
+Each iterate costs one interference pass, the start's serving its roots
+too; a line-search trial gets only that value pass and, once accepted,
+`jacobian` fills the table from it. The loop keeps (x, z), z = (s,
+lambda), as one vector, so a boundary step is one divide and one min.
 
 Everything here is deterministic: the same subproblem produces the
 identical iterate sequence.
@@ -175,8 +178,8 @@ class ConvexSubproblem:
     * weighted minimum: t, under the two epigraph rows;
     * product-EE baseline: sum_i v_i.
 
-    `model` may be set to another model of the same instance; every table
-    stays. `jacobian` fills the derivative table and `newton_matrix` reads it.
+    `model` may be set to another model of the same instance: the layout
+    stays, and the surrogate is folded into the rows (module docstring).
     """
 
     def __init__(self, model: SurrogateModel, scalarization: Scalarization):
@@ -220,21 +223,21 @@ class ConvexSubproblem:
 
         # the objective and the row tables; power rows are normalized by the
         # budget and the rate-type rows by the block bandwidth B
+        per_b, users = 1.0 / inst.bandwidth_per_block, np.arange(n)
         own_q = np.repeat(np.eye(n), k, axis=1)            # (N, NK): user i's q columns
-        per_b = 1.0 / inst.bandwidth_per_block
         obj, c0, A = np.zeros(self.n_vars), np.zeros(m), np.zeros((m, self.n_vars))
         R, W, P = np.zeros((m, n)), np.zeros((m, nq)), np.zeros(m)
         S = np.zeros((m, self.n_vars - nq))
         c0[:n] = 1.0
         W[:n] = own_q / inst.max_power[:, None]
         c0[n : 2 * n] = -inst.min_rate * per_b
-        R[n : 2 * n] = np.eye(n) * per_b
+        R[n + users, users] = per_b
         if v is not None:
             obj[self._v_cols] = v
-            R[2 * n : 3 * n] = np.eye(n) * per_b
+            R[2 * n + users, users] = per_b
             W[2 * n : 3 * n] = own_q * (inst.amp_inefficiency * per_b)[:, None]
             P[2 * n : 3 * n] = inst.static_power * per_b
-            S[2 * n + np.arange(n), self._v_cols - nq] = 1.0
+            S[2 * n + users, self._v_cols - nq] = 1.0
         if u is not None:
             g = self._g_row
             obj[self.u_index] = u
@@ -256,7 +259,7 @@ class ConvexSubproblem:
         # each entry of its Jacobian row (the nonzeros of e) and of its Hessian
         # term e e'; the shares, s_jik at [k, i, j]
         w_rows, w_cols = np.nonzero(W)
-        p_rows = np.flatnonzero(P)
+        p_rows = P.nonzero()[0]
         self._term_rows = rows = np.concatenate((w_rows, p_rows))
         self._term_q = w_cols
         self._term_coef = LN2 * np.concatenate((W[w_rows, w_cols], P[p_rows]))
@@ -269,12 +272,36 @@ class ConvexSubproblem:
         pair = np.flatnonzero(term[1:] == term[:-1])    # the terms with two columns
         left = np.concatenate((np.arange(term.size), pair, pair + 1))
         right = np.concatenate((np.arange(term.size), pair + 1, pair))
-        self._hess_pattern = (term[left], col[left] * nv + col[right])
-        self._shares, self._eye = np.empty((k, n, n)), np.eye(n)
-        # the Newton matrix's buffer, its q columns' K diagonal blocks at [k, j, l], its q diagonal
+        # the Newton matrix adds, by one bincount, each e e' and then, on the q
+        # columns, the share blocks at [k, j, l] and their diagonal at [k, j]
+        q_col = np.arange(n) * k + np.arange(k)[:, None]        # column of q_jk at [k, j]
+        blocks = q_col[:, :, None] * nv + q_col[:, None, :]
+        self._hess_pattern = (term[left], np.concatenate(
+            (col[left] * nv + col[right], blocks.ravel(), q_col.ravel() * (nv + 1))))
         self._M = np.empty((nv, nv))
-        self._M_blocks = np.einsum("jklk->kjl", self._M[:nq, :nq].reshape(n, k, n, k))
-        self._M_diagonal = self._M.reshape(-1)[:: nv + 1][:nq].reshape(n, k).T
+        self._shares = np.empty((k, n, n))
+        # R B a s on each block, written into the q columns of a zero buffer at [k, m, j]
+        self._share_term = np.zeros((m, nv))
+        self._share_blocks = self._share_term[:, :nq].reshape(m, n, k).transpose(2, 0, 1)
+
+    @property
+    def model(self) -> SurrogateModel:
+        return self._model
+
+    @model.setter
+    def model(self, model: SurrogateModel):
+        """Swap in a surrogate, folding its rate offset and slope into c0', AR and RA
+        (RA's columns k-major, in the order of the rate pass's `log_total`)."""
+        self._model = model
+        m, nq = self.n_constraints, self.nq
+        slope = model.rate_slope.T                           # B a at [k, i]
+        self._c0_model = self._c0 + self._R @ (model.instance.bandwidth_per_block
+                                               * model.rate_offset.sum(axis=1))
+        RA = self._R[:, None, :] * slope                     # R_mi B a_ik at [m, k, i]
+        self._RA, self._RA_blocks = RA.reshape(m, nq), RA.transpose(1, 0, 2)
+        self._AR = self._jacobian_template.copy()
+        self._AR[:, :nq] += RA.transpose(0, 2, 1).reshape(m, nq)
+        self._ln2_slope = LN2 * slope
 
     # -- variable packing ------------------------------------------------
 
@@ -289,8 +316,7 @@ class ConvexSubproblem:
         if self.u_index is not None:
             x[self.u_index] = u
         if self._v_cols is not None:
-            x[self._v_cols] = np.inf
-            np.minimum.at(x, self._v_cols, v)
+            x[self._v_cols] = v if self._v_cols[-1] > self._v_cols[0] else np.min(v)
         if self.t_index is not None:
             x[self.t_index] = t
         return x
@@ -301,13 +327,9 @@ class ConvexSubproblem:
     # -- constraint evaluation --------------------------------------------
 
     def evaluate(self, x: np.ndarray, with_grad: bool = True):
-        """Normalized constraint values, optional Jacobian, and the kept pass.
-
-        Without the Jacobian this is the value pass: one rate evaluation
-        plus the power and threshold terms, no interference shares or
-        derivatives. The kept pass (rate pass, 2^q, 2^(S theta)) holds
-        what `jacobian` fills the derivative table from.
-        """
+        """Normalized constraint values, optional Jacobian, and the kept pass
+        (interference pass, 2^(S theta)) that `jacobian` fills the derivative
+        table from; without the Jacobian this is the value pass."""
         c, kept = self._rows(x, rate_evaluation(self.model, self.unpack_q(x)))
         return c, (self.jacobian(kept) if with_grad else None), kept
 
@@ -315,9 +337,8 @@ class ConvexSubproblem:
         """The expansion point with each threshold at its exact root: (x, c, kept pass).
 
         The surrogate is tight at the expansion point, so every row is
-        nonnegative there and the threshold rows that bind are zero. The
-        one rate pass serves both the roots and the rows.
-        """
+        nonnegative there and the threshold rows that bind are zero. One
+        interference pass serves both the roots and the rows."""
         q = self.model.expansion_q
         ev = rate_evaluation(self.model, q)
         u, v = efficiency_roots(self.model.instance, q, ev.rates)
@@ -329,47 +350,39 @@ class ConvexSubproblem:
         return (x, *self._rows(x, ev))
 
     def _rows(self, x: np.ndarray, ev):
-        """Constraint values at x from the rate pass `ev` at x's q, and the kept pass."""
-        exp_q = np.exp2(x[: self.nq])
+        """Constraint values at x from the interference pass `ev` at x's q, and the kept pass."""
         scale = np.exp2(self._S @ x[self.nq :])
-        drawn = self._W @ exp_q
-        c = (self._c0 + self._jacobian_template @ x + self._R @ ev.rates
-             - (drawn * scale + self._P * scale))
-        return c, (ev, exp_q, scale)
+        c = (self._c0_model + self._AR @ x - self._RA @ ev.log_total.ravel()
+             - scale * (self._W @ ev.power.ravel() + self._P))
+        return c, (ev, scale)
 
     def jacobian(self, kept) -> np.ndarray:
-        """G = A + R B a - U Z[m:] at a kept pass's point, filling the derivative table there."""
-        ev, exp_q, scale = kept
-        n, k, sh = self.n_users, self.n_blocks, self._shares
-        np.divide(ev.scaled.transpose(2, 1, 0), ev.total.T[:, :, None], out=sh)
+        """G = AR - RA shares - U Z[m:] at a kept pass's point, filling the derivative table there."""
+        ev, scale = kept
+        sh = self._shares
+        np.multiply(self.model.log_tables[0], ev.power.T[:, None, :], out=sh)
+        sh /= ev.total[:, :, None]                          # s_jik at [k, i, j]
         self._u = u = scale[self._term_rows] * self._term_coef
-        u[: self._term_q.size] *= exp_q[self._term_q]
-        G = self._jacobian_template.copy()
-        # the rate Jacobian block by block: B a_ik (delta_ij - s_jik) at [k, i, j]
-        rate_jacobian = self.model.rate_slope.T[:, :, None] * (self._eye - sh)
-        G[:, : self.nq].reshape(len(G), n, k).transpose(2, 0, 1)[...] = self._R @ rate_jacobian
+        u[: self._term_q.size] *= ev.power.ravel()[self._term_q]
+        np.matmul(self._RA_blocks, sh, out=self._share_blocks)
         term, flat = self._jac_pattern
-        G -= np.bincount(flat, u[term], minlength=G.size).reshape(G.shape)
-        self._G = G
+        powers = np.bincount(flat, u[term], minlength=self._share_term.size)
+        self._G = G = self._AR - self._share_term - powers.reshape(self._share_term.shape)
         return G
 
     def newton_matrix(self, sigma: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """G' diag(sigma) G - sum_m lam_m hess c_m at the point of the last `jacobian`.
-
-        Z' diag(omega) Z plus the shares' diagonal, read by Z's pattern: the
-        rows of G as one product, the power terms on their pattern, the
-        shares block by block. The matrix is a buffer the next call overwrites.
-        """
+        """G' diag(sigma) G - sum_m lam_m hess c_m at the point of the last `jacobian`:
+        the rows of G as one product, then the power terms and the K share blocks
+        by one bincount. The matrix is a buffer the next call overwrites."""
         G, sh, M = self._G, self._shares, self._M
         np.matmul(G.T * sigma, G, out=M)
-        ln2_lam = LN2 * lam
         term, flat = self._hess_pattern
-        omega = (ln2_lam[self._term_rows] * self._u)[term]       # ln2 lam_m u on e e'
+        ln2_wa = self._ln2_slope * (lam @ self._R)                   # at [k, i]
+        weighted = sh.transpose(0, 2, 1) * -ln2_wa[:, None, :]      # -ln2 wa_ik s_jik at [k, j, i]
+        omega = np.concatenate(((LN2 * lam[self._term_rows] * self._u)[term],   # ln2 lam_m u
+                                np.matmul(weighted, sh).ravel(),
+                                np.matmul(ln2_wa[:, None, :], sh).ravel()))
         M += np.bincount(flat, omega, minlength=M.size).reshape(M.shape)
-        ln2_wa = self.model.rate_slope.T * (self._R.T @ ln2_lam)   # at [k, i]
-        weighted = sh.transpose(0, 2, 1) * ln2_wa[:, None, :]        # ln2 wa_ik s_jik at [k, j, i]
-        self._M_blocks -= np.matmul(weighted, sh)
-        self._M_diagonal += weighted.sum(axis=2)
         return M
 
 
@@ -379,28 +392,28 @@ class ConvexSubproblem:
 def _newton_direction(M: np.ndarray, rhs: np.ndarray):
     """Solve M d = rhs, retrying with an escalating ridge on M's diagonal; None if all fail."""
     diagonal = M.reshape(-1)[:: M.shape[0] + 1]
-    saved = diagonal.copy()
+    added = 0.0
     for boost in (_RIDGE, _RIDGE * 1e4, _RIDGE * 1e8, 1e-2):
-        np.add(saved, boost, out=diagonal)
+        diagonal += boost - added
+        added = boost
         try:
             d = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError:
             continue
-        if np.isfinite(d).all():
+        if math.isfinite(d.sum()):
             return d
     return None
 
 
-def _to_boundary(s, ds, lam, dlam, fraction: float = _TO_BOUNDARY) -> float:
-    """Largest step in (0, 1] keeping s, lam > 0 above (1 - fraction) of themselves."""
-    fastest = float(np.minimum((ds / s).min(), (dlam / lam).min()))
+def _to_boundary(z, dz, fraction: float = _TO_BOUNDARY) -> float:
+    """Largest step in (0, 1] keeping z = (s, lam) > 0 above (1 - fraction) of itself."""
+    fastest = float((dz / z).min())
     return 1.0 if fastest >= 0.0 else min(1.0, -fraction / fastest)
 
 
-def _certificate(stationarity: np.ndarray, c: np.ndarray, lam: np.ndarray) -> float:
-    """max(||grad f + G'lam||_inf, max |lam_m c_m|, max(0, -c_m)), from grad f + G'lam."""
-    return max(float(np.abs(stationarity).max()), float(np.abs(lam * c).max()),
-               float(np.maximum(0.0, -c).max()))
+def _certificate(c_obj, G, c, lam, violation: float) -> float:
+    """max(||grad f + G'lam||_inf, max |lam_m c_m|, max(0, -c_m)), given violation = -min c."""
+    return max(float(np.abs(c_obj + lam @ G).max()), float(np.abs(lam * c).max()), violation)
 
 
 def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
@@ -417,77 +430,90 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
     one beats it, its best iterate whose rows are violated by at most tol.
     """
     c_obj = problem.objective_vector
-    m = problem.n_constraints
-    rhs = np.empty((problem.n_vars, m + 1))
+    n, m = problem.n_vars, problem.n_constraints
+    rhs = np.empty((n, m + 1))
+    # the iterate is one vector y = (x, z), with the slacks and the multipliers
+    # as the halves of z = (s, lam); the direction dy = (dx, ds, dlam) likewise
+    dy = np.empty(n + 2 * m)
+    dx, dz, ds, dlam = dy[:n], dy[n:], dy[n : n + m], dy[n + m :]
     mu_floor = 0.01 * tol / m
     status = SubproblemStatus.MAX_ITERATIONS
     with np.errstate(over="ignore", invalid="ignore"):
         x, c, ctx = problem.start()
-        f_start = float(c_obj @ x)
+        f = f_start = float(c_obj @ x)
         if multipliers is None:
-            s, lam = np.maximum(c, 1.0), np.ones(m)
+            y = np.concatenate((x, np.maximum(c, 1.0), np.ones(m)))
         else:
-            s, lam = np.maximum(c, 0.1), np.maximum(multipliers, 1e-6)
+            y = np.concatenate((x, np.maximum(c, 0.1), np.maximum(multipliers, 1e-6)))
         best = None
         for it in range(_MAX_NEWTON + 1):
+            x, z, s, lam = y[:n], y[n:], y[n : n + m], y[n + m :]
             G = problem.jacobian(ctx)
-            r_d, r_p = c_obj + G.T @ lam, c - s
-            residual = _certificate(r_d, c, lam)
+            r_p = c - s
+            violation = -float(c.min())
             gap = float(s @ lam)
-            if residual <= tol and gap <= 0.1 * tol:
-                status = SubproblemStatus.OPTIMAL
-                best = (x, lam, residual)
-                break
-            gain = float(c_obj @ x) - f_start
-            if (min_gain is not None and it > 0 and -c.min() <= tol and gain >= 2.0 * min_gain
-                    and max(residual, gap) <= _ASCENT_SLACK * gain):
-                status = SubproblemStatus.ASCENT
-                best = (x, lam, residual)
-                break
-            if best is None or (-c.min() <= tol and c_obj @ x > c_obj @ best[0]):
-                best = (x, lam, residual)
+            gain = f - f_start
+            ascent = (min_gain is not None and it > 0 and violation <= tol
+                      and gain >= 2.0 * min_gain and gap <= _ASCENT_SLACK * gain)
+            # the certificate is computed only where it can stop the loop
+            if gap <= 0.1 * tol or ascent:
+                residual = _certificate(c_obj, G, c, lam, violation)
+                if residual <= tol and gap <= 0.1 * tol:
+                    status = SubproblemStatus.OPTIMAL
+                elif ascent and residual <= _ASCENT_SLACK * gain:
+                    status = SubproblemStatus.ASCENT
+                if status is not SubproblemStatus.MAX_ITERATIONS:
+                    return x, lam, residual, it, status
+            if best is None or (violation <= tol and f > f_best):
+                best, f_best = (x, lam, c, G, violation), f
             if it == _MAX_NEWTON:
                 break
 
             # Mehrotra predictor-corrector (Nocedal & Wright, section 14.2) on one
             # factorization of the reduced Newton matrix G' diag(lam/s) G - sum_m
             # lam_m hess c_m: column 0 of the solve is the affine direction, and
-            # the other columns Y = M^-1 G' diag(1/s) map a centering target tau,
-            # one entry per row, to its share of the step, so dx = dx_aff + Y tau.
-            np.divide(G.T, s, out=rhs[:, 1:])
-            rhs[:, 0] = c_obj - rhs[:, 1:] @ (lam * r_p)
-            d = _newton_direction(problem.newton_matrix(lam / s, lam), rhs)
+            # the other columns Y = M^-1 G' map a centering target tau, one entry
+            # per row, to its share of the step, so dx = dx_aff + Y (tau / s)
+            # and, with G d formed once, s + ds = c + G dx.
+            sigma = lam / s
+            rhs[:, 1:] = G.T
+            np.subtract(c_obj, (sigma * r_p) @ G, out=rhs[:, 0])
+            d = _newton_direction(problem.newton_matrix(sigma, lam), rhs)
             if d is None:
                 status = SubproblemStatus.NUMERICAL_FAILURE
                 break
-            ds_aff = G @ d[:, 0] + r_p
-            dlam_aff = -lam - lam * ds_aff / s
-            # the affine step goes all the way to the boundary: it only predicts mu_aff
-            step = _to_boundary(s, ds_aff, lam, dlam_aff, 1.0)
+            Gd = G @ d
+            w = c + Gd[:, 0]                              # s + ds_aff
+            np.subtract(w, s, out=ds)
+            np.multiply(w, -sigma, out=dlam)              # -lam - lam ds_aff / s
+            # the affine step goes all the way to the boundary: it only predicts mu_aff,
+            # and as s dlam + lam ds = -s lam there, m mu_aff = (1-step) s'lam + step^2 ds'dlam
+            step = _to_boundary(z, dz, 1.0)
+            product = ds * dlam
             mu = gap / m
-            mu_aff = float((s + step * ds_aff) @ (lam + step * dlam_aff)) / m
+            mu_aff = ((1.0 - step) * gap + step * step * float(product.sum())) / m
             infeasibility = np.abs(r_p)
-            sigma = min(1.0, max((mu_aff / mu) ** 2, _THETA * float(infeasibility.max()) / mu))
-            tau = np.maximum(0.0, max(sigma * mu, mu_floor) - ds_aff * dlam_aff)
-            dx = d[:, 0] + d[:, 1:] @ tau
-            ds = G @ dx + r_p
-            dlam = (tau - lam * ds) / s - lam
-            step = min(_to_boundary(s, ds, lam, dlam),
-                       _MAX_MOVE / max(float(np.abs(dx).max()), _MAX_MOVE))
+            centering = min(1.0, max((mu_aff / mu) ** 2, _THETA * float(infeasibility.max()) / mu))
+            tau_s = np.maximum(0.0, max(centering * mu, mu_floor) - product) / s
+            np.add(d[:, 0], d[:, 1:] @ tau_s, out=dx)
+            w += Gd[:, 1:] @ tau_s                        # s + ds
+            np.subtract(w, s, out=ds)
+            np.subtract(tau_s, sigma * w, out=dlam)       # (tau - lam ds) / s - lam
+            step = min(_to_boundary(z, dz), _MAX_MOVE / max(float(np.abs(dx).max()), _MAX_MOVE))
             allowed = max(_GROWTH * float(infeasibility.sum()), _SMALL)
             while step >= _MIN_STEP:
-                x_new = x + step * dx
-                c_new, _, ctx_new = problem.evaluate(x_new, with_grad=False)
-                if np.abs(c_new - s - step * ds).sum() <= allowed:   # False on inf or nan
+                y_new = y + step * dy
+                c_new, _, ctx_new = problem.evaluate(y_new[:n], with_grad=False)
+                if np.abs(c_new - y_new[n : n + m]).sum() <= allowed:   # False on inf or nan
                     break
                 step *= _BACKTRACK
             else:
                 status = SubproblemStatus.NUMERICAL_FAILURE
                 break
-            x, c, ctx = x_new, c_new, ctx_new
-            s = s + step * ds
-            lam = lam + step * dlam
-    return (*best, it, status)
+            y, c, ctx = y_new, c_new, ctx_new
+            f = float(c_obj @ y[:n])
+        x, lam, c, G, violation = best
+        return x, lam, _certificate(c_obj, G, c, lam, violation), it, status
 
 
 def solve(sub: ConvexSubproblem, tol: float = 1e-8,

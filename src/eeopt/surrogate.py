@@ -23,15 +23,18 @@ variable. This module evaluates the rates; psi and g exist only as the
 subproblem's constraint rows, assembled from those rates in one place,
 `solver.ConvexSubproblem`, which also builds every derivative.
 
-One evaluation pass computes the rates and keeps its stabilized
-interference terms, from which the solver reads the interference shares
-s_jik (interferer j's share of user i's denominator on block k):
+One evaluation pass sums the interference in linear power, total_ik =
+sum_{j!=i} w_ji 2^{q_j^k} + noise_ik, as one batched product with a
+zero-diagonal cross-gain table, and takes log2 of it once. The solver
+reads the interference shares s_jik = w_ji 2^{q_j^k} / total_ik from it:
 
     d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik)
     hess_k rate_i      = -B a_i^k ln2 (diag(s_ik) - s_ik s_ik')
 
-The interference log-sum is evaluated with the max exponent subtracted so
-widely spread q values stay accurate.
+The sum needs no max-exponent stabilization: its terms are the received
+powers that `network.sinr` adds, so a gain times a power that overflows
+here overflows there first, and the solver's line search rejects a trial
+point whose values are not finite.
 """
 
 from __future__ import annotations
@@ -65,11 +68,15 @@ def bound_coefficients(gamma_prime):
     Accepts scalars or arrays.
     """
     g = np.asarray(gamma_prime, dtype=float)
-    if np.any(~np.isfinite(g)) or np.any(g < 0):
+    positive = g.size > 0 and g.min() > 0 and g.max() < math.inf     # False on nan
+    if not positive and (np.any(~np.isfinite(g)) or np.any(g < 0)):
         raise DomainError("expansion SINR must be finite and nonnegative")
     a = g / (1.0 + g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(g > 0, np.log2(1.0 + g) - a * np.log2(np.where(g > 0, g, 1.0)), 0.0)
+    if positive:
+        b = np.log2(1.0 + g) - a * np.log2(g)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.where(g > 0, np.log2(1.0 + g) - a * np.log2(np.where(g > 0, g, 1.0)), 0.0)
     if np.ndim(gamma_prime) == 0:
         return float(a), float(b)
     return a, b
@@ -90,22 +97,22 @@ class SurrogateModel:
     coefficients: BoundCoefficients
     expansion_q: np.ndarray     # (N, K), log2 of the expansion powers
 
-    # log2 cross gains (-inf on zero gains and the diagonal), direct gains and
-    # noise; computed here unless `build` takes them from a model of the instance
+    # the instance-only tables: cross gains w_ji with a zero diagonal at [k, i, j],
+    # log2 direct gains (N, K) and noise at [k, i]; computed here unless `build`
+    # takes them from a model of the instance
     log_tables: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         inst = self.instance
         if self.log_tables is None:
-            with np.errstate(divide="ignore"):
-                log_gain = np.log2(inst.gain)
+            cross = inst.gain.transpose(2, 1, 0).copy()
             idx = np.arange(inst.n_users)
-            log_gain[idx, idx, :] = -np.inf
-            tables = (log_gain, np.log2(inst.direct_gain()), np.log2(inst.noise))
+            cross[:, idx, idx] = 0.0
+            tables = (cross, np.log2(inst.direct_gain()), inst.noise.T.copy())
             object.__setattr__(self, "log_tables", tables)
         # the constant part of each rate term, b + a log2 w_ii, and its slope B a
         c = self.coefficients
-        object.__setattr__(self, "_rate_offset", c.b + c.a * self.log_tables[1])
+        object.__setattr__(self, "rate_offset", c.b + c.a * self.log_tables[1])
         object.__setattr__(self, "rate_slope", inst.bandwidth_per_block * c.a)
 
 
@@ -119,10 +126,10 @@ def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarr
     """
     p = np.asarray(alloc, dtype=float)
     gamma = np.asarray(expansion_sinr, dtype=float)
-    if p.shape != (instance.n_users, instance.n_blocks) or gamma.shape != p.shape:
+    if p.shape != instance.noise.shape or gamma.shape != p.shape:
         raise ShapeError(f"allocation shape {p.shape} or SINR shape {gamma.shape} "
                          "does not match instance")
-    if np.any(p <= 0):
+    if (p <= 0).any():
         raise DomainError(
             "surrogate expansion needs strictly positive powers (q = log2 p must be "
             "finite); start from a strictly positive allocation"
@@ -134,34 +141,33 @@ def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarr
                           log_tables=tables)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RateEvaluation:
-    """Surrogate rates at one q and the stabilized terms their derivatives reuse."""
+    """The interference at one q; the surrogate rates there on demand."""
 
-    rates: np.ndarray   # (N,) bit/s
-    scaled: np.ndarray  # (N, N, K): interferer j's term in user i's denominator, over 2^m_i^k
-    total: np.ndarray   # (N, K): sum over j of scaled plus the scaled noise; s_jik = scaled / total
+    model: SurrogateModel
+    q: np.ndarray           # (N, K)
+    power: np.ndarray       # (N, K): 2^q
+    total: np.ndarray       # (K, N): user i's interference plus noise at [k, i]
+    log_total: np.ndarray   # (K, N)
+
+    @property
+    def rates(self) -> np.ndarray:
+        """(N,) surrogate rates in bit/s."""
+        m = self.model
+        terms = m.rate_offset + m.coefficients.a * (self.q - self.log_total.T)
+        return m.instance.bandwidth_per_block * terms.sum(axis=1)
 
 
 def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
-    """Evaluate every surrogate rate in one pass, keeping what its derivatives need."""
-    inst = model.instance
-    n, k = inst.n_users, inst.n_blocks
+    """Sum the interference at q in one pass; the rates follow from it on demand."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (n, k):
-        raise ShapeError(f"q shape {q.shape} does not match instance ({n}, {k})")
-
-    # log2 of (sum_{j!=i} w_ji 2^{q_j} + noise), stabilized by the max exponent
-    log_gain, _, log_noise = model.log_tables
-    exponents = log_gain + q[:, None, :]                       # (j, i, k)
-    m = np.maximum(exponents.max(axis=0), log_noise)           # (i, k)
-    scaled = np.exp2(exponents - m[None, :, :])                # (j, i, k)
-    total = scaled.sum(axis=0) + np.exp2(log_noise - m)
-    log_denom = m + np.log2(total)
-
-    terms = model._rate_offset + model.coefficients.a * (q - log_denom)
-    rates = inst.bandwidth_per_block * terms.sum(axis=1)
-    return RateEvaluation(rates=rates, scaled=scaled, total=total)
+    if q.shape != model.expansion_q.shape:
+        raise ShapeError(f"q shape {q.shape} does not match instance {model.expansion_q.shape}")
+    cross, _, noise = model.log_tables
+    power = np.exp2(q)
+    total = np.matmul(cross, power.T[:, :, None])[:, :, 0] + noise
+    return RateEvaluation(model, q, power, total, np.log2(total))
 
 
 def efficiency_roots(instance: NetworkInstance, q: np.ndarray, rates: np.ndarray):

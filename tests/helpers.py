@@ -1,7 +1,8 @@
 """Shared test fixtures: small random instances at O(1) scales, the true
 efficiency slacks, the assembled constraint rows that bound them, and
-oracles for the objective in natural units, the KKT certificate and the
-dense derivatives that the solver's derivative table replaces."""
+oracles for the objective in natural units, the KKT certificate, the
+max-exponent-stabilized rate pass and rows, and the dense derivatives
+that the solver's fused pass and derivative table replace."""
 
 import numpy as np
 
@@ -155,12 +156,46 @@ def kkt_residual(sub, x, multipliers):
                float(np.maximum(0.0, -c).max()))
 
 
+def stabilized_rate_pass(model, q):
+    """The rate pass in the log domain, stabilized by the max exponent:
+    (rates (N,), scaled (j, i, k), total (i, k)), with interferer j's
+    term in user i's denominator on block k over 2^m_ik in `scaled`, and
+    the sum of those plus the scaled noise in `total`; s_jik = scaled / total."""
+    inst = model.instance
+    with np.errstate(divide="ignore"):
+        log_gain = np.log2(inst.gain)
+    idx = np.arange(inst.n_users)
+    log_gain[idx, idx, :] = -np.inf
+    log_noise = np.log2(inst.noise)
+    exponents = log_gain + q[:, None, :]                       # (j, i, k)
+    m = np.maximum(exponents.max(axis=0), log_noise)           # (i, k)
+    scaled = np.exp2(exponents - m[None, :, :])
+    total = scaled.sum(axis=0) + np.exp2(log_noise - m)
+    log_denom = m + np.log2(total)
+    c = model.coefficients
+    terms = c.b + c.a * np.log2(inst.direct_gain()) + c.a * (q - log_denom)
+    return inst.bandwidth_per_block * terms.sum(axis=1), scaled, total
+
+
+def oracle_rows(sub, x):
+    """The rows c0 + A x + R rates(q) - 2^(S theta) * (W 2^q + P) from the layout's
+    own tables and the stabilized rate pass: (c, the pass, 2^q, 2^(S theta))."""
+    q = sub.unpack_q(x)
+    ev = stabilized_rate_pass(sub.model, q)
+    exp_q = np.exp2(x[: sub.nq])
+    scale = np.exp2(sub._S @ x[sub.nq :])
+    c = (sub._c0 + sub._jacobian_template @ x + sub._R @ ev[0]
+         - scale * (sub._W @ exp_q + sub._P))
+    return c, ev, exp_q, scale
+
+
 def rate_jacobian(model, ev):
-    """(N, N, K): d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik), from a rate pass."""
-    shares = ev.scaled / ev.total[None, :, :]
+    """(N, N, K): d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik), from a stabilized pass."""
+    rates, scaled, total = ev
+    shares = scaled / total[None, :, :]
     slope = model.instance.bandwidth_per_block * model.coefficients.a
     jac = np.swapaxes(-slope[None, :, :] * shares, 0, 1).copy()   # (i, j, k)
-    idx = np.arange(ev.rates.size)
+    idx = np.arange(rates.size)
     jac[idx, idx, :] += slope
     return jac
 
@@ -172,7 +207,8 @@ def weighted_rate_hessian(model, ev, weights):
     -B a_i^k ln2 (diag(s) - s s^T) with s the interference shares.
     """
     n, k = model.instance.n_users, model.instance.n_blocks
-    shares = ev.scaled / ev.total[None, :, :]                              # (j, i, k)
+    _, scaled, total = ev
+    shares = scaled / total[None, :, :]                                    # (j, i, k)
     wa = model.instance.bandwidth_per_block * np.asarray(weights, float)[:, None] * model.coefficients.a
     h = np.zeros((n, k, n, k))
     for b in range(k):
@@ -181,9 +217,9 @@ def weighted_rate_hessian(model, ev, weights):
     return h.reshape(n * k, n * k)
 
 
-def dense_jacobian(sub, kept):
-    """The constraint Jacobian formed densely from the row tables and the rate Jacobian."""
-    ev, exp_q, scale = kept
+def dense_jacobian(sub, x):
+    """The constraint Jacobian at x formed densely from the row tables and the rate Jacobian."""
+    _, ev, exp_q, scale = oracle_rows(sub, x)
     consumed = sub._W @ exp_q + sub._P
     nq = sub.nq
     G = sub._jacobian_template.copy()
@@ -193,11 +229,11 @@ def dense_jacobian(sub, kept):
     return G
 
 
-def weighted_constraint_hessian(sub, kept, beta):
-    """sum_m beta[m] * hess(c_m) formed densely: the rate Hessians weighted by R'beta,
+def weighted_constraint_hessian(sub, x, beta):
+    """sum_m beta[m] * hess(c_m) at x formed densely: the rate Hessians weighted by R'beta,
     minus, with b = ln2^2 beta 2^(S theta), the q diagonal 2^q (W'b), the (theta, q)
     block S' diag(b) W diag(2^q) and the (theta, theta) block S' diag(b (W 2^q + P)) S."""
-    ev, exp_q, scale = kept
+    _, ev, exp_q, scale = oracle_rows(sub, x)
     consumed = sub._W @ exp_q + sub._P
     nq = sub.nq
     H = np.zeros((sub.n_vars, sub.n_vars))

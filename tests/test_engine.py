@@ -276,6 +276,28 @@ class TestWorkCounts:
         assert sum(r.iterations for r in runs) <= 1.02 * self.OUTER_ITERATIONS
 
 
+class TestVanishingPowerGrid:
+    # the grid on which optimal powers vanish (q -> -inf) at strong gains, where
+    # outcomes move at rounding level: one or two pairs over two or three
+    # blocks, path-loss constants from -100 to -400 dB, six instances each
+    def test_every_run_certifies(self):
+        scals = (weighted_product(0.5), weighted_product(0.0), weighted_product(1.0),
+                 weighted_minimum(0.5))
+        uncertified = failed = runs = 0
+        for pairs, blocks in ((1, 2), (2, 3)):
+            for const_db in np.arange(-100.0, -401.0, -50.0):
+                config = ScenarioConfig(n_d2d_pairs=pairs, n_blocks=blocks,
+                                        path_loss_const_db=float(const_db))
+                for s in range(1, 7):
+                    inst = generate(config, np.random.SeedSequence([s, 0]))
+                    for scal in scals:
+                        r = run(inst, scal, SolverConfig(tolerance=1e-3))
+                        runs += 1
+                        uncertified += r.uncertified_subproblems
+                        failed += r.status is RunStatus.SUBPROBLEM_FAILURE
+        assert (runs, uncertified, failed) == (336, 0, 0)
+
+
 class TestEndpointWeights:
     @pytest.mark.parametrize("d2d_distance, trial", [(20.0, 506), (40.0, 433)])
     def test_tee_run_survives_a_minus_inf_v_root(self, d2d_distance, trial):

@@ -23,6 +23,7 @@ from helpers import (
     dense_jacobian,
     expand,
     kkt_residual,
+    oracle_rows,
     paper_scale_instance,
     random_alloc,
     random_instance,
@@ -356,24 +357,49 @@ class TestSubproblemStructure:
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("config", [ScenarioConfig(d2d_distance=10.0),
-                                        ScenarioConfig(n_d2d_pairs=19, n_blocks=16,
-                                                       d2d_distance=20.0)],
-                             ids=["5x5", "20x16"])
-    def test_table_equals_the_dense_oracle(self, config):
+    @staticmethod
+    def oracle_case(name):
+        """(instance, expansion allocation) of one named oracle case."""
+        if name == "vanishing-300dB":
+            # the point of test_derivatives_at_a_vanishing_power
+            inst = generate(ScenarioConfig(n_d2d_pairs=1, n_blocks=2, path_loss_const_db=-300.0),
+                            np.random.SeedSequence([5, 0]))
+            p = default_initial_point(inst)
+            p[0, 1] = 1e-12 * p[0, 1]
+            return inst, p
+        if name == "largest-gains":
+            # gains up to 2.5e302, about 1e-6 of the largest float; the config's
+            # own SNR check overflows to inf at these gains and still passes
+            with np.errstate(over="ignore"):
+                config = ScenarioConfig(path_loss_const_db=-3050.0)
+        else:
+            config = {"5x5": ScenarioConfig(d2d_distance=10.0),
+                      "20x16": ScenarioConfig(n_d2d_pairs=19, n_blocks=16, d2d_distance=20.0)}[name]
         inst = generate(config, np.random.SeedSequence([1, 3]))
+        return inst, random_alloc(np.random.default_rng(48), inst)
+
+    @pytest.mark.parametrize("name", ["5x5", "20x16", "vanishing-300dB", "largest-gains"])
+    def test_table_equals_the_dense_oracle(self, name):
+        # the fused pass (linear-power interference, rows folded per surrogate)
+        # against the max-exponent-stabilized pass and the dense derivatives
+        inst, p = self.oracle_case(name)
         rng = np.random.default_rng(48)
         for scal in SHAPES:
-            sub = ConvexSubproblem(expand(inst, random_alloc(rng, inst)), scal)
-            x, _, _ = sub.start()
-            kept = sub.evaluate(x + rng.uniform(-0.3, 0.3, size=x.size), with_grad=False)[2]
+            sub = ConvexSubproblem(expand(inst, p), scal)
+            x0, c0, kept0 = sub.start()
+            x = x0 + rng.uniform(-0.3, 0.3, size=x0.size)
+            c, _, kept = sub.evaluate(x, with_grad=False)
             lam = rng.uniform(0.1, 2.0, size=sub.n_constraints)
             sigma = lam / rng.uniform(0.1, 2.0, size=sub.n_constraints)
-            G, G_dense = sub.jacobian(kept), dense_jacobian(sub, kept)
-            M = sub.newton_matrix(sigma, lam)
-            M_dense = (G_dense.T * sigma) @ G_dense - weighted_constraint_hessian(sub, kept, lam)
-            assert np.abs(G - G_dense).max() <= 1e-12 * np.abs(G_dense).max()
-            assert np.abs(M - M_dense).max() <= 1e-12 * np.abs(M_dense).max()
+            for point, values, pass_ in ((x0, c0, kept0), (x, c, kept)):
+                want = oracle_rows(sub, point)[0]
+                assert np.abs(values - want).max() <= 1e-12 * np.abs(want).max()
+                G, G_dense = sub.jacobian(pass_), dense_jacobian(sub, point)
+                M = sub.newton_matrix(sigma, lam)
+                M_dense = ((G_dense.T * sigma) @ G_dense
+                           - weighted_constraint_hessian(sub, point, lam))
+                assert np.abs(G - G_dense).max() <= 1e-12 * np.abs(G_dense).max()
+                assert np.abs(M - M_dense).max() <= 1e-12 * np.abs(M_dense).max()
 
 
 class TestStart:
