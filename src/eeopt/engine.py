@@ -123,7 +123,7 @@ class SolveResult:
 def default_initial_point(instance: NetworkInstance) -> np.ndarray:
     """Spread each user's power budget uniformly over the blocks."""
     k = instance.n_blocks
-    return np.repeat(instance.max_power[:, None] / k, k, axis=1)
+    return np.tile(instance.max_power[:, None] / k, (1, k))
 
 
 def _trajectory_value(s: Scalarization, report: MetricsReport):
@@ -148,7 +148,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         p = np.asarray(config.initial_allocation, dtype=float).copy()
     else:
         p = default_initial_point(instance)
-    if p.shape != instance.noise.shape or (p <= 0).any():
+    if p.shape != (instance.n_users, instance.n_blocks) or np.any(p <= 0):
         raise InfeasibleInitialPointError(
             "initial allocation must be strictly positive with shape (users, blocks)"
         )

@@ -148,7 +148,7 @@ class FeasibilityResult:
 
 def _check_alloc(instance: NetworkInstance, alloc: np.ndarray, nonneg: bool = True) -> np.ndarray:
     p = np.asarray(alloc, dtype=float)
-    expected = instance.noise.shape
+    expected = (instance.n_users, instance.n_blocks)
     if p.shape != expected:
         raise ShapeError(f"allocation shape {p.shape} does not match instance {expected}")
     if not (p.min() >= 0 and p.max() < np.inf):        # False on nan
@@ -183,7 +183,7 @@ def jain_index(values: np.ndarray) -> float:
     if peak == 0.0:
         return 1.0
     v = v / peak
-    return float(v.sum() ** 2 / (v.size * (v * v).sum()))
+    return float(v.sum() ** 2 / (v.size * np.sum(v * v)))
 
 
 def evaluate(instance: NetworkInstance, alloc: np.ndarray) -> MetricsReport:

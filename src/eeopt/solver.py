@@ -259,7 +259,7 @@ class ConvexSubproblem:
         # each entry of its Jacobian row (the nonzeros of e) and of its Hessian
         # term e e'; the shares, s_jik at [k, i, j]
         w_rows, w_cols = np.nonzero(W)
-        p_rows = P.nonzero()[0]
+        p_rows = np.flatnonzero(P)
         self._term_rows = rows = np.concatenate((w_rows, p_rows))
         self._term_q = w_cols
         self._term_coef = LN2 * np.concatenate((W[w_rows, w_cols], P[p_rows]))
@@ -359,9 +359,7 @@ class ConvexSubproblem:
     def jacobian(self, kept) -> np.ndarray:
         """G = AR - RA shares - U Z[m:] at a kept pass's point, filling the derivative table there."""
         ev, scale = kept
-        sh = self._shares
-        np.multiply(self.model.log_tables[0], ev.power.T[:, None, :], out=sh)
-        sh /= ev.total[:, :, None]                          # s_jik at [k, i, j]
+        sh = ev.shares(self._shares)                        # s_jik at [k, i, j]
         self._u = u = scale[self._term_rows] * self._term_coef
         u[: self._term_q.size] *= ev.power.ravel()[self._term_q]
         np.matmul(self._RA_blocks, sh, out=self._share_blocks)
@@ -389,8 +387,8 @@ class ConvexSubproblem:
 # -- primal-dual interior point ---------------------------------------------
 
 
-def _newton_direction(M: np.ndarray, rhs: np.ndarray):
-    """Solve M d = rhs, retrying with an escalating ridge on M's diagonal; None if all fail."""
+def _newton_directions(M: np.ndarray, rhs: np.ndarray):
+    """The finite solutions of M d = rhs under an escalating ridge on M's diagonal, in turn."""
     diagonal = M.reshape(-1)[:: M.shape[0] + 1]
     added = 0.0
     for boost in (_RIDGE, _RIDGE * 1e4, _RIDGE * 1e8, 1e-2):
@@ -401,8 +399,7 @@ def _newton_direction(M: np.ndarray, rhs: np.ndarray):
         except np.linalg.LinAlgError:
             continue
         if math.isfinite(d.sum()):
-            return d
-    return None
+            yield d
 
 
 def _to_boundary(z, dz, fraction: float = _TO_BOUNDARY) -> float:
@@ -474,32 +471,35 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
             # lam_m hess c_m: column 0 of the solve is the affine direction, and
             # the other columns Y = M^-1 G' map a centering target tau, one entry
             # per row, to its share of the step, so dx = dx_aff + Y (tau / s)
-            # and, with G d formed once, s + ds = c + G dx.
-            sigma = lam / s
+            # and, with G d formed once, s + ds = c + G dx. A direction too long
+            # for a step of _MIN_STEP under the move bound, as a numerically
+            # singular M gives once vanishing powers' multipliers near zero, is
+            # solved again under the next ridge.
+            sigma, mu, infeasibility = lam / s, gap / m, np.abs(r_p)
             rhs[:, 1:] = G.T
             np.subtract(c_obj, (sigma * r_p) @ G, out=rhs[:, 0])
-            d = _newton_direction(problem.newton_matrix(sigma, lam), rhs)
-            if d is None:
+            for d in _newton_directions(problem.newton_matrix(sigma, lam), rhs):
+                Gd = G @ d
+                w = c + Gd[:, 0]                              # s + ds_aff
+                np.subtract(w, s, out=ds)
+                np.multiply(w, -sigma, out=dlam)              # -lam - lam ds_aff / s
+                # the affine step goes to the boundary: it only predicts mu_aff, and as
+                # s dlam + lam ds = -s lam there, m mu_aff = (1-step) s'lam + step^2 ds'dlam
+                step = _to_boundary(z, dz, 1.0)
+                product = ds * dlam
+                mu_aff = ((1.0 - step) * gap + step * step * float(product.sum())) / m
+                centering = min(1.0, max((mu_aff / mu) ** 2, _THETA * float(infeasibility.max()) / mu))
+                tau_s = np.maximum(0.0, max(centering * mu, mu_floor) - product) / s
+                np.add(d[:, 0], d[:, 1:] @ tau_s, out=dx)
+                w += Gd[:, 1:] @ tau_s                        # s + ds
+                np.subtract(w, s, out=ds)
+                np.subtract(tau_s, sigma * w, out=dlam)       # (tau - lam ds) / s - lam
+                step = min(_to_boundary(z, dz), _MAX_MOVE / max(float(np.abs(dx).max()), _MAX_MOVE))
+                if step >= _MIN_STEP:
+                    break
+            else:
                 status = SubproblemStatus.NUMERICAL_FAILURE
                 break
-            Gd = G @ d
-            w = c + Gd[:, 0]                              # s + ds_aff
-            np.subtract(w, s, out=ds)
-            np.multiply(w, -sigma, out=dlam)              # -lam - lam ds_aff / s
-            # the affine step goes all the way to the boundary: it only predicts mu_aff,
-            # and as s dlam + lam ds = -s lam there, m mu_aff = (1-step) s'lam + step^2 ds'dlam
-            step = _to_boundary(z, dz, 1.0)
-            product = ds * dlam
-            mu = gap / m
-            mu_aff = ((1.0 - step) * gap + step * step * float(product.sum())) / m
-            infeasibility = np.abs(r_p)
-            centering = min(1.0, max((mu_aff / mu) ** 2, _THETA * float(infeasibility.max()) / mu))
-            tau_s = np.maximum(0.0, max(centering * mu, mu_floor) - product) / s
-            np.add(d[:, 0], d[:, 1:] @ tau_s, out=dx)
-            w += Gd[:, 1:] @ tau_s                        # s + ds
-            np.subtract(w, s, out=ds)
-            np.subtract(tau_s, sigma * w, out=dlam)       # (tau - lam ds) / s - lam
-            step = min(_to_boundary(z, dz), _MAX_MOVE / max(float(np.abs(dx).max()), _MAX_MOVE))
             allowed = max(_GROWTH * float(infeasibility.sum()), _SMALL)
             while step >= _MIN_STEP:
                 y_new = y + step * dy

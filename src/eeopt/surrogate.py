@@ -31,10 +31,10 @@ reads the interference shares s_jik = w_ji 2^{q_j^k} / total_ik from it:
     d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik)
     hess_k rate_i      = -B a_i^k ln2 (diag(s_ik) - s_ik s_ik')
 
-The sum needs no max-exponent stabilization: its terms are the received
-powers that `network.sinr` adds, so a gain times a power that overflows
-here overflows there first, and the solver's line search rejects a trial
-point whose values are not finite.
+The sum needs no max-exponent stabilization: a term that overflows makes
+its point's values non-finite, never finite and wrong, so overflow can
+only get a trial step rejected by the solver's line search. Within the
+power budget the terms are the received powers `network.sinr` adds.
 """
 
 from __future__ import annotations
@@ -68,15 +68,10 @@ def bound_coefficients(gamma_prime):
     Accepts scalars or arrays.
     """
     g = np.asarray(gamma_prime, dtype=float)
-    positive = g.size > 0 and g.min() > 0 and g.max() < math.inf     # False on nan
-    if not positive and (np.any(~np.isfinite(g)) or np.any(g < 0)):
+    if np.any(~np.isfinite(g)) or np.any(g < 0):
         raise DomainError("expansion SINR must be finite and nonnegative")
     a = g / (1.0 + g)
-    if positive:
-        b = np.log2(1.0 + g) - a * np.log2(g)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = np.where(g > 0, np.log2(1.0 + g) - a * np.log2(np.where(g > 0, g, 1.0)), 0.0)
+    b = np.log2(1.0 + g) - a * np.log2(g, out=np.zeros_like(g), where=g > 0)
     if np.ndim(gamma_prime) == 0:
         return float(a), float(b)
     return a, b
@@ -100,19 +95,19 @@ class SurrogateModel:
     # the instance-only tables: cross gains w_ji with a zero diagonal at [k, i, j],
     # log2 direct gains (N, K) and noise at [k, i]; computed here unless `build`
     # takes them from a model of the instance
-    log_tables: tuple | None = field(default=None, repr=False, compare=False)
+    instance_tables: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         inst = self.instance
-        if self.log_tables is None:
+        if self.instance_tables is None:
             cross = inst.gain.transpose(2, 1, 0).copy()
             idx = np.arange(inst.n_users)
             cross[:, idx, idx] = 0.0
             tables = (cross, np.log2(inst.direct_gain()), inst.noise.T.copy())
-            object.__setattr__(self, "log_tables", tables)
+            object.__setattr__(self, "instance_tables", tables)
         # the constant part of each rate term, b + a log2 w_ii, and its slope B a
         c = self.coefficients
-        object.__setattr__(self, "rate_offset", c.b + c.a * self.log_tables[1])
+        object.__setattr__(self, "rate_offset", c.b + c.a * self.instance_tables[1])
         object.__setattr__(self, "rate_slope", inst.bandwidth_per_block * c.a)
 
 
@@ -126,19 +121,19 @@ def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarr
     """
     p = np.asarray(alloc, dtype=float)
     gamma = np.asarray(expansion_sinr, dtype=float)
-    if p.shape != instance.noise.shape or gamma.shape != p.shape:
+    if p.shape != (instance.n_users, instance.n_blocks) or gamma.shape != p.shape:
         raise ShapeError(f"allocation shape {p.shape} or SINR shape {gamma.shape} "
                          "does not match instance")
-    if (p <= 0).any():
+    if np.any(p <= 0):
         raise DomainError(
             "surrogate expansion needs strictly positive powers (q = log2 p must be "
             "finite); start from a strictly positive allocation"
         )
     a, b = bound_coefficients(gamma)
     coeffs = BoundCoefficients(a=a, b=b, expansion_sinr=gamma)
-    tables = previous.log_tables if previous is not None and previous.instance is instance else None
+    tables = previous.instance_tables if previous is not None and previous.instance is instance else None
     return SurrogateModel(instance=instance, coefficients=coeffs, expansion_q=np.log2(p),
-                          log_tables=tables)
+                          instance_tables=tables)
 
 
 @dataclass(slots=True)
@@ -158,13 +153,19 @@ class RateEvaluation:
         terms = m.rate_offset + m.coefficients.a * (self.q - self.log_total.T)
         return m.instance.bandwidth_per_block * terms.sum(axis=1)
 
+    def shares(self, out: np.ndarray) -> np.ndarray:
+        """The interference shares s_jik at [k, i, j], written into `out`."""
+        np.multiply(self.model.instance_tables[0], self.power.T[:, None, :], out=out)
+        out /= self.total[:, :, None]
+        return out
+
 
 def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
     """Sum the interference at q in one pass; the rates follow from it on demand."""
     q = np.asarray(q, dtype=float)
     if q.shape != model.expansion_q.shape:
         raise ShapeError(f"q shape {q.shape} does not match instance {model.expansion_q.shape}")
-    cross, _, noise = model.log_tables
+    cross, _, noise = model.instance_tables
     power = np.exp2(q)
     total = np.matmul(cross, power.T[:, :, None])[:, :, 0] + noise
     return RateEvaluation(model, q, power, total, np.log2(total))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eeopt import solver
-from eeopt.engine import default_initial_point
+from eeopt.engine import RunStatus, SolverConfig, default_initial_point, run
 from eeopt.errors import DomainError, ShapeError
 from eeopt.network import NetworkInstance, evaluate
 from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
@@ -343,7 +343,7 @@ class TestSubproblemStructure:
         first = expand(inst, random_alloc(rng, inst))
         p = random_alloc(rng, inst)
         second = build(inst, p, evaluate(inst, p).sinr, first)
-        assert second.log_tables is first.log_tables
+        assert second.instance_tables is first.instance_tables
         fresh_model = expand(inst, p)
         swapped = ConvexSubproblem(first, scal)
         swapped.model = second
@@ -400,6 +400,31 @@ class TestSubproblemStructure:
                            - weighted_constraint_hessian(sub, point, lam))
                 assert np.abs(G - G_dense).max() <= 1e-12 * np.abs(G_dense).max()
                 assert np.abs(M - M_dense).max() <= 1e-12 * np.abs(M_dense).max()
+
+    @pytest.mark.parametrize("scal", SHAPES, ids=lambda s: f"{s.kind.value}-{s.weight}")
+    def test_runs_at_the_largest_gains_backtrack_as_their_scaled_twin(self, monkeypatch, scal):
+        # gains up to 6.3e307, a third of the largest float, where a trial point's
+        # interference sum can overflow; the twin, every gain and the noise times
+        # 2^-1000, has the same SINR at every allocation, so a backtrack or failure
+        # that overflow causes shows as a difference between the two runs
+        with np.errstate(over="ignore"):
+            config = ScenarioConfig(path_loss_const_db=-3104.0)
+        inst = generate(config, np.random.SeedSequence([1, 3]))
+        twin = replace(inst, gain=inst.gain * 2.0**-1000, noise=inst.noise * 2.0**-1000)
+        passes = []
+        monkeypatch.setattr(solver, "rate_evaluation",
+                            lambda *a: passes.append(a) or rate_evaluation(*a))
+        outcomes = []
+        for network in (inst, twin):
+            passes.clear()
+            result = run(network, scal, SolverConfig())
+            assert result.status is RunStatus.CONVERGED and result.uncertified_subproblems == 0
+            steps = sum(s.newton_iterations for s in result.iteration_stats)
+            # one value pass per start and per Newton step; the rest are backtracks
+            outcomes.append((len(passes) - steps - result.iterations, result.trajectory[-1]))
+        (backtracks, f), (twin_backtracks, twin_f) = outcomes
+        assert backtracks <= twin_backtracks
+        assert f == pytest.approx(twin_f, rel=1e-8)
 
 
 class TestStart:
@@ -582,6 +607,30 @@ class TestPredictorCorrector:
                 # the affine direction and one column per row's centering target
                 assert {shape for shape, _ in calls} == {
                     (problem.n_vars, problem.n_constraints + 1)}
+
+    def test_a_direction_too_long_to_step_is_solved_under_the_next_ridge(self, monkeypatch):
+        # a numerically singular Newton matrix can give a finite direction so long
+        # that the move bound leaves no step of _MIN_STEP; the first solve of each
+        # subproblem here returns such a direction, and the loop must solve again
+        inst = paper_scale_instance()
+        subs = [ConvexSubproblem(expand(inst, default_initial_point(inst)), scal) for scal in SHAPES]
+        reference = [solve(sub) for sub in subs]
+        linalg_solve = solver.np.linalg.solve
+        calls = []
+
+        def too_long_first(a, b):
+            calls.append(b.shape)
+            out = linalg_solve(a, b)
+            return out * 1e30 if len(calls) == 1 else out
+
+        monkeypatch.setattr(solver.np.linalg, "solve", too_long_first)
+        for sub, want in zip(subs, reference):
+            calls.clear()
+            sol = solve(sub)
+            assert sol.status is SubproblemStatus.OPTIMAL and sol.kkt_residual <= 1e-8
+            assert len(calls) == sol.newton_iterations + 1
+            c_obj = sub.objective_vector
+            assert c_obj @ sol.x == pytest.approx(c_obj @ want.x, abs=1e-9)
 
     def test_warm_start_certifies_the_same_optimum(self):
         cold_steps = warm_steps = 0
