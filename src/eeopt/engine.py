@@ -165,9 +165,9 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
     status = RunStatus.ITERATION_CAP
 
     warm = None   # the previous subproblem's multipliers, if it was certified
-    model = sub = None
+    sub = None
     for l in range(1, config.max_outer_iterations + 1):
-        model = build(instance, p, report.sinr, model)
+        model = build(instance, p, report.sinr)
         if sub is None:
             sub = ConvexSubproblem(model, scalarization)
         else:

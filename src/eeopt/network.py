@@ -10,6 +10,14 @@ Conventions used throughout the package:
   power gain from transmitter ``j`` to the receiver user ``i`` is
   associated with, on block ``k``.
 
+The instance owns the one interference computation. It lays its gains out
+once, block-major: the cross gains w_ji at ``[k, i, j]`` with a zero
+diagonal, and the noise at ``[k, i]``. `interference_plus_noise` forms
+sum_{j != i} w_ji p_j^k + noise_i^k from them in one batched product;
+the SINR here and the surrogate's rate pass (at p = 2^q) both call it.
+No term is found as everything received minus the direct power, which
+cancels when the direct power dominates.
+
 All types are immutable after construction and every operation is pure,
 so everything here is safe to share across threads.
 """
@@ -28,6 +36,7 @@ __all__ = [
     "Violation",
     "FeasibilityResult",
     "sinr",
+    "interference_plus_noise",
     "evaluate",
     "is_feasible",
     "jain_index",
@@ -86,6 +95,10 @@ class NetworkInstance:
         object.__setattr__(self, "bandwidth_per_block", float(self.bandwidth_per_block))
         idx = np.arange(n)
         object.__setattr__(self, "_direct_gain", _frozen(gain[idx, idx, :]))
+        cross = gain.transpose(2, 1, 0).copy()
+        cross[:, idx, idx] = 0.0
+        object.__setattr__(self, "_cross_gain", _frozen(cross))
+        object.__setattr__(self, "_block_noise", _frozen(noise.T))
 
         if self.bandwidth_per_block <= 0:
             raise DomainError("bandwidth_per_block must be > 0")
@@ -113,6 +126,10 @@ class NetworkInstance:
     def direct_gain(self) -> np.ndarray:
         """The (N, K) array of gains from each user to its own receiver (read-only)."""
         return self._direct_gain
+
+    def cross_gain(self) -> np.ndarray:
+        """The (K, N, N) gains w_ji from interferer j to user i at [k, i, j], zero for j = i (read-only)."""
+        return self._cross_gain
 
 
 @dataclass(frozen=True)
@@ -166,10 +183,12 @@ def sinr(instance: NetworkInstance, alloc: np.ndarray) -> np.ndarray:
 
 def _sinr(instance: NetworkInstance, p: np.ndarray) -> np.ndarray:
     """`sinr` at an allocation that has passed the check."""
-    received = np.einsum("jik,jk->ik", instance.gain, p)
-    direct = instance.direct_gain() * p
-    interference = received - direct
-    return direct / (interference + instance.noise)
+    return instance.direct_gain() * p / interference_plus_noise(instance, p).T
+
+
+def interference_plus_noise(instance: NetworkInstance, power: np.ndarray) -> np.ndarray:
+    """User i's interference plus noise on block k at [k, i], for (N, K) powers."""
+    return np.matmul(instance.cross_gain(), power.T[:, :, None])[:, :, 0] + instance._block_noise
 
 
 def jain_index(values: np.ndarray) -> float:

@@ -79,11 +79,9 @@ class ScenarioConfig:
             raise DomainError("need at least one D2D pair and one block")
         if not 0 < self.annulus_inner < self.annulus_outer < math.inf:
             raise DomainError("annulus bounds must satisfy 0 < inner < outer < inf")
-        for name in ("d2d_distance", "min_link_distance"):
+        for name in ("d2d_distance", "min_link_distance", "carrier_frequency", "bandwidth_per_block"):
             if not 0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be finite and > 0")
-        if not 0 < self.carrier_frequency < math.inf:
-            raise DomainError("carrier_frequency must be finite and > 0")
         # past these the conversions overflow or round to zero watts
         for name, to_linear in (("noise_figure_db", db_to_linear),
                                 ("thermal_noise_dbm_hz", dbm_to_watts),
@@ -102,12 +100,13 @@ class ScenarioConfig:
         if self.path_loss_const_db is not None and not math.isfinite(self.path_loss_const_db):
             raise DomainError("path_loss_const_db must be finite or null")
         # a user on the longest direct link, unshadowed at full power, must
-        # get a nonzero rate, or its log2 EE is -inf and no run can start
+        # get a nonzero rate, or its log2 EE is -inf and no run can start; the
+        # SNR is summed in dB and capped at 0 dB, where the rate is surely
+        # positive, so no power-gain product can overflow here
         longest = max(self.annulus_outer, self.d2d_distance)
-        with np.errstate(over="ignore"):    # an infinite gain is reported by `generate`
-            gain = 10.0 ** (-self.path_loss_db(longest) / 10.0)
-        snr = dbm_to_watts(self.max_power_dbm) * gain / self.noise_watts()
-        if not math.log2(1.0 + snr) > 0:
+        snr_db = float(self.max_power_dbm - self.thermal_noise_dbm_hz - self.noise_figure_db
+                       - 10.0 * math.log10(self.bandwidth_per_block) - self.path_loss_db(longest))
+        if not math.log2(1.0 + db_to_linear(min(snr_db, 0.0))) > 0:
             raise DomainError(
                 f"path_loss_exponent and path_loss_const_db leave a {longest:g} m link "
                 "no rate at max_power_dbm"

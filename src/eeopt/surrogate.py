@@ -24,31 +24,33 @@ subproblem's constraint rows, assembled from those rates in one place,
 `solver.ConvexSubproblem`, which also builds every derivative.
 
 One evaluation pass sums the interference in linear power, total_ik =
-sum_{j!=i} w_ji 2^{q_j^k} + noise_ik, as one batched product with a
-zero-diagonal cross-gain table, and takes log2 of it once. The solver
-reads the interference shares s_jik = w_ji 2^{q_j^k} / total_ik from it:
+sum_{j!=i} w_ji 2^{q_j^k} + noise_ik, by calling the instance's one
+interference kernel, `network.interference_plus_noise`, at p = 2^q, and
+takes log2 of it once. The solver reads the interference shares
+s_jik = w_ji 2^{q_j^k} / total_ik from the instance's cross-gain table:
 
     d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik)
     hess_k rate_i      = -B a_i^k ln2 (diag(s_ik) - s_ik s_ik')
 
-The sum needs no max-exponent stabilization: a term that overflows makes
-its point's values non-finite, never finite and wrong, so overflow can
-only get a trial step rejected by the solver's line search. Within the
-power budget the terms are the received powers `network.sinr` adds.
+The terms are the received powers `network.sinr` adds, from the same
+table in the same order, so the surrogate is tight at the expansion SINR
+the caller's network pass reports. The sum needs no max-exponent
+stabilization: a term that overflows makes its point's values
+non-finite, never finite and wrong, so overflow can only get a trial
+step rejected by the solver's line search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .network import NetworkInstance
+from .network import NetworkInstance, interference_plus_noise
 
 __all__ = [
-    "BoundCoefficients",
     "SurrogateModel",
     "RateEvaluation",
     "bound_coefficients",
@@ -78,46 +80,22 @@ def bound_coefficients(gamma_prime):
 
 
 @dataclass(frozen=True)
-class BoundCoefficients:
-    a: np.ndarray               # (N, K), in [0, 1)
-    b: np.ndarray               # (N, K)
-    expansion_sinr: np.ndarray  # (N, K)
-
-
-@dataclass(frozen=True)
 class SurrogateModel:
-    """Bound coefficients plus the expansion point, fixed for one subproblem."""
+    """The bound expanded at one allocation, fixed for one subproblem."""
 
     instance: NetworkInstance
-    coefficients: BoundCoefficients
+    a: np.ndarray               # (N, K), in [0, 1)
+    b: np.ndarray               # (N, K)
     expansion_q: np.ndarray     # (N, K), log2 of the expansion powers
-
-    # the instance-only tables: cross gains w_ji with a zero diagonal at [k, i, j],
-    # log2 direct gains (N, K) and noise at [k, i]; computed here unless `build`
-    # takes them from a model of the instance
-    instance_tables: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        inst = self.instance
-        if self.instance_tables is None:
-            cross = inst.gain.transpose(2, 1, 0).copy()
-            idx = np.arange(inst.n_users)
-            cross[:, idx, idx] = 0.0
-            tables = (cross, np.log2(inst.direct_gain()), inst.noise.T.copy())
-            object.__setattr__(self, "instance_tables", tables)
-        # the constant part of each rate term, b + a log2 w_ii, and its slope B a
-        c = self.coefficients
-        object.__setattr__(self, "rate_offset", c.b + c.a * self.instance_tables[1])
-        object.__setattr__(self, "rate_slope", inst.bandwidth_per_block * c.a)
+    rate_offset: np.ndarray     # (N, K): the constant part of each rate term, b + a log2 w_ii
+    rate_slope: np.ndarray      # (N, K): its slope, B a
 
 
-def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarray,
-          previous: SurrogateModel | None = None) -> SurrogateModel:
+def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarray) -> SurrogateModel:
     """Expand the bound at a strictly positive allocation, given its SINRs.
 
     `expansion_sinr` is `sinr(instance, alloc)`, as the caller's metrics
-    report of the allocation already holds it. `previous`, an earlier
-    model of the same instance, lends its instance-only tables.
+    report of the allocation already holds it.
     """
     p = np.asarray(alloc, dtype=float)
     gamma = np.asarray(expansion_sinr, dtype=float)
@@ -130,10 +108,9 @@ def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarr
             "finite); start from a strictly positive allocation"
         )
     a, b = bound_coefficients(gamma)
-    coeffs = BoundCoefficients(a=a, b=b, expansion_sinr=gamma)
-    tables = previous.instance_tables if previous is not None and previous.instance is instance else None
-    return SurrogateModel(instance=instance, coefficients=coeffs, expansion_q=np.log2(p),
-                          instance_tables=tables)
+    return SurrogateModel(instance=instance, a=a, b=b, expansion_q=np.log2(p),
+                          rate_offset=b + a * np.log2(instance.direct_gain()),
+                          rate_slope=instance.bandwidth_per_block * a)
 
 
 @dataclass(slots=True)
@@ -150,12 +127,12 @@ class RateEvaluation:
     def rates(self) -> np.ndarray:
         """(N,) surrogate rates in bit/s."""
         m = self.model
-        terms = m.rate_offset + m.coefficients.a * (self.q - self.log_total.T)
+        terms = m.rate_offset + m.a * (self.q - self.log_total.T)
         return m.instance.bandwidth_per_block * terms.sum(axis=1)
 
     def shares(self, out: np.ndarray) -> np.ndarray:
         """The interference shares s_jik at [k, i, j], written into `out`."""
-        np.multiply(self.model.instance_tables[0], self.power.T[:, None, :], out=out)
+        np.multiply(self.model.instance.cross_gain(), self.power.T[:, None, :], out=out)
         out /= self.total[:, :, None]
         return out
 
@@ -165,9 +142,8 @@ def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
     q = np.asarray(q, dtype=float)
     if q.shape != model.expansion_q.shape:
         raise ShapeError(f"q shape {q.shape} does not match instance {model.expansion_q.shape}")
-    cross, _, noise = model.instance_tables
     power = np.exp2(q)
-    total = np.matmul(cross, power.T[:, :, None])[:, :, 0] + noise
+    total = interference_plus_noise(model.instance, power)
     return RateEvaluation(model, q, power, total, np.log2(total))
 
 

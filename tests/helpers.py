@@ -1,8 +1,9 @@
 """Shared test fixtures: small random instances at O(1) scales, the true
 efficiency slacks, the assembled constraint rows that bound them, and
-oracles for the objective in natural units, the KKT certificate, the
-max-exponent-stabilized rate pass and rows, and the dense derivatives
-that the solver's fused pass and derivative table replace."""
+oracles for the network pass (a per-pair loop), the objective in natural
+units, the KKT certificate, the max-exponent-stabilized rate pass and
+rows, and the dense derivatives that the solver's fused pass and
+derivative table replace."""
 
 import numpy as np
 
@@ -81,6 +82,39 @@ def rel_err(actual, expected, floor=1e-9):
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
     return np.abs(actual - expected) / np.maximum(np.abs(expected), floor)
+
+
+def reference_metrics(instance, alloc):
+    """(SINR (N, K), TEE, MEE, Jain index) of an allocation, from the instance's raw
+    arrays by a loop over (user, block) pairs that adds each interferer's received
+    power w_ji p_j^k to the noise. It calls nothing in `eeopt.network`, so the
+    package's one interference kernel is checked against a second computation.
+    Rates are B sum_k log2(1 + SINR) as written, rounding as the package does."""
+    gain, noise = instance.gain, instance.noise
+    p = np.asarray(alloc, dtype=float)
+    n, k = p.shape
+    sinr = np.empty((n, k))
+    for i in range(n):
+        for b in range(k):
+            interference = 0.0
+            for j in range(n):
+                if j != i:
+                    interference += gain[j, i, b] * p[j, b]
+            sinr[i, b] = gain[i, i, b] * p[i, b] / (interference + noise[i, b])
+    rate = instance.bandwidth_per_block * np.log2(1.0 + sinr).sum(axis=1)
+    consumed = instance.amp_inefficiency * p.sum(axis=1) + instance.static_power
+    ee = rate / consumed
+    scaled = ee / ee.max() if ee.max() > 0 else np.ones(n)
+    jain = float(scaled.sum() ** 2 / (n * (scaled * scaled).sum()))
+    return sinr, float(rate.sum() / consumed.sum()), float(ee.min()), jain
+
+
+def metrics_off_reference(report, instance, alloc):
+    """The largest relative difference of a metrics report's TEE, MEE and Jain index
+    from `reference_metrics` at its allocation."""
+    _, tee, mee, jain = reference_metrics(instance, alloc)
+    got = np.array([report.ee_total, report.ee_min, report.jain_index])
+    return float(rel_err(got, [tee, mee, jain], floor=1e-300).max())
 
 
 def true_psi(instance, q, v):
@@ -172,8 +206,7 @@ def stabilized_rate_pass(model, q):
     scaled = np.exp2(exponents - m[None, :, :])
     total = scaled.sum(axis=0) + np.exp2(log_noise - m)
     log_denom = m + np.log2(total)
-    c = model.coefficients
-    terms = c.b + c.a * np.log2(inst.direct_gain()) + c.a * (q - log_denom)
+    terms = model.b + model.a * np.log2(inst.direct_gain()) + model.a * (q - log_denom)
     return inst.bandwidth_per_block * terms.sum(axis=1), scaled, total
 
 
@@ -193,7 +226,7 @@ def rate_jacobian(model, ev):
     """(N, N, K): d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik), from a stabilized pass."""
     rates, scaled, total = ev
     shares = scaled / total[None, :, :]
-    slope = model.instance.bandwidth_per_block * model.coefficients.a
+    slope = model.instance.bandwidth_per_block * model.a
     jac = np.swapaxes(-slope[None, :, :] * shares, 0, 1).copy()   # (i, j, k)
     idx = np.arange(rates.size)
     jac[idx, idx, :] += slope
@@ -209,7 +242,7 @@ def weighted_rate_hessian(model, ev, weights):
     n, k = model.instance.n_users, model.instance.n_blocks
     _, scaled, total = ev
     shares = scaled / total[None, :, :]                                    # (j, i, k)
-    wa = model.instance.bandwidth_per_block * np.asarray(weights, float)[:, None] * model.coefficients.a
+    wa = model.instance.bandwidth_per_block * np.asarray(weights, float)[:, None] * model.a
     h = np.zeros((n, k, n, k))
     for b in range(k):
         s = shares[:, :, b]                                                # (j, i)

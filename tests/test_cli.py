@@ -247,6 +247,7 @@ class TestConfigErrors:
         ("solve", {"scenario": {"d2d_distance": float("nan")}}, None, "scenario: d2d_distance"),
         ("solve", {"scenario": {"annulus_outer": float("inf")}}, None, "scenario: annulus"),
         ("trend", {"trend": {"distances": [10, float("nan")], "trials": 1}}, None, "distances"),
+        ("solve", {"scenario": {"bandwidth_per_block": 0}}, None, "scenario: bandwidth_per_block"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -259,7 +260,7 @@ class TestConfigErrors:
             "shadowing-huge-gain", "seed-bool", "pareto-trials-bool", "n_blocks-bool",
             "workers-0", "workers-negative", "env-workers-0", "min-link-distance-negative",
             "min-link-distance-nan", "d2d-distance-nan", "annulus-outer-inf",
-            "trend-distance-nan"])
+            "trend-distance-nan", "bandwidth-0"])
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)

@@ -16,7 +16,14 @@ from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import ConvexSubproblem, SubproblemStatus, solve
 
-from helpers import SHAPES, expand, log_true_objective, paper_scale_instance, random_instance
+from helpers import (
+    SHAPES,
+    expand,
+    log_true_objective,
+    metrics_off_reference,
+    paper_scale_instance,
+    random_instance,
+)
 
 # frozen from the 1-D oracle over p in (0, 10], step 1e-4, for the single-user
 # instance below: max of log2(1 + 10 p) / (p + 1)
@@ -279,11 +286,13 @@ class TestWorkCounts:
 class TestVanishingPowerGrid:
     # the grid on which optimal powers vanish (q -> -inf) at strong gains, where
     # outcomes move at rounding level: one or two pairs over two or three
-    # blocks, path-loss constants from -100 to -400 dB, six instances each
+    # blocks, path-loss constants from -100 to -400 dB, six instances each;
+    # there the direct power dwarfs interference plus noise, so each run's
+    # metrics are also checked against the per-pair loop
     def test_every_run_certifies(self):
         scals = (weighted_product(0.5), weighted_product(0.0), weighted_product(1.0),
                  weighted_minimum(0.5))
-        uncertified = failed = runs = 0
+        uncertified = failed = runs = off_reference = 0
         for pairs, blocks in ((1, 2), (2, 3)):
             for const_db in np.arange(-100.0, -401.0, -50.0):
                 config = ScenarioConfig(n_d2d_pairs=pairs, n_blocks=blocks,
@@ -295,7 +304,8 @@ class TestVanishingPowerGrid:
                         runs += 1
                         uncertified += r.uncertified_subproblems
                         failed += r.status is RunStatus.SUBPROBLEM_FAILURE
-        assert (runs, uncertified, failed) == (336, 0, 0)
+                        off_reference += metrics_off_reference(r.metrics, inst, r.allocation) > 1e-9
+        assert (runs, uncertified, failed, off_reference) == (336, 0, 0, 0)
 
 
 class TestEndpointWeights:

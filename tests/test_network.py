@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from eeopt.errors import DomainError, ShapeError
 from eeopt.network import NetworkInstance, evaluate, is_feasible, jain_index, sinr
+from eeopt.scenario import ScenarioConfig, generate
 
-from helpers import random_alloc, random_instance
+from helpers import metrics_off_reference, random_alloc, random_instance, reference_metrics, rel_err
 
 
 def single_user(gain=1.0, noise=0.5, mu=1.0, p_st=1.0, p_max=10.0, r_th=0.0, bw=1.0):
@@ -143,7 +144,7 @@ class TestJainIndex:
         assert j == pytest.approx(1.0)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=8))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_bounds(self, values):
         v = np.asarray(values)
         j = jain_index(v)
@@ -243,3 +244,22 @@ class TestInstanceValidation:
         inst = random_instance(rng, 2, 2)
         with pytest.raises(ValueError):
             inst.gain[0, 0, 0] = 2.0
+
+
+class TestAgainstReference:
+    @given(n=st.integers(1, 6), k=st.integers(1, 6), const_db=st.floats(-400.0, -60.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_network_pass_matches_the_per_pair_loop(self, n, k, const_db, seed):
+        # strong gains and powers down to 1e-14 of the budget: where the direct
+        # power dwarfs interference plus noise, "received minus direct" cancels
+        rng = np.random.default_rng(seed)
+        inst = generate(ScenarioConfig(n_d2d_pairs=max(n - 1, 1), n_blocks=k,
+                                       path_loss_const_db=const_db), rng)
+        inst = replace(inst, gain=inst.gain[:n, :n], noise=inst.noise[:n],
+                       **{f: getattr(inst, f)[:n] for f in
+                          ("amp_inefficiency", "static_power", "max_power", "min_rate")})
+        p = 10.0 ** rng.uniform(-14.0, 0.0, size=(n, k)) * inst.max_power[:, None] / k
+        report = evaluate(inst, p)
+        assert rel_err(report.sinr, reference_metrics(inst, p)[0], floor=1e-300).max() <= 1e-12
+        assert metrics_off_reference(report, inst, p) <= 1e-9

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,11 +76,22 @@ class TestGenerate:
             ScenarioConfig(annulus_inner=100.0, annulus_outer=30.0)
         with pytest.raises(DomainError):
             ScenarioConfig(d2d_distance=0.0)
+        with pytest.raises(DomainError, match="bandwidth_per_block"):
+            ScenarioConfig(bandwidth_per_block=0.0)
+
+    @pytest.mark.parametrize("const_db", [-3050.0, -3104.0])
+    def test_rate_check_cannot_overflow_at_the_largest_gains(self, const_db):
+        # max power times a gain near the largest float, over the noise, overflows
+        # in watts; the check works in dB, and generate still draws finite gains
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = ScenarioConfig(path_loss_const_db=const_db)
+            assert np.isfinite(generate(config, 0).gain).all()
 
     def test_bound_coefficients_in_range_at_uniform_start(self):
         inst = generate(ScenarioConfig(), 17)
         model = expand(inst, default_initial_point(inst))
-        a = model.coefficients.a
+        a = model.a
         assert np.all(a >= 0.0) and np.all(a < 1.0)
 
 

@@ -16,7 +16,7 @@ from eeopt.solver import (
     _interior_point,
     solve,
 )
-from eeopt.surrogate import LN2, build, rate_evaluation
+from eeopt.surrogate import LN2, rate_evaluation
 
 from helpers import (
     SHAPES,
@@ -336,18 +336,14 @@ class TestSubproblemStructure:
 
     @pytest.mark.parametrize("scal", SHAPES, ids=lambda s: f"{s.kind.value}-{s.weight}")
     def test_swapped_model_matches_a_fresh_layout(self, scal):
-        # a run lays a subproblem out once and swaps in each outer iteration's
-        # surrogate, which borrows the first one's instance-only tables
+        # a run lays a subproblem out once and swaps in each outer iteration's surrogate
         inst = paper_scale_instance()
         rng = np.random.default_rng(49)
         first = expand(inst, random_alloc(rng, inst))
-        p = random_alloc(rng, inst)
-        second = build(inst, p, evaluate(inst, p).sinr, first)
-        assert second.instance_tables is first.instance_tables
-        fresh_model = expand(inst, p)
+        second = expand(inst, random_alloc(rng, inst))
         swapped = ConvexSubproblem(first, scal)
         swapped.model = second
-        fresh = ConvexSubproblem(fresh_model, scal)
+        fresh = ConvexSubproblem(second, scal)
         lam = rng.uniform(0.1, 2.0, size=fresh.n_constraints)
         sigma = rng.uniform(0.1, 2.0, size=fresh.n_constraints)
         results = []
@@ -368,10 +364,8 @@ class TestSubproblemStructure:
             p[0, 1] = 1e-12 * p[0, 1]
             return inst, p
         if name == "largest-gains":
-            # gains up to 2.5e302, about 1e-6 of the largest float; the config's
-            # own SNR check overflows to inf at these gains and still passes
-            with np.errstate(over="ignore"):
-                config = ScenarioConfig(path_loss_const_db=-3050.0)
+            # gains up to 2.5e302, about 1e-6 of the largest float
+            config = ScenarioConfig(path_loss_const_db=-3050.0)
         else:
             config = {"5x5": ScenarioConfig(d2d_distance=10.0),
                       "20x16": ScenarioConfig(n_d2d_pairs=19, n_blocks=16, d2d_distance=20.0)}[name]
@@ -407,9 +401,7 @@ class TestSubproblemStructure:
         # interference sum can overflow; the twin, every gain and the noise times
         # 2^-1000, has the same SINR at every allocation, so a backtrack or failure
         # that overflow causes shows as a difference between the two runs
-        with np.errstate(over="ignore"):
-            config = ScenarioConfig(path_loss_const_db=-3104.0)
-        inst = generate(config, np.random.SeedSequence([1, 3]))
+        inst = generate(ScenarioConfig(path_loss_const_db=-3104.0), np.random.SeedSequence([1, 3]))
         twin = replace(inst, gain=inst.gain * 2.0**-1000, noise=inst.noise * 2.0**-1000)
         passes = []
         monkeypatch.setattr(solver, "rate_evaluation",
@@ -658,8 +650,7 @@ class TestPredictorCorrector:
 
 def surrogate_pair_rates(inst, model, p1, p2):
     """Vectorized 2-user, 1-block surrogate rates on a power grid."""
-    a = model.coefficients.a
-    b = model.coefficients.b
+    a, b = model.a, model.b
     g = inst.gain
     n1, n2 = inst.noise[0, 0], inst.noise[1, 0]
     r1 = b[0, 0] + a[0, 0] * (np.log2(g[0, 0, 0]) + np.log2(p1) - np.log2(g[1, 0, 0] * p2 + n1))

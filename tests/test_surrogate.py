@@ -74,7 +74,7 @@ class TestBoundCoefficients:
             assert np.all(a * np.log2(gamma) + b <= np.log2(1.0 + gamma) + 1e-12)
 
     @given(st.floats(min_value=1e-12, max_value=1e12))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     def test_tightness_property(self, gamma):
         a, b = bound_coefficients(gamma)
         assert 0.0 <= a < 1.0
@@ -88,7 +88,9 @@ class TestBuild:
         inst = random_instance(rng, 3, 2)
         p = random_alloc(rng, inst)
         model = expand(inst, p)
-        np.testing.assert_allclose(model.coefficients.expansion_sinr, sinr(inst, p), rtol=1e-13)
+        a, b = bound_coefficients(sinr(inst, p))
+        np.testing.assert_array_equal(model.a, a)
+        np.testing.assert_array_equal(model.b, b)
         np.testing.assert_allclose(model.expansion_q, np.log2(p), rtol=1e-13)
         with pytest.raises(ShapeError, match="SINR shape"):
             build(inst, p, sinr(inst, p)[:, :1])
