@@ -5,8 +5,12 @@ Commands (the `command` key of the config):
 * solve        one optimization run; emits the trajectory table
 * pareto       weight sweep; one row per weight
 * trend        distance x weight sweep; one row per pair
-* convergence  trajectories per (weight, start scale, tolerance), with
-               the iteration bound 1 + (lambda - 1)/epsilon per record
+* convergence  (weight, start scale, tolerance) sweep; one row per
+               triple, with the iteration bound 1 + (lambda - 1)/epsilon,
+               and the first trial's trajectory per triple
+
+The three sweeps share one body: it runs the study and writes one CSV
+line per SweepRow, a column per grid parameter or row field.
 
 Every invocation writes `record.yaml` holding the fully resolved config
 (SI units, defaults materialized) plus result summaries; feeding the
@@ -84,7 +88,7 @@ class ConfigError(EEOptError):
 def _float_cell(x) -> str:
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _write_csv(path: Path, header, rows):
@@ -361,8 +365,16 @@ def _cmd_solve(cfg: _Resolved):
     return tables, summary, failed
 
 
-def _sweep_tables(name, result, columns):
-    """One CSV of a sweep: a column per grid parameter or SweepRow field, in the given order."""
+def _sweep(study, table: str, columns: list[str], cfg: _Resolved, trials: int, **grid):
+    """Run a study on the config's scenario and solver, and lay out its table.
+
+    `study(cfg, **grid, trials=..., solver_config=..., workers=...)` calls
+    the library study. The table has one line per row and a column per
+    grid parameter or SweepRow field, in the given order; `iters_mean` is
+    `iterations_mean` and `seed` the master seed. Returns (result, tables).
+    """
+    result = study(cfg, **grid, trials=trials, solver_config=cfg.solver, workers=cfg.workers)
+
     def cell(row, column):
         if column in row.params:
             return row.params[column]
@@ -370,77 +382,54 @@ def _sweep_tables(name, result, columns):
             return result.master_seed
         return getattr(row, "iterations_mean" if column == "iters_mean" else column)
 
-    return {f"{name}.csv": (columns, [[cell(row, c) for c in columns] for row in result.rows])}
+    return result, {table: (columns, [[cell(row, c) for c in columns] for row in result.rows])}
 
 
-def _cmd_pareto(cfg: _Resolved, weights, trials, include_product_ee):
-    result = pareto_sweep(
-        cfg.scenario, weights,
-        kind=cfg.scalarization.kind,
-        trials=trials,
-        solver_config=cfg.solver,
-        include_product_ee=include_product_ee,
-        workers=cfg.workers,
-    )
-    tables = _sweep_tables("pareto", result, [
-        "w", "mee_mean", "mee_se", "tee_mean", "tee_se",
-        "jfi_mean", "iters_mean", "trials", "seed",
-    ])
-    summary = {"rows": len(result.rows), "trials": trials}
-    return tables, summary, False
+def _cmd_sweep(study, table, columns, cfg: _Resolved, **section):
+    result, tables = _sweep(study, table, columns, cfg, **section)
+    return tables, {"rows": len(result.rows), "trials": result.trials}, False
 
 
-def _cmd_trend(cfg: _Resolved, distances, weights, trials):
-    result = trend_study(
-        cfg.scenario, distances, weights,
-        trials=trials, solver_config=cfg.solver, workers=cfg.workers,
-    )
-    tables = _sweep_tables("trend", result, [
-        "d_d2d", "w", "tee_mean", "tee_se", "jfi_mean", "jfi_se",
-        "mee_mean", "mee_se", "iters_mean", "trials", "seed",
-    ])
-    summary = {"rows": len(result.rows), "trials": trials}
-    return tables, summary, False
-
-
-def _cmd_convergence(cfg: _Resolved, weights, zetas, epsilons, trials):
-    records = convergence_study(
-        cfg.scenario, weights, zetas, epsilons,
-        trials=trials, solver_config=cfg.solver, workers=cfg.workers,
-    )
-    rows, violated = [], False
-    for r in records:
-        # empty bound cells: no trial of the record started at a positive objective
-        bounded = [(b, b - n) for b, n in zip(r.bounds, r.iterations) if b is not None]
-        bound_min = slack_min = ""
-        if bounded:
-            bound_min = min(b for b, _ in bounded)
-            slack_min = min(s for _, s in bounded)
-            violated = violated or slack_min < -1e-9
-        rows.append((r.weight, r.zeta, r.epsilon, r.iterations_mean, trials, cfg.seed,
-                     bound_min, slack_min))
-    tables = {
-        "convergence_summary.csv": (
-            ["w", "zeta", "epsilon", "iters_mean", "trials", "seed",
-             "bound_min", "bound_slack_min"],
-            rows,
-        )
-    }
-    for r in records:
-        name = f"convergence_w{r.weight:g}_zeta{r.zeta:g}_eps{r.epsilon:g}.csv"
-        tables[name] = (
+def _cmd_convergence(study, table, columns, cfg: _Resolved, **section):
+    """The sweep's summary table, plus each row's first trajectory and the bound check."""
+    result, tables = _sweep(study, table, columns, cfg, **section)
+    for row in result.rows:
+        p = row.params
+        tables[f"convergence_w{p['w']:g}_zeta{p['zeta']:g}_eps{p['epsilon']:g}.csv"] = (
             ["iteration", "objective_log2"],
-            [(l, float(f)) for l, f in enumerate(r.trajectory)],
+            [(l, float(f)) for l, f in enumerate(row.runs[0].trajectory)],
         )
-    summary = {"records": len(records), "trials": trials}
-    return tables, summary, violated
+    # a bound_slack_min below -1e-9 is a count above its bound; None: no trial has a bound
+    violated = any(row.bound_slack_min is not None and row.bound_slack_min < -1e-9
+                   for row in result.rows)
+    return tables, {"records": len(result.rows), "trials": result.trials}, violated
 
 
 _COMMANDS = {
     "solve": _cmd_solve,
-    "pareto": _cmd_pareto,
-    "trend": _cmd_trend,
-    "convergence": _cmd_convergence,
+    "pareto": partial(
+        _cmd_sweep,
+        lambda cfg, weights, include_product_ee, **run: pareto_sweep(
+            cfg.scenario, weights, kind=cfg.scalarization.kind,
+            include_product_ee=include_product_ee, **run),
+        "pareto.csv",
+        ["w", "mee_mean", "mee_se", "tee_mean", "tee_se", "jfi_mean", "iters_mean", "trials",
+         "seed"],
+    ),
+    "trend": partial(
+        _cmd_sweep,
+        lambda cfg, distances, weights, **run: trend_study(cfg.scenario, distances, weights, **run),
+        "trend.csv",
+        ["d_d2d", "w", "tee_mean", "tee_se", "jfi_mean", "jfi_se", "mee_mean", "mee_se",
+         "iters_mean", "trials", "seed"],
+    ),
+    "convergence": partial(
+        _cmd_convergence,
+        lambda cfg, weights, zetas, epsilons, **run: convergence_study(
+            cfg.scenario, weights, zetas, epsilons, **run),
+        "convergence_summary.csv",
+        ["w", "zeta", "epsilon", "iters_mean", "trials", "seed", "bound_min", "bound_slack_min"],
+    ),
 }
 
 
@@ -462,7 +451,7 @@ def run_command(config: dict, output_dir=None) -> int:
     except (ConfigError, DomainError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

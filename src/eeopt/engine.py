@@ -184,8 +184,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         f_l, u, v = _trajectory_value(scalarization, report)
         trajectory.append(f_l)
         ascent = sol.status is SubproblemStatus.ASCENT
-        certified = ascent or (sol.status is SubproblemStatus.OPTIMAL
-                               and sol.kkt_residual <= config.kkt_tolerance)
+        certified = ascent or sol.status is SubproblemStatus.OPTIMAL
         warm = sol.multipliers if certified else None
         stats.append(
             IterationStats(

@@ -11,11 +11,12 @@ by default, optional log-normal shadowing), identical across blocks;
 there is no fast fading.
 
 The three studies share one grid sweep. A study is a list of cells,
-each a scalarization plus an optional D2D distance, start scale and
-tolerance; every trial draws its instance (one per distance) and runs
-every cell on it, serially or on a process pool, and each cell's runs
-reduce to one row (trial means and standard errors) or one trajectory
-record.
+each a scalarization plus its row's grid parameters, which may set the
+D2D distance, the start scale and the tolerance; every trial draws its
+instance (one per distance) and runs every cell on it, serially or on a
+process pool, and one reducer turns each cell's runs into a row of trial
+means and standard errors that keeps the runs. The convergence study
+adds each row's per-trial iteration bound.
 
 Reproducibility: a study is fully determined by its config and master
 seed. Trial i draws its instance from a generator seeded with
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "ScenarioConfig",
     "SweepRow",
     "SweepResult",
-    "ConvergenceRecord",
     "generate",
     "trial_seed",
     "pareto_sweep",
@@ -175,6 +175,9 @@ def trial_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid cell: its parameters, the trial mean and standard error of
+    each metric, and the runs they reduce, one per trial."""
+
     params: dict
     tee_mean: float
     tee_se: float
@@ -185,6 +188,20 @@ class SweepRow:
     iterations_mean: float
     iterations_se: float
     trials: int
+    runs: tuple[SolveResult, ...] = field(repr=False, compare=False)   # == on arrays is ambiguous
+    # convergence only: per trial 1 + (lambda - 1)/epsilon, None unless f_0 > 0
+    bounds: tuple[float | None, ...] = ()
+
+    @property
+    def bound_min(self) -> float | None:
+        """The smallest bound over the trials, None if no trial has one."""
+        return min((b for b in self.bounds if b is not None), default=None)
+
+    @property
+    def bound_slack_min(self) -> float | None:
+        """The smallest bound minus iteration count, None if no trial has a bound."""
+        return min((b - r.iterations for b, r in zip(self.bounds, self.runs) if b is not None),
+                   default=None)
 
 
 @dataclass(frozen=True)
@@ -192,18 +209,6 @@ class SweepResult:
     rows: list[SweepRow]
     master_seed: int
     trials: int
-
-
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    weight: float
-    zeta: float
-    epsilon: float
-    iterations: list[int]
-    iterations_mean: float
-    trajectory: np.ndarray     # first trial's objective trajectory
-    final_objectives: list[float]
-    bounds: list[float | None]  # per trial 1 + (lambda - 1)/epsilon; None unless f_0 > 0
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -229,12 +234,15 @@ def _mean_se(values) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _Cell:
-    """One grid point: a scalarization and what it changes in the trial's run."""
+    """One grid point: a scalarization and its row's parameters.
+
+    Of the parameters, `d_d2d` replaces the scenario's link distance,
+    `zeta` starts the run at that fraction of the uniform split and
+    `epsilon` replaces the solver tolerance.
+    """
 
     scalarization: Scalarization
-    d2d_distance: float | None = None   # replaces the scenario's link distance
-    start_scale: float | None = None    # start at this fraction of the uniform split
-    tolerance: float | None = None      # replaces the solver tolerance
+    params: dict
 
 
 def _grid_trial(args) -> list[SolveResult]:
@@ -243,23 +251,23 @@ def _grid_trial(args) -> list[SolveResult]:
     instances = {}
     results = []
     for cell in cells:
-        d = cell.d2d_distance
+        d = cell.params.get("d_d2d")
         if d not in instances:
             scenario = config if d is None else replace(config, d2d_distance=d)
             instances[d] = generate(scenario, trial_seed(config.seed, trial))
         inst = instances[d]
         cfg = solver_config
-        if cell.tolerance is not None:
-            cfg = replace(cfg, tolerance=cell.tolerance)
-        if cell.start_scale is not None:
-            cfg = replace(cfg, initial_allocation=cell.start_scale * default_initial_point(inst))
+        if "epsilon" in cell.params:
+            cfg = replace(cfg, tolerance=cell.params["epsilon"])
+        if "zeta" in cell.params:
+            cfg = replace(cfg, initial_allocation=cell.params["zeta"] * default_initial_point(inst))
         results.append(run(inst, cell.scalarization, cfg))
     return results
 
 
 def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
-              solver_config: SolverConfig | None, workers: int | None) -> list[list[SolveResult]]:
-    """Every cell on every trial's instance; returns results[cell][trial]."""
+              solver_config: SolverConfig | None, workers: int | None) -> SweepResult:
+    """Every cell on every trial's instance, one row per cell."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     workers = resolve_workers(workers)
@@ -272,16 +280,29 @@ def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_grid_trial, tasks))
-    return [list(runs) for runs in zip(*per_trial)]
+    rows = [_sweep_row(cell.params, runs) for cell, runs in zip(cells, zip(*per_trial))]
+    return SweepResult(rows=rows, master_seed=config.seed, trials=trials)
 
 
-def _sweep_row(params: dict, runs: list[SolveResult]) -> SweepRow:
+def _sweep_row(params: dict, runs: tuple[SolveResult, ...]) -> SweepRow:
     """Trial mean and standard error of one cell's metrics."""
     tee = _mean_se([r.metrics.ee_total for r in runs])
     mee = _mean_se([r.metrics.ee_min for r in runs])
     jfi = _mean_se([r.metrics.jain_index for r in runs])
     iters = _mean_se([r.iterations for r in runs])
-    return SweepRow(params, *tee, *mee, *jfi, *iters, trials=len(runs))
+    return SweepRow(params, *tee, *mee, *jfi, *iters, trials=len(runs), runs=runs)
+
+
+def _checked(name: str, values, ok, rule: str) -> list[float]:
+    """A study's grid entries as floats; a DomainError naming `name` unless every one is ok."""
+    values = [float(v) for v in values]
+    if not all(ok(v) for v in values):
+        raise DomainError(f"{name} must {rule}, got {values}")
+    return values
+
+
+def _weights(values) -> list[float]:
+    return _checked("weights", values, lambda w: 0.0 <= w <= 1.0, "lie in [0, 1]")
 
 
 def pareto_sweep(config: ScenarioConfig, w_grid, kind="weighted_product", trials: int = 1,
@@ -292,80 +313,62 @@ def pareto_sweep(config: ScenarioConfig, w_grid, kind="weighted_product", trials
     Each trial draws one instance and runs every weight on it, so the
     weight axis is directly comparable within a trial.
     """
-    w_grid = [float(w) for w in w_grid]
-    if any(not 0.0 <= w <= 1.0 for w in w_grid):
-        raise DomainError("weights must lie in [0, 1]")
+    w_grid = _weights(w_grid)
     kind = ScalarizationKind(kind)
-    cells = [_Cell(Scalarization(kind, w)) for w in w_grid]
-    labels = [{"w": w} for w in w_grid]
+    cells = [_Cell(Scalarization(kind, w), {"w": w}) for w in w_grid]
     if include_product_ee:
-        cells.append(_Cell(product_ee()))
-        labels.append({"w": float("nan"), "baseline": "product_ee"})
-    runs = _run_grid(config, cells, trials, solver_config, workers)
-    rows = [_sweep_row(params, col) for params, col in zip(labels, runs)]
-    return SweepResult(rows=rows, master_seed=config.seed, trials=trials)
+        cells.append(_Cell(product_ee(), {"w": float("nan"), "baseline": "product_ee"}))
+    return _run_grid(config, cells, trials, solver_config, workers)
 
 
 def trend_study(config: ScenarioConfig, d2d_distances, w_list, trials: int = 1,
                 solver_config: SolverConfig | None = None,
                 workers: int | None = None) -> SweepResult:
     """Averaged total EE and fairness index versus D2D link distance and weight."""
-    d2d_distances = [float(d) for d in d2d_distances]
-    if not all(0 < d < math.inf for d in d2d_distances):
-        raise DomainError(f"distances must be finite and > 0, got {d2d_distances}")
-    labels = [{"d_d2d": d, "w": float(w)} for d in d2d_distances for w in w_list]
-    cells = [_Cell(weighted_product(p["w"]), d2d_distance=p["d_d2d"]) for p in labels]
-    runs = _run_grid(config, cells, trials, solver_config, workers)
-    rows = [_sweep_row(params, col) for params, col in zip(labels, runs)]
-    return SweepResult(rows=rows, master_seed=config.seed, trials=trials)
+    d2d_distances = _checked("distances", d2d_distances, lambda d: 0 < d < math.inf,
+                             "be finite and > 0")
+    w_list = _weights(w_list)
+    cells = [_Cell(weighted_product(w), {"d_d2d": d, "w": w})
+             for d in d2d_distances for w in w_list]
+    return _run_grid(config, cells, trials, solver_config, workers)
 
 
 def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trials: int = 1,
                       solver_config: SolverConfig | None = None,
-                      workers: int | None = None) -> list[ConvergenceRecord]:
-    """Objective trajectories and iteration counts per (weight, start scale, tolerance).
+                      workers: int | None = None) -> SweepResult:
+    """Iteration counts per (weight, start scale, tolerance), with the iteration bound.
 
-    Each record carries the method's iteration bound per trial,
+    Each row carries the method's iteration bound per trial,
     1 + (lambda - 1)/epsilon, where lambda is the best final objective of
     that trial over the tolerances of its (weight, start scale) pair,
     divided by the common start value f_0. The bound holds for f_0 > 0
     only; elsewhere it is None.
     """
-    zeta_list = [float(z) for z in zeta_list]
-    if any(not 0.0 < z <= 1.0 for z in zeta_list):
-        raise DomainError("start scales must lie in (0, 1]")
-    epsilons = [float(e) for e in epsilons]
-    if any(not e > 0.0 for e in epsilons):
-        raise DomainError("tolerances must be > 0")
+    w_list = _weights(w_list)
+    zeta_list = _checked("zetas", zeta_list, lambda z: 0.0 < z <= 1.0, "lie in (0, 1]")
+    epsilons = _checked("epsilons", epsilons, lambda e: e > 0.0, "be > 0")
     cells = [
-        _Cell(weighted_product(w), start_scale=zeta, tolerance=eps)
+        _Cell(weighted_product(w), {"w": w, "zeta": zeta, "epsilon": eps})
         for w in w_list for zeta in zeta_list for eps in epsilons
     ]
-    runs = _run_grid(config, cells, trials, solver_config, workers)
+    result = _run_grid(config, cells, trials, solver_config, workers)
     for t in range(trials):
-        for cell, col in zip(cells, runs):
-            if col[t].status is RunStatus.SUBPROBLEM_FAILURE:
+        for row in result.rows:
+            if row.runs[t].status is RunStatus.SUBPROBLEM_FAILURE:
                 raise RuntimeError(f"subproblem failure in trial {t} "
-                                   f"(w={cell.scalarization.weight}, zeta={cell.start_scale})")
-    keys = [(cell.scalarization.weight, cell.start_scale) for cell in cells]
+                                   f"(w={row.params['w']}, zeta={row.params['zeta']})")
+
     best = {}     # (w, zeta) -> per-trial best final objective over the tolerances
-    for key, col in zip(keys, runs):
-        best[key] = np.maximum(best.get(key, -np.inf), [r.trajectory[-1] for r in col])
+    for row in result.rows:
+        key = row.params["w"], row.params["zeta"]
+        best[key] = np.maximum(best.get(key, -np.inf), [r.trajectory[-1] for r in row.runs])
 
     def bound(f_0, f_best, eps):
         return 1.0 + max(f_best / f_0 - 1.0, 0.0) / eps if f_0 > 0 else None
 
-    return [
-        ConvergenceRecord(
-            weight=cell.scalarization.weight,
-            zeta=cell.start_scale,
-            epsilon=cell.tolerance,
-            iterations=[r.iterations for r in col],
-            iterations_mean=float(np.mean([r.iterations for r in col])),
-            trajectory=col[0].trajectory,
-            final_objectives=[float(r.trajectory[-1]) for r in col],
-            bounds=[bound(float(r.trajectory[0]), float(f_best), cell.tolerance)
-                    for r, f_best in zip(col, best[key])],
-        )
-        for cell, key, col in zip(cells, keys, runs)
-    ]
+    def bounds(row):
+        f_best = best[row.params["w"], row.params["zeta"]]
+        return tuple(bound(float(r.trajectory[0]), float(f), row.params["epsilon"])
+                     for r, f in zip(row.runs, f_best))
+
+    return replace(result, rows=[replace(row, bounds=bounds(row)) for row in result.rows])

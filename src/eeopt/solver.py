@@ -391,7 +391,7 @@ def _newton_directions(M: np.ndarray, rhs: np.ndarray):
     """The finite solutions of M d = rhs under an escalating ridge on M's diagonal, in turn."""
     diagonal = M.reshape(-1)[:: M.shape[0] + 1]
     added = 0.0
-    for boost in (_RIDGE, _RIDGE * 1e4, _RIDGE * 1e8, 1e-2):
+    for boost in (_RIDGE, _RIDGE * 1e4, _RIDGE * 1e8):
         diagonal += boost - added
         added = boost
         try:

@@ -1,4 +1,5 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -248,6 +249,10 @@ class TestConfigErrors:
         ("solve", {"scenario": {"annulus_outer": float("inf")}}, None, "scenario: annulus"),
         ("trend", {"trend": {"distances": [10, float("nan")], "trials": 1}}, None, "distances"),
         ("solve", {"scenario": {"bandwidth_per_block": 0}}, None, "scenario: bandwidth_per_block"),
+        ("pareto", {"pareto": {"weights": [0.5, 1.5], "trials": 1}}, None, "weights"),
+        ("convergence", {"convergence": {"zetas": [0]}}, None, "zetas"),
+        ("convergence", {"convergence": {"zetas": [1.5]}}, None, "zetas"),
+        ("convergence", {"convergence": {"epsilons": [0]}}, None, "epsilons"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -260,7 +265,8 @@ class TestConfigErrors:
             "shadowing-huge-gain", "seed-bool", "pareto-trials-bool", "n_blocks-bool",
             "workers-0", "workers-negative", "env-workers-0", "min-link-distance-negative",
             "min-link-distance-nan", "d2d-distance-nan", "annulus-outer-inf",
-            "trend-distance-nan", "bandwidth-0"])
+            "trend-distance-nan", "bandwidth-0", "pareto-weight-above-1", "zeta-0", "zeta-above-1",
+            "epsilon-0"])
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)
@@ -384,16 +390,16 @@ class TestConvergenceCommand:
     def test_count_above_its_bound_exits_4_with_tables(self, tmp_path, monkeypatch, capsys):
         import eeopt.cli as cli_module
         from eeopt.cli import EXIT_SOLVER
-        from eeopt.scenario import ConvergenceRecord
+        from eeopt.scenario import SweepResult, SweepRow
 
-        def record(zeta, iterations, bound):
-            return ConvergenceRecord(weight=0.5, zeta=zeta, epsilon=1e-2, iterations=[iterations],
-                                     iterations_mean=float(iterations),
-                                     trajectory=np.array([1.0, 1.01]), final_objectives=[1.01],
-                                     bounds=[bound])
+        def row(zeta, iterations, bound):
+            run = SimpleNamespace(iterations=iterations, trajectory=np.array([1.0, 1.01]))
+            params = {"w": 0.5, "zeta": zeta, "epsilon": 1e-2}
+            return SweepRow(params, *[0.0] * 6, float(iterations), 0.0, trials=1, runs=(run,),
+                            bounds=(bound,))
 
-        monkeypatch.setattr(cli_module, "convergence_study",
-                            lambda *args, **kwargs: [record(0.5, 3, 2.0), record(1.0, 1, None)])
+        monkeypatch.setattr(cli_module, "convergence_study", lambda *args, **kwargs: SweepResult(
+            rows=[row(0.5, 3, 2.0), row(1.0, 1, None)], master_seed=3, trials=1))
         out = tmp_path / "out"
         assert main([write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence")),
                      "-o", str(out)]) == EXIT_SOLVER
@@ -437,6 +443,21 @@ class TestReplay:
         rec2["config"].pop("output")  # the replay target directory legitimately differs
         assert rec1["config"] == rec2["config"]
         assert rec1["results"] == rec2["results"]
+
+
+class TestSweepTables:
+    @pytest.mark.parametrize("command, table", [
+        ("pareto", "pareto.csv"), ("trend", "trend.csv"),
+        ("convergence", "convergence_summary.csv"),
+    ])
+    def test_seed_column_is_the_seed_that_draws_the_trials(self, tmp_path, command, table):
+        cfg = tiny_scenario(command, **{command: {"weights": [0.5], "trials": 1}})
+        cfg["scenario"]["seed"] = 11    # the trials' master seed; the run's seed stays 3
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_OK
+        with open(out / table, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["seed"] == "11" for row in rows)
 
 
 class TestRuntimeDomainErrors:

@@ -1,13 +1,16 @@
+import math
 import warnings
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
-from eeopt.engine import SolverConfig, default_initial_point
+from eeopt.engine import SolverConfig, default_initial_point, run
 from eeopt.errors import DomainError
+from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import (
-    ConvergenceRecord,
     ScenarioConfig,
+    SweepRow,
     convergence_study,
     generate,
     pareto_sweep,
@@ -138,7 +141,7 @@ class TestParetoSweep:
         assert result.rows[-1].tee_mean >= result.rows[-1].mee_mean
 
     def test_invalid_weights_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="weights"):
             pareto_sweep(ScenarioConfig(), [0.5, 1.5], trials=1)
 
 
@@ -164,55 +167,136 @@ class TestTrendStudy:
 
 
 class TestConvergenceStudy:
-    def test_records_and_monotone_trajectories(self):
+    def test_rows_and_monotone_trajectories(self):
         cfg = ScenarioConfig(seed=41)
-        records = convergence_study(cfg, [0.7], [0.5, 1.0], [1e-2], trials=2,
-                                    solver_config=FAST)
-        assert len(records) == 2
-        for rec in records:
-            assert isinstance(rec, ConvergenceRecord)
-            assert np.all(np.diff(rec.trajectory) >= -1e-9)
-            assert len(rec.iterations) == 2
+        result = convergence_study(cfg, [0.7], [0.5, 1.0], [1e-2], trials=2, solver_config=FAST)
+        assert len(result.rows) == 2 and result.trials == 2
+        for row in result.rows:
+            assert isinstance(row, SweepRow)
+            assert len(row.runs) == 2 and len(row.bounds) == 2
+            for r in row.runs:
+                assert np.all(np.diff(r.trajectory) >= -1e-9)
 
     def test_invalid_zeta_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="zetas"):
             convergence_study(ScenarioConfig(), [0.5], [0.0], [1e-3], trials=1)
 
     def test_counts_monotone_and_bounded(self):
         cfg = ScenarioConfig(seed=71, n_d2d_pairs=2, n_blocks=2)   # log2 EE > 0 at the start
-        records = convergence_study(cfg, [0.7], [0.5], [1e-2, 1e-3, 1e-4], trials=2)
-        counts = np.array([rec.iterations for rec in records])     # (epsilon, trial)
+        rows = convergence_study(cfg, [0.7], [0.5], [1e-2, 1e-3, 1e-4], trials=2).rows
+        counts = np.array([[r.iterations for r in row.runs] for row in rows])  # (epsilon, trial)
         assert np.all(np.diff(counts, axis=0) >= 0)
-        for rec in records:
-            for iterations, bound in zip(rec.iterations, rec.bounds):
+        for row in rows:
+            for r, bound in zip(row.runs, row.bounds):
                 assert bound is not None
-                assert iterations <= bound
+                assert r.iterations <= bound
+            slacks = [b - r.iterations for b, r in zip(row.bounds, row.runs)]
+            assert row.bound_slack_min == min(slacks)
         # lambda takes the trial's best final objective over all tolerances
-        f_0 = records[0].trajectory[0]
-        f_best = max(rec.final_objectives[0] for rec in records)
-        for rec in records:
-            assert rec.bounds[0] == pytest.approx(1.0 + max(f_best / f_0 - 1.0, 0.0) / rec.epsilon)
+        f_0 = rows[0].runs[0].trajectory[0]
+        f_best = max(row.runs[0].trajectory[-1] for row in rows)
+        for row in rows:
+            assert row.bounds[0] == pytest.approx(
+                1.0 + max(f_best / f_0 - 1.0, 0.0) / row.params["epsilon"])
 
     def test_large_epsilon_gives_one_iteration(self):
         cfg = ScenarioConfig(seed=72, n_d2d_pairs=1, n_blocks=2)
-        (record,) = convergence_study(cfg, [0.5], [1.0], [10.0])
-        assert record.iterations == [1]
+        (row,) = convergence_study(cfg, [0.5], [1.0], [10.0]).rows
+        assert [r.iterations for r in row.runs] == [1]
 
     def test_rejects_nonpositive_epsilon(self, monkeypatch):
         # rejected up front, before any run
         monkeypatch.setattr("eeopt.scenario._run_grid", lambda *args: pytest.fail("ran"))
         for epsilons in ([1e-3, 0.0], [-1e-3], [float("nan")]):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="epsilons"):
                 convergence_study(ScenarioConfig(), [0.5], [1.0], epsilons)
 
     def test_final_objective_insensitive_to_start_scale(self):
         cfg = ScenarioConfig(seed=42)
-        records = convergence_study(cfg, [0.7], [0.1, 0.5, 1.0], [1e-4], trials=3,
-                                    solver_config=SolverConfig(tolerance=1e-4))
-        finals = np.array([rec.final_objectives for rec in records])  # (zeta, trial)
+        rows = convergence_study(cfg, [0.7], [0.1, 0.5, 1.0], [1e-4], trials=3,
+                                 solver_config=SolverConfig(tolerance=1e-4)).rows
+        finals = np.array([[r.trajectory[-1] for r in row.runs] for row in rows])  # (zeta, trial)
         for t in range(finals.shape[1]):
             spread = finals[:, t].max() - finals[:, t].min()
             assert spread <= 0.01 * abs(finals[:, t].mean())
+
+
+class TestRowsFromDirectRuns:
+    """Every study row is the trial statistics of direct `run` calls.
+
+    Trial t of a cell runs on generate(config with the cell's link
+    distance, trial_seed(config.seed, t)), under the study's SolverConfig
+    with the cell's tolerance, from zeta times the uniform split.
+    """
+
+    CONFIG = ScenarioConfig(seed=61, n_d2d_pairs=2, n_blocks=3)
+    SOLVER = SolverConfig(tolerance=1e-2, kkt_tolerance=1e-7)
+    TRIALS = 2
+
+    def direct_runs(self, scalarization, d2d_distance=None, zeta=None, epsilon=None):
+        scenario = self.CONFIG if d2d_distance is None else replace(self.CONFIG,
+                                                                     d2d_distance=d2d_distance)
+        runs = []
+        for t in range(self.TRIALS):
+            inst = generate(scenario, trial_seed(self.CONFIG.seed, t))
+            cfg = self.SOLVER if epsilon is None else replace(self.SOLVER, tolerance=epsilon)
+            if zeta is not None:
+                cfg = replace(cfg, initial_allocation=zeta * default_initial_point(inst))
+            runs.append(run(inst, scalarization, cfg))
+        return runs
+
+    def assert_row_is(self, row, params, runs):
+        def mean_se(values):
+            arr = np.array(values, dtype=float)
+            return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+
+        assert repr(row.params) == repr(params)     # repr, so a NaN weight matches
+        assert row.trials == len(runs) == len(row.runs)
+        for kept, r in zip(row.runs, runs):
+            assert np.array_equal(kept.allocation, r.allocation)
+            assert np.array_equal(kept.trajectory, r.trajectory)
+        expected = (*mean_se([r.metrics.ee_total for r in runs]),
+                    *mean_se([r.metrics.ee_min for r in runs]),
+                    *mean_se([r.metrics.jain_index for r in runs]),
+                    *mean_se([r.iterations for r in runs]))
+        assert (row.tee_mean, row.tee_se, row.mee_mean, row.mee_se, row.jfi_mean, row.jfi_se,
+                row.iterations_mean, row.iterations_se) == expected
+
+    def test_pareto_with_the_product_ee_baseline(self):
+        rows = pareto_sweep(self.CONFIG, [0.3, 0.8], kind="weighted_minimum", trials=self.TRIALS,
+                            solver_config=self.SOLVER, include_product_ee=True).rows
+        assert len(rows) == 3
+        for row, w in zip(rows, [0.3, 0.8]):
+            self.assert_row_is(row, {"w": w}, self.direct_runs(weighted_minimum(w)))
+        self.assert_row_is(rows[2], {"w": float("nan"), "baseline": "product_ee"},
+                           self.direct_runs(product_ee()))
+
+    def test_trend_over_two_distances(self):
+        rows = trend_study(self.CONFIG, [10.0, 40.0], [0.0, 0.6], trials=self.TRIALS,
+                           solver_config=self.SOLVER).rows
+        cells = [(d, w) for d in (10.0, 40.0) for w in (0.0, 0.6)]
+        assert len(rows) == len(cells)
+        for row, (d, w) in zip(rows, cells):
+            self.assert_row_is(row, {"d_d2d": d, "w": w},
+                               self.direct_runs(weighted_product(w), d2d_distance=d))
+
+    def test_convergence_over_start_scales_and_tolerances(self):
+        rows = convergence_study(self.CONFIG, [0.7], [0.2, 1.0], [1e-2, 1e-4], trials=self.TRIALS,
+                                 solver_config=self.SOLVER).rows
+        cells = [(zeta, eps) for zeta in (0.2, 1.0) for eps in (1e-2, 1e-4)]
+        assert len(rows) == len(cells)
+        direct = {cell: self.direct_runs(weighted_product(0.7), zeta=cell[0], epsilon=cell[1])
+                  for cell in cells}
+        for row, (zeta, eps) in zip(rows, cells):
+            self.assert_row_is(row, {"w": 0.7, "zeta": zeta, "epsilon": eps}, direct[zeta, eps])
+            # lambda: trial t's best final objective over the tolerances of (w, zeta)
+            bounds = []
+            for t, r in enumerate(direct[zeta, eps]):
+                f_0 = float(r.trajectory[0])
+                f_best = max(float(direct[zeta, e][t].trajectory[-1]) for e in (1e-2, 1e-4))
+                bounds.append(1.0 + max(f_best / f_0 - 1.0, 0.0) / eps if f_0 > 0 else None)
+            assert row.bounds == tuple(bounds)
+        assert all(b is not None for row in rows for b in row.bounds)
 
 
 class TestWorkers:
@@ -241,11 +325,20 @@ class TestWorkers:
             "trend": lambda workers: trend_study(cfg, [10.0, 40.0], [0.4], trials=3,
                                                  solver_config=FAST, workers=workers).rows,
             "convergence": lambda workers: convergence_study(cfg, [0.4], [0.5], [1e-2], trials=3,
-                                                             workers=workers),
+                                                             workers=workers).rows,
         }[study]
-        # every field bit-identical: arrays as bytes, the rest by repr so NaN matches NaN
-        def fields(row):
-            return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
-                    for k, v in vars(row).items()}
 
-        assert [fields(r) for r in sweep(1)] == [fields(r) for r in sweep(2)]
+        # every field bit-identical, the runs' fields included: arrays as bytes,
+        # the rest by repr so NaN matches NaN
+        def bits(value):
+            if isinstance(value, np.ndarray):
+                return value.tobytes()
+            if is_dataclass(value):
+                return {f.name: bits(getattr(value, f.name)) for f in fields(value)}
+            if isinstance(value, (list, tuple)):
+                return [bits(v) for v in value]
+            return repr(value)
+
+        serial, parallel = sweep(1), sweep(2)
+        assert all(len(row.runs) == 3 for row in serial)
+        assert bits(serial) == bits(parallel)
