@@ -77,7 +77,8 @@ summed by one bincount into G and one into M.
 
 Each iterate costs one interference pass, the start's serving its roots
 too; a line-search trial gets only that value pass and, once accepted,
-`jacobian` fills the table from it. The loop keeps (x, z), z = (s,
+`jacobian` reads the derivatives off it. `newton_matrix` reads only the
+derivatives it is given, so calls on different subproblems may interleave. The loop keeps (x, z), z = (s,
 lambda), as one vector, so a boundary step is one divide and one min.
 
 Everything here is deterministic: the same subproblem produces the
@@ -278,9 +279,8 @@ class ConvexSubproblem:
         blocks = q_col[:, :, None] * nv + q_col[:, None, :]
         self._hess_pattern = (term[left], np.concatenate(
             (col[left] * nv + col[right], blocks.ravel(), q_col.ravel() * (nv + 1))))
-        self._M = np.empty((nv, nv))
-        self._shares = np.empty((k, n, n))
-        # R B a s on each block, written into the q columns of a zero buffer at [k, m, j]
+        # R B a s on each block, written into the q columns of a zero buffer at [k, m, j];
+        # scratch of one `jacobian` call
         self._share_term = np.zeros((m, nv))
         self._share_blocks = self._share_term[:, :nq].reshape(m, n, k).transpose(2, 0, 1)
 
@@ -328,10 +328,10 @@ class ConvexSubproblem:
 
     def evaluate(self, x: np.ndarray, with_grad: bool = True):
         """Normalized constraint values, optional Jacobian, and the kept pass
-        (interference pass, 2^(S theta)) that `jacobian` fills the derivative
-        table from; without the Jacobian this is the value pass."""
+        (interference pass, 2^(S theta)) that `jacobian` reads the derivatives
+        from; without the Jacobian this is the value pass."""
         c, kept = self._rows(x, rate_evaluation(self.model, self.unpack_q(x)))
-        return c, (self.jacobian(kept) if with_grad else None), kept
+        return c, (self.jacobian(kept)[0] if with_grad else None), kept
 
     def start(self):
         """The expansion point with each threshold at its exact root: (x, c, kept pass).
@@ -356,28 +356,30 @@ class ConvexSubproblem:
              - scale * (self._W @ ev.power.ravel() + self._P))
         return c, (ev, scale)
 
-    def jacobian(self, kept) -> np.ndarray:
-        """G = AR - RA shares - U Z[m:] at a kept pass's point, filling the derivative table there."""
+    def jacobian(self, kept):
+        """The derivatives at a kept pass's point: (G, u, shares), with G = AR - RA shares
+        - U Z[m:], u the power-term coefficients and the shares s_jik at [k, i, j]; the
+        tuple is what `newton_matrix` reads."""
         ev, scale = kept
-        sh = ev.shares(self._shares)                        # s_jik at [k, i, j]
-        self._u = u = scale[self._term_rows] * self._term_coef
+        sh = ev.shares()
+        u = scale[self._term_rows] * self._term_coef
         u[: self._term_q.size] *= ev.power.ravel()[self._term_q]
         np.matmul(self._RA_blocks, sh, out=self._share_blocks)
         term, flat = self._jac_pattern
         powers = np.bincount(flat, u[term], minlength=self._share_term.size)
-        self._G = G = self._AR - self._share_term - powers.reshape(self._share_term.shape)
-        return G
+        G = self._AR - self._share_term - powers.reshape(self._share_term.shape)
+        return G, u, sh
 
-    def newton_matrix(self, sigma: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """G' diag(sigma) G - sum_m lam_m hess c_m at the point of the last `jacobian`:
+    def newton_matrix(self, derivatives, sigma: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """G' diag(sigma) G - sum_m lam_m hess c_m from the derivatives `jacobian` returned:
         the rows of G as one product, then the power terms and the K share blocks
-        by one bincount. The matrix is a buffer the next call overwrites."""
-        G, sh, M = self._G, self._shares, self._M
-        np.matmul(G.T * sigma, G, out=M)
+        by one bincount."""
+        G, u, sh = derivatives
+        M = np.matmul(G.T * sigma, G)
         term, flat = self._hess_pattern
         ln2_wa = self._ln2_slope * (lam @ self._R)                   # at [k, i]
         weighted = sh.transpose(0, 2, 1) * -ln2_wa[:, None, :]      # -ln2 wa_ik s_jik at [k, j, i]
-        omega = np.concatenate(((LN2 * lam[self._term_rows] * self._u)[term],   # ln2 lam_m u
+        omega = np.concatenate(((LN2 * lam[self._term_rows] * u)[term],   # ln2 lam_m u
                                 np.matmul(weighted, sh).ravel(),
                                 np.matmul(ln2_wa[:, None, :], sh).ravel()))
         M += np.bincount(flat, omega, minlength=M.size).reshape(M.shape)
@@ -416,6 +418,8 @@ def _certificate(c_obj, G, c, lam, violation: float) -> float:
 def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
     """Primal-dual Newton from `problem.start()` until the KKT certificate meets tol.
 
+    `problem.jacobian(pass)` returns the derivatives at a kept pass's point,
+    G first, and `problem.newton_matrix(derivatives, sigma, lam)` reads them.
     `multipliers`, when given, warm-start lambda and must come from a
     subproblem of the same layout; otherwise the start is cold. With
     `min_gain`, an iterate after the start may end the loop as ASCENT: its
@@ -445,7 +449,8 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
         best = None
         for it in range(_MAX_NEWTON + 1):
             x, z, s, lam = y[:n], y[n:], y[n : n + m], y[n + m :]
-            G = problem.jacobian(ctx)
+            derivatives = problem.jacobian(ctx)
+            G = derivatives[0]
             r_p = c - s
             violation = -float(c.min())
             gap = float(s @ lam)
@@ -478,7 +483,7 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
             sigma, mu, infeasibility = lam / s, gap / m, np.abs(r_p)
             rhs[:, 1:] = G.T
             np.subtract(c_obj, (sigma * r_p) @ G, out=rhs[:, 0])
-            for d in _newton_directions(problem.newton_matrix(sigma, lam), rhs):
+            for d in _newton_directions(problem.newton_matrix(derivatives, sigma, lam), rhs):
                 Gd = G @ d
                 w = c + Gd[:, 0]                              # s + ds_aff
                 np.subtract(w, s, out=ds)

@@ -130,9 +130,9 @@ class RateEvaluation:
         terms = m.rate_offset + m.a * (self.q - self.log_total.T)
         return m.instance.bandwidth_per_block * terms.sum(axis=1)
 
-    def shares(self, out: np.ndarray) -> np.ndarray:
-        """The interference shares s_jik at [k, i, j], written into `out`."""
-        np.multiply(self.model.instance.cross_gain(), self.power.T[:, None, :], out=out)
+    def shares(self) -> np.ndarray:
+        """The interference shares s_jik at [k, i, j]."""
+        out = self.model.instance.cross_gain() * self.power.T[:, None, :]
         out /= self.total[:, :, None]
         return out
 

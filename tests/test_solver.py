@@ -74,7 +74,7 @@ class _MonotoneRootToy:
         z = 2.0 ** (x[0] - self.root)
         c = np.array([1.0 - z])
         ctx = {"z": z}
-        return c, (self.jacobian(ctx) if with_grad else None), ctx
+        return c, (self.jacobian(ctx)[0] if with_grad else None), ctx
 
     def start(self):
         x = np.zeros(1)
@@ -82,12 +82,11 @@ class _MonotoneRootToy:
         return x, c, ctx
 
     def jacobian(self, ctx):
-        self._at = ctx
-        return np.array([[-LN2 * ctx["z"]]])
+        return np.array([[-LN2 * ctx["z"]]]), ctx["z"]
 
-    def newton_matrix(self, sigma, lam):
-        g, z = -LN2 * self._at["z"], self._at["z"]
-        return np.array([[sigma[0] * g * g + lam[0] * LN2 * LN2 * z]])
+    def newton_matrix(self, derivatives, sigma, lam):
+        G, z = derivatives
+        return np.array([[sigma[0] * G[0, 0] ** 2 + lam[0] * LN2 * LN2 * z]])
 
 
 class TestBarrierEngine:
@@ -286,7 +285,7 @@ class TestSubproblemStructure:
         rng = np.random.default_rng(42)
         for sub, x in self.assembled_problems(rng):
             c, _, ctx = sub.evaluate(x, with_grad=False)
-            G = sub.jacobian(ctx)
+            G = sub.jacobian(ctx)[0]
             np.testing.assert_array_equal(sub.evaluate(x)[1], G)
             fd = self.central_jacobian(sub, x)
             np.testing.assert_allclose(G, fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
@@ -299,8 +298,7 @@ class TestSubproblemStructure:
             hi, lo = x.copy(), x.copy()
             hi[col] += step
             lo[col] -= step
-            fd[:, col] = beta @ (sub.jacobian(sub.evaluate(hi, with_grad=False)[2])
-                                 - sub.jacobian(sub.evaluate(lo, with_grad=False)[2])) / (2 * step)
+            fd[:, col] = beta @ (sub.evaluate(hi)[1] - sub.evaluate(lo)[1]) / (2 * step)
         return fd
 
     def test_weighted_hessian_matches_finite_differences(self):
@@ -309,8 +307,9 @@ class TestSubproblemStructure:
         for sub, x in self.assembled_problems(rng):
             beta = rng.uniform(0.2, 1.5, size=sub.n_constraints)
             sigma = rng.uniform(0.1, 3.0, size=sub.n_constraints)
-            G = sub.jacobian(sub.evaluate(x, with_grad=False)[2])
-            H = (G.T * sigma) @ G - sub.newton_matrix(sigma, beta)
+            derivatives = sub.jacobian(sub.evaluate(x, with_grad=False)[2])
+            G = derivatives[0]
+            H = (G.T * sigma) @ G - sub.newton_matrix(derivatives, sigma, beta)
             fd = self.central_weighted_hessian(sub, x, beta)
             np.testing.assert_allclose(H, fd, atol=2e-5 * max(1.0, np.abs(fd).max()))
 
@@ -327,10 +326,11 @@ class TestSubproblemStructure:
         rng = np.random.default_rng(47)
         beta = rng.uniform(0.2, 1.5, size=sub.n_constraints)
         sigma = rng.uniform(0.1, 3.0, size=sub.n_constraints)
-        G = sub.jacobian(sub.evaluate(x, with_grad=False)[2])
+        derivatives = sub.jacobian(sub.evaluate(x, with_grad=False)[2])
+        G = derivatives[0]
         fd = self.central_jacobian(sub, x)
         np.testing.assert_allclose(G, fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
-        H = (G.T * sigma) @ G - sub.newton_matrix(sigma, beta)
+        H = (G.T * sigma) @ G - sub.newton_matrix(derivatives, sigma, beta)
         fd = self.central_weighted_hessian(sub, x, beta)
         np.testing.assert_allclose(H, fd, atol=2e-5 * max(1.0, np.abs(fd).max()))
 
@@ -349,7 +349,8 @@ class TestSubproblemStructure:
         results = []
         for sub in (swapped, fresh):
             x, c, kept = sub.start()
-            results.append((x, c, sub.jacobian(kept), sub.newton_matrix(sigma, lam).copy()))
+            derivatives = sub.jacobian(kept)
+            results.append((x, c, *derivatives, sub.newton_matrix(derivatives, sigma, lam)))
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
@@ -388,8 +389,9 @@ class TestSubproblemStructure:
             for point, values, pass_ in ((x0, c0, kept0), (x, c, kept)):
                 want = oracle_rows(sub, point)[0]
                 assert np.abs(values - want).max() <= 1e-12 * np.abs(want).max()
-                G, G_dense = sub.jacobian(pass_), dense_jacobian(sub, point)
-                M = sub.newton_matrix(sigma, lam)
+                derivatives = sub.jacobian(pass_)
+                G, G_dense = derivatives[0], dense_jacobian(sub, point)
+                M = sub.newton_matrix(derivatives, sigma, lam)
                 M_dense = ((G_dense.T * sigma) @ G_dense
                            - weighted_constraint_hessian(sub, point, lam))
                 assert np.abs(G - G_dense).max() <= 1e-12 * np.abs(G_dense).max()

@@ -311,8 +311,8 @@ class TestWeightedHessian:
         n, nq = inst.n_users, sub.nq
         beta = np.zeros(sub.n_constraints)
         beta[n : 2 * n] = inst.bandwidth_per_block * w
-        sub.evaluate(sub.pack(q, u=0.0))
-        h = -sub.newton_matrix(np.zeros(sub.n_constraints), beta)[:nq, :nq]
+        derivatives = sub.jacobian(sub.evaluate(sub.pack(q, u=0.0), with_grad=False)[2])
+        h = -sub.newton_matrix(derivatives, np.zeros(sub.n_constraints), beta)[:nq, :nq]
 
         def weighted_grad(qq):
             return w @ rate_rows_jacobian(model, qq)
