@@ -12,13 +12,15 @@ The trajectory is the true objective sequence f_l = f(p_l): the
 log-domain scalarization of the TEE and MEE that the allocation p_l
 achieves. Each accepted allocation, the start included, gets exactly one
 network pass (`is_feasible`, which evaluates it once), and that one
-report gives f_l, the recorded log2 TEE and MEE, the feasibility flag,
-the next surrogate's expansion SINR and, for the last one, the run's
-metrics.
+report gives the feasibility flag, the run's metrics if it is the last,
+and the surrogate expanded there. `build` takes log2 of the report's
+efficiencies once, and those log2 TEE and EE_i give both f_l with the
+recorded log2 TEE and MEE, and the next subproblem's start thresholds.
 
 The subproblem starts at the expansion point p_{l-1} with its thresholds
-at their roots, where the surrogate is tight, so its start objective is
-f(p_{l-1}). Every surrogate minorizes the true function, so any feasible
+at those numbers, which are their roots because the surrogate is tight
+there, so its start objective is f(p_{l-1}), the trajectory value
+f_{l-1} itself. Every surrogate minorizes the true function, so any feasible
 subproblem point that beats the start raises the true objective: f(p_l)
 is at least the subproblem's objective at its solution, which is at
 least f(p_{l-1}). The trajectory is therefore monotonically
@@ -52,7 +54,7 @@ from .errors import DomainError, InfeasibleInitialPointError
 from .network import MetricsReport, NetworkInstance, is_feasible
 from .scalarization import Scalarization, ScalarizationKind, log_objective
 from .solver import ConvexSubproblem, SubproblemStatus, solve
-from .surrogate import build
+from .surrogate import SurrogateModel, build
 
 __all__ = [
     "SolverConfig",
@@ -126,14 +128,13 @@ def default_initial_point(instance: NetworkInstance) -> np.ndarray:
     return np.tile(instance.max_power[:, None] / k, (1, k))
 
 
-def _trajectory_value(s: Scalarization, report: MetricsReport):
-    """(f, log2 TEE, log2 MEE) at the allocation of a metrics report.
+def _trajectory_value(s: Scalarization, model: SurrogateModel):
+    """(f, log2 TEE, log2 MEE) at a surrogate's expansion point, from its log2 efficiencies.
 
     A user whose true rate underflows to 0 has log2 EE = -inf, which
     only the weighted product at w = 1 tolerates, as its v weight is 0.
     """
-    with np.errstate(divide="ignore"):
-        u, log_ee = float(np.log2(report.ee_total)), np.log2(report.ee)
+    u, log_ee = model.log2_ee_total, model.log2_ee
     v = float(log_ee.min())
     if s.kind is ScalarizationKind.PRODUCT_EE:
         return float(log_ee.sum()), u, v
@@ -159,19 +160,15 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         )
 
     report = feas.report
-    f_prev, u_start, v_start = _trajectory_value(scalarization, report)
+    model = build(instance, p, report)
+    f_prev, u_start, v_start = _trajectory_value(scalarization, model)
     trajectory = [f_prev]
     stats: list[IterationStats] = []
     status = RunStatus.ITERATION_CAP
 
     warm = None   # the previous subproblem's multipliers, if it was certified
-    sub = None
+    sub = ConvexSubproblem(model, scalarization)
     for l in range(1, config.max_outer_iterations + 1):
-        model = build(instance, p, report.sinr)
-        if sub is None:
-            sub = ConvexSubproblem(model, scalarization)
-        else:
-            sub.model = model
         min_gain = config.tolerance * max(abs(f_prev), 1e-12)
         sol = solve(sub, config.kkt_tolerance, warm, min_gain)
         if sol.status is SubproblemStatus.NUMERICAL_FAILURE:
@@ -181,7 +178,8 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         p = np.exp2(sol.q)
         feas = is_feasible(instance, p, tol=1e-6)
         report = feas.report
-        f_l, u, v = _trajectory_value(scalarization, report)
+        model = build(instance, p, report)
+        f_l, u, v = _trajectory_value(scalarization, model)
         trajectory.append(f_l)
         ascent = sol.status is SubproblemStatus.ASCENT
         certified = ascent or sol.status is SubproblemStatus.OPTIMAL
@@ -204,6 +202,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         if rel_change < config.tolerance and not ascent:
             status = RunStatus.CONVERGED
             break
+        sub.model = model
 
     return SolveResult(
         allocation=p,

@@ -75,8 +75,8 @@ omega = [lambda/s, ln2 lambda_m u, -ln2 wa]. Z is never formed: the power
 terms, the K share blocks and their diagonal sit at fixed positions,
 summed by one bincount into G and one into M.
 
-Each iterate costs one interference pass, the start's serving its roots
-too; a line-search trial gets only that value pass and, once accepted,
+Each iterate costs one interference pass, the start's included, as its
+thresholds come with the model; a line-search trial gets only that value pass and, once accepted,
 `jacobian` reads the derivatives off it. `newton_matrix` reads only the
 derivatives it is given, so calls on different subproblems may interleave. The loop keeps (x, z), z = (s,
 lambda), as one vector, so a boundary step is one divide and one min.
@@ -95,7 +95,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .scalarization import Scalarization, ScalarizationKind
-from .surrogate import LN2, SurrogateModel, efficiency_roots, rate_evaluation
+from .surrogate import LN2, SurrogateModel, rate_evaluation
 
 __all__ = [
     "ConvexSubproblem",
@@ -336,18 +336,18 @@ class ConvexSubproblem:
     def start(self):
         """The expansion point with each threshold at its exact root: (x, c, kept pass).
 
-        The surrogate is tight at the expansion point, so every row is
-        nonnegative there and the threshold rows that bind are zero. One
-        interference pass serves both the roots and the rows."""
-        q = self.model.expansion_q
-        ev = rate_evaluation(self.model, q)
-        u, v = efficiency_roots(self.model.instance, q, ev.rates)
+        The roots are the model's log2 TEE and log2 EE_i, read off the
+        metrics report it was built from. The surrogate is tight at the
+        expansion point, so every row is nonnegative there and the
+        threshold rows that bind are zero."""
+        m = self.model
+        u, v = m.log2_ee_total, m.log2_ee
         t = None
         if self.t_index is not None:
             off_u, off_v = self._c0[-2:]
             t = min(u + off_u, float(v.min()) + off_v)
-        x = self.pack(q, u=u, v=v, t=t)
-        return (x, *self._rows(x, ev))
+        x = self.pack(m.expansion_q, u=u, v=v, t=t)
+        return (x, *self._rows(x, rate_evaluation(m, m.expansion_q)))
 
     def _rows(self, x: np.ndarray, ev):
         """Constraint values at x from the interference pass `ev` at x's q, and the kept pass."""

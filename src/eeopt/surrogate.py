@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .network import NetworkInstance, interference_plus_noise
+from .network import MetricsReport, NetworkInstance, interference_plus_noise
 
 __all__ = [
     "SurrogateModel",
@@ -56,7 +56,6 @@ __all__ = [
     "bound_coefficients",
     "build",
     "rate_evaluation",
-    "efficiency_roots",
 ]
 
 LN2 = math.log(2.0)
@@ -89,16 +88,21 @@ class SurrogateModel:
     expansion_q: np.ndarray     # (N, K), log2 of the expansion powers
     rate_offset: np.ndarray     # (N, K): the constant part of each rate term, b + a log2 w_ii
     rate_slope: np.ndarray      # (N, K): its slope, B a
+    log2_ee_total: float        # log2 TEE at the expansion point, the root of g there
+    log2_ee: np.ndarray         # (N,) log2 EE_i there, the roots of psi_i
 
 
-def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarray) -> SurrogateModel:
-    """Expand the bound at a strictly positive allocation, given its SINRs.
+def build(instance: NetworkInstance, alloc: np.ndarray, report: MetricsReport) -> SurrogateModel:
+    """Expand the bound at a strictly positive allocation, given its metrics report.
 
-    `expansion_sinr` is `sinr(instance, alloc)`, as the caller's metrics
-    report of the allocation already holds it.
+    `report` is `evaluate(instance, alloc)`, as the caller's network pass
+    of the allocation returned it. The bound is tight there, so the
+    report's log2 TEE and log2 EE_i are the exact roots of the efficiency
+    slacks at the expansion point: both slacks are affine in the
+    exponentiated threshold. An EE of 0 gives a root of -inf.
     """
     p = np.asarray(alloc, dtype=float)
-    gamma = np.asarray(expansion_sinr, dtype=float)
+    gamma = report.sinr
     if p.shape != (instance.n_users, instance.n_blocks) or gamma.shape != p.shape:
         raise ShapeError(f"allocation shape {p.shape} or SINR shape {gamma.shape} "
                          "does not match instance")
@@ -108,9 +112,12 @@ def build(instance: NetworkInstance, alloc: np.ndarray, expansion_sinr: np.ndarr
             "finite); start from a strictly positive allocation"
         )
     a, b = bound_coefficients(gamma)
+    with np.errstate(divide="ignore"):
+        log2_ee_total, log2_ee = float(np.log2(report.ee_total)), np.log2(report.ee)
     return SurrogateModel(instance=instance, a=a, b=b, expansion_q=np.log2(p),
                           rate_offset=b + a * np.log2(instance.direct_gain()),
-                          rate_slope=instance.bandwidth_per_block * a)
+                          rate_slope=instance.bandwidth_per_block * a,
+                          log2_ee_total=log2_ee_total, log2_ee=log2_ee)
 
 
 @dataclass(slots=True)
@@ -145,21 +152,3 @@ def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
     power = np.exp2(q)
     total = interference_plus_noise(model.instance, power)
     return RateEvaluation(model, q, power, total, np.log2(total))
-
-
-def efficiency_roots(instance: NetworkInstance, q: np.ndarray, rates: np.ndarray):
-    """Thresholds at which the efficiency slacks vanish at q.
-
-    `rates` are the surrogate rates at q, as the caller's last rate pass
-    there returned them. Both slack functions are affine in the
-    exponentiated threshold, so the roots are exact: 2^u = total surrogate
-    rate / total consumed power and 2^{v_i} = rate_i / consumed_i. Returns
-    (u_root, v_roots); entries are -inf where the surrogate rate is
-    nonpositive.
-    """
-    consumed = instance.amp_inefficiency * np.exp2(q).sum(axis=1) + instance.static_power
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_roots = np.where(rates > 0, np.log2(np.maximum(rates, 1e-300) / consumed), -np.inf)
-        total = rates.sum()
-        u_root = float(np.log2(total / consumed.sum())) if total > 0 else -np.inf
-    return u_root, v_roots

@@ -60,8 +60,8 @@ def random_alloc(rng, instance, scale=1.0):
 
 
 def expand(instance, alloc):
-    """The surrogate expanded at alloc, at the SINR of its metrics report as `run` passes it."""
-    return build(instance, alloc, evaluate(instance, alloc).sinr)
+    """The surrogate expanded at alloc, from its metrics report as `run` passes it."""
+    return build(instance, alloc, evaluate(instance, alloc))
 
 
 def central_diff(f, x, step=1e-6):

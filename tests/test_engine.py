@@ -19,9 +19,11 @@ from eeopt.solver import ConvexSubproblem, SubproblemStatus, solve
 from helpers import (
     SHAPES,
     expand,
+    g_row,
     log_true_objective,
     metrics_off_reference,
     paper_scale_instance,
+    psi_rows,
     random_instance,
 )
 
@@ -132,10 +134,10 @@ class TestRunGeneral:
         assert final.ee_min <= 2.0**last.v * 1.001
 
     def test_threshold_inequalities_hold_at_every_iterate(self):
-        # step the loop by hand: realized EEs dominate both the raw solver
-        # thresholds and their tightened roots at every iterate
-        from eeopt.surrogate import efficiency_roots, rate_evaluation
-
+        # step the loop by hand: at every iterate the psi and g rows that run,
+        # set at the log2 of the realized EEs, are <= 0 (each surrogate rate
+        # is at most the true rate), and the solver's thresholds do not exceed
+        # what the allocation realizes
         rng = np.random.default_rng(76)
         inst = random_instance(rng, 3, 2)
         scal = weighted_product(0.6)
@@ -144,13 +146,13 @@ class TestRunGeneral:
             model = expand(inst, p)
             sub = ConvexSubproblem(model, scal)
             sol = solve(sub)
-            u_root, v_roots = efficiency_roots(inst, sol.q, rate_evaluation(model, sol.q).rates)
-            assert sol.x[sub.u_index] <= u_root + 1e-9
-            assert np.all(sol.x[sub._v_cols] <= float(v_roots.min()) + 1e-9)
+            rep = evaluate(inst, np.exp2(sol.q))
+            scale = rep.rate / inst.bandwidth_per_block
+            assert np.all(psi_rows(model, sol.q, np.log2(rep.ee))[0] <= 1e-12 * scale)
+            assert g_row(model, sol.q, float(np.log2(rep.ee_total)))[0] <= 1e-12 * scale.sum()
+            assert sol.x[sub.u_index] <= np.log2(rep.ee_total) + 1e-9
+            assert np.all(sol.x[sub._v_cols] <= np.log2(rep.ee_min) + 1e-9)
             p = np.exp2(sol.q)
-            rep = evaluate(inst, p)
-            assert rep.ee_total >= 2.0**u_root * (1 - 1e-6)
-            assert rep.ee_min >= 2.0 ** float(v_roots.min()) * (1 - 1e-6)
 
     def test_weighted_minimum_runs(self):
         rng = np.random.default_rng(65)

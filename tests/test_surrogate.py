@@ -3,6 +3,8 @@ as the solver assembles them (`ConvexSubproblem.evaluate`/`jacobian`),
 checked against the true functions on the solver's 1/B row scale. Rate
 derivatives are read off the solver's rate-floor rows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,7 +95,7 @@ class TestBuild:
         np.testing.assert_array_equal(model.b, b)
         np.testing.assert_allclose(model.expansion_q, np.log2(p), rtol=1e-13)
         with pytest.raises(ShapeError, match="SINR shape"):
-            build(inst, p, sinr(inst, p)[:, :1])
+            build(inst, p, replace(evaluate(inst, p), sinr=sinr(inst, p)[:, :1]))
 
     def test_zero_power_rejected(self):
         rng = np.random.default_rng(11)
