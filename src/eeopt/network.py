@@ -24,6 +24,7 @@ so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,7 +210,7 @@ def evaluate(instance: NetworkInstance, alloc: np.ndarray) -> MetricsReport:
     """Rates, consumed powers, energy efficiencies and fairness for one allocation."""
     p = _check_alloc(instance, alloc)
     gamma = _sinr(instance, p)
-    rate = instance.bandwidth_per_block * np.log2(1.0 + gamma).sum(axis=1)
+    rate = instance.bandwidth_per_block * np.log1p(gamma).sum(axis=1) / math.log(2.0)
     power = instance.amp_inefficiency * p.sum(axis=1) + instance.static_power
     ee = rate / power
     rate_total = float(rate.sum())

@@ -65,14 +65,16 @@ def bound_coefficients(gamma_prime):
     """Coefficients (a, b) of the logarithmic lower bound at expansion SINR.
 
     a = g'/(1+g'), b = log2(1+g') - a*log2 g'; the conventions
-    log2 0 = -inf and 0*log2 0 = 0 give (0, 0) for g' = 0.
+    log2 0 = -inf and 0*log2 0 = 0 give (0, 0) for g' = 0. log2(1+g')
+    is taken as log1p(g') / ln 2, as `network.evaluate` takes the rates,
+    so the bound stays accurate and tight at small SINRs.
     Accepts scalars or arrays.
     """
     g = np.asarray(gamma_prime, dtype=float)
     if np.any(~np.isfinite(g)) or np.any(g < 0):
         raise DomainError("expansion SINR must be finite and nonnegative")
     a = g / (1.0 + g)
-    b = np.log2(1.0 + g) - a * np.log2(g, out=np.zeros_like(g), where=g > 0)
+    b = np.log1p(g) / LN2 - a * np.log2(g, out=np.zeros_like(g), where=g > 0)
     if np.ndim(gamma_prime) == 0:
         return float(a), float(b)
     return a, b

@@ -89,7 +89,7 @@ def reference_metrics(instance, alloc):
     arrays by a loop over (user, block) pairs that adds each interferer's received
     power w_ji p_j^k to the noise. It calls nothing in `eeopt.network`, so the
     package's one interference kernel is checked against a second computation.
-    Rates are B sum_k log2(1 + SINR) as written, rounding as the package does."""
+    Rates are B sum_k log1p(SINR) / ln 2, accurate at small SINRs."""
     gain, noise = instance.gain, instance.noise
     p = np.asarray(alloc, dtype=float)
     n, k = p.shape
@@ -101,7 +101,7 @@ def reference_metrics(instance, alloc):
                 if j != i:
                     interference += gain[j, i, b] * p[j, b]
             sinr[i, b] = gain[i, i, b] * p[i, b] / (interference + noise[i, b])
-    rate = instance.bandwidth_per_block * np.log2(1.0 + sinr).sum(axis=1)
+    rate = instance.bandwidth_per_block * np.log1p(sinr).sum(axis=1) / np.log(2.0)
     consumed = instance.amp_inefficiency * p.sum(axis=1) + instance.static_power
     ee = rate / consumed
     scaled = ee / ee.max() if ee.max() > 0 else np.ones(n)

@@ -65,7 +65,7 @@ class TestBoundCoefficients:
         a, b = bound_coefficients(gamma)
         assert np.all(a >= 0.0) and np.all(a < 1.0)
         lhs = a * np.log2(gamma) + b
-        rhs = np.log2(1.0 + gamma)
+        rhs = np.log1p(gamma) / np.log(2.0)
         assert np.max(rel_err(lhs, rhs)) < 1e-12
 
     def test_bound_never_exceeds_true_curve(self):
