@@ -361,7 +361,7 @@ def _cmd_solve(cfg: _Resolved):
         "allocation": result.allocation.tolist(),
         "trajectory": [float(f) for f in result.trajectory],
     }
-    failed = result.status is RunStatus.SUBPROBLEM_FAILURE
+    failed = result.status in (RunStatus.SUBPROBLEM_FAILURE, RunStatus.UNCERTIFIED)
     return tables, summary, failed
 
 

@@ -34,9 +34,9 @@ early as ASCENT at a feasible point whose surrogate objective beats the
 start's by at least 2 min_gain. Then f(p_l) >= f(p_{l-1}) + 2 min_gain,
 so f moves by at least tolerance * |f_prev| and the stopping rule below
 cannot fire; the run does not stop on an ASCENT subproblem even if
-rounding says otherwise. So the subproblem that ends a converged run met
-the full test: OPTIMAL within kkt_tolerance, or stopped short and
-counted as uncertified.
+rounding says otherwise. So the subproblem that ends a run met the full
+test, OPTIMAL within kkt_tolerance, and the run is CONVERGED; or it
+stopped short of its certificate, and the run is UNCERTIFIED.
 
 The relative-change stopping rule |f_l - f_{l-1}| / |f_{l-1}| < tolerance
 divides by the previous log-domain objective; a 1e-12 floor guards the
@@ -83,7 +83,8 @@ class SolverConfig:
 
 
 class RunStatus(Enum):
-    CONVERGED = "converged"
+    CONVERGED = "converged"           # the subproblem that stopped the run was certified
+    UNCERTIFIED = "uncertified"       # it stopped the run without being certified
     ITERATION_CAP = "iteration_cap"
     SUBPROBLEM_FAILURE = "subproblem_failure"
 
@@ -116,8 +117,9 @@ class SolveResult:
     def uncertified_subproblems(self) -> int:
         """Subproblems that met neither their KKT certificate nor the ASCENT test.
 
-        The run status does not account for them: a run can be
-        ``converged`` over uncertified subproblems.
+        A run whose stopping subproblem is one of them ends ``uncertified``,
+        not ``converged``; one earlier in the run only costs the next
+        subproblem its warm start.
         """
         return sum(not s.certified for s in self.iteration_stats)
 
@@ -200,7 +202,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         rel_change = abs(f_l - f_prev) / max(abs(f_prev), 1e-12)
         f_prev = f_l
         if rel_change < config.tolerance and not ascent:
-            status = RunStatus.CONVERGED
+            status = RunStatus.CONVERGED if certified else RunStatus.UNCERTIFIED
             break
         sub.model = model
 

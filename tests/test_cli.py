@@ -9,6 +9,7 @@ from eeopt.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_SOLVER,
     apply_overrides,
     load_config,
     main,
@@ -154,6 +155,27 @@ class TestSolveCommand:
         assert results["uncertified_subproblems"] == 0
         rows = list(csv.DictReader((out / "trajectory.csv").read_text().splitlines()))
         assert results["newton_steps"] == sum(int(r["newton_iterations"]) for r in rows[1:])
+
+
+    def test_uncertified_run_exits_4_with_tables(self, tmp_path):
+        # rate floors at the start's rates: the one subproblem cannot certify
+        from dataclasses import asdict, replace
+
+        from eeopt import ScenarioConfig, default_initial_point, evaluate, generate
+
+        inst = generate(ScenarioConfig(d2d_distance=20.0), np.random.SeedSequence([0, 77]))
+        inst = replace(inst, min_rate=evaluate(inst, default_initial_point(inst)).rate)
+        cfg = {"command": "solve", "seed": 1,
+               "instance": {k: np.asarray(v).tolist() for k, v in asdict(inst).items()},
+               "scalarization": {"kind": "weighted_product", "weight": 0.5}}
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_SOLVER
+        record = yaml.safe_load((out / "record.yaml").read_text())
+        assert record["status"] == "failed"
+        assert record["results"]["status"] == "uncertified"
+        assert record["results"]["uncertified_subproblems"] == 1
+        rows = list(csv.DictReader((out / "trajectory.csv").read_text().splitlines()))
+        assert rows[-1]["subproblem_status"] == "max_iterations"
 
 
 class TestConfigErrors:

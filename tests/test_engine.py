@@ -263,8 +263,25 @@ class TestCertification:
         assert r.iterations > 1
         assert [s.certified for s in r.iteration_stats] == [False] * r.iterations
         assert r.uncertified_subproblems == r.iterations
-        # the run status does not yet account for certification
-        assert r.status is RunStatus.CONVERGED
+        # the stopping rule fires, but on a subproblem that was not certified
+        assert r.status is RunStatus.UNCERTIFIED
+
+    def test_floors_at_the_start_never_claim_converged(self):
+        # each user's rate floor at its rate at the uniform start leaves no
+        # strictly feasible point, so no subproblem can certify a move away
+        # from the start; such runs end uncertified or failed, never converged
+        statuses = []
+        for s in range(6):
+            inst = generate(ScenarioConfig(d2d_distance=20.0), np.random.SeedSequence([s, 77]))
+            inst = replace(inst, min_rate=evaluate(inst, default_initial_point(inst)).rate)
+            for scal in (weighted_product(0.0), weighted_product(0.5), weighted_product(1.0),
+                         weighted_minimum(0.5), product_ee()):
+                r = run(inst, scal)
+                statuses.append(r.status)
+                if r.status is RunStatus.UNCERTIFIED:
+                    assert not r.iteration_stats[-1].certified
+        assert len(statuses) == 30
+        assert statuses.count(RunStatus.CONVERGED) == 0
 
 
 class TestWorkCounts:
