@@ -390,12 +390,18 @@ def _cmd_sweep(study, table, columns, cfg: _Resolved, **section):
     return tables, {"rows": len(result.rows), "trials": result.trials}, False
 
 
+def _file_number(x: float) -> str:
+    """x in a file name: its `:g` form where that reads back as x, else its repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def _cmd_convergence(study, table, columns, cfg: _Resolved, **section):
     """The sweep's summary table, plus each row's first trajectory and the bound check."""
     result, tables = _sweep(study, table, columns, cfg, **section)
     for row in result.rows:
-        p = row.params
-        tables[f"convergence_w{p['w']:g}_zeta{p['zeta']:g}_eps{p['epsilon']:g}.csv"] = (
+        w, zeta, eps = (_file_number(row.params[key]) for key in ("w", "zeta", "epsilon"))
+        tables[f"convergence_w{w}_zeta{zeta}_eps{eps}.csv"] = (
             ["iteration", "objective_log2"],
             [(l, float(f)) for l, f in enumerate(row.runs[0].trajectory)],
         )

@@ -386,17 +386,21 @@ class TestTrendCommand:
 
 
 class TestConvergenceCommand:
-    def test_one_trajectory_file_per_combination(self, tmp_path):
-        cfg = tiny_scenario(
-            "convergence",
-            convergence={"weights": [0.0, 1.0], "zetas": [0.5, 1.0], "epsilons": [1e-2]},
-        )
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
+    @pytest.mark.parametrize("grid, names", [
+        ({"weights": [0.0, 1.0], "zetas": [0.5, 1.0], "epsilons": [1e-2]},
+         ["w0_zeta0.5_eps0.01", "w0_zeta1_eps0.01", "w1_zeta0.5_eps0.01", "w1_zeta1_eps0.01"]),
+        # equal in their 6 significant digits: each name keeps the value's repr
+        ({"weights": [0.5], "zetas": [0.1234561, 0.1234564], "epsilons": [1e-2]},
+         ["w0.5_zeta0.1234561_eps0.01", "w0.5_zeta0.1234564_eps0.01"]),
+    ], ids=["short", "seventh-digit"])
+    def test_one_trajectory_file_per_combination(self, tmp_path, grid, names):
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence", convergence=grid))
         out = tmp_path / "out"
         assert main([cfg_path, "-o", str(out)]) == EXIT_OK
         files = sorted(p.name for p in out.glob("convergence_w*.csv"))
-        assert len(files) == 4
-        assert (out / "convergence_summary.csv").exists()
+        assert files == [f"convergence_{name}.csv" for name in names]
+        summary = (out / "convergence_summary.csv").read_text().strip().splitlines()
+        assert len(summary) == 1 + len(names)
 
     def test_default_grid_reports_the_iteration_bound(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence"))
