@@ -16,13 +16,14 @@ from eeopt.solver import (
     _interior_point,
     solve,
 )
-from eeopt.surrogate import LN2, rate_evaluation
+from eeopt.surrogate import LN2, build, rate_evaluation
 
 from helpers import (
     SHAPES,
     dense_jacobian,
     expand,
     kkt_residual,
+    log_true_objective,
     oracle_rows,
     paper_scale_instance,
     random_alloc,
@@ -355,6 +356,47 @@ class TestSubproblemStructure:
             np.testing.assert_array_equal(got, want)
 
     @staticmethod
+    def calls(sub, seed):
+        """One subproblem's value passes, derivatives and Newton matrices, a result per call.
+
+        The Newton matrix at the start is formed before and again after the
+        derivatives at a second point, so state left between calls would show."""
+        rng = np.random.default_rng(seed)
+        x0, c0, kept0 = sub.start()
+        yield x0, c0
+        x1 = x0 + rng.uniform(-0.3, 0.3, size=x0.size)
+        sigma, lam = rng.uniform(0.1, 2.0, size=(2, sub.n_constraints))
+        c1, G1, kept1 = sub.evaluate(x1)
+        yield c1, G1
+        at0 = sub.jacobian(kept0)
+        yield at0
+        yield (sub.newton_matrix(at0, sigma, lam),)
+        at1 = sub.jacobian(sub.evaluate(x1, with_grad=False)[2])
+        yield at1
+        yield (sub.newton_matrix(at1, sigma, lam),)
+        yield (sub.newton_matrix(at0, sigma, lam),)
+
+    def test_interleaved_subproblems_match_each_alone(self):
+        # two shapes on two instances of different sizes, their calls alternating
+        rng = np.random.default_rng(53)
+        inst_a, inst_b = random_instance(rng, 3, 2), random_instance(rng, 2, 3)
+        subs = (ConvexSubproblem(expand(inst_a, random_alloc(rng, inst_a)), weighted_minimum(0.4)),
+                ConvexSubproblem(expand(inst_b, random_alloc(rng, inst_b)), product_ee()))
+        alone = [list(self.calls(sub, seed)) for seed, sub in enumerate(subs)]
+        interleaved = [[], []]
+        for a, b in zip(*(self.calls(sub, seed) for seed, sub in enumerate(subs))):
+            interleaved[0].append(a)
+            interleaved[1].append(b)
+        for want, got in zip(alone, interleaved):
+            assert len(got) == len(want) == 7
+            # the Newton matrix at the start reads only its arguments
+            assert want[3][0].tobytes() == want[6][0].tobytes()
+            for want_call, got_call in zip(want, got):
+                for w, g in zip(want_call, got_call):
+                    assert w.dtype == g.dtype and w.shape == g.shape
+                    assert w.tobytes() == g.tobytes()
+
+    @staticmethod
     def oracle_case(name):
         """(instance, expansion allocation) of one named oracle case."""
         if name == "vanishing-300dB":
@@ -457,6 +499,29 @@ class TestStart:
 
     def test_single_user_huge_budget_start_rows_are_nonnegative(self, monkeypatch):
         self.check_start(monkeypatch, single_user(max_power=1e6, direct=5.0), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("scal", SHAPES, ids=lambda s: f"{s.kind.value}-{s.weight}")
+    def test_start_objective_is_the_reports(self, scal):
+        # the start reads its thresholds off the report the model was built from,
+        # so its objective is the run's trajectory value there
+        inst = paper_scale_instance()
+        n, per_b = inst.n_users, 1.0 / inst.bandwidth_per_block
+        for p in (default_initial_point(inst), random_alloc(np.random.default_rng(54), inst)):
+            report = evaluate(inst, p)
+            sub = ConvexSubproblem(build(inst, p, report), scal)
+            x, c, _ = sub.start()
+            want = log_true_objective(scal, report)
+            assert abs(float(sub.objective_vector @ x) - want) <= 4 * np.spacing(abs(want))
+            # each binding threshold row, at 0 within 1e-12 of its rate term
+            if sub._v_cols is not None:
+                psi, scale = c[2 * n : 3 * n], report.rate * per_b
+                binding = (np.arange(n) if np.unique(sub._v_cols).size == n
+                           else [int(np.argmin(report.ee))])
+                assert np.all(np.abs(psi[binding]) <= 1e-12 * scale[binding])
+            if sub.u_index is not None:
+                assert abs(c[sub._g_row]) <= 1e-12 * report.rate_total * per_b
+            if sub.t_index is not None:
+                assert abs(c[-2:].min()) <= 1e-12 * np.abs(x[sub.nq :]).max()
 
     def test_tight_rate_floor_solves_optimal(self):
         p0 = np.array([[2.5]])
