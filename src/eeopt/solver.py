@@ -27,8 +27,8 @@ row's centering target, so the corrector costs no second solve. The
 centering weight is sigma = (mu_aff / mu)^2, raised where the primal
 infeasibility is large next to the gap mu = s'lambda / m. The slacks make
 any start with c >= 0 legal, so the loop starts at the expansion point
-with every threshold at its exact root, where the surrogate is tight,
-and lambda either at 1 (cold) or at a previous subproblem's multipliers
+with every threshold at its exact root, where the surrogate is tight
+(the model's log2 TEE and log2 EE_i, `eeopt.surrogate`), and lambda either at 1 (cold) or at a previous subproblem's multipliers
 (warm). A step goes at most 99.5% of the way to the boundary of s or
 lambda, moves no variable by more than 4 (a factor of 16 in power or
 efficiency), and is halved while it would grow the primal infeasibility
@@ -76,9 +76,10 @@ terms, the K share blocks and their diagonal sit at fixed positions,
 summed by one bincount into G and one into M.
 
 Each iterate costs one interference pass, the start's included, as its
-thresholds come with the model; a line-search trial gets only that value pass and, once accepted,
-`jacobian` reads the derivatives off it. `newton_matrix` reads only the
-derivatives it is given, so calls on different subproblems may interleave. The loop keeps (x, z), z = (s,
+thresholds come with the model; a line-search trial gets only that value
+pass and, once accepted, `jacobian` returns G, the coefficients u and the
+shares from it. `newton_matrix` reads only the derivatives it is given,
+so no call depends on which came before. The loop keeps (x, z), z = (s,
 lambda), as one vector, so a boundary step is one divide and one min.
 
 Everything here is deterministic: the same subproblem produces the

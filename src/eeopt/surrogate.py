@@ -21,7 +21,11 @@ functions bounding the efficiency constraints,
 are concave in (q, v) and (q, u) and strictly decreasing in the threshold
 variable. This module evaluates the rates; psi and g exist only as the
 subproblem's constraint rows, assembled from those rates in one place,
-`solver.ConvexSubproblem`, which also builds every derivative.
+`solver.ConvexSubproblem`, which also builds every derivative. Both are
+affine in the exponentiated threshold, and at the expansion point the
+surrogate rates are the true ones, so there the roots of psi_i and g are
+log2 EE_i and log2 TEE: `build` reads them off the metrics report of the
+expansion point, and the subproblem starts from them.
 
 One evaluation pass sums the interference in linear power, total_ik =
 sum_{j!=i} w_ji 2^{q_j^k} + noise_ik, by calling the instance's one
@@ -34,7 +38,8 @@ s_jik = w_ji 2^{q_j^k} / total_ik from the instance's cross-gain table:
 
 The terms are the received powers `network.sinr` adds, from the same
 table in the same order, so the surrogate is tight at the expansion SINR
-the caller's network pass reports. The sum needs no max-exponent
+the caller's network pass reports; b takes log2(1 + g') as log1p(g')/ln 2,
+as that pass takes the rates. The sum needs no max-exponent
 stabilization: a term that overflows makes its point's values
 non-finite, never finite and wrong, so overflow can only get a trial
 step rejected by the solver's line search.
