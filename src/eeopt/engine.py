@@ -11,21 +11,18 @@ surrogates differ little near convergence.
 The trajectory is the true objective sequence f_l = f(p_l): the
 log-domain scalarization of the TEE and MEE that the allocation p_l
 achieves. Each accepted allocation, the start included, gets exactly one
-network pass (`is_feasible`, which evaluates it once), and that one
-report gives the feasibility flag, the run's metrics if it is the last,
-and the surrogate expanded there. `build` takes log2 of the report's
-efficiencies once, and those log2 TEE and EE_i give both f_l with the
-recorded log2 TEE and MEE, and the next subproblem's start thresholds.
+network pass (`is_feasible`, which evaluates it once). That report gives
+the feasibility flag, the run's metrics, and the surrogate built there,
+whose log2 TEE and EE_i give f_l and the next subproblem's thresholds.
 
 The subproblem starts at the expansion point p_{l-1} with its thresholds
-at those numbers, which are their roots because the surrogate is tight
-there, so its start objective is f(p_{l-1}), the trajectory value
-f_{l-1} itself. Every surrogate minorizes the true function, so any feasible
-subproblem point that beats the start raises the true objective: f(p_l)
-is at least the subproblem's objective at its solution, which is at
-least f(p_{l-1}). The trajectory is therefore monotonically
-nondecreasing and every iterate stays feasible for the original problem
-(Sun, Babu & Palomar, IEEE TSP 2017).
+at those roots, where the surrogate is tight, so its start objective is
+f(p_{l-1}), the trajectory value f_{l-1} itself. Every surrogate
+minorizes the true function, so any feasible subproblem point that beats
+the start raises the true objective: f(p_l) is at least the subproblem's
+objective at its solution, which is at least f(p_{l-1}). The trajectory
+is therefore monotonically nondecreasing and every iterate stays
+feasible for the original problem (Sun, Babu & Palomar, IEEE TSP 2017).
 
 A subproblem therefore need not be solved to its KKT tolerance when its
 gain alone makes another outer iteration certain. `run` passes
@@ -161,8 +158,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
             f"initial allocation violates the constraint set: {feas.violations}"
         )
 
-    report = feas.report
-    model = build(instance, p, report)
+    model = build(instance, p, feas.report)
     f_prev, u_start, v_start = _trajectory_value(scalarization, model)
     trajectory = [f_prev]
     stats: list[IterationStats] = []
@@ -179,8 +175,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
 
         p = np.exp2(sol.q)
         feas = is_feasible(instance, p, tol=1e-6)
-        report = feas.report
-        model = build(instance, p, report)
+        model = build(instance, p, feas.report)
         f_l, u, v = _trajectory_value(scalarization, model)
         trajectory.append(f_l)
         ascent = sol.status is SubproblemStatus.ASCENT
@@ -208,7 +203,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
 
     return SolveResult(
         allocation=p,
-        metrics=report,
+        metrics=feas.report,
         trajectory=np.asarray(trajectory),
         start_log2_ee=(u_start, v_start),
         iterations=len(trajectory) - 1,

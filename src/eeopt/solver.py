@@ -27,8 +27,8 @@ row's centering target, so the corrector costs no second solve. The
 centering weight is sigma = (mu_aff / mu)^2, raised where the primal
 infeasibility is large next to the gap mu = s'lambda / m. The slacks make
 any start with c >= 0 legal, so the loop starts at the expansion point
-with every threshold at its exact root, where the surrogate is tight
-(the model's log2 TEE and log2 EE_i, `eeopt.surrogate`), and lambda either at 1 (cold) or at a previous subproblem's multipliers
+with every threshold at its exact root, where the surrogate is tight,
+and lambda either at 1 (cold) or at a previous subproblem's multipliers
 (warm). A step goes at most 99.5% of the way to the boundary of s or
 lambda, moves no variable by more than 4 (a factor of 16 in power or
 efficiency), and is halved while it would grow the primal infeasibility

@@ -21,11 +21,8 @@ functions bounding the efficiency constraints,
 are concave in (q, v) and (q, u) and strictly decreasing in the threshold
 variable. This module evaluates the rates; psi and g exist only as the
 subproblem's constraint rows, assembled from those rates in one place,
-`solver.ConvexSubproblem`, which also builds every derivative. Both are
-affine in the exponentiated threshold, and at the expansion point the
-surrogate rates are the true ones, so there the roots of psi_i and g are
-log2 EE_i and log2 TEE: `build` reads them off the metrics report of the
-expansion point, and the subproblem starts from them.
+`solver.ConvexSubproblem`, which also builds every derivative. At the
+expansion point their roots are the report's log2 EE_i and log2 TEE.
 
 One evaluation pass sums the interference in linear power, total_ik =
 sum_{j!=i} w_ji 2^{q_j^k} + noise_ik, by calling the instance's one
@@ -38,11 +35,10 @@ s_jik = w_ji 2^{q_j^k} / total_ik from the instance's cross-gain table:
 
 The terms are the received powers `network.sinr` adds, from the same
 table in the same order, so the surrogate is tight at the expansion SINR
-the caller's network pass reports; b takes log2(1 + g') as log1p(g')/ln 2,
-as that pass takes the rates. The sum needs no max-exponent
-stabilization: a term that overflows makes its point's values
-non-finite, never finite and wrong, so overflow can only get a trial
-step rejected by the solver's line search.
+the caller's network pass reports, both taking log2(1 + g) by log1p.
+The sum needs no max-exponent stabilization: a term that overflows makes
+its point's values non-finite, never finite and wrong, so overflow can
+only get a trial step rejected by the solver's line search.
 """
 
 from __future__ import annotations
@@ -69,11 +65,9 @@ LN2 = math.log(2.0)
 def bound_coefficients(gamma_prime):
     """Coefficients (a, b) of the logarithmic lower bound at expansion SINR.
 
-    a = g'/(1+g'), b = log2(1+g') - a*log2 g'; the conventions
-    log2 0 = -inf and 0*log2 0 = 0 give (0, 0) for g' = 0. log2(1+g')
-    is taken as log1p(g') / ln 2, as `network.evaluate` takes the rates,
-    so the bound stays accurate and tight at small SINRs.
-    Accepts scalars or arrays.
+    a = g'/(1+g'), b = log2(1+g') - a*log2 g', with log2(1+g') as
+    log1p(g') / ln 2; the conventions log2 0 = -inf and 0*log2 0 = 0 give
+    (0, 0) for g' = 0. Accepts scalars or arrays.
     """
     g = np.asarray(gamma_prime, dtype=float)
     if np.any(~np.isfinite(g)) or np.any(g < 0):
@@ -103,10 +97,8 @@ def build(instance: NetworkInstance, alloc: np.ndarray, report: MetricsReport) -
     """Expand the bound at a strictly positive allocation, given its metrics report.
 
     `report` is `evaluate(instance, alloc)`, as the caller's network pass
-    of the allocation returned it. The bound is tight there, so the
-    report's log2 TEE and log2 EE_i are the exact roots of the efficiency
-    slacks at the expansion point: both slacks are affine in the
-    exponentiated threshold. An EE of 0 gives a root of -inf.
+    returned it. The bound is tight there, so the report's log2 TEE and
+    log2 EE_i are the exact efficiency roots (-inf for an EE of 0).
     """
     p = np.asarray(alloc, dtype=float)
     gamma = report.sinr

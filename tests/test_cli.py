@@ -415,7 +415,6 @@ class TestConvergenceCommand:
 
     def test_count_above_its_bound_exits_4_with_tables(self, tmp_path, monkeypatch, capsys):
         import eeopt.cli as cli_module
-        from eeopt.cli import EXIT_SOLVER
         from eeopt.scenario import SweepResult, SweepRow
 
         def row(zeta, iterations, bound):
@@ -503,7 +502,6 @@ class TestSolverFailureExit:
 
         monkeypatch.setitem(cli_module._COMMANDS, "solve", boom)
         cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("solve"))
-        from eeopt.cli import EXIT_SOLVER
 
         assert main([cfg_path, "-o", str(tmp_path / "out")]) == EXIT_SOLVER
         assert "solver failure" in capsys.readouterr().err
