@@ -23,9 +23,10 @@ the table of each section. The table is the whole schema: it lists the
 keys, so unknown ones are errors; it parses, so every error names its
 `section.key`; and it holds the defaults, so a key appears once.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 solver failure
-(a failed `solve` run, or a `convergence` count above its bound; the
-tables and the record are still written).
+Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 solver failure:
+a run that did not end `converged`, or a `convergence` count above its
+bound. `run_command` decides it from the SweepRows that every command
+returns (`solve`: one row of its run), and still writes every output.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .engine import RunStatus, SolverConfig, run
+from .engine import SolverConfig, run
 from .errors import (
     DomainError,
     EEOptError,
@@ -53,6 +54,7 @@ from .network import NetworkInstance
 from .scalarization import Scalarization, ScalarizationKind
 from .scenario import (
     ScenarioConfig,
+    _sweep_row,
     convergence_study,
     generate,
     pareto_sweep,
@@ -206,13 +208,13 @@ _SCENARIO = _fields(ScenarioConfig, {
     "seed": _integer,
 })
 _INSTANCE = _fields(NetworkInstance, {
-    "bandwidth_per_block": float,
+    "bandwidth_per_block": parse_scalar,
     **dict.fromkeys(["gain", "noise", "amp_inefficiency", "static_power", "max_power",
                      "min_rate"], partial(np.asarray, dtype=float)),
 })
-_SCALARIZATION = {"kind": (ScalarizationKind, "weighted_product"), "weight": (float, 0.5)}
-_SOLVER = _fields(SolverConfig, {"tolerance": float, "max_outer_iterations": _integer,
-                                  "kkt_tolerance": float})
+_SCALARIZATION = {"kind": (ScalarizationKind, "weighted_product"), "weight": (parse_scalar, 0.5)}
+_SOLVER = _fields(SolverConfig, {"tolerance": parse_scalar, "max_outer_iterations": _integer,
+                                  "kkt_tolerance": parse_scalar})
 _STUDIES = {
     "pareto": {
         "weights": (_weight_grid, 21),
@@ -361,17 +363,16 @@ def _cmd_solve(cfg: _Resolved):
         "allocation": result.allocation.tolist(),
         "trajectory": [float(f) for f in result.trajectory],
     }
-    failed = result.status in (RunStatus.SUBPROBLEM_FAILURE, RunStatus.UNCERTIFIED)
-    return tables, summary, failed
+    return tables, summary, [_sweep_row({}, (result,))]
 
 
-def _sweep(study, table: str, columns: list[str], cfg: _Resolved, trials: int, **grid):
+def _cmd_sweep(study, table: str, columns: list[str], cfg: _Resolved, trials: int, **grid):
     """Run a study on the config's scenario and solver, and lay out its table.
 
     `study(cfg, **grid, trials=..., solver_config=..., workers=...)` calls
     the library study. The table has one line per row and a column per
     grid parameter or SweepRow field, in the given order; `iters_mean` is
-    `iterations_mean` and `seed` the master seed. Returns (result, tables).
+    `iterations_mean` and `seed` the master seed.
     """
     result = study(cfg, **grid, trials=trials, solver_config=cfg.solver, workers=cfg.workers)
 
@@ -382,12 +383,8 @@ def _sweep(study, table: str, columns: list[str], cfg: _Resolved, trials: int, *
             return result.master_seed
         return getattr(row, "iterations_mean" if column == "iters_mean" else column)
 
-    return result, {table: (columns, [[cell(row, c) for c in columns] for row in result.rows])}
-
-
-def _cmd_sweep(study, table, columns, cfg: _Resolved, **section):
-    result, tables = _sweep(study, table, columns, cfg, **section)
-    return tables, {"rows": len(result.rows), "trials": result.trials}, False
+    tables = {table: (columns, [[cell(row, c) for c in columns] for row in result.rows])}
+    return tables, {"rows": len(result.rows), "trials": result.trials}, result.rows
 
 
 def _file_number(x: float) -> str:
@@ -397,18 +394,15 @@ def _file_number(x: float) -> str:
 
 
 def _cmd_convergence(study, table, columns, cfg: _Resolved, **section):
-    """The sweep's summary table, plus each row's first trajectory and the bound check."""
-    result, tables = _sweep(study, table, columns, cfg, **section)
-    for row in result.rows:
+    """The sweep's summary table, plus each row's first trajectory."""
+    tables, summary, rows = _cmd_sweep(study, table, columns, cfg, **section)
+    for row in rows:
         w, zeta, eps = (_file_number(row.params[key]) for key in ("w", "zeta", "epsilon"))
         tables[f"convergence_w{w}_zeta{zeta}_eps{eps}.csv"] = (
             ["iteration", "objective_log2"],
             [(l, float(f)) for l, f in enumerate(row.runs[0].trajectory)],
         )
-    # a bound_slack_min below -1e-9 is a count above its bound; None: no trial has a bound
-    violated = any(row.bound_slack_min is not None and row.bound_slack_min < -1e-9
-                   for row in result.rows)
-    return tables, {"records": len(result.rows), "trials": result.trials}, violated
+    return tables, {"records": summary["rows"], "trials": summary["trials"]}, rows
 
 
 _COMMANDS = {
@@ -420,21 +414,22 @@ _COMMANDS = {
             include_product_ee=include_product_ee, **run),
         "pareto.csv",
         ["w", "mee_mean", "mee_se", "tee_mean", "tee_se", "jfi_mean", "iters_mean", "trials",
-         "seed"],
+         "failed", "seed"],
     ),
     "trend": partial(
         _cmd_sweep,
         lambda cfg, distances, weights, **run: trend_study(cfg.scenario, distances, weights, **run),
         "trend.csv",
         ["d_d2d", "w", "tee_mean", "tee_se", "jfi_mean", "jfi_se", "mee_mean", "mee_se",
-         "iters_mean", "trials", "seed"],
+         "iters_mean", "trials", "failed", "seed"],
     ),
     "convergence": partial(
         _cmd_convergence,
         lambda cfg, weights, zetas, epsilons, **run: convergence_study(
             cfg.scenario, weights, zetas, epsilons, **run),
         "convergence_summary.csv",
-        ["w", "zeta", "epsilon", "iters_mean", "trials", "seed", "bound_min", "bound_slack_min"],
+        ["w", "zeta", "epsilon", "iters_mean", "trials", "failed", "seed", "bound_min",
+         "bound_slack_min"],
     ),
 }
 
@@ -450,20 +445,21 @@ def run_command(config: dict, output_dir=None) -> int:
         cfg.output_dir = Path(output_dir)
 
     try:
-        tables, summary, failed = _COMMANDS[cfg.command](cfg, **cfg.studies.get(cfg.command, {}))
+        tables, summary, rows = _COMMANDS[cfg.command](cfg, **cfg.studies.get(cfg.command, {}))
     except InfeasibleInitialPointError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigError, DomainError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    summary["failed"] = sum(row.failed for row in rows)
+    # a bound_slack_min below -1e-9 is a count above its bound; None: no trial has a bound
+    failed = summary["failed"] > 0 or any(
+        row.bound_slack_min is not None and row.bound_slack_min < -1e-9 for row in rows)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        _write_csv(cfg.output_dir / name, header, rows)
+    for name, (header, lines) in tables.items():
+        _write_csv(cfg.output_dir / name, header, lines)
         log.info("wrote %s", cfg.output_dir / name)
 
     record = {

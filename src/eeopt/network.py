@@ -101,20 +101,17 @@ class NetworkInstance:
         object.__setattr__(self, "_cross_gain", _frozen(cross))
         object.__setattr__(self, "_block_noise", _frozen(noise.T))
 
-        if self.bandwidth_per_block <= 0:
-            raise DomainError("bandwidth_per_block must be > 0")
         if np.any(gain < 0) or not np.all(np.isfinite(gain)):
             raise DomainError("gains must be finite and nonnegative")
         if np.any(self.direct_gain() <= 0):
             raise DomainError("direct gains gain[i, i, k] must be strictly positive")
-        if np.any(self.noise <= 0):
-            raise DomainError("noise powers must be strictly positive")
-        if np.any(self.amp_inefficiency < 1):
-            raise DomainError("amp_inefficiency must be >= 1")
-        if np.any(self.static_power <= 0) or np.any(self.max_power <= 0):
-            raise DomainError("static_power and max_power must be strictly positive")
-        if np.any(self.min_rate < 0):
-            raise DomainError("min_rate must be nonnegative")
+        for name, low, strict in (("bandwidth_per_block", 0, True), ("noise", 0, True),
+                                  ("amp_inefficiency", 1, False), ("static_power", 0, True),
+                                  ("max_power", 0, True), ("min_rate", 0, False)):
+            value = getattr(self, name)
+            # written as what must hold, because every comparison with NaN is False
+            if not np.all(np.isfinite(value) & ((value > low) if strict else (value >= low))):
+                raise DomainError(f"{name} must be finite and {'>' if strict else '>='} {low}")
 
     @property
     def n_users(self) -> int:

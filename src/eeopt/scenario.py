@@ -8,15 +8,17 @@ distance from its transmitter at a uniform angle, and the cellular
 user's receiver is the base station itself. Channel gains follow a
 configurable power-law path loss (free space at the carrier frequency
 by default, optional log-normal shadowing), identical across blocks;
-there is no fast fading.
+there is no fast fading. So every iterate from the uniform start is
+block-symmetric, and the studies report the best block-symmetric point.
 
 The three studies share one grid sweep. A study is a list of cells,
 each a scalarization plus its row's grid parameters, which may set the
 D2D distance, the start scale and the tolerance; every trial draws its
 instance (one per distance) and runs every cell on it, serially or on a
 process pool, and one reducer turns each cell's runs into a row of trial
-means and standard errors that keeps the runs. The convergence study
-adds each row's per-trial iteration bound.
+means and standard errors that keeps the runs. A run fails unless it
+ends `converged`; a row counts its failed runs and averages the others.
+The convergence study adds each row's per-trial iteration bound.
 
 Reproducibility: a study is fully determined by its config and master
 seed. Trial i draws its instance from a generator seeded with
@@ -95,8 +97,9 @@ class ScenarioConfig:
                 raise DomainError(f"{name} must have a finite, positive linear value")
         if not 0 < self.path_loss_exponent < math.inf:
             raise DomainError("path_loss_exponent must be finite and > 0")
-        if not 0 <= self.shadowing_sigma_db < math.inf:
-            raise DomainError("shadowing_sigma_db must be finite and >= 0")
+        for name, low in (("shadowing_sigma_db", 0), ("min_rate", 0), ("amp_inefficiency", 1)):
+            if not low <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and >= {low}")
         if self.path_loss_const_db is not None and not math.isfinite(self.path_loss_const_db):
             raise DomainError("path_loss_const_db must be finite or null")
         # a user on the longest direct link, unshadowed at full power, must
@@ -175,8 +178,9 @@ def trial_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid cell: its parameters, the trial mean and standard error of
-    each metric, and the runs they reduce, one per trial."""
+    """One grid cell: its parameters, the runs it reduces, one per trial,
+    and each metric's mean and standard error over the runs that ended
+    `converged` (NaN if none did); `failed` counts the others."""
 
     params: dict
     tee_mean: float
@@ -191,6 +195,11 @@ class SweepRow:
     runs: tuple[SolveResult, ...] = field(repr=False, compare=False)   # == on arrays is ambiguous
     # convergence only: per trial 1 + (lambda - 1)/epsilon, None unless f_0 > 0
     bounds: tuple[float | None, ...] = ()
+
+    @property
+    def failed(self) -> int:
+        """The runs of the cell that did not end converged."""
+        return sum(r.status is not RunStatus.CONVERGED for r in self.runs)
 
     @property
     def bound_min(self) -> float | None:
@@ -227,6 +236,8 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return math.nan, math.nan
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return mean, se
@@ -285,11 +296,12 @@ def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
 
 
 def _sweep_row(params: dict, runs: tuple[SolveResult, ...]) -> SweepRow:
-    """Trial mean and standard error of one cell's metrics."""
-    tee = _mean_se([r.metrics.ee_total for r in runs])
-    mee = _mean_se([r.metrics.ee_min for r in runs])
-    jfi = _mean_se([r.metrics.jain_index for r in runs])
-    iters = _mean_se([r.iterations for r in runs])
+    """Trial mean and standard error of one cell's metrics over its converged runs."""
+    converged = [r for r in runs if r.status is RunStatus.CONVERGED]
+    tee = _mean_se([r.metrics.ee_total for r in converged])
+    mee = _mean_se([r.metrics.ee_min for r in converged])
+    jfi = _mean_se([r.metrics.jain_index for r in converged])
+    iters = _mean_se([r.iterations for r in converged])
     return SweepRow(params, *tee, *mee, *jfi, *iters, trials=len(runs), runs=runs)
 
 
@@ -352,12 +364,6 @@ def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trial
         for w in w_list for zeta in zeta_list for eps in epsilons
     ]
     result = _run_grid(config, cells, trials, solver_config, workers)
-    for t in range(trials):
-        for row in result.rows:
-            if row.runs[t].status is RunStatus.SUBPROBLEM_FAILURE:
-                raise RuntimeError(f"subproblem failure in trial {t} "
-                                   f"(w={row.params['w']}, zeta={row.params['zeta']})")
-
     best = {}     # (w, zeta) -> per-trial best final objective over the tolerances
     for row in result.rows:
         key = row.params["w"], row.params["zeta"]

@@ -47,6 +47,8 @@ _NUMBER = re.compile(r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*
 
 
 def _split(value) -> tuple[float, str]:
+    if isinstance(value, bool):     # a bool is an int, but true is no quantity
+        raise DomainError(f"expected a number, got {value!r}")
     if isinstance(value, (int, float)):
         return float(value), ""
     m = _NUMBER.match(str(value))

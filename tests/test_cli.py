@@ -1,4 +1,6 @@
 import csv
+import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +16,7 @@ from eeopt.cli import (
     load_config,
     main,
 )
+from eeopt.engine import RunStatus
 
 
 def write_yaml(path, data):
@@ -177,6 +180,17 @@ class TestSolveCommand:
         rows = list(csv.DictReader((out / "trajectory.csv").read_text().splitlines()))
         assert rows[-1]["subproblem_status"] == "max_iterations"
 
+    def test_iteration_cap_exits_4_with_tables(self, tmp_path):
+        cfg = tiny_scenario("solve", solver={"tolerance": 1e-2, "max_outer_iterations": 1})
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_SOLVER
+        record = yaml.safe_load((out / "record.yaml").read_text())
+        assert record["status"] == "failed"
+        assert record["results"]["status"] == "iteration_cap"
+        assert record["results"]["failed"] == 1
+        rows = list(csv.DictReader((out / "trajectory.csv").read_text().splitlines()))
+        assert len(rows) == 2
+
 
 class TestConfigErrors:
     def test_unknown_command_exits_2(self, tmp_path, capsys):
@@ -275,6 +289,15 @@ class TestConfigErrors:
         ("convergence", {"convergence": {"zetas": [0]}}, None, "zetas"),
         ("convergence", {"convergence": {"zetas": [1.5]}}, None, "zetas"),
         ("convergence", {"convergence": {"epsilons": [0]}}, None, "epsilons"),
+        ("solve", {"scenario": {"min_rate": float("nan")}}, None, "scenario: min_rate"),
+        ("solve", {"scenario": {"amp_inefficiency": float("nan")}}, None,
+         "scenario: amp_inefficiency"),
+        ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
+                                                  "noise": [[float("inf")]]}}, None,
+         "instance: noise"),
+        ("solve", {"scenario": {"d2d_distance": True}}, None, "scenario.d2d_distance"),
+        ("pareto", {"pareto": {"weights": [True, False], "trials": 1}}, None, "pareto.weights"),
+        ("solve", {"solver": {"tolerance": True}}, None, "solver.tolerance"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -288,7 +311,8 @@ class TestConfigErrors:
             "workers-0", "workers-negative", "env-workers-0", "min-link-distance-negative",
             "min-link-distance-nan", "d2d-distance-nan", "annulus-outer-inf",
             "trend-distance-nan", "bandwidth-0", "pareto-weight-above-1", "zeta-0", "zeta-above-1",
-            "epsilon-0"])
+            "epsilon-0", "min-rate-nan", "amp-inefficiency-nan", "instance-noise-inf",
+            "d2d-distance-bool", "pareto-weight-bool", "tolerance-bool"])
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)
@@ -362,14 +386,29 @@ class TestParetoCommand:
         lines = (out / "pareto.csv").read_text().strip().splitlines()
         header = lines[0].split(",")
         assert header == ["w", "mee_mean", "mee_se", "tee_mean", "tee_se",
-                          "jfi_mean", "iters_mean", "trials", "seed"]
+                          "jfi_mean", "iters_mean", "trials", "failed", "seed"]
         assert len(lines) == 4
         for line in lines[1:]:
             cells = line.split(",")
             mee, tee = float(cells[1]), float(cells[3])
             assert tee >= mee - 1e-9
             assert int(cells[7]) == 2
-            assert int(cells[8]) == 3
+            assert int(cells[8]) == 0
+            assert int(cells[9]) == 3
+
+    def test_runs_that_hit_the_iteration_cap_fail_the_sweep(self, tmp_path):
+        cfg = tiny_scenario("pareto", pareto={"weights": [0.0, 1.0], "trials": 2},
+                            solver={"tolerance": 1e-2, "max_outer_iterations": 1})
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_SOLVER
+        with open(out / "pareto.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["failed"] == row["trials"] == "2"
+            assert all(math.isnan(float(row[c])) for c in row if c.endswith(("_mean", "_se")))
+        record = yaml.safe_load((out / "record.yaml").read_text())
+        assert record["status"] == "failed" and record["results"]["failed"] == 4
 
 
 class TestTrendCommand:
@@ -418,7 +457,8 @@ class TestConvergenceCommand:
         from eeopt.scenario import SweepResult, SweepRow
 
         def row(zeta, iterations, bound):
-            run = SimpleNamespace(iterations=iterations, trajectory=np.array([1.0, 1.01]))
+            run = SimpleNamespace(iterations=iterations, trajectory=np.array([1.0, 1.01]),
+                                  status=RunStatus.CONVERGED)
             params = {"w": 0.5, "zeta": zeta, "epsilon": 1e-2}
             return SweepRow(params, *[0.0] * 6, float(iterations), 0.0, trials=1, runs=(run,),
                             bounds=(bound,))
@@ -433,6 +473,30 @@ class TestConvergenceCommand:
         assert [row.split(",")[-2:] for row in rows] == [["2.0", "-1.0"], ["", ""]]
         assert yaml.safe_load((out / "record.yaml").read_text())["status"] == "failed"
 
+    def test_failed_run_exits_4_with_every_table(self, tmp_path, monkeypatch):
+        import eeopt.scenario
+        from eeopt import run
+
+        calls = []
+
+        def run_failing_the_first(*args):
+            calls.append(args)
+            result = run(*args)
+            if len(calls) == 1:
+                result = replace(result, status=RunStatus.SUBPROBLEM_FAILURE)
+            return result
+
+        monkeypatch.setattr(eeopt.scenario, "run", run_failing_the_first)
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence")),
+                     "-o", str(out)]) == EXIT_SOLVER
+        record = yaml.safe_load((out / "record.yaml").read_text())
+        assert record["status"] == "failed" and record["results"]["failed"] == 1
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(record["outputs"])
+        assert len(record["outputs"]) == 4      # the summary and three trajectories
+        with open(out / "convergence_summary.csv", newline="") as fh:
+            assert [row["failed"] for row in csv.DictReader(fh)] == ["1", "0", "0"]
+
 
 class TestReplay:
     def test_record_reparses_to_equivalent_config(self, tmp_path):
@@ -446,18 +510,25 @@ class TestReplay:
         assert replayed["command"] == original["command"]
         assert replayed["seed"] == original["seed"]
 
-    @pytest.mark.parametrize("command, section", [
-        ("pareto", {"weights": [0.2, 0.9], "trials": 2, "include_product_ee": True}),
-        ("trend", {"distances": ["10 m", "30 m"], "weights": [0.0, 0.6], "trials": 2}),
-        ("convergence", {"weights": [0.5], "zetas": [0.5, 1.0], "epsilons": [1e-2], "trials": 2}),
-    ], ids=["pareto", "trend", "convergence"])
-    def test_replay_reproduces_tables_bit_identically(self, tmp_path, command, section):
-        cfg = tiny_scenario(command, **{command: section})
+    @pytest.mark.parametrize("command, section, cap, code", [
+        ("pareto", {"weights": [0.2, 0.9], "trials": 2, "include_product_ee": True}, 200,
+         EXIT_OK),
+        ("trend", {"distances": ["10 m", "30 m"], "weights": [0.0, 0.6], "trials": 2}, 200,
+         EXIT_OK),
+        ("convergence", {"weights": [0.5], "zetas": [0.5, 1.0], "epsilons": [1e-2], "trials": 2},
+         200, EXIT_OK),
+        ("convergence", {"weights": [0.5], "zetas": [0.5, 1.0], "epsilons": [1e-2], "trials": 2},
+         1, EXIT_SOLVER),
+    ], ids=["pareto", "trend", "convergence", "convergence-failing"])
+    def test_replay_reproduces_tables_bit_identically(self, tmp_path, command, section, cap,
+                                                      code):
+        cfg = tiny_scenario(command, **{command: section},
+                            solver={"tolerance": 1e-2, "max_outer_iterations": cap})
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
         first = tmp_path / "first"
-        assert main([cfg_path, "-o", str(first)]) == EXIT_OK
+        assert main([cfg_path, "-o", str(first)]) == code
         second = tmp_path / "second"
-        assert main([str(first / "record.yaml"), "-o", str(second)]) == EXIT_OK
+        assert main([str(first / "record.yaml"), "-o", str(second)]) == code
         tables = sorted(p.name for p in first.glob("*.csv"))
         assert tables and tables == sorted(p.name for p in second.glob("*.csv"))
         for name in tables:
@@ -491,20 +562,6 @@ class TestRuntimeDomainErrors:
         cfg["scalarization"] = {"kind": "weighted_minimum", "weight": 0.5}
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
         assert main([cfg_path, "-o", str(tmp_path / "out")]) == EXIT_CONFIG
-
-
-class TestSolverFailureExit:
-    def test_runtime_error_maps_to_exit_4(self, tmp_path, monkeypatch, capsys):
-        import eeopt.cli as cli_module
-
-        def boom(cfg):
-            raise RuntimeError("synthetic breakdown")
-
-        monkeypatch.setitem(cli_module._COMMANDS, "solve", boom)
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("solve"))
-
-        assert main([cfg_path, "-o", str(tmp_path / "out")]) == EXIT_SOLVER
-        assert "solver failure" in capsys.readouterr().err
 
 
 class TestRecordContents:

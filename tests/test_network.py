@@ -239,6 +239,15 @@ class TestInstanceValidation:
         with pytest.raises(DomainError):
             NetworkInstance(1.0, np.ones((1, 1, 1)), np.zeros((1, 1)), 1.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["noise", "amp_inefficiency", "static_power", "max_power",
+                                       "min_rate", "bandwidth_per_block"])
+    def test_non_finite_value_rejected_by_name(self, field, value):
+        fields = dict(bandwidth_per_block=1.0, gain=np.ones((1, 1, 1)), noise=np.ones((1, 1)),
+                      amp_inefficiency=1.0, static_power=1.0, max_power=1.0, min_rate=0.0)
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            NetworkInstance(**{**fields, field: value})
+
     def test_instance_arrays_immutable(self):
         rng = np.random.default_rng(7)
         inst = random_instance(rng, 2, 2)

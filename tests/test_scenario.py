@@ -5,7 +5,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from eeopt.engine import SolverConfig, default_initial_point, run
+from eeopt.engine import RunStatus, SolverConfig, default_initial_point, run
 from eeopt.errors import DomainError
 from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import (
@@ -90,6 +90,28 @@ class TestGenerate:
             warnings.simplefilter("error")
             config = ScenarioConfig(path_loss_const_db=const_db)
             assert np.isfinite(generate(config, 0).gain).all()
+
+    def test_flat_channels_keep_the_uniform_start_block_symmetric(self):
+        # every block is alike, so the run from the uniform start never leaves
+        # the block-symmetric allocations; starts that give each user its own
+        # block (half its budget there, 1e-6 of it elsewhere) reach 3.7x more
+        inst = generate(ScenarioConfig(d2d_distance=20.0), np.random.SeedSequence([1, 0]))
+        solver = SolverConfig(tolerance=1e-3)
+        uniform = run(inst, weighted_product(0.0), solver)
+        assert uniform.status is RunStatus.CONVERGED
+        np.testing.assert_allclose(uniform.allocation,
+                                   np.repeat(uniform.allocation[:, :1], inst.n_blocks, axis=1),
+                                   rtol=1e-6)
+        assert uniform.trajectory[-1] == pytest.approx(26.93, abs=5e-3)
+        n, k = inst.n_users, inst.n_blocks
+        finals = []
+        for shift in range(k):
+            start = np.full((n, k), 1e-6) * inst.max_power[:, None]
+            start[np.arange(n), (np.arange(n) + shift) % k] = 0.5 * inst.max_power
+            orthogonal = run(inst, weighted_product(0.0), replace(solver, initial_allocation=start))
+            finals.append(orthogonal.trajectory[-1])
+        assert max(finals) == pytest.approx(28.83, abs=5e-3)
+        assert max(finals) - uniform.trajectory[-1] >= 1.0
 
     def test_bound_coefficients_in_range_at_uniform_start(self):
         inst = generate(ScenarioConfig(), 17)
@@ -177,6 +199,31 @@ class TestConvergenceStudy:
             for r in row.runs:
                 assert np.all(np.diff(r.trajectory) >= -1e-9)
 
+    def test_a_failed_run_is_counted_not_raised(self, monkeypatch):
+        # the first run reports a subproblem failure; the row keeps it and
+        # averages the other two
+        results = []
+
+        def run_failing_the_first(*args):
+            result = run(*args)
+            results.append(result)
+            if len(results) == 1:
+                result = replace(result, status=RunStatus.SUBPROBLEM_FAILURE)
+            return result
+
+        monkeypatch.setattr("eeopt.scenario.run", run_failing_the_first)
+        (row,) = convergence_study(ScenarioConfig(seed=41), [0.7], [1.0], [1e-2], trials=3,
+                                   solver_config=FAST).rows
+        assert row.trials == 3 and row.failed == 1
+        assert row.runs[0].status is RunStatus.SUBPROBLEM_FAILURE
+        others = results[1:]
+        assert (row.tee_mean, row.mee_mean, row.jfi_mean, row.iterations_mean) == (
+            np.mean([r.metrics.ee_total for r in others]),
+            np.mean([r.metrics.ee_min for r in others]),
+            np.mean([r.metrics.jain_index for r in others]),
+            np.mean([r.iterations for r in others]))
+        assert len(row.bounds) == 3
+
     def test_invalid_zeta_rejected(self):
         with pytest.raises(DomainError, match="zetas"):
             convergence_study(ScenarioConfig(), [0.5], [0.0], [1e-3], trials=1)
@@ -233,13 +280,14 @@ class TestRowsFromDirectRuns:
     SOLVER = SolverConfig(tolerance=1e-2, kkt_tolerance=1e-7)
     TRIALS = 2
 
-    def direct_runs(self, scalarization, d2d_distance=None, zeta=None, epsilon=None):
+    def direct_runs(self, scalarization, d2d_distance=None, zeta=None, epsilon=None,
+                    solver=SOLVER, trials=TRIALS):
         scenario = self.CONFIG if d2d_distance is None else replace(self.CONFIG,
                                                                      d2d_distance=d2d_distance)
         runs = []
-        for t in range(self.TRIALS):
+        for t in range(trials):
             inst = generate(scenario, trial_seed(self.CONFIG.seed, t))
-            cfg = self.SOLVER if epsilon is None else replace(self.SOLVER, tolerance=epsilon)
+            cfg = solver if epsilon is None else replace(solver, tolerance=epsilon)
             if zeta is not None:
                 cfg = replace(cfg, initial_allocation=zeta * default_initial_point(inst))
             runs.append(run(inst, scalarization, cfg))
@@ -255,10 +303,13 @@ class TestRowsFromDirectRuns:
         for kept, r in zip(row.runs, runs):
             assert np.array_equal(kept.allocation, r.allocation)
             assert np.array_equal(kept.trajectory, r.trajectory)
-        expected = (*mean_se([r.metrics.ee_total for r in runs]),
-                    *mean_se([r.metrics.ee_min for r in runs]),
-                    *mean_se([r.metrics.jain_index for r in runs]),
-                    *mean_se([r.iterations for r in runs]))
+            assert kept.status is r.status
+        converged = [r for r in runs if r.status is RunStatus.CONVERGED]
+        assert row.failed == len(runs) - len(converged)
+        expected = (*mean_se([r.metrics.ee_total for r in converged]),
+                    *mean_se([r.metrics.ee_min for r in converged]),
+                    *mean_se([r.metrics.jain_index for r in converged]),
+                    *mean_se([r.iterations for r in converged]))
         assert (row.tee_mean, row.tee_se, row.mee_mean, row.mee_se, row.jfi_mean, row.jfi_se,
                 row.iterations_mean, row.iterations_se) == expected
 
@@ -270,6 +321,15 @@ class TestRowsFromDirectRuns:
             self.assert_row_is(row, {"w": w}, self.direct_runs(weighted_minimum(w)))
         self.assert_row_is(rows[2], {"w": float("nan"), "baseline": "product_ee"},
                            self.direct_runs(product_ee()))
+
+    def test_pareto_cells_with_failed_runs(self):
+        # capped at two outer iterations, some trials end `iteration_cap`
+        solver = replace(self.SOLVER, max_outer_iterations=2)
+        rows = pareto_sweep(self.CONFIG, [0.0, 0.3], trials=4, solver_config=solver).rows
+        for row, w in zip(rows, [0.0, 0.3]):
+            self.assert_row_is(row, {"w": w},
+                               self.direct_runs(weighted_product(w), solver=solver, trials=4))
+        assert [row.failed for row in rows] == [2, 1]
 
     def test_trend_over_two_distances(self):
         rows = trend_study(self.CONFIG, [10.0, 40.0], [0.0, 0.6], trials=self.TRIALS,
