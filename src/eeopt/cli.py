@@ -158,6 +158,13 @@ def _integer(value) -> int:
     return number
 
 
+def _array(value) -> np.ndarray:
+    """A number or nested list of numbers as a float array; true is an error, not 1.0."""
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+        raise TypeError(f"expected numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -210,7 +217,7 @@ _SCENARIO = _fields(ScenarioConfig, {
 _INSTANCE = _fields(NetworkInstance, {
     "bandwidth_per_block": parse_scalar,
     **dict.fromkeys(["gain", "noise", "amp_inefficiency", "static_power", "max_power",
-                     "min_rate"], partial(np.asarray, dtype=float)),
+                     "min_rate"], _array),
 })
 _SCALARIZATION = {"kind": (ScalarizationKind, "weighted_product"), "weight": (parse_scalar, 0.5)}
 _SOLVER = _fields(SolverConfig, {"tolerance": parse_scalar, "max_outer_iterations": _integer,

@@ -47,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleInitialPointError
+from .errors import DomainError, InfeasibleInitialPointError, check_integer
 from .network import MetricsReport, NetworkInstance, is_feasible
 from .scalarization import Scalarization, ScalarizationKind, log_objective
 from .solver import ConvexSubproblem, SubproblemStatus, solve
@@ -73,8 +73,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise DomainError("tolerance must be > 0")
-        if self.max_outer_iterations < 1:
-            raise DomainError("max_outer_iterations must be >= 1")
+        check_integer("max_outer_iterations", self.max_outer_iterations, 1)
         if not self.kkt_tolerance > 0:
             raise DomainError("kkt_tolerance must be > 0")
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import RunStatus, SolverConfig, SolveResult, default_initial_point, run
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .network import NetworkInstance
 from .scalarization import Scalarization, ScalarizationKind, product_ee, weighted_product
 from .units import db_to_linear, dbm_to_watts
@@ -77,8 +77,8 @@ class ScenarioConfig:
     seed: int = 0                         # master seed for Monte-Carlo studies
 
     def __post_init__(self):
-        if self.n_d2d_pairs < 1 or self.n_blocks < 1:
-            raise DomainError("need at least one D2D pair and one block")
+        for name, low in (("n_d2d_pairs", 1), ("n_blocks", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), low)
         if not 0 < self.annulus_inner < self.annulus_outer < math.inf:
             raise DomainError("annulus bounds must satisfy 0 < inner < outer < inf")
         for name in ("d2d_distance", "min_link_distance", "carrier_frequency", "bandwidth_per_block"):
@@ -279,8 +279,7 @@ def _grid_trial(args) -> list[SolveResult]:
 def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
               solver_config: SolverConfig | None, workers: int | None) -> SweepResult:
     """Every cell on every trial's instance, one row per cell."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    check_integer("trials", trials, 1)
     workers = resolve_workers(workers)
     tasks = [(config, cells, solver_config or SolverConfig(), t) for t in range(trials)]
     if workers <= 1:

@@ -54,11 +54,12 @@ rows by the block bandwidth, so the Newton systems stay well conditioned;
 the feasible set is unchanged and multipliers refer to the normalized rows.
 
 Every rate is affine in q and in the log2 of its interference sum
-(`eeopt.surrogate`), so setting `ConvexSubproblem.model` folds the
-surrogate's offset and slope into the rows once per outer iteration:
-c0' = c0 + R B sum_k (b + a log2 w_ii), RA = R (x) B a and AR = A + RA
-on the q columns give c = c0' + AR x - RA log2(total) - 2^(S theta) *
-(W 2^q + P), one 2^q serving the rows and the interference sum.
+(`eeopt.surrogate`), so setting `ConvexSubproblem.model` folds each rate
+term's offset b + a log2 w_ii and slope B a, from the model's a and b,
+into the rows once per outer iteration: c0' = c0 + R B sum_k (b + a log2
+w_ii), RA = R (x) B a and AR = A + RA on the q columns give the package's
+one surrogate-rate formula, c = c0' + AR x - RA log2(total) - 2^(S theta)
+* (W 2^q + P), one 2^q serving the rows and the interference sum.
 
 Both derivatives read off one derivative table Z. Each power term, a
 nonzero W_mj or P_m, enters row m's Jacobian as -u e' and its Hessian as
@@ -95,7 +96,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .scalarization import Scalarization, ScalarizationKind
+from .scalarization import Scalarization, ScalarizationKind, log_objective
 from .surrogate import LN2, SurrogateModel, rate_evaluation
 
 __all__ = [
@@ -186,6 +187,7 @@ class ConvexSubproblem:
 
     def __init__(self, model: SurrogateModel, scalarization: Scalarization):
         kind, w, inst = scalarization.kind, scalarization.weight, model.instance
+        self._scalarization = scalarization
         if kind is ScalarizationKind.WEIGHTED_PRODUCT:
             self._lay_out(inst, u=w if w > 0.0 else None, v=1.0 - w if w < 1.0 else None)
         elif kind is ScalarizationKind.WEIGHTED_MINIMUM:
@@ -291,13 +293,13 @@ class ConvexSubproblem:
 
     @model.setter
     def model(self, model: SurrogateModel):
-        """Swap in a surrogate, folding its rate offset and slope into c0', AR and RA
-        (RA's columns k-major, in the order of the rate pass's `log_total`)."""
+        """Swap in a surrogate, folding its rate offset b + a log2 w_ii and slope B a into
+        c0', AR and RA (RA's columns k-major, as the rate pass's `log_total`)."""
         self._model = model
-        m, nq = self.n_constraints, self.nq
-        slope = model.rate_slope.T                           # B a at [k, i]
-        self._c0_model = self._c0 + self._R @ (model.instance.bandwidth_per_block
-                                               * model.rate_offset.sum(axis=1))
+        m, nq, inst = self.n_constraints, self.nq, model.instance
+        slope = (inst.bandwidth_per_block * model.a).T       # B a at [k, i]
+        offset = (model.b + model.a * np.log2(inst.direct_gain())).sum(axis=1)
+        self._c0_model = self._c0 + self._R @ (inst.bandwidth_per_block * offset)
         RA = self._R[:, None, :] * slope                     # R_mi B a_ik at [m, k, i]
         self._RA, self._RA_blocks = RA.reshape(m, nq), RA.transpose(1, 0, 2)
         self._AR = self._jacobian_template.copy()
@@ -338,15 +340,14 @@ class ConvexSubproblem:
         """The expansion point with each threshold at its exact root: (x, c, kept pass).
 
         The roots are the model's log2 TEE and log2 EE_i, read off the
-        metrics report it was built from. The surrogate is tight at the
-        expansion point, so every row is nonnegative there and the
-        threshold rows that bind are zero."""
+        metrics report it was built from, and t is the weighted minimum of
+        those. The surrogate is tight at the expansion point, so every row
+        is nonnegative there and the threshold rows that bind are zero."""
         m = self.model
         u, v = m.log2_ee_total, m.log2_ee
         t = None
         if self.t_index is not None:
-            off_u, off_v = self._c0[-2:]
-            t = min(u + off_u, float(v.min()) + off_v)
+            t = log_objective(self._scalarization, u, float(v.min()))
         x = self.pack(m.expansion_q, u=u, v=v, t=t)
         return (x, *self._rows(x, rate_evaluation(m, m.expansion_q)))
 

@@ -19,10 +19,11 @@ functions bounding the efficiency constraints,
     g(q, u)     = sum_i rate_i(q) - (sum_i mu_i sum_k 2^{q_i^k} + sum_i P_st,i) * 2^u
 
 are concave in (q, v) and (q, u) and strictly decreasing in the threshold
-variable. This module evaluates the rates; psi and g exist only as the
-subproblem's constraint rows, assembled from those rates in one place,
-`solver.ConvexSubproblem`, which also builds every derivative. At the
-expansion point their roots are the report's log2 EE_i and log2 TEE.
+variable. This module expands the bound and sums the interference; the
+rates, psi and g exist only as the subproblem's constraint rows, which
+`solver.ConvexSubproblem` alone builds from a and b, with every
+derivative. At the expansion point the roots of psi and g are the
+report's log2 EE_i and log2 TEE.
 
 One evaluation pass sums the interference in linear power, total_ik =
 sum_{j!=i} w_ji 2^{q_j^k} + noise_ik, by calling the instance's one
@@ -87,8 +88,6 @@ class SurrogateModel:
     a: np.ndarray               # (N, K), in [0, 1)
     b: np.ndarray               # (N, K)
     expansion_q: np.ndarray     # (N, K), log2 of the expansion powers
-    rate_offset: np.ndarray     # (N, K): the constant part of each rate term, b + a log2 w_ii
-    rate_slope: np.ndarray      # (N, K): its slope, B a
     log2_ee_total: float        # log2 TEE at the expansion point, the root of g there
     log2_ee: np.ndarray         # (N,) log2 EE_i there, the roots of psi_i
 
@@ -114,27 +113,17 @@ def build(instance: NetworkInstance, alloc: np.ndarray, report: MetricsReport) -
     with np.errstate(divide="ignore"):
         log2_ee_total, log2_ee = float(np.log2(report.ee_total)), np.log2(report.ee)
     return SurrogateModel(instance=instance, a=a, b=b, expansion_q=np.log2(p),
-                          rate_offset=b + a * np.log2(instance.direct_gain()),
-                          rate_slope=instance.bandwidth_per_block * a,
                           log2_ee_total=log2_ee_total, log2_ee=log2_ee)
 
 
 @dataclass(slots=True)
 class RateEvaluation:
-    """The interference at one q; the surrogate rates there on demand."""
+    """The interference at one q, from which the solver's rows take the rates."""
 
     model: SurrogateModel
-    q: np.ndarray           # (N, K)
     power: np.ndarray       # (N, K): 2^q
     total: np.ndarray       # (K, N): user i's interference plus noise at [k, i]
     log_total: np.ndarray   # (K, N)
-
-    @property
-    def rates(self) -> np.ndarray:
-        """(N,) surrogate rates in bit/s."""
-        m = self.model
-        terms = m.rate_offset + m.a * (self.q - self.log_total.T)
-        return m.instance.bandwidth_per_block * terms.sum(axis=1)
 
     def shares(self) -> np.ndarray:
         """The interference shares s_jik at [k, i, j]."""
@@ -144,10 +133,10 @@ class RateEvaluation:
 
 
 def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
-    """Sum the interference at q in one pass; the rates follow from it on demand."""
+    """Sum the interference at q in one pass."""
     q = np.asarray(q, dtype=float)
     if q.shape != model.expansion_q.shape:
         raise ShapeError(f"q shape {q.shape} does not match instance {model.expansion_q.shape}")
     power = np.exp2(q)
     total = interference_plus_noise(model.instance, power)
-    return RateEvaluation(model, q, power, total, np.log2(total))
+    return RateEvaluation(model, power, total, np.log2(total))

@@ -1,9 +1,10 @@
 """Shared test fixtures: small random instances at O(1) scales, the true
-efficiency slacks, the assembled constraint rows that bound them, and
-oracles for the network pass (a per-pair loop), the objective in natural
-units, the KKT certificate, the max-exponent-stabilized rate pass and
-rows, and the dense derivatives that the solver's fused pass and
-derivative table replace."""
+efficiency slacks, the assembled constraint rows that bound them (the
+surrogate rates included, read off the rate floors), and oracles for the
+network pass (a per-pair loop), the objective in natural units, the KKT
+certificate, the max-exponent-stabilized rate pass and rows, and the
+dense derivatives that the solver's fused pass and derivative table
+replace."""
 
 import numpy as np
 
@@ -154,13 +155,15 @@ def g_row(model, q, u, with_grad=False):
     return float(c[-1]), None if G is None else G[-1]
 
 
-def rate_rows_jacobian(model, q):
-    """The surrogate rate Jacobian (N, N*K) at q, read off the solver's rate-floor rows:
-    rows N..2N-1 of every layout are (rate_i - min_rate_i) / B, so B G[N:2N, :NK]."""
+def rate_rows(model, q, with_grad=False):
+    """The surrogate rates (N,) at q in bit/s and their Jacobian (N, N*K), read off the
+    solver's rate-floor rows: rows N..2N-1 of every layout are (rate_i - min_rate_i) / B,
+    so rate_i = B c_i + min_rate_i."""
     sub = ConvexSubproblem(model, weighted_product(1.0))
-    n = sub.n_users
-    _, G, _ = sub.evaluate(sub.pack(q, u=0.0))
-    return model.instance.bandwidth_per_block * G[n : 2 * n, : sub.nq]
+    n, bandwidth = sub.n_users, model.instance.bandwidth_per_block
+    c, G, _ = sub.evaluate(sub.pack(q, u=0.0), with_grad=with_grad)
+    rates = bandwidth * c[n : 2 * n] + model.instance.min_rate
+    return rates, None if G is None else bandwidth * G[n : 2 * n, : sub.nq]
 
 
 def log_true_objective(s, report):
@@ -191,14 +194,16 @@ def kkt_residual(sub, x, multipliers):
 
 
 def stabilized_rate_pass(model, q):
-    """The rate pass in the log domain, stabilized by the max exponent:
-    (rates (N,), scaled (j, i, k), total (i, k)), with interferer j's
-    term in user i's denominator on block k over 2^m_ik in `scaled`, and
-    the sum of those plus the scaled noise in `total`; s_jik = scaled / total."""
+    """The rate pass in the log domain, stabilized by the max exponent, from the
+    instance's arrays and the bound's (a, b) alone: (rates (N,), scaled (j, i, k),
+    total (i, k)), with interferer j's term in user i's denominator on block k
+    over 2^m_ik in `scaled`, and the sum of those plus the scaled noise in
+    `total`; s_jik = scaled / total. Its rates are the surrogate-rate reference."""
     inst = model.instance
     with np.errstate(divide="ignore"):
         log_gain = np.log2(inst.gain)
     idx = np.arange(inst.n_users)
+    log_direct = log_gain[idx, idx, :]
     log_gain[idx, idx, :] = -np.inf
     log_noise = np.log2(inst.noise)
     exponents = log_gain + q[:, None, :]                       # (j, i, k)
@@ -206,7 +211,7 @@ def stabilized_rate_pass(model, q):
     scaled = np.exp2(exponents - m[None, :, :])
     total = scaled.sum(axis=0) + np.exp2(log_noise - m)
     log_denom = m + np.log2(total)
-    terms = model.b + model.a * np.log2(inst.direct_gain()) + model.a * (q - log_denom)
+    terms = model.b + model.a * log_direct + model.a * (q - log_denom)
     return inst.bandwidth_per_block * terms.sum(axis=1), scaled, total
 
 

@@ -24,7 +24,6 @@ from eeopt.scenario import (
     trend_study,
     trial_seed,
 )
-from eeopt.surrogate import rate_evaluation
 
 from helpers import (
     central_diff,
@@ -33,7 +32,7 @@ from helpers import (
     psi_rows,
     random_alloc,
     random_instance,
-    rate_rows_jacobian,
+    rate_rows,
     rel_err,
     true_g,
     true_psi,
@@ -130,8 +129,8 @@ def test_criterion_1_monotone_convergence(engine_runs):
 
 
 def test_criterion_2_minorization_tightness_gradients():
-    # rates from the rate pass and their gradients from the solver's
-    # rate-floor rows; psi and g are the solver's assembled rows
+    # rates and their gradients from the solver's rate-floor rows; psi
+    # and g are the solver's assembled rows
     # (`ConvexSubproblem.evaluate`), compared with the true functions on
     # the rows' 1/B scale
     rng = np.random.default_rng(2024)
@@ -152,12 +151,11 @@ def test_criterion_2_minorization_tightness_gradients():
         u_ref = float(rng.uniform(-2, 2))
 
         # tightness at the expansion point
-        ev = rate_evaluation(model, q0)
-        jac = rate_rows_jacobian(model, q0)
+        rates0, jac = rate_rows(model, q0, with_grad=True)
         psi, _ = psi_rows(model, q0, v_ref)
         psi_ref = true_psi(inst, q0, v_ref) * rs
         for i in range(inst.n_users):
-            worst_tight = max(worst_tight, rel_err(ev.rates[i], float(rep.rate[i]), floor=1e-9))
+            worst_tight = max(worst_tight, rel_err(rates0[i], float(rep.rate[i]), floor=1e-9))
             worst_tight = max(worst_tight, rel_err(psi[i], psi_ref[i], floor=1e-9))
             fd = central_diff(lambda qq: float(evaluate(inst, np.exp2(qq)).rate[i]), q0)
             worst_grad = max(worst_grad, float(np.max(rel_err(jac[i], fd, floor=1e-6))))
@@ -168,7 +166,7 @@ def test_criterion_2_minorization_tightness_gradients():
         for _ in range(points_per_instance):
             q = q0 + rng.uniform(-2.0, 2.0, size=q0.shape)
             v = float(rng.uniform(-2, 2))
-            rates = rate_evaluation(model, q).rates
+            rates = rate_rows(model, q)[0]
             true_rates = evaluate(inst, np.exp2(q)).rate
             psi, _ = psi_rows(model, q, v)
             psi_ref = true_psi(inst, q, v) * rs

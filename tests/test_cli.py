@@ -298,6 +298,11 @@ class TestConfigErrors:
         ("solve", {"scenario": {"d2d_distance": True}}, None, "scenario.d2d_distance"),
         ("pareto", {"pareto": {"weights": [True, False], "trials": 1}}, None, "pareto.weights"),
         ("solve", {"solver": {"tolerance": True}}, None, "solver.tolerance"),
+        ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
+                                                  "max_power": [True]}}, None,
+         "instance.max_power"),
+        ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
+                                                  "gain": [[[True]]]}}, None, "instance.gain"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -312,7 +317,8 @@ class TestConfigErrors:
             "min-link-distance-nan", "d2d-distance-nan", "annulus-outer-inf",
             "trend-distance-nan", "bandwidth-0", "pareto-weight-above-1", "zeta-0", "zeta-above-1",
             "epsilon-0", "min-rate-nan", "amp-inefficiency-nan", "instance-noise-inf",
-            "d2d-distance-bool", "pareto-weight-bool", "tolerance-bool"])
+            "d2d-distance-bool", "pareto-weight-bool", "tolerance-bool", "instance-max-power-bool",
+            "instance-gain-bool"])
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)

@@ -376,3 +376,9 @@ class TestInitialPointValidation:
             SolverConfig(tolerance=float("nan"))
         with pytest.raises(DomainError):
             SolverConfig(max_outer_iterations=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(3.0)])
+    def test_max_outer_iterations_must_be_an_integer(self, bad):
+        with pytest.raises(DomainError, match="max_outer_iterations"):
+            SolverConfig(max_outer_iterations=bad)
+        assert SolverConfig(max_outer_iterations=np.int64(2)).max_outer_iterations == 2

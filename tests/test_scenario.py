@@ -72,9 +72,16 @@ class TestGenerate:
         for k in range(1, inst.n_blocks):
             np.testing.assert_array_equal(inst.gain[:, :, 0], inst.gain[:, :, k])
 
+    @pytest.mark.parametrize("name, bad", [
+        ("n_d2d_pairs", 2.5), ("n_d2d_pairs", True), ("n_d2d_pairs", 0), ("n_blocks", 2.5),
+        ("n_blocks", 2.0), ("n_blocks", True), ("seed", 1.5), ("seed", True), ("seed", -1)])
+    def test_counts_and_seed_must_be_integers(self, name, bad):
+        with pytest.raises(DomainError, match=name):
+            ScenarioConfig(**{name: bad})
+        cfg = ScenarioConfig(**{name: np.int64(2)})
+        assert getattr(cfg, name) == 2
+
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            ScenarioConfig(n_d2d_pairs=0)
         with pytest.raises(DomainError):
             ScenarioConfig(annulus_inner=100.0, annulus_outer=30.0)
         with pytest.raises(DomainError):
@@ -165,6 +172,11 @@ class TestParetoSweep:
     def test_invalid_weights_rejected(self):
         with pytest.raises(DomainError, match="weights"):
             pareto_sweep(ScenarioConfig(), [0.5, 1.5], trials=1)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, 0])
+    def test_trials_must_be_a_positive_integer(self, bad):
+        with pytest.raises(DomainError, match="trials"):
+            pareto_sweep(ScenarioConfig(), [0.5], trials=bad)
 
 
 class TestTrendStudy:

@@ -28,6 +28,8 @@ from helpers import (
     paper_scale_instance,
     random_alloc,
     random_instance,
+    rate_rows,
+    stabilized_rate_pass,
     weighted_constraint_hessian,
 )
 
@@ -230,7 +232,7 @@ class TestSubproblemStructure:
             x = sub.start()[0] + rng.uniform(-1.0, 1.0, size=sub.n_vars)
             c, _, _ = sub.evaluate(x, with_grad=False)
             q = x[:6].reshape(3, 2)
-            rates = rate_evaluation(model, q).rates
+            rates = stabilized_rate_pass(model, q)[0]
             power = np.exp2(q).sum(axis=1)
             consumed = inst.amp_inefficiency * power + inst.static_power
             expected = [1.0 - power / inst.max_power, (rates - inst.min_rate) / b]
@@ -532,7 +534,7 @@ class TestStart:
         sol = solve(sub, tol=1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
         assert sol.kkt_residual <= 1e-8
-        assert (rate_evaluation(sub.model, sol.q).rates[0] - r0) >= -1e-8
+        assert rate_rows(sub.model, sol.q)[0][0] - r0 >= -1e-8
 
     def test_unattainable_rate_floor_ends_uncertified(self):
         capacity = 1.0 * np.log2(1.0 + 10.0 * 10.0 / 1.0)

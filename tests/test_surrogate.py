@@ -1,7 +1,7 @@
-"""The rate minorant from `rate_evaluation`, and the psi and g minorants
-as the solver assembles them (`ConvexSubproblem.evaluate`/`jacobian`),
-checked against the true functions on the solver's 1/B row scale. Rate
-derivatives are read off the solver's rate-floor rows."""
+"""The rate, psi and g minorants as the solver assembles them
+(`ConvexSubproblem.evaluate`/`jacobian`), checked against the true
+functions on the solver's 1/B row scale. Rates and their derivatives are
+read off the solver's rate-floor rows."""
 
 from dataclasses import replace
 
@@ -14,7 +14,7 @@ from eeopt.errors import DomainError, ShapeError
 from eeopt.network import evaluate, sinr
 from eeopt.scalarization import weighted_product
 from eeopt.solver import ConvexSubproblem
-from eeopt.surrogate import bound_coefficients, build, rate_evaluation
+from eeopt.surrogate import bound_coefficients, build
 
 from helpers import (
     central_diff,
@@ -22,9 +22,11 @@ from helpers import (
     g_row,
     psi_rows,
     random_alloc,
-    rate_rows_jacobian,
     random_instance,
+    rate_jacobian,
+    rate_rows,
     rel_err,
+    stabilized_rate_pass,
     true_g,
     true_psi,
 )
@@ -112,8 +114,11 @@ class TestBuild:
         model = expand(inst, random_alloc(rng, inst))
         q0 = rng.normal(size=(1, 3))
         d = rng.normal(size=(1, 3))
-        vals = [rate_evaluation(model, q0 + t * d).rates[0] for t in (-1.0, 0.0, 1.0)]
+        vals = [rate_rows(model, q0 + t * d)[0][0] for t in (-1.0, 0.0, 1.0)]
         assert vals[0] + vals[2] == pytest.approx(2 * vals[1], rel=1e-12)
+        # with slope B a
+        slope = inst.bandwidth_per_block * float((model.a * d).sum())
+        assert vals[2] - vals[1] == pytest.approx(slope, rel=1e-9, abs=1e-12)
 
 
 class TestSurrogateRate:
@@ -124,7 +129,7 @@ class TestSurrogateRate:
             p = random_alloc(rng, inst)
             model = expand(inst, p)
             q = np.log2(p)
-            rates = rate_evaluation(model, q).rates
+            rates = rate_rows(model, q)[0]
             for i in range(inst.n_users):
                 assert rel_err(rates[i], true_rate(inst, q, i)) < 1e-10
 
@@ -136,7 +141,7 @@ class TestSurrogateRate:
             model = expand(inst, p)
             for _ in range(10):
                 q = np.log2(p) + rng.uniform(-2.0, 2.0, size=p.shape)
-                rates = rate_evaluation(model, q).rates
+                rates = rate_rows(model, q)[0]
                 for i in range(inst.n_users):
                     assert rates[i] <= true_rate(inst, q, i) + 1e-9
 
@@ -147,7 +152,7 @@ class TestSurrogateRate:
             p = random_alloc(rng, inst)
             model = expand(inst, p)
             q = np.log2(p)
-            jac = rate_rows_jacobian(model, q)
+            jac = rate_rows(model, q, with_grad=True)[1]
             for i in range(inst.n_users):
                 fd = central_diff(lambda qq: true_rate(inst, qq, i), q)
                 assert np.max(rel_err(jac[i].ravel(), fd, floor=1e-6)) < 1e-5
@@ -157,9 +162,12 @@ class TestSurrogateRate:
         inst = random_instance(rng, 3, 2)
         model = expand(inst, random_alloc(rng, inst))
         q = model.expansion_q + rng.uniform(-1, 1, size=model.expansion_q.shape)
-        jac = rate_rows_jacobian(model, q)
+        jac = rate_rows(model, q, with_grad=True)[1]
+        # the surrogate formula's derivative, and that of the rows' own values
+        reference = rate_jacobian(model, stabilized_rate_pass(model, q)).reshape(jac.shape)
+        np.testing.assert_allclose(jac, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
         for i in range(inst.n_users):
-            fd = central_diff(lambda qq: rate_evaluation(model, qq).rates[i], q)
+            fd = central_diff(lambda qq: rate_rows(model, qq)[0][i], q)
             assert np.max(rel_err(jac[i].ravel(), fd, floor=1e-6)) < 1e-5
 
 
@@ -171,7 +179,8 @@ class TestSurrogatePsi:
         q = model.expansion_q
         vals = [psi_rows(model, q, v)[0][0] for v in (2.0, 0.0, -5.0, -20.0)]
         assert vals == sorted(vals)
-        rate0 = rate_evaluation(model, q).rates[0] / inst.bandwidth_per_block
+        rate0 = rate_rows(model, q)[0][0] / inst.bandwidth_per_block
+        assert rate0 == pytest.approx(true_rate(inst, q, 0) / inst.bandwidth_per_block, rel=1e-10)
         assert psi_rows(model, q, -40.0)[0][0] == pytest.approx(rate0, rel=1e-9)
 
     def test_zero_at_expansion_for_min_ee_user(self):
@@ -292,10 +301,12 @@ class TestConcavity:
                 )
 
             x, y = sample(), sample()
-            gap_rate = self.midpoint_gap(lambda z: rate_evaluation(model, z[0]).rates, x, y)
+            gap_rate = self.midpoint_gap(lambda z: rate_rows(model, z[0])[0], x, y)
+            gap_formula = self.midpoint_gap(lambda z: stabilized_rate_pass(model, z[0])[0], x, y)
             gap_psi = self.midpoint_gap(lambda z: psi_rows(model, z[0], z[1])[0], x, y)
             gap_g = self.midpoint_gap(lambda z: g_row(model, z[0], z[1][0])[0], x, y)
             assert np.all(gap_rate >= -1e-12)
+            np.testing.assert_allclose(gap_rate, gap_formula, rtol=1e-9, atol=1e-12)
             assert np.all(gap_psi >= -1e-12)
             assert gap_g >= -1e-12
 
@@ -317,7 +328,7 @@ class TestWeightedHessian:
         h = -sub.newton_matrix(derivatives, np.zeros(sub.n_constraints), beta)[:nq, :nq]
 
         def weighted_grad(qq):
-            return w @ rate_rows_jacobian(model, qq)
+            return w @ rate_rows(model, qq, with_grad=True)[1]
 
         fd = np.zeros((nq, nq))
         step = 1e-6

@@ -1,8 +1,10 @@
 """The benchmark's tracer (`perfbench/tracer.py`, loaded read-only) over a few
-small runs: tracing changes no result, and every site it still finds in the
-package records spans. A site wraps a function under the name its caller
-looks it up by, so a function that keeps its name but changes how it is
-called would make every traced run raise."""
+small runs: tracing changes no result, every site it still finds in the
+package records spans, and the layers the benchmark reports are among
+them. A site wraps a function under the name its caller looks it up by,
+so a function that keeps its name but changes how it is called would make
+every traced run raise, and one that is renamed or removed would leave its
+layer silent."""
 
 import importlib.util
 from pathlib import Path
@@ -25,6 +27,12 @@ def small_runs():
     inst = eeopt.generate(eeopt.ScenarioConfig(n_d2d_pairs=2, n_blocks=3, d2d_distance=10.0),
                           np.random.SeedSequence([1, 0]))
     return [eeopt.run(inst, scal, eeopt.SolverConfig(tolerance=1e-3)) for scal in SHAPES]
+
+
+# the layers each of the small runs passes through
+PINNED = ("engine.run", "solver.solve", "surrogate.build", "surrogate.rate_evaluation",
+          "network.is_feasible", "network.evaluate", "scenario.generate",
+          "solver.evaluate_values", "solver.linalg_solve")
 
 
 def found_sites():
@@ -52,3 +60,4 @@ def test_traced_runs_equal_untraced_and_every_site_records():
     silent = [sorted(names) for names in found_sites()
               if not any(calls.get(name, 0) > 0 for name in names)]
     assert silent == []
+    assert [name for name in PINNED if calls.get(name, 0) == 0] == []
