@@ -445,7 +445,7 @@ def run_command(config: dict, output_dir=None) -> int:
     """Execute one interpreted config; returns the process exit code."""
     try:
         cfg = _Resolved(config)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if output_dir is not None:

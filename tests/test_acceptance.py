@@ -129,10 +129,9 @@ def test_criterion_1_monotone_convergence(engine_runs):
 
 
 def test_criterion_2_minorization_tightness_gradients():
-    # rates and their gradients from the solver's rate-floor rows; psi
-    # and g are the solver's assembled rows
-    # (`ConvexSubproblem.evaluate`), compared with the true functions on
-    # the rows' 1/B scale
+    # rates and their gradients are read off the solver's rate-floor rows,
+    # psi and g are its assembled rows (`ConvexSubproblem.evaluate`), all
+    # compared with the true functions on the rows' 1/B scale
     rng = np.random.default_rng(2024)
     n_instances, points_per_instance = 200, 5
     worst_gap = 0.0          # positive would violate minorization

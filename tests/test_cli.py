@@ -301,6 +301,7 @@ class TestConfigErrors:
         ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
                                                   "max_power": [True]}}, None,
          "instance.max_power"),
+        ("solve", {"seed": -1}, None, "seed must be an integer >= 0"),
         ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
                                                   "gain": [[[True]]]}}, None, "instance.gain"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
@@ -318,7 +319,7 @@ class TestConfigErrors:
             "trend-distance-nan", "bandwidth-0", "pareto-weight-above-1", "zeta-0", "zeta-above-1",
             "epsilon-0", "min-rate-nan", "amp-inefficiency-nan", "instance-noise-inf",
             "d2d-distance-bool", "pareto-weight-bool", "tolerance-bool", "instance-max-power-bool",
-            "instance-gain-bool"])
+            "seed-negative", "instance-gain-bool"])
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)
