@@ -221,16 +221,17 @@ class SweepResult:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Sweep worker processes: the argument, else EEOPT_WORKERS, else 1; at least 1."""
-    name, value = "workers", workers
-    if workers is None:
-        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV) or 1
+    """Sweep worker processes: the integer argument, else EEOPT_WORKERS, else 1; at least 1."""
+    if workers is not None:
+        check_integer("workers", workers, 1)
+        return int(workers)
+    value = os.environ.get(WORKERS_ENV) or 1
     try:
         count = int(value)
     except ValueError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
     if count < 1:
-        raise DomainError(f"{name} must be >= 1, got {value!r}")
+        raise DomainError(f"{WORKERS_ENV} must be >= 1, got {value!r}")
     return count
 
 

@@ -6,10 +6,10 @@ powers q = log2 p and the threshold columns theta its scalarization
 needs, under per-user power budgets, surrogate rate floors and the
 efficiency rows. Every row has the one form
 
-    c = c0 + A x + R rates(q) - 2^(S theta) * (W 2^q + P)
+    c = c0 + R rates(q) - 2^(S theta) * (W 2^q + P)
 
 `ConvexSubproblem` alone turns a scalarization into that layout, as the
-tables c0, A, R, W, P and S built once per run; its docstring gives the
+tables c0, R, W, P and S built once per run; its docstring gives the
 column and row order and the table meanings.
 
 The solver runs one Newton iteration on the perturbed KKT system of
@@ -57,9 +57,9 @@ Every rate is affine in q and in the log2 of its interference sum
 (`eeopt.surrogate`), so setting `ConvexSubproblem.model` folds each rate
 term's offset b + a log2 w_ii and slope B a, from the model's a and b,
 into the rows once per outer iteration: c0' = c0 + R B sum_k (b + a log2
-w_ii), RA = R (x) B a and AR = A + RA on the q columns give the package's
-one surrogate-rate formula, c = c0' + AR x - RA log2(total) - 2^(S theta)
-* (W 2^q + P), one 2^q serving the rows and the interference sum.
+w_ii), RA = R (x) B a and AR = [RA 0], RA on the q columns, give the
+package's one surrogate-rate formula, c = c0' + AR x - RA log2(total) -
+2^(S theta) * (W 2^q + P), one 2^q serving rows and interference sum.
 
 Both derivatives read off one derivative table Z. Each power term, a
 nonzero W_mj or P_m, enters row m's Jacobian as -u e' and its Hessian as
@@ -148,21 +148,19 @@ class ConvexSubproblem:
     """One concave subproblem: a surrogate model plus the layout its scalarization induces.
 
     Columns, in order: q (q_ik in column i*K + k), then the columns theta:
-    u, the min-EE thresholds (one shared v, or v_1..v_N for the product-EE
-    baseline), and t. Rows, in order: N power budgets, N rate floors, N
-    efficiency slacks psi_i (where v is present), the total-efficiency
-    slack g (where u is present), and, for the weighted minimum only, the
-    epigraph rows u - log2 w - t and v - log2(1-w) - t. Every row has the
-    one form
+    u and the min-EE thresholds (one shared v, or v_1..v_N for the
+    product-EE baseline), or one column t for the weighted minimum, which
+    `u_index` and `_v_cols` then both name. Rows, in order: N power
+    budgets, N rate floors, N efficiency slacks psi_i (where v or t is
+    present) and the total-efficiency slack g (where u or t is present).
+    Every row has the one form
 
-        c = c0 + A x + R rates(q) - 2^(S theta) * (W 2^q + P)
+        c = c0 + R rates(q) - 2^(S theta) * (W 2^q + P)
 
-    with the tables built once here (attributes `_c0`, `_jacobian_template`
-    for A, `_R`, `_W`, `_P` and `_S`):
+    with the tables built once here (attributes `_c0`, `_R`, `_W`, `_P`
+    and `_S`):
 
-    * c0 (m,): 1 on the power rows, -min_rate / B on the floors, the
-      epigraph offsets -log2 w and -log2(1-w);
-    * A (m, n_vars): the constant Jacobian, nonzero on the epigraph rows;
+    * c0 (m,): 1 on the power rows, -min_rate / B on the floors;
     * R (m, N): which rates enter each row, scaled by 1/B;
     * W (m, NK) and P (m,): each row's consumed-power weights on 2^q and
       its static power, over the budget on the power rows and over B on
@@ -178,7 +176,10 @@ class ConvexSubproblem:
     * weighted product: w*u + (1-w)*v; a column with zero weight is
       dropped with its rows (u at w = 0, v at w = 1), so the Newton matrix
       has no dead directions;
-    * weighted minimum: t, under the two epigraph rows;
+    * weighted minimum: t, for min(u - log2 w, v - log2(1-w)); g and psi
+      decrease in u and v, so that epigraph binds at u = t + log2 w and
+      v = t + log2(1-w), and as 2^u = w 2^t, g's W and P carry a factor
+      w and psi's 1-w;
     * product-EE baseline: sum_i v_i.
 
     `model` may be set to another model of the same instance: the layout
@@ -191,45 +192,44 @@ class ConvexSubproblem:
         if kind is ScalarizationKind.WEIGHTED_PRODUCT:
             self._lay_out(inst, u=w if w > 0.0 else None, v=1.0 - w if w < 1.0 else None)
         elif kind is ScalarizationKind.WEIGHTED_MINIMUM:
-            self._lay_out(inst, u=0.0, v=0.0, offsets=(-math.log2(w), -math.log2(1.0 - w)))
+            self._lay_out(inst, u=1.0, v=1.0, minimum=w)
         else:
             self._lay_out(inst, v=1.0, per_user=True)
         self.model = model
 
-    def _lay_out(self, inst, u=None, v=None, per_user=False, offsets=None):
+    def _lay_out(self, inst, u=None, v=None, per_user=False, minimum=None):
         """Columns, objective, row tables and derivative table of one shape.
 
         `u` and `v` are the objective weights of the threshold columns, None
         where the column and its rows are absent; `per_user` gives each user
-        its own v column. `offsets` adds t and the two epigraph rows.
+        its own v column. `minimum` = w makes u and v one column t, with g's
+        power terms times w and psi's times 1 - w.
         """
         n, k = inst.n_users, inst.n_blocks
         self.n_users, self.n_blocks = n, k
         self.nq = nq = n * k
 
         idx = nq
-        self.u_index = self.t_index = self._v_cols = None
+        self.u_index = self._v_cols = None
         if u is not None:
             self.u_index = idx
-            idx += 1
+            idx += minimum is None          # the weighted minimum's v shares it, as t
         if v is not None:
             # user i's threshold column; a shared v repeats its column
             self._v_cols = idx + np.arange(n) if per_user else np.full(n, idx)
             idx += n if per_user else 1
-        if offsets is not None:
-            self.t_index = idx
-            idx += 1
         self.n_vars = idx
+        tee, mee = (1.0, 1.0) if minimum is None else (minimum, 1.0 - minimum)
 
         self._g_row = 3 * n if v is not None else 2 * n
-        m = self._g_row + (u is not None) + (2 if offsets is not None else 0)
+        m = self._g_row + (u is not None)
         self.n_constraints = m
 
         # the objective and the row tables; power rows are normalized by the
         # budget and the rate-type rows by the block bandwidth B
         per_b, users = 1.0 / inst.bandwidth_per_block, np.arange(n)
         own_q = np.repeat(np.eye(n), k, axis=1)            # (N, NK): user i's q columns
-        obj, c0, A = np.zeros(self.n_vars), np.zeros(m), np.zeros((m, self.n_vars))
+        obj, c0 = np.zeros(self.n_vars), np.zeros(m)
         R, W, P = np.zeros((m, n)), np.zeros((m, nq)), np.zeros(m)
         S = np.zeros((m, self.n_vars - nq))
         c0[:n] = 1.0
@@ -239,24 +239,18 @@ class ConvexSubproblem:
         if v is not None:
             obj[self._v_cols] = v
             R[2 * n + users, users] = per_b
-            W[2 * n : 3 * n] = own_q * (inst.amp_inefficiency * per_b)[:, None]
-            P[2 * n : 3 * n] = inst.static_power * per_b
+            W[2 * n : 3 * n] = own_q * (mee * inst.amp_inefficiency * per_b)[:, None]
+            P[2 * n : 3 * n] = mee * inst.static_power * per_b
             S[2 * n + users, self._v_cols - nq] = 1.0
         if u is not None:
             g = self._g_row
             obj[self.u_index] = u
             R[g] = per_b
-            W[g] = np.repeat(inst.amp_inefficiency * per_b, k)
-            P[g] = inst.static_power.sum() * per_b
+            W[g] = np.repeat(tee * inst.amp_inefficiency * per_b, k)
+            P[g] = tee * inst.static_power.sum() * per_b
             S[g, self.u_index - nq] = 1.0
-        if offsets is not None:
-            rows = [self._g_row + 1, self._g_row + 2]
-            obj[self.t_index] = 1.0
-            c0[rows] = offsets
-            A[rows, [self.u_index, self._v_cols[0]]] = 1.0
-            A[rows, self.t_index] = -1.0
         self.objective_vector = obj
-        self._c0, self._jacobian_template, self._R, self._W, self._P, self._S = c0, A, R, W, P, S
+        self._c0, self._R, self._W, self._P, self._S = c0, R, W, P, S
 
         # the derivative table: each power term's row and ln2-scaled coefficient,
         # the W terms first with their q columns; the term and flat position of
@@ -302,13 +296,13 @@ class ConvexSubproblem:
         self._c0_model = self._c0 + self._R @ (inst.bandwidth_per_block * offset)
         RA = self._R[:, None, :] * slope                     # R_mi B a_ik at [m, k, i]
         self._RA, self._RA_blocks = RA.reshape(m, nq), RA.transpose(1, 0, 2)
-        self._AR = self._jacobian_template.copy()
-        self._AR[:, :nq] += RA.transpose(0, 2, 1).reshape(m, nq)
+        self._AR = np.zeros((m, self.n_vars))
+        self._AR[:, :nq] = RA.transpose(0, 2, 1).reshape(m, nq)
         self._ln2_slope = LN2 * slope
 
     # -- variable packing ------------------------------------------------
 
-    def pack(self, q: np.ndarray, u: float | None = None, v=None, t: float | None = None) -> np.ndarray:
+    def pack(self, q: np.ndarray, u: float | None = None, v=None) -> np.ndarray:
         """The variable vector; values for columns this layout lacks are ignored.
 
         `v` is one threshold for every user or one per user; users that
@@ -320,8 +314,6 @@ class ConvexSubproblem:
             x[self.u_index] = u
         if self._v_cols is not None:
             x[self._v_cols] = v if self._v_cols[-1] > self._v_cols[0] else np.min(v)
-        if self.t_index is not None:
-            x[self.t_index] = t
         return x
 
     def unpack_q(self, x: np.ndarray) -> np.ndarray:
@@ -340,15 +332,15 @@ class ConvexSubproblem:
         """The expansion point with each threshold at its exact root: (x, c, kept pass).
 
         The roots are the model's log2 TEE and log2 EE_i, read off the
-        metrics report it was built from, and t is the weighted minimum of
-        those. The surrogate is tight at the expansion point, so every row
-        is nonnegative there and the threshold rows that bind are zero."""
+        metrics report it was built from; t is their weighted minimum, at
+        which g or the worst user's psi binds. The surrogate is tight at the
+        expansion point, so every row is nonnegative there and the threshold
+        rows that bind are zero."""
         m = self.model
         u, v = m.log2_ee_total, m.log2_ee
-        t = None
-        if self.t_index is not None:
-            t = log_objective(self._scalarization, u, float(v.min()))
-        x = self.pack(m.expansion_q, u=u, v=v, t=t)
+        if self._scalarization.kind is ScalarizationKind.WEIGHTED_MINIMUM:
+            u = v = log_objective(self._scalarization, u, float(v.min()))
+        x = self.pack(m.expansion_q, u=u, v=v)
         return (x, *self._rows(x, rate_evaluation(m, m.expansion_q)))
 
     def _rows(self, x: np.ndarray, ev):

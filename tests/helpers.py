@@ -216,14 +216,13 @@ def stabilized_rate_pass(model, q):
 
 
 def oracle_rows(sub, x):
-    """The rows c0 + A x + R rates(q) - 2^(S theta) * (W 2^q + P) from the layout's
-    own tables and the stabilized rate pass: (c, the pass, 2^q, 2^(S theta))."""
+    """The rows c0 + R rates(q) - 2^(S theta) * (W 2^q + P) from the layout's own
+    tables and the stabilized rate pass: (c, the pass, 2^q, 2^(S theta))."""
     q = sub.unpack_q(x)
     ev = stabilized_rate_pass(sub.model, q)
     exp_q = np.exp2(x[: sub.nq])
     scale = np.exp2(sub._S @ x[sub.nq :])
-    c = (sub._c0 + sub._jacobian_template @ x + sub._R @ ev[0]
-         - scale * (sub._W @ exp_q + sub._P))
+    c = sub._c0 + sub._R @ ev[0] - scale * (sub._W @ exp_q + sub._P)
     return c, ev, exp_q, scale
 
 
@@ -260,9 +259,9 @@ def dense_jacobian(sub, x):
     _, ev, exp_q, scale = oracle_rows(sub, x)
     consumed = sub._W @ exp_q + sub._P
     nq = sub.nq
-    G = sub._jacobian_template.copy()
-    G[:, :nq] += (sub._R @ rate_jacobian(sub.model, ev).reshape(sub.n_users, nq)
-                  - LN2 * scale[:, None] * sub._W * exp_q)
+    G = np.zeros((sub.n_constraints, sub.n_vars))
+    G[:, :nq] = (sub._R @ rate_jacobian(sub.model, ev).reshape(sub.n_users, nq)
+                 - LN2 * scale[:, None] * sub._W * exp_q)
     G[:, nq:] -= (LN2 * scale * consumed)[:, None] * sub._S
     return G
 

@@ -16,7 +16,7 @@ import yaml
 from eeopt.cli import EXIT_OK, main as cli_main
 from eeopt.engine import SolverConfig, run
 from eeopt.network import evaluate, is_feasible
-from eeopt.scalarization import weighted_product
+from eeopt.scalarization import ScalarizationKind, weighted_minimum, weighted_product
 from eeopt.scenario import (
     ScenarioConfig,
     generate,
@@ -188,7 +188,15 @@ def test_criterion_2_minorization_tightness_gradients():
     )
 
 
-def _true_pair_objective_grid(inst, w):
+def _natural_objective(scal, tee, mee):
+    """TEE^w MEE^(1-w), or min(TEE/w, MEE/(1-w)) for the weighted minimum."""
+    w = scal.weight
+    if scal.kind is ScalarizationKind.WEIGHTED_MINIMUM:
+        return np.minimum(tee / w, mee / (1.0 - w))
+    return tee**w * mee ** (1.0 - w)
+
+
+def _true_pair_objective_grid(inst, scal):
     pmax1, pmax2 = inst.max_power
     p1 = np.logspace(math.log10(pmax1 * 1e-6), math.log10(pmax1), 400)
     p2 = np.logspace(math.log10(pmax2 * 1e-6), math.log10(pmax2), 400)
@@ -204,35 +212,38 @@ def _true_pair_objective_grid(inst, w):
     c2 = inst.amp_inefficiency[1] * p2 + inst.static_power[1]
     tee = (r1 + r2) / (c1 + c2)
     mee = np.minimum(r1 / c1, r2 / c2)
-    return float(np.max(tee**w * mee ** (1.0 - w)))
+    return float(np.max(_natural_objective(scal, tee, mee)))
 
 
 def test_criterion_3_oracle_equivalence_at_desk_scale():
     rng = np.random.default_rng(303)
-    weights = (0.0, 0.5, 1.0)
+    labels = {"product w=0.0": weighted_product(0.0), "product w=0.5": weighted_product(0.5),
+              "product w=1.0": weighted_product(1.0), "minimum w=0.3": weighted_minimum(0.3),
+              "minimum w=0.7": weighted_minimum(0.7)}
     n_instances = 50
     shortfalls = []
-    successes = {w: 0 for w in weights}
+    successes = dict.fromkeys(labels, 0)
     for idx in range(n_instances):
         inst = random_instance(rng, 2, 1)
-        for w in weights:
-            result = run(inst, weighted_product(w), SolverConfig(tolerance=1e-4))
-            scal_value = result.metrics.ee_total ** w * result.metrics.ee_min ** (1.0 - w)
-            oracle = _true_pair_objective_grid(inst, w)
+        for label, scal in labels.items():
+            result = run(inst, scal, SolverConfig(tolerance=1e-4))
+            scal_value = _natural_objective(scal, result.metrics.ee_total, result.metrics.ee_min)
+            oracle = _true_pair_objective_grid(inst, scal)
             if scal_value >= oracle * (1.0 - 0.01):
-                successes[w] += 1
+                successes[label] += 1
             else:
-                shortfalls.append((idx, w, scal_value, oracle))
-    for idx, w, got, want in shortfalls:
-        print(f"    shortfall: instance {idx}, w={w}: {got:.6g} vs oracle {want:.6g} "
+                shortfalls.append((idx, label, scal_value, oracle))
+    for idx, label, got, want in shortfalls:
+        print(f"    shortfall: instance {idx}, {label}: {got:.6g} vs oracle {want:.6g} "
               f"({(1 - got / want) * 100:.2f}% below)")
-    rates = {w: successes[w] / n_instances for w in weights}
+    rates = {label: successes[label] / n_instances for label in labels}
     ok = all(rate >= 0.9 for rate in rates.values())
     criterion(
         3,
-        f"within 1% of a 400x400 grid oracle on {n_instances} random two-user instances",
+        "weighted product and weighted minimum within 1% of a 400x400 grid oracle "
+        f"on {n_instances} random two-user instances",
         ok,
-        "success rates " + ", ".join(f"w={w}: {rates[w]:.0%}" for w in weights),
+        "success rates " + ", ".join(f"{label}: {rate:.0%}" for label, rate in rates.items()),
     )
 
 

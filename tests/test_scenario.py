@@ -376,6 +376,7 @@ class TestWorkers:
         monkeypatch.delenv("EEOPT_WORKERS", raising=False)
         assert resolve_workers(None) == 1
         assert resolve_workers(4) == 4
+        assert resolve_workers(np.int64(2)) == 2
         monkeypatch.setenv("EEOPT_WORKERS", "3")
         assert resolve_workers(None) == 3
 
@@ -387,6 +388,12 @@ class TestWorkers:
         monkeypatch.setenv("EEOPT_WORKERS", "0")
         with pytest.raises(DomainError, match="EEOPT_WORKERS"):
             resolve_workers(None)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+    def test_non_integer_workers_is_an_error(self, workers):
+        # int() once turned these into 1, 2 and 1 worker
+        with pytest.raises(DomainError, match="workers"):
+            resolve_workers(workers)
 
     @pytest.mark.parametrize("study", ["pareto", "trend", "convergence"])
     def test_parallel_matches_serial(self, study):

@@ -8,7 +8,7 @@ from eeopt import solver
 from eeopt.engine import RunStatus, SolverConfig, default_initial_point, run
 from eeopt.errors import DomainError, ShapeError
 from eeopt.network import NetworkInstance, evaluate
-from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
+from eeopt.scalarization import ScalarizationKind, product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import (
     ConvexSubproblem,
@@ -153,7 +153,7 @@ class TestSubproblemStructure:
         "scal,expect_m,expect_extra_vars",
         [
             (weighted_product(0.4), 3 * 3 + 1, 2),   # q + u + v
-            (weighted_minimum(0.5), 3 * 3 + 3, 3),   # q + u + v + t
+            (weighted_minimum(0.5), 3 * 3 + 1, 1),   # q + t
             (product_ee(), 3 * 3, 3),                # q + v_i
             (weighted_product(1.0), 2 * 3 + 1, 1),   # q + u
             (weighted_product(0.0), 3 * 3, 1),       # q + v
@@ -167,52 +167,46 @@ class TestSubproblemStructure:
         assert sub.n_vars == 3 * 2 + expect_extra_vars
 
     # 3 users x 2 blocks: q fills columns 0..5; rows are 3 power, 3 rate,
-    # [3 psi], [g], [2 epigraph].
+    # [3 psi], [g]; the weighted minimum's one column t scales both psi and g.
     @pytest.mark.parametrize(
-        "scal, n_rows, objective_tail, u_col, v_cols, t_col",
+        "scal, n_rows, objective_tail, u_col, v_cols",
         [
-            (weighted_product(0.7), 10, [0.7, 1.0 - 0.7], 6, [7, 7, 7], None),
-            (weighted_product(0.0), 9, [1.0], None, [6, 6, 6], None),
-            (weighted_product(1.0), 7, [1.0], 6, None, None),
-            (weighted_minimum(0.5), 12, [0.0, 0.0, 1.0], 6, [7, 7, 7], 8),
-            (weighted_minimum(0.2), 12, [0.0, 0.0, 1.0], 6, [7, 7, 7], 8),
-            (product_ee(), 9, [1.0, 1.0, 1.0], None, [6, 7, 8], None),
+            (weighted_product(0.7), 10, [0.7, 1.0 - 0.7], 6, [7, 7, 7]),
+            (weighted_product(0.0), 9, [1.0], None, [6, 6, 6]),
+            (weighted_product(1.0), 7, [1.0], 6, None),
+            (weighted_minimum(0.5), 10, [1.0], 6, [6, 6, 6]),
+            (weighted_minimum(0.2), 10, [1.0], 6, [6, 6, 6]),
+            (product_ee(), 9, [1.0, 1.0, 1.0], None, [6, 7, 8]),
         ],
         ids=["wp-0.7", "wp-0", "wp-1", "wm-0.5", "wm-0.2", "product-ee"],
     )
-    def test_layout(self, scal, n_rows, objective_tail, u_col, v_cols, t_col):
+    def test_layout(self, scal, n_rows, objective_tail, u_col, v_cols):
         rng = np.random.default_rng(40)
         inst = random_instance(rng, 3, 2)
         model = expand(inst, random_alloc(rng, inst))
         sub = ConvexSubproblem(model, scal)
         assert (sub.n_vars, sub.n_constraints) == (6 + len(objective_tail), n_rows)
         np.testing.assert_array_equal(sub.objective_vector, [0.0] * 6 + objective_tail)
-        assert (sub.u_index, sub.t_index) == (u_col, t_col)
+        assert sub.u_index == u_col
         if v_cols is None:
             assert sub._v_cols is None
         else:
             np.testing.assert_array_equal(sub._v_cols, v_cols)
-
-        # constant Jacobian entries: the epigraph rows
-        expected = np.zeros((n_rows, sub.n_vars))
-        if t_col is not None:
-            expected[n_rows - 2, [u_col, t_col]] = 1.0, -1.0
-            expected[n_rows - 1, [v_cols[0], t_col]] = 1.0, -1.0
-        np.testing.assert_array_equal(sub._jacobian_template, expected)
-
-        if v_cols is not None:
             # users sharing a column get the smallest of their thresholds
-            x = sub.pack(model.expansion_q, u=0.0, v=[0.3, -0.1, 0.2], t=0.0)
+            x = sub.pack(model.expansion_q, u=0.0, v=[0.3, -0.1, 0.2])
             shared = len(set(v_cols)) == 1
             np.testing.assert_array_equal(x[v_cols], [-0.1] * 3 if shared else [0.3, -0.1, 0.2])
 
-        if t_col is not None:
-            # epigraph rows u - log2 w - t and v - log2(1 - w) - t
-            c, _, _ = sub.evaluate(sub.pack(model.expansion_q, u=0.25, v=0.5, t=0.125),
-                                   with_grad=False)
-            w = scal.weight
-            np.testing.assert_allclose(
-                c[-2:], [0.25 - np.log2(w) - 0.125, 0.5 - np.log2(1.0 - w) - 0.125], rtol=1e-15)
+        if scal.kind is ScalarizationKind.WEIGHTED_MINIMUM:
+            # the rows at t are the weighted product's at u = t + log2 w and
+            # v = t + log2(1 - w), where the epigraph of the minimum binds
+            w, product = scal.weight, ConvexSubproblem(model, weighted_product(0.5))
+            for t in (-1.5, 0.125, 2.0):
+                c, _, _ = sub.evaluate(sub.pack(model.expansion_q, v=t), with_grad=False)
+                want, _, _ = product.evaluate(
+                    product.pack(model.expansion_q, u=t + np.log2(w), v=t + np.log2(1.0 - w)),
+                    with_grad=False)
+                np.testing.assert_allclose(c, want, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize(
         "scal",
@@ -222,12 +216,14 @@ class TestSubproblemStructure:
     )
     def test_rows_match_their_formulas_away_from_the_expansion_point(self, scal):
         # every row written out from the rates and the instance fields, in the
-        # documented order: power, floor, [psi], [g], [epigraph]
+        # documented order: power, floor, [psi], [g]; the weighted minimum's
+        # psi and g carry 1 - w and w on their power terms
         rng = np.random.default_rng(52)
         inst = random_instance(rng, 3, 2, min_rate=0.4, bandwidth=2.5)
         model = expand(inst, random_alloc(rng, inst))
         sub = ConvexSubproblem(model, scal)
-        b = inst.bandwidth_per_block
+        b, w = inst.bandwidth_per_block, scal.weight
+        tee, mee = (w, 1.0 - w) if scal.kind is ScalarizationKind.WEIGHTED_MINIMUM else (1.0, 1.0)
         for _ in range(5):
             x = sub.start()[0] + rng.uniform(-1.0, 1.0, size=sub.n_vars)
             c, _, _ = sub.evaluate(x, with_grad=False)
@@ -237,12 +233,10 @@ class TestSubproblemStructure:
             consumed = inst.amp_inefficiency * power + inst.static_power
             expected = [1.0 - power / inst.max_power, (rates - inst.min_rate) / b]
             if sub._v_cols is not None:
-                expected.append((rates - consumed * np.exp2(x[sub._v_cols])) / b)
+                expected.append((rates - mee * consumed * np.exp2(x[sub._v_cols])) / b)
             if sub.u_index is not None:
-                expected.append([(rates.sum() - consumed.sum() * np.exp2(x[sub.u_index])) / b])
-            if sub.t_index is not None:
-                u, v, t, w = x[sub.u_index], x[sub._v_cols[0]], x[sub.t_index], scal.weight
-                expected.append([u - np.log2(w) - t, v - np.log2(1.0 - w) - t])
+                expected.append([(rates.sum() - tee * consumed.sum() * np.exp2(x[sub.u_index]))
+                                 / b])
             np.testing.assert_allclose(c, np.concatenate(expected), rtol=1e-12, atol=1e-12)
 
     def test_increasing_u_decreases_total_ee_slack(self):
@@ -482,14 +476,16 @@ class TestStart:
             np.testing.assert_array_equal(sub.unpack_q(x), np.log2(p))
             np.testing.assert_array_equal(c, sub.evaluate(x, with_grad=False)[0])
             assert c.min() >= -1e-12
+            if scal.kind is ScalarizationKind.WEIGHTED_MINIMUM:
+                # t meets the smaller root: only g or the worst user's psi binds
+                assert abs(c[2 * n :].min()) <= 1e-12
+                continue
             if sub._v_cols is not None:
                 psi = c[2 * n : 3 * n]
                 # per-user columns meet every root; a shared v meets the smallest
                 assert np.abs(psi if scal == product_ee() else psi.min()).max() <= 1e-12
             if sub.u_index is not None:
                 assert abs(c[sub._g_row]) <= 1e-12
-            if sub.t_index is not None:
-                assert abs(c[-2:].min()) <= 1e-12
 
     def test_expansion_point_rows_are_nonnegative_and_thresholds_at_their_roots(
             self, monkeypatch):
@@ -515,6 +511,11 @@ class TestStart:
             want = log_true_objective(scal, report)
             assert abs(float(sub.objective_vector @ x) - want) <= 4 * np.spacing(abs(want))
             # each binding threshold row, at 0 within 1e-12 of its rate term
+            if scal.kind is ScalarizationKind.WEIGHTED_MINIMUM:
+                # t binds g or the worst user's psi, whichever attains the minimum
+                slack = c[2 * n :] / (np.append(report.rate, report.rate_total) * per_b)
+                assert abs(slack.min()) <= 1e-12
+                continue
             if sub._v_cols is not None:
                 psi, scale = c[2 * n : 3 * n], report.rate * per_b
                 binding = (np.arange(n) if np.unique(sub._v_cols).size == n
@@ -522,8 +523,6 @@ class TestStart:
                 assert np.all(np.abs(psi[binding]) <= 1e-12 * scale[binding])
             if sub.u_index is not None:
                 assert abs(c[sub._g_row]) <= 1e-12 * report.rate_total * per_b
-            if sub.t_index is not None:
-                assert abs(c[-2:].min()) <= 1e-12 * np.abs(x[sub.nq :]).max()
 
     def test_tight_rate_floor_solves_optimal(self):
         p0 = np.array([[2.5]])
@@ -614,6 +613,30 @@ class TestSolve:
             assert sol.x.shape == (sub.n_vars,)
             assert sol.multipliers.shape == (sub.n_constraints,)
             np.testing.assert_array_equal(sol.q, sol.x[: sub.nq].reshape(3, 2))
+
+    @pytest.mark.parametrize("w", [0.3, 0.7])
+    @pytest.mark.parametrize("case", ["paper-scale", "random-3x2"])
+    def test_one_column_solves_the_weighted_minimums_epigraph(self, case, w):
+        # the optimal t is the weighted minimum of the surrogate TEE and MEE at q*:
+        # the epigraph of min(u - log2 w, v - log2(1-w)) binds, as it would with
+        # u and v columns of their own
+        inst = (paper_scale_instance() if case == "paper-scale"
+                else random_instance(np.random.default_rng(7), 3, 2))
+        model = expand(inst, default_initial_point(inst))
+        sub = ConvexSubproblem(model, weighted_minimum(w))
+        sol = solve(sub, tol=1e-10)
+        assert sol.status is SubproblemStatus.OPTIMAL
+        rates = rate_rows(model, sol.q)[0]
+        consumed = inst.amp_inefficiency * np.exp2(sol.q).sum(axis=1) + inst.static_power
+        u = np.log2(rates.sum() / consumed.sum())
+        v = np.log2((rates / consumed).min())
+        t = sol.x[sub.nq]
+        assert abs(t - min(u - np.log2(w), v - np.log2(1.0 - w))) <= 1e-8
+        # g or the psi of the worst user binds
+        c, _, _ = sub.evaluate(sol.x, with_grad=False)
+        n = inst.n_users
+        assert min(c[sub._g_row], c[2 * n : 3 * n].min()) <= 1e-8
+        assert c.min() >= -1e-10
 
     def test_deterministic_iterates(self):
         rng = np.random.default_rng(46)
@@ -773,8 +796,8 @@ class TestGridOracles:
         sub = ConvexSubproblem(model, scal)
         sol = solve(sub, tol=1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
-        # symmetric data, symmetric start: thresholds coincide at the optimum
-        assert abs(sol.x[sub.u_index] - sol.x[sub._v_cols[0]]) <= 1e-6
+        # symmetric data, symmetric start: the two powers coincide at the optimum
+        assert abs(sol.q[0, 0] - sol.q[1, 0]) <= 1e-6
 
         coarse, p1c, p2c = pair_grid_objective(inst, model, scal, 1e-6, 4.0, 400)
         lo = max(1e-7, min(p1c, p2c) * 0.5)
