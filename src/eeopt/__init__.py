@@ -38,7 +38,7 @@ from .scalarization import (
 )
 from .scenario import (
     ScenarioConfig,
-    SweepResult,
+    SweepRow,
     convergence_study,
     generate,
     pareto_sweep,
@@ -71,7 +71,7 @@ __all__ = [
     "SubproblemSolution",
     "SubproblemStatus",
     "SurrogateModel",
-    "SweepResult",
+    "SweepRow",
     "bound_coefficients",
     "build",
     "convergence_study",

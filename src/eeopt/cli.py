@@ -337,7 +337,7 @@ class _Resolved:
 
 
 def _cmd_solve(cfg: _Resolved):
-    inst = cfg.instance if cfg.instance is not None else generate(cfg.scenario, cfg.seed)
+    inst = cfg.instance if cfg.instance is not None else generate(cfg.scenario, cfg.scenario.seed)
     result = run(inst, cfg.scalarization, cfg.solver)
     m = result.metrics
     rows = [
@@ -379,19 +379,19 @@ def _cmd_sweep(study, table: str, columns: list[str], cfg: _Resolved, trials: in
     `study(cfg, **grid, trials=..., solver_config=..., workers=...)` calls
     the library study. The table has one line per row and a column per
     grid parameter or SweepRow field, in the given order; `iters_mean` is
-    `iterations_mean` and `seed` the master seed.
+    `iterations_mean` and `seed` the scenario's master seed.
     """
-    result = study(cfg, **grid, trials=trials, solver_config=cfg.solver, workers=cfg.workers)
+    rows = study(cfg, **grid, trials=trials, solver_config=cfg.solver, workers=cfg.workers)
 
     def cell(row, column):
         if column in row.params:
             return row.params[column]
         if column == "seed":
-            return result.master_seed
+            return cfg.scenario.seed
         return getattr(row, "iterations_mean" if column == "iters_mean" else column)
 
-    tables = {table: (columns, [[cell(row, c) for c in columns] for row in result.rows])}
-    return tables, {"rows": len(result.rows), "trials": result.trials}, result.rows
+    tables = {table: (columns, [[cell(row, c) for c in columns] for row in rows])}
+    return tables, {"rows": len(rows), "trials": trials}, rows
 
 
 def _file_number(x: float) -> str:

@@ -9,11 +9,13 @@ that one was certified: the layout is the same, and consecutive
 surrogates differ little near convergence.
 
 The trajectory is the true objective sequence f_l = f(p_l): the
-log-domain scalarization of the TEE and MEE that the allocation p_l
+log-domain scalarization of the efficiencies that the allocation p_l
 achieves. Each accepted allocation, the start included, gets exactly one
 network pass (`is_feasible`, which evaluates it once). That report gives
 the feasibility flag, the run's metrics, and the surrogate built there,
-whose log2 TEE and EE_i give f_l and the next subproblem's thresholds.
+whose log2 TEE and EE_i give f_l, by `log_objective`, and the next
+subproblem's thresholds. An EE of 0 makes `log_objective` raise a
+DomainError unless the weighted product at w = 1 ignores it.
 
 The subproblem starts at the expansion point p_{l-1} with its thresholds
 at those roots, where the surrogate is tight, so its start objective is
@@ -49,9 +51,9 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleInitialPointError, check_integer
 from .network import MetricsReport, NetworkInstance, is_feasible
-from .scalarization import Scalarization, ScalarizationKind, log_objective
+from .scalarization import Scalarization, log_objective
 from .solver import ConvexSubproblem, SubproblemStatus, solve
-from .surrogate import SurrogateModel, build
+from .surrogate import build
 
 __all__ = [
     "SolverConfig",
@@ -71,11 +73,10 @@ class SolverConfig:
     kkt_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be > 0")
+        for name in ("tolerance", "kkt_tolerance"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be finite and > 0")
         check_integer("max_outer_iterations", self.max_outer_iterations, 1)
-        if not self.kkt_tolerance > 0:
-            raise DomainError("kkt_tolerance must be > 0")
 
 
 class RunStatus(Enum):
@@ -107,7 +108,6 @@ class SolveResult:
     iterations: int           # L, outer iterations executed
     iteration_stats: list[IterationStats]
     status: RunStatus
-    scalarization: Scalarization
 
     @property
     def uncertified_subproblems(self) -> int:
@@ -124,19 +124,6 @@ def default_initial_point(instance: NetworkInstance) -> np.ndarray:
     """Spread each user's power budget uniformly over the blocks."""
     k = instance.n_blocks
     return np.tile(instance.max_power[:, None] / k, (1, k))
-
-
-def _trajectory_value(s: Scalarization, model: SurrogateModel):
-    """(f, log2 TEE, log2 MEE) at a surrogate's expansion point, from its log2 efficiencies.
-
-    A user whose true rate underflows to 0 has log2 EE = -inf, which
-    only the weighted product at w = 1 tolerates, as its v weight is 0.
-    """
-    u, log_ee = model.log2_ee_total, model.log2_ee
-    v = float(log_ee.min())
-    if s.kind is ScalarizationKind.PRODUCT_EE:
-        return float(log_ee.sum()), u, v
-    return log_objective(s, u, v), u, v
 
 
 def run(instance: NetworkInstance, scalarization: Scalarization,
@@ -158,7 +145,8 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         )
 
     model = build(instance, p, feas.report)
-    f_prev, u_start, v_start = _trajectory_value(scalarization, model)
+    f_prev = log_objective(scalarization, model.log2_ee_total, model.log2_ee)
+    start_log2_ee = model.log2_ee_total, float(model.log2_ee.min())
     trajectory = [f_prev]
     stats: list[IterationStats] = []
     status = RunStatus.ITERATION_CAP
@@ -175,7 +163,7 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         p = np.exp2(sol.q)
         feas = is_feasible(instance, p, tol=1e-6)
         model = build(instance, p, feas.report)
-        f_l, u, v = _trajectory_value(scalarization, model)
+        f_l = log_objective(scalarization, model.log2_ee_total, model.log2_ee)
         trajectory.append(f_l)
         ascent = sol.status is SubproblemStatus.ASCENT
         certified = ascent or sol.status is SubproblemStatus.OPTIMAL
@@ -184,8 +172,8 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
             IterationStats(
                 index=l,
                 objective=f_l,
-                u=u,
-                v=v,
+                u=model.log2_ee_total,
+                v=float(model.log2_ee.min()),
                 kkt_residual=sol.kkt_residual,
                 newton_iterations=sol.newton_iterations,
                 subproblem_status=sol.status,
@@ -204,9 +192,8 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
         allocation=p,
         metrics=feas.report,
         trajectory=np.asarray(trajectory),
-        start_log2_ee=(u_start, v_start),
+        start_log2_ee=start_log2_ee,
         iterations=len(trajectory) - 1,
         iteration_stats=stats,
         status=status,
-        scalarization=scalarization,
     )

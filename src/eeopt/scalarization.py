@@ -6,9 +6,10 @@ Three built-in objectives over x = total EE and y = min per-user EE:
 * weighted minimum   min(x/w, y/(1-w))
 * product of EEs     prod_i EE_i  (baseline; ignores the weight)
 
-In log2 variables u = log2 x, v = log2 y the first two become the
-concave functions w*u + (1-w)*v and min(u - log2 w, v - log2(1-w)),
-which is what the convex subproblems maximize.
+In log2 variables u = log2 x and the users' log2 EE_i, whose minimum is
+v = log2 y, they become the concave w*u + (1-w)*v, min(u - log2 w,
+v - log2(1-w)) and sum_i log2 EE_i, which the convex subproblems
+maximize and `log_objective` alone scores.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -63,14 +66,22 @@ def product_ee() -> Scalarization:
     return Scalarization(ScalarizationKind.PRODUCT_EE, 0.5)
 
 
-def log_objective(s: Scalarization, u: float, v: float) -> float:
-    """Concave log-domain objective at u = log2 TEE, v = log2 MEE.
+def log_objective(s: Scalarization, u: float, log_ee) -> float:
+    """Concave log-domain objective at u = log2 TEE and the users' log2 EE_i.
 
-    The weighted product at w = 1 (w = 0) is u (v) alone, and only that
-    term must be finite: the other has weight 0, as its column has in
-    the subproblem.
+    `log_ee` is the users' log2 EE_i or, for the two trade-offs, their
+    minimum: v = log2 MEE is its minimum, and product-EE its sum. Every
+    term the objective uses must be finite. The weighted product at w = 1
+    (w = 0) is u (v) alone: the other term has weight 0, as its column has
+    in the subproblem.
     """
     w = s.weight
+    if s.kind is ScalarizationKind.PRODUCT_EE:
+        f = float(np.sum(log_ee))
+        if not math.isfinite(f):
+            raise DomainError("every user's log2 EE must be finite")
+        return f
+    v = float(np.min(log_ee))
     if s.kind is ScalarizationKind.WEIGHTED_PRODUCT and w in (0.0, 1.0):
         term = u if w == 1.0 else v
         if not math.isfinite(term):
@@ -80,7 +91,4 @@ def log_objective(s: Scalarization, u: float, v: float) -> float:
         raise DomainError("u and v must be finite")
     if s.kind is ScalarizationKind.WEIGHTED_PRODUCT:
         return w * u + (1.0 - w) * v
-    if s.kind is ScalarizationKind.WEIGHTED_MINIMUM:
-        return min(u - math.log2(w), v - math.log2(1.0 - w))
-    raise DomainError("product-EE objective is not a function of (u, v)")
-
+    return min(u - math.log2(w), v - math.log2(1.0 - w))

@@ -43,7 +43,6 @@ from .units import db_to_linear, dbm_to_watts
 __all__ = [
     "ScenarioConfig",
     "SweepRow",
-    "SweepResult",
     "generate",
     "trial_seed",
     "pareto_sweep",
@@ -213,13 +212,6 @@ class SweepRow:
                    default=None)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: list[SweepRow]
-    master_seed: int
-    trials: int
-
-
 def resolve_workers(workers: int | None = None) -> int:
     """Sweep worker processes: the integer argument, else EEOPT_WORKERS, else 1; at least 1."""
     if workers is not None:
@@ -278,7 +270,7 @@ def _grid_trial(args) -> list[SolveResult]:
 
 
 def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
-              solver_config: SolverConfig | None, workers: int | None) -> SweepResult:
+              solver_config: SolverConfig | None, workers: int | None) -> list[SweepRow]:
     """Every cell on every trial's instance, one row per cell."""
     check_integer("trials", trials, 1)
     workers = resolve_workers(workers)
@@ -291,8 +283,7 @@ def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_grid_trial, tasks))
-    rows = [_sweep_row(cell.params, runs) for cell, runs in zip(cells, zip(*per_trial))]
-    return SweepResult(rows=rows, master_seed=config.seed, trials=trials)
+    return [_sweep_row(cell.params, runs) for cell, runs in zip(cells, zip(*per_trial))]
 
 
 def _sweep_row(params: dict, runs: tuple[SolveResult, ...]) -> SweepRow:
@@ -319,7 +310,7 @@ def _weights(values) -> list[float]:
 
 def pareto_sweep(config: ScenarioConfig, w_grid, kind="weighted_product", trials: int = 1,
                  solver_config: SolverConfig | None = None, include_product_ee: bool = False,
-                 workers: int | None = None) -> SweepResult:
+                 workers: int | None = None) -> list[SweepRow]:
     """Trade-off points (min EE, total EE) over a weight grid, trial-averaged.
 
     Each trial draws one instance and runs every weight on it, so the
@@ -335,7 +326,7 @@ def pareto_sweep(config: ScenarioConfig, w_grid, kind="weighted_product", trials
 
 def trend_study(config: ScenarioConfig, d2d_distances, w_list, trials: int = 1,
                 solver_config: SolverConfig | None = None,
-                workers: int | None = None) -> SweepResult:
+                workers: int | None = None) -> list[SweepRow]:
     """Averaged total EE and fairness index versus D2D link distance and weight."""
     d2d_distances = _checked("distances", d2d_distances, lambda d: 0 < d < math.inf,
                              "be finite and > 0")
@@ -347,7 +338,7 @@ def trend_study(config: ScenarioConfig, d2d_distances, w_list, trials: int = 1,
 
 def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trials: int = 1,
                       solver_config: SolverConfig | None = None,
-                      workers: int | None = None) -> SweepResult:
+                      workers: int | None = None) -> list[SweepRow]:
     """Iteration counts per (weight, start scale, tolerance), with the iteration bound.
 
     Each row carries the method's iteration bound per trial,
@@ -358,14 +349,14 @@ def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trial
     """
     w_list = _weights(w_list)
     zeta_list = _checked("zetas", zeta_list, lambda z: 0.0 < z <= 1.0, "lie in (0, 1]")
-    epsilons = _checked("epsilons", epsilons, lambda e: e > 0.0, "be > 0")
+    epsilons = _checked("epsilons", epsilons, lambda e: 0.0 < e < math.inf, "be finite and > 0")
     cells = [
         _Cell(weighted_product(w), {"w": w, "zeta": zeta, "epsilon": eps})
         for w in w_list for zeta in zeta_list for eps in epsilons
     ]
-    result = _run_grid(config, cells, trials, solver_config, workers)
+    rows = _run_grid(config, cells, trials, solver_config, workers)
     best = {}     # (w, zeta) -> per-trial best final objective over the tolerances
-    for row in result.rows:
+    for row in rows:
         key = row.params["w"], row.params["zeta"]
         best[key] = np.maximum(best.get(key, -np.inf), [r.trajectory[-1] for r in row.runs])
 
@@ -377,4 +368,4 @@ def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trial
         return tuple(bound(float(r.trajectory[0]), float(f), row.params["epsilon"])
                      for r, f in zip(row.runs, f_best))
 
-    return replace(result, rows=[replace(row, bounds=bounds(row)) for row in result.rows])
+    return [replace(row, bounds=bounds(row)) for row in rows]

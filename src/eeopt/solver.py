@@ -187,24 +187,18 @@ class ConvexSubproblem:
     """
 
     def __init__(self, model: SurrogateModel, scalarization: Scalarization):
+        # the objective weights of u and v, None where the column and its rows are
+        # absent; `per_user` gives each user its own v column, and `minimum` = w
+        # makes u and v one column t, with g's power terms times w and psi's times 1 - w
         kind, w, inst = scalarization.kind, scalarization.weight, model.instance
         self._scalarization = scalarization
+        u, v, per_user, minimum = None, 1.0, False, None
         if kind is ScalarizationKind.WEIGHTED_PRODUCT:
-            self._lay_out(inst, u=w if w > 0.0 else None, v=1.0 - w if w < 1.0 else None)
+            u, v = (w if w > 0.0 else None), (1.0 - w if w < 1.0 else None)
         elif kind is ScalarizationKind.WEIGHTED_MINIMUM:
-            self._lay_out(inst, u=1.0, v=1.0, minimum=w)
+            u, minimum = 1.0, w
         else:
-            self._lay_out(inst, v=1.0, per_user=True)
-        self.model = model
-
-    def _lay_out(self, inst, u=None, v=None, per_user=False, minimum=None):
-        """Columns, objective, row tables and derivative table of one shape.
-
-        `u` and `v` are the objective weights of the threshold columns, None
-        where the column and its rows are absent; `per_user` gives each user
-        its own v column. `minimum` = w makes u and v one column t, with g's
-        power terms times w and psi's times 1 - w.
-        """
+            per_user = True
         n, k = inst.n_users, inst.n_blocks
         self.n_users, self.n_blocks = n, k
         self.nq = nq = n * k
@@ -280,6 +274,7 @@ class ConvexSubproblem:
         # scratch of one `jacobian` call
         self._share_term = np.zeros((m, nv))
         self._share_blocks = self._share_term[:, :nq].reshape(m, n, k).transpose(2, 0, 1)
+        self.model = model
 
     @property
     def model(self) -> SurrogateModel:
@@ -288,7 +283,7 @@ class ConvexSubproblem:
     @model.setter
     def model(self, model: SurrogateModel):
         """Swap in a surrogate, folding its rate offset b + a log2 w_ii and slope B a into
-        c0', AR and RA (RA's columns k-major, as the rate pass's `log_total`)."""
+        c0', AR and RA (RA's columns k-major, as the rate pass's interference sum)."""
         self._model = model
         m, nq, inst = self.n_constraints, self.nq, model.instance
         slope = (inst.bandwidth_per_block * model.a).T       # B a at [k, i]
@@ -323,9 +318,9 @@ class ConvexSubproblem:
 
     def evaluate(self, x: np.ndarray, with_grad: bool = True):
         """Normalized constraint values, optional Jacobian, and the kept pass
-        (interference pass, 2^(S theta)) that `jacobian` reads the derivatives
-        from; without the Jacobian this is the value pass."""
-        c, kept = self._rows(x, rate_evaluation(self.model, self.unpack_q(x)))
+        (2^q, interference sum, 2^(S theta)) that `jacobian` reads the
+        derivatives from; without the Jacobian this is the value pass."""
+        c, kept = self._rows(x, *rate_evaluation(self.model, self.unpack_q(x)))
         return c, (self.jacobian(kept)[0] if with_grad else None), kept
 
     def start(self):
@@ -339,25 +334,27 @@ class ConvexSubproblem:
         m = self.model
         u, v = m.log2_ee_total, m.log2_ee
         if self._scalarization.kind is ScalarizationKind.WEIGHTED_MINIMUM:
-            u = v = log_objective(self._scalarization, u, float(v.min()))
+            u = v = log_objective(self._scalarization, u, v)
         x = self.pack(m.expansion_q, u=u, v=v)
-        return (x, *self._rows(x, rate_evaluation(m, m.expansion_q)))
+        return (x, *self._rows(x, *rate_evaluation(m, m.expansion_q)))
 
-    def _rows(self, x: np.ndarray, ev):
-        """Constraint values at x from the interference pass `ev` at x's q, and the kept pass."""
+    def _rows(self, x: np.ndarray, power: np.ndarray, total: np.ndarray):
+        """Constraint values at x from the rate pass (2^q, interference sum) at x's q,
+        and the kept pass."""
         scale = np.exp2(self._S @ x[self.nq :])
-        c = (self._c0_model + self._AR @ x - self._RA @ ev.log_total.ravel()
-             - scale * (self._W @ ev.power.ravel() + self._P))
-        return c, (ev, scale)
+        c = (self._c0_model + self._AR @ x - self._RA @ np.log2(total).ravel()
+             - scale * (self._W @ power.ravel() + self._P))
+        return c, (power, total, scale)
 
     def jacobian(self, kept):
         """The derivatives at a kept pass's point: (G, u, shares), with G = AR - RA shares
         - U Z[m:], u the power-term coefficients and the shares s_jik at [k, i, j]; the
         tuple is what `newton_matrix` reads."""
-        ev, scale = kept
-        sh = ev.shares()
+        power, total, scale = kept
+        sh = self.model.instance.cross_gain() * power.T[:, None, :]
+        sh /= total[:, :, None]
         u = scale[self._term_rows] * self._term_coef
-        u[: self._term_q.size] *= ev.power.ravel()[self._term_q]
+        u[: self._term_q.size] *= power.ravel()[self._term_q]
         np.matmul(self._RA_blocks, sh, out=self._share_blocks)
         term, flat = self._jac_pattern
         powers = np.bincount(flat, u[term], minlength=self._share_term.size)
@@ -526,6 +523,8 @@ def solve(sub: ConvexSubproblem, tol: float = 1e-8,
     whose objective beats the start's by at least 2 min_gain (see the
     module docstring); None always solves to the certificate.
     """
+    if not 0 < tol < math.inf:
+        raise DomainError("tol must be finite and > 0")
     if min_gain is not None and not min_gain >= 0:
         raise DomainError("min_gain must be >= 0")
     if multipliers is not None:

@@ -25,10 +25,11 @@ rates, psi and g exist only as the subproblem's constraint rows, which
 derivative. At the expansion point the roots of psi and g are the
 report's log2 EE_i and log2 TEE.
 
-One evaluation pass sums the interference in linear power, total_ik =
-sum_{j!=i} w_ji 2^{q_j^k} + noise_ik, by calling the instance's one
-interference kernel, `network.interference_plus_noise`, at p = 2^q, and
-takes log2 of it once. The solver reads the interference shares
+One evaluation pass, `rate_evaluation`, returns 2^q and the interference
+summed in linear power, total_ik = sum_{j!=i} w_ji 2^{q_j^k} + noise_ik,
+by calling the instance's one interference kernel,
+`network.interference_plus_noise`, at p = 2^q. The solver takes log2 of
+the sum once for the rows, and forms the interference shares
 s_jik = w_ji 2^{q_j^k} / total_ik from the instance's cross-gain table:
 
     d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik)
@@ -54,7 +55,6 @@ from .network import MetricsReport, NetworkInstance, interference_plus_noise
 
 __all__ = [
     "SurrogateModel",
-    "RateEvaluation",
     "bound_coefficients",
     "build",
     "rate_evaluation",
@@ -116,27 +116,11 @@ def build(instance: NetworkInstance, alloc: np.ndarray, report: MetricsReport) -
                           log2_ee_total=log2_ee_total, log2_ee=log2_ee)
 
 
-@dataclass(slots=True)
-class RateEvaluation:
-    """The interference at one q, from which the solver's rows take the rates."""
-
-    model: SurrogateModel
-    power: np.ndarray       # (N, K): 2^q
-    total: np.ndarray       # (K, N): user i's interference plus noise at [k, i]
-    log_total: np.ndarray   # (K, N)
-
-    def shares(self) -> np.ndarray:
-        """The interference shares s_jik at [k, i, j]."""
-        out = self.model.instance.cross_gain() * self.power.T[:, None, :]
-        out /= self.total[:, :, None]
-        return out
-
-
-def rate_evaluation(model: SurrogateModel, q: np.ndarray) -> RateEvaluation:
-    """Sum the interference at q in one pass."""
+def rate_evaluation(model: SurrogateModel, q: np.ndarray):
+    """Sum the interference at q in one pass: (2^q (N, K), user i's interference
+    plus noise at [k, i])."""
     q = np.asarray(q, dtype=float)
     if q.shape != model.expansion_q.shape:
         raise ShapeError(f"q shape {q.shape} does not match instance {model.expansion_q.shape}")
     power = np.exp2(q)
-    total = interference_plus_noise(model.instance, power)
-    return RateEvaluation(model, power, total, np.log2(total))
+    return power, interference_plus_noise(model.instance, power)

@@ -272,14 +272,13 @@ def test_criterion_5_fairness_endpoint(engine_runs):
 
 def test_criterion_6_pareto_geometry():
     config = ScenarioConfig(d2d_distance=10.0, seed=60)
-    result = pareto_sweep(
+    rows = pareto_sweep(
         config,
         [i / 20 for i in range(21)],
         trials=TRIALS,
         solver_config=SolverConfig(tolerance=1e-3),
         workers=WORKERS,
     )
-    rows = result.rows
     above_diagonal = all(r.tee_mean >= r.mee_mean - 1e-9 for r in rows)
     mee_best = max(r.mee_mean for r in rows)
     tee_best = max(r.tee_mean for r in rows)
@@ -300,11 +299,11 @@ def test_criterion_7_trend_reproduction():
     config = ScenarioConfig(seed=70)
     distances = [10.0, 20.0, 40.0, 80.0]
     weights = [0.0, 0.5, 1.0]
-    result = trend_study(
+    rows = trend_study(
         config, distances, weights, trials=200,
         solver_config=SolverConfig(tolerance=1e-3), workers=WORKERS,
     )
-    by_key = {(r.params["d_d2d"], r.params["w"]): r for r in result.rows}
+    by_key = {(r.params["d_d2d"], r.params["w"]): r for r in rows}
 
     tee_ok = True
     for w in weights:

@@ -81,6 +81,33 @@ class TestSolveCommand:
         assert record["config"]["scenario"]["d2d_distance"] == 10.0
         assert record["config"]["scenario"]["n_blocks"] == 2
 
+    def test_solve_draws_with_the_scenario_seed(self, tmp_path):
+        # the seed the record's scenario section shows, as every sweep draws with
+        scenario = {"n_d2d_pairs": 1, "n_blocks": 2}
+        tee = {}
+        for name, seed, scenario_seed in (("split", 0, 5), ("top", 5, None), ("other", 0, None)):
+            given = scenario if scenario_seed is None else {**scenario, "seed": scenario_seed}
+            cfg = {"command": "solve", "seed": seed, "scenario": given}
+            out = tmp_path / name
+            assert main([write_yaml(tmp_path / f"{name}.yaml", cfg), "-o", str(out)]) == EXIT_OK
+            record = yaml.safe_load((out / "record.yaml").read_text())
+            assert record["config"]["scenario"]["seed"] == (scenario_seed or seed)
+            tee[name] = record["results"]["tee"]
+        assert tee["split"] == tee["top"] != tee["other"]
+
+    def test_product_ee_with_a_zero_ee_at_the_start_exits_2(self, tmp_path, capsys):
+        # user 1's rate, and so its EE, is exactly 0 at the uniform start
+        gain = np.full((2, 2, 2), 1e-3)
+        gain[0, 0, :], gain[1, 1, :] = 1.0, 1e-320
+        cfg = {"command": "solve", "scalarization": {"kind": "product_ee"},
+               "instance": {"bandwidth_per_block": 1.0, "gain": gain.tolist(),
+                            "noise": [[1e-3, 1e-3], [1e10, 1e10]], "amp_inefficiency": 1.0,
+                            "static_power": 1.0, "max_power": 1.0, "min_rate": 0.0}}
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_CONFIG
+        assert "log2 EE must be finite" in capsys.readouterr().err
+        assert not (out / "record.yaml").exists()
+
     def test_recorded_allocation_is_feasible(self, tmp_path):
         from eeopt.network import is_feasible
         from eeopt.scenario import ScenarioConfig, generate
@@ -304,6 +331,9 @@ class TestConfigErrors:
         ("solve", {"seed": -1}, None, "seed must be an integer >= 0"),
         ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
                                                   "gain": [[[True]]]}}, None, "instance.gain"),
+        ("solve", {"solver": {"tolerance": float("inf")}}, None, "solver: tolerance"),
+        ("solve", {"solver": {"kkt_tolerance": float("inf")}}, None, "solver: kkt_tolerance"),
+        ("convergence", {"convergence": {"epsilons": [1e-2, float("inf")]}}, None, "epsilons"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -319,7 +349,8 @@ class TestConfigErrors:
             "trend-distance-nan", "bandwidth-0", "pareto-weight-above-1", "zeta-0", "zeta-above-1",
             "epsilon-0", "min-rate-nan", "amp-inefficiency-nan", "instance-noise-inf",
             "d2d-distance-bool", "pareto-weight-bool", "tolerance-bool", "instance-max-power-bool",
-            "seed-negative", "instance-gain-bool"])
+            "seed-negative", "instance-gain-bool", "tolerance-inf", "kkt-tolerance-inf",
+            "epsilon-inf"])
     def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
         if env is None:
             monkeypatch.delenv("EEOPT_WORKERS", raising=False)
@@ -461,7 +492,7 @@ class TestConvergenceCommand:
 
     def test_count_above_its_bound_exits_4_with_tables(self, tmp_path, monkeypatch, capsys):
         import eeopt.cli as cli_module
-        from eeopt.scenario import SweepResult, SweepRow
+        from eeopt.scenario import SweepRow
 
         def row(zeta, iterations, bound):
             run = SimpleNamespace(iterations=iterations, trajectory=np.array([1.0, 1.01]),
@@ -470,8 +501,8 @@ class TestConvergenceCommand:
             return SweepRow(params, *[0.0] * 6, float(iterations), 0.0, trials=1, runs=(run,),
                             bounds=(bound,))
 
-        monkeypatch.setattr(cli_module, "convergence_study", lambda *args, **kwargs: SweepResult(
-            rows=[row(0.5, 3, 2.0), row(1.0, 1, None)], master_seed=3, trials=1))
+        monkeypatch.setattr(cli_module, "convergence_study",
+                            lambda *args, **kwargs: [row(0.5, 3, 2.0), row(1.0, 1, None)])
         out = tmp_path / "out"
         assert main([write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence")),
                      "-o", str(out)]) == EXIT_SOLVER

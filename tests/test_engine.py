@@ -343,6 +343,26 @@ class TestEndpointWeights:
         assert np.isfinite(r.trajectory).all()
 
 
+class TestZeroEfficiencyStart:
+    # user 1's direct gain is so small that its rate, and so its EE, is exactly
+    # 0 at the uniform start: its log2 EE is -inf
+    INSTANCE = dict(bandwidth_per_block=1.0, amp_inefficiency=1.0, static_power=1.0,
+                    max_power=1.0, min_rate=0.0, noise=np.array([[1e-3, 1e-3], [1e10, 1e10]]))
+
+    @pytest.mark.parametrize("scalarization, message", [
+        (product_ee(), "log2 EE"),
+        (weighted_product(0.5), "u and v"),
+        (weighted_minimum(0.5), "u and v"),
+    ], ids=["product_ee", "weighted_product", "weighted_minimum"])
+    def test_an_objective_using_a_zero_ee_raises(self, scalarization, message):
+        gain = np.full((2, 2, 2), 1e-3)
+        gain[0, 0, :], gain[1, 1, :] = 1.0, 1e-320
+        inst = NetworkInstance(gain=gain, **self.INSTANCE)
+        assert evaluate(inst, default_initial_point(inst)).ee[1] == 0.0
+        with pytest.raises(DomainError, match=message):
+            run(inst, scalarization)
+
+
 class TestInitialPointValidation:
     def test_nonpositive_initial_rejected(self):
         rng = np.random.default_rng(69)
@@ -374,11 +394,13 @@ class TestInitialPointValidation:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            SolverConfig(tolerance=0.0)
-        with pytest.raises(DomainError, match="tolerance"):
-            SolverConfig(tolerance=float("nan"))
-        with pytest.raises(DomainError):
             SolverConfig(max_outer_iterations=0)
+
+    @pytest.mark.parametrize("name", ["tolerance", "kkt_tolerance"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerances_must_be_finite_and_positive(self, name, bad):
+        with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
+            SolverConfig(**{name: bad})
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(3.0)])
     def test_max_outer_iterations_must_be_an_integer(self, bad):

@@ -66,9 +66,16 @@ class TestLogObjective:
     def test_weighted_minimum(self):
         assert log_objective(weighted_minimum(0.5), 3.0, 2.0) == pytest.approx(3.0)
 
-    def test_product_ee_rejected(self):
-        with pytest.raises(DomainError):
-            log_objective(product_ee(), 1.0, 1.0)
+    def test_product_ee_sums_the_users_and_rejects_a_minus_inf_ee(self):
+        # u is not a term of product-EE, so it may be anything
+        assert log_objective(product_ee(), np.nan, np.array([1.5, -0.25, 2.0])) == 3.25
+        with pytest.raises(DomainError, match="log2 EE must be finite"):
+            log_objective(product_ee(), 1.0, np.array([1.5, -np.inf]))
+
+    def test_trade_offs_read_the_minimum_of_the_users(self):
+        log_ee = np.array([3.0, 2.0, 2.5])
+        for s in (weighted_product(0.7), weighted_product(0.0), weighted_minimum(0.4)):
+            assert log_objective(s, 4.0, log_ee) == log_objective(s, 4.0, 2.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):

@@ -147,10 +147,9 @@ class TestTrialSeeds:
 class TestParetoSweep:
     def test_rows_and_geometry(self):
         cfg = ScenarioConfig(seed=21, d2d_distance=10.0)
-        result = pareto_sweep(cfg, [0.0, 0.5, 1.0], trials=2, solver_config=FAST)
-        assert len(result.rows) == 3
-        assert result.trials == 2
-        for row in result.rows:
+        rows = pareto_sweep(cfg, [0.0, 0.5, 1.0], trials=2, solver_config=FAST)
+        assert len(rows) == 3
+        for row in rows:
             assert row.tee_mean >= row.mee_mean - 1e-9
             assert row.trials == 2
 
@@ -158,16 +157,16 @@ class TestParetoSweep:
         cfg = ScenarioConfig(seed=22)
         a = pareto_sweep(cfg, [0.3, 0.8], trials=2, solver_config=FAST)
         b = pareto_sweep(cfg, [0.3, 0.8], trials=2, solver_config=FAST)
-        for ra, rb in zip(a.rows, b.rows):
+        for ra, rb in zip(a, b):
             assert ra.tee_mean == rb.tee_mean
             assert ra.mee_mean == rb.mee_mean
 
     def test_product_ee_baseline_row(self):
         cfg = ScenarioConfig(seed=23)
-        result = pareto_sweep(cfg, [0.5], trials=1, solver_config=FAST, include_product_ee=True)
-        assert len(result.rows) == 2
-        assert result.rows[-1].params.get("baseline") == "product_ee"
-        assert result.rows[-1].tee_mean >= result.rows[-1].mee_mean
+        rows = pareto_sweep(cfg, [0.5], trials=1, solver_config=FAST, include_product_ee=True)
+        assert len(rows) == 2
+        assert rows[-1].params.get("baseline") == "product_ee"
+        assert rows[-1].tee_mean >= rows[-1].mee_mean
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(DomainError, match="weights"):
@@ -182,15 +181,15 @@ class TestParetoSweep:
 class TestTrendStudy:
     def test_rows_cover_the_grid(self):
         cfg = ScenarioConfig(seed=31)
-        result = trend_study(cfg, [10.0, 40.0], [0.0, 1.0], trials=2, solver_config=FAST)
-        assert len(result.rows) == 4
-        keys = [(row.params["d_d2d"], row.params["w"]) for row in result.rows]
+        rows = trend_study(cfg, [10.0, 40.0], [0.0, 1.0], trials=2, solver_config=FAST)
+        assert len(rows) == 4
+        keys = [(row.params["d_d2d"], row.params["w"]) for row in rows]
         assert keys == [(10.0, 0.0), (10.0, 1.0), (40.0, 0.0), (40.0, 1.0)]
 
     def test_fairness_weight_yields_unit_jain_index(self):
         cfg = ScenarioConfig(seed=32)
-        result = trend_study(cfg, [20.0], [0.0], trials=3, solver_config=SolverConfig(tolerance=1e-4))
-        assert result.rows[0].jfi_mean == pytest.approx(1.0, abs=1e-3)
+        rows = trend_study(cfg, [20.0], [0.0], trials=3, solver_config=SolverConfig(tolerance=1e-4))
+        assert rows[0].jfi_mean == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("distance", [0.0, -10.0, float("nan"), float("inf")])
     def test_rejects_bad_distances(self, monkeypatch, distance):
@@ -203,9 +202,9 @@ class TestTrendStudy:
 class TestConvergenceStudy:
     def test_rows_and_monotone_trajectories(self):
         cfg = ScenarioConfig(seed=41)
-        result = convergence_study(cfg, [0.7], [0.5, 1.0], [1e-2], trials=2, solver_config=FAST)
-        assert len(result.rows) == 2 and result.trials == 2
-        for row in result.rows:
+        rows = convergence_study(cfg, [0.7], [0.5, 1.0], [1e-2], trials=2, solver_config=FAST)
+        assert len(rows) == 2
+        for row in rows:
             assert isinstance(row, SweepRow)
             assert len(row.runs) == 2 and len(row.bounds) == 2
             for r in row.runs:
@@ -225,7 +224,7 @@ class TestConvergenceStudy:
 
         monkeypatch.setattr("eeopt.scenario.run", run_failing_the_first)
         (row,) = convergence_study(ScenarioConfig(seed=41), [0.7], [1.0], [1e-2], trials=3,
-                                   solver_config=FAST).rows
+                                   solver_config=FAST)
         assert row.trials == 3 and row.failed == 1
         assert row.runs[0].status is RunStatus.SUBPROBLEM_FAILURE
         others = results[1:]
@@ -242,7 +241,7 @@ class TestConvergenceStudy:
 
     def test_counts_monotone_and_bounded(self):
         cfg = ScenarioConfig(seed=71, n_d2d_pairs=2, n_blocks=2)   # log2 EE > 0 at the start
-        rows = convergence_study(cfg, [0.7], [0.5], [1e-2, 1e-3, 1e-4], trials=2).rows
+        rows = convergence_study(cfg, [0.7], [0.5], [1e-2, 1e-3, 1e-4], trials=2)
         counts = np.array([[r.iterations for r in row.runs] for row in rows])  # (epsilon, trial)
         assert np.all(np.diff(counts, axis=0) >= 0)
         for row in rows:
@@ -260,7 +259,7 @@ class TestConvergenceStudy:
 
     def test_large_epsilon_gives_one_iteration(self):
         cfg = ScenarioConfig(seed=72, n_d2d_pairs=1, n_blocks=2)
-        (row,) = convergence_study(cfg, [0.5], [1.0], [10.0]).rows
+        (row,) = convergence_study(cfg, [0.5], [1.0], [10.0])
         assert [r.iterations for r in row.runs] == [1]
 
     def test_rejects_nonpositive_epsilon(self, monkeypatch):
@@ -273,7 +272,7 @@ class TestConvergenceStudy:
     def test_final_objective_insensitive_to_start_scale(self):
         cfg = ScenarioConfig(seed=42)
         rows = convergence_study(cfg, [0.7], [0.1, 0.5, 1.0], [1e-4], trials=3,
-                                 solver_config=SolverConfig(tolerance=1e-4)).rows
+                                 solver_config=SolverConfig(tolerance=1e-4))
         finals = np.array([[r.trajectory[-1] for r in row.runs] for row in rows])  # (zeta, trial)
         for t in range(finals.shape[1]):
             spread = finals[:, t].max() - finals[:, t].min()
@@ -327,7 +326,7 @@ class TestRowsFromDirectRuns:
 
     def test_pareto_with_the_product_ee_baseline(self):
         rows = pareto_sweep(self.CONFIG, [0.3, 0.8], kind="weighted_minimum", trials=self.TRIALS,
-                            solver_config=self.SOLVER, include_product_ee=True).rows
+                            solver_config=self.SOLVER, include_product_ee=True)
         assert len(rows) == 3
         for row, w in zip(rows, [0.3, 0.8]):
             self.assert_row_is(row, {"w": w}, self.direct_runs(weighted_minimum(w)))
@@ -337,7 +336,7 @@ class TestRowsFromDirectRuns:
     def test_pareto_cells_with_failed_runs(self):
         # capped at two outer iterations, some trials end `iteration_cap`
         solver = replace(self.SOLVER, max_outer_iterations=2)
-        rows = pareto_sweep(self.CONFIG, [0.0, 0.3], trials=4, solver_config=solver).rows
+        rows = pareto_sweep(self.CONFIG, [0.0, 0.3], trials=4, solver_config=solver)
         for row, w in zip(rows, [0.0, 0.3]):
             self.assert_row_is(row, {"w": w},
                                self.direct_runs(weighted_product(w), solver=solver, trials=4))
@@ -345,7 +344,7 @@ class TestRowsFromDirectRuns:
 
     def test_trend_over_two_distances(self):
         rows = trend_study(self.CONFIG, [10.0, 40.0], [0.0, 0.6], trials=self.TRIALS,
-                           solver_config=self.SOLVER).rows
+                           solver_config=self.SOLVER)
         cells = [(d, w) for d in (10.0, 40.0) for w in (0.0, 0.6)]
         assert len(rows) == len(cells)
         for row, (d, w) in zip(rows, cells):
@@ -354,7 +353,7 @@ class TestRowsFromDirectRuns:
 
     def test_convergence_over_start_scales_and_tolerances(self):
         rows = convergence_study(self.CONFIG, [0.7], [0.2, 1.0], [1e-2, 1e-4], trials=self.TRIALS,
-                                 solver_config=self.SOLVER).rows
+                                 solver_config=self.SOLVER)
         cells = [(zeta, eps) for zeta in (0.2, 1.0) for eps in (1e-2, 1e-4)]
         assert len(rows) == len(cells)
         direct = {cell: self.direct_runs(weighted_product(0.7), zeta=cell[0], epsilon=cell[1])
@@ -400,11 +399,11 @@ class TestWorkers:
         cfg = ScenarioConfig(seed=51, n_d2d_pairs=2, n_blocks=3)
         sweep = {
             "pareto": lambda workers: pareto_sweep(cfg, [0.4], trials=3, solver_config=FAST,
-                                                   include_product_ee=True, workers=workers).rows,
+                                                   include_product_ee=True, workers=workers),
             "trend": lambda workers: trend_study(cfg, [10.0, 40.0], [0.4], trials=3,
-                                                 solver_config=FAST, workers=workers).rows,
+                                                 solver_config=FAST, workers=workers),
             "convergence": lambda workers: convergence_study(cfg, [0.4], [0.5], [1e-2], trials=3,
-                                                             workers=workers).rows,
+                                                             workers=workers),
         }[study]
 
         # every field bit-identical, the runs' fields included: arrays as bytes,

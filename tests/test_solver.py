@@ -147,6 +147,15 @@ class TestAscentStop:
         with pytest.raises(DomainError, match="min_gain"):
             solve(sub, min_gain=min_gain)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # an infinite tol would certify the start after 0 steps; 0 and nan never certify
+        rng = np.random.default_rng(46)
+        inst = random_instance(rng, 2, 2)
+        sub = ConvexSubproblem(expand(inst, random_alloc(rng, inst)), weighted_product(0.5))
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
+            solve(sub, tol)
+
 
 class TestSubproblemStructure:
     @pytest.mark.parametrize(
