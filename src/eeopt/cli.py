@@ -9,13 +9,18 @@ Commands (the `command` key of the config):
                triple, with the iteration bound 1 + (lambda - 1)/epsilon,
                and the first trial's trajectory per triple
 
-The three sweeps share one body: it runs the study and writes one CSV
-line per SweepRow, a column per grid parameter or row field.
+The three sweeps share one body: it calls the command's study from
+`_SWEEPS` with the config section of the same name, whose keys are the
+study's parameters, and writes one CSV line per SweepRow. The top-level
+`seed` is the only seed: it draws `solve`'s instance and is the sweeps'
+master seed.
 
-Every invocation writes `record.yaml` holding the fully resolved config
-(SI units, defaults materialized) plus result summaries; feeding the
-record back to the CLI replays the run and reproduces the tables
-byte-for-byte. Flat CSV tables sit next to it for plotting.
+Every invocation writes `record.yaml`: the config, each section written
+back by `_plain` through the table that read it (SI units, defaults
+materialized, no study section but the command's), plus result
+summaries. Feeding the record back to the CLI replays the run and
+reproduces the tables and the record byte-for-byte. Flat CSV tables sit
+next to it for plotting.
 
 Every section, the top level included, is read by `_read` through one
 table of key -> (parser, default): `_TOP` below the parsers, which names
@@ -36,8 +41,8 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import MISSING, asdict, fields, replace
-from functools import partial
+from dataclasses import MISSING, fields, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +141,10 @@ def _read(where: str, raw, table: dict) -> dict:
 
 def _section(where: str, table: dict, build=dict):
     """The parser of a nested section: read it through `table`, then `build(**values)`."""
-    return lambda raw: build(**_read(where, raw, table))
+    def parse(raw):
+        return build(**_read(where, raw, table))
+    parse.table = table     # _plain writes the section back through it
+    return parse
 
 
 def _fields(cls, parsers: dict) -> dict:
@@ -189,7 +197,7 @@ def _weight_grid(spec) -> list[float]:
 
 
 def _command(value) -> str:
-    if not (isinstance(value, str) and value in _COMMANDS):
+    if not (isinstance(value, str) and (value == "solve" or value in _SWEEPS)):
         raise ValueError(f"must be one of solve|pareto|trend|convergence, got {value!r}")
     return value
 
@@ -212,7 +220,6 @@ _SCENARIO = _fields(ScenarioConfig, {
     "path_loss_const_db": parse_db,
     "shadowing_sigma_db": parse_db,
     "min_link_distance": parse_distance,
-    "seed": _integer,
 })
 _INSTANCE = _fields(NetworkInstance, {
     "bandwidth_per_block": parse_scalar,
@@ -222,24 +229,6 @@ _INSTANCE = _fields(NetworkInstance, {
 _SCALARIZATION = {"kind": (ScalarizationKind, "weighted_product"), "weight": (parse_scalar, 0.5)}
 _SOLVER = _fields(SolverConfig, {"tolerance": parse_scalar, "max_outer_iterations": _integer,
                                   "kkt_tolerance": parse_scalar})
-_STUDIES = {
-    "pareto": {
-        "weights": (_weight_grid, 21),
-        "trials": (_integer, 50),
-        "include_product_ee": (_boolean, False),
-    },
-    "trend": {
-        "distances": (_list(parse_distance), [10, 20, 40, 80]),
-        "weights": (_list(parse_scalar), [0.0, 0.5, 1.0]),
-        "trials": (_integer, 200),
-    },
-    "convergence": {
-        "weights": (_list(parse_scalar), [0.0, 0.7, 1.0]),
-        "zetas": (_list(parse_scalar), [1.0]),
-        "epsilons": (_list(parse_scalar), [1e-3]),
-        "trials": (_integer, 1),
-    },
-}
 _TOP = {
     "command": (_command, _REQUIRED),
     "seed": (_integer, 0),
@@ -248,7 +237,22 @@ _TOP = {
     "instance": (_section("instance", _INSTANCE, NetworkInstance), None),
     "scalarization": (_section("scalarization", _SCALARIZATION, Scalarization), {}),
     "solver": (_section("solver", _SOLVER, SolverConfig), {}),
-    **{name: (_section(name, table), {}) for name, table in _STUDIES.items()},
+    "pareto": (_section("pareto", {
+        "weights": (_weight_grid, 21),
+        "trials": (_integer, 50),
+        "include_product_ee": (_boolean, False),
+    }), {}),
+    "trend": (_section("trend", {
+        "distances": (_list(parse_distance), [10, 20, 40, 80]),
+        "weights": (_list(parse_scalar), [0.0, 0.5, 1.0]),
+        "trials": (_integer, 200),
+    }), {}),
+    "convergence": (_section("convergence", {
+        "weights": (_list(parse_scalar), [0.0, 0.7, 1.0]),
+        "zetas": (_list(parse_scalar), [1.0]),
+        "epsilons": (_list(parse_scalar), [1e-3]),
+        "trials": (_integer, 1),
+    }), {}),
     "output": (_section("output", {"directory": (Path, "results")}), {}),
 }
 
@@ -290,55 +294,50 @@ def apply_overrides(config: dict, overrides) -> dict:
         node = config
         parts = dotted.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            if node.get(part) is None:      # a missing or null section reads as empty
+                node[part] = {}
+            node = node[part]
             if not isinstance(node, dict):
                 raise ConfigError(f"override {dotted!r} descends into a non-mapping")
         node[parts[-1]] = value
     return config
 
 
-class _Resolved:
-    """A fully interpreted run configuration."""
-
-    def __init__(self, raw: dict):
-        top = _read("", raw, _TOP)
-        self.command, self.seed, self.workers = top["command"], top["seed"], top["workers"]
-        self.scenario, self.instance = top["scenario"], top["instance"]
-        if (self.scenario is None) == (self.instance is None):
-            raise ConfigError("exactly one of `scenario` or `instance` must be present")
-        if self.instance is not None and self.command != "solve":
-            raise ConfigError(f"command {self.command!r} needs a `scenario` section")
-        if self.scenario is not None and "seed" not in raw["scenario"]:
-            self.scenario = replace(self.scenario, seed=self.seed)  # defaults to the run's seed
-        self.scalarization, self.solver = top["scalarization"], top["solver"]
-        self.studies = {name: top[name] for name in _STUDIES}
-        self.given = {name: raw[name] for name in _STUDIES if raw.get(name)}
-        self.output_dir = top["output"]["directory"]
-
-    def resolved_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "seed": self.seed,
-            "scalarization": {
-                "kind": self.scalarization.kind.value,
-                "weight": self.scalarization.weight,
-            },
-            "solver": {k: v for k, v in asdict(self.solver).items() if k in _SOLVER},
-            "output": {"directory": str(self.output_dir)},
-            **self.given,   # study sections are recorded as given
-        }
-        if self.scenario is not None:
-            out["scenario"] = asdict(self.scenario)
-        else:
-            out["instance"] = {k: np.asarray(v).tolist() for k, v in asdict(self.instance).items()}
-        if self.workers is not None:
-            out["workers"] = self.workers
-        return out
+def _resolve(raw: dict) -> dict:
+    """Read a config through `_TOP`; the scenario takes `seed` as its master seed."""
+    cfg = _read("", raw, _TOP)
+    if (cfg["scenario"] is None) == (cfg["instance"] is None):
+        raise ConfigError("exactly one of `scenario` or `instance` must be present")
+    if cfg["instance"] is not None and cfg["command"] != "solve":
+        raise ConfigError(f"command {cfg['command']!r} needs a `scenario` section")
+    if cfg["scenario"] is not None:
+        cfg["scenario"] = replace(cfg["scenario"], seed=cfg["seed"])
+    return cfg
 
 
-def _cmd_solve(cfg: _Resolved):
-    inst = cfg.instance if cfg.instance is not None else generate(cfg.scenario, cfg.scenario.seed)
-    result = run(inst, cfg.scalarization, cfg.solver)
+def _plain(value, parser):
+    """A value that `parser` read, back as config data in SI units; a section is
+    written through the table that read it, so its defaults are written too."""
+    table = getattr(parser, "table", None)
+    if table is not None:
+        values = value if isinstance(value, dict) else vars(value)
+        return {key: _plain(values[key], p) for key, (p, _) in table.items()}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return str(value) if isinstance(value, Path) else value
+
+
+def _record(cfg: dict) -> dict:
+    """The resolved config: every section but the other commands' studies, nulls left out."""
+    return {key: _plain(cfg[key], parser) for key, (parser, _) in _TOP.items()
+            if cfg[key] is not None and (key == cfg["command"] or key not in _SWEEPS)}
+
+
+def _solve(cfg: dict):
+    inst = generate(cfg["scenario"], cfg["seed"]) if cfg["instance"] is None else cfg["instance"]
+    result = run(inst, cfg["scalarization"], cfg["solver"])
     m = result.metrics
     rows = [
         (0, float(result.trajectory[0]), *result.start_log2_ee, "", "", "")
@@ -373,86 +372,69 @@ def _cmd_solve(cfg: _Resolved):
     return tables, summary, [_sweep_row({}, (result,))]
 
 
-def _cmd_sweep(study, table: str, columns: list[str], cfg: _Resolved, trials: int, **grid):
-    """Run a study on the config's scenario and solver, and lay out its table.
-
-    `study(cfg, **grid, trials=..., solver_config=..., workers=...)` calls
-    the library study. The table has one line per row and a column per
-    grid parameter or SweepRow field, in the given order; `iters_mean` is
-    `iterations_mean` and `seed` the scenario's master seed.
-    """
-    rows = study(cfg, **grid, trials=trials, solver_config=cfg.solver, workers=cfg.workers)
-
-    def cell(row, column):
-        if column in row.params:
-            return row.params[column]
-        if column == "seed":
-            return cfg.scenario.seed
-        return getattr(row, "iterations_mean" if column == "iters_mean" else column)
-
-    tables = {table: (columns, [[cell(row, c) for c in columns] for row in rows])}
-    return tables, {"rows": len(rows), "trials": trials}, rows
-
-
 def _file_number(x: float) -> str:
     """x in a file name: its `:g` form where that reads back as x, else its repr."""
     short = f"{x:g}"
     return short if float(short) == x else repr(float(x))
 
 
-def _cmd_convergence(study, table, columns, cfg: _Resolved, **section):
-    """The sweep's summary table, plus each row's first trajectory."""
-    tables, summary, rows = _cmd_sweep(study, table, columns, cfg, **section)
-    for row in rows:
-        w, zeta, eps = (_file_number(row.params[key]) for key in ("w", "zeta", "epsilon"))
-        tables[f"convergence_w{w}_zeta{zeta}_eps{eps}.csv"] = (
-            ["iteration", "objective_log2"],
-            [(l, float(f)) for l, f in enumerate(row.runs[0].trajectory)],
-        )
-    return tables, {"records": summary["rows"], "trials": summary["trials"]}, rows
+def _sweep(cfg: dict):
+    """Call the command's study with its section as keyword arguments, and lay out its table.
+
+    The table has one line per row and a column per grid parameter or
+    SweepRow field; `iters_mean` is `iterations_mean` and `seed` the master
+    seed. `convergence` adds each row's first trajectory.
+    """
+    command = cfg["command"]
+    study, table, columns = _SWEEPS[command]
+    section = cfg[command]
+    if command == "pareto":
+        section = {**section, "kind": cfg["scalarization"].kind}
+    rows = study(cfg["scenario"], **section, solver_config=cfg["solver"], workers=cfg["workers"])
+
+    def cell(row, column):
+        if column in row.params:
+            return row.params[column]
+        if column == "seed":
+            return cfg["seed"]
+        return getattr(row, "iterations_mean" if column == "iters_mean" else column)
+
+    tables = {table: (columns, [[cell(row, c) for c in columns] for row in rows])}
+    if command == "convergence":
+        for row in rows:
+            w, zeta, eps = (_file_number(row.params[key]) for key in ("w", "zeta", "epsilon"))
+            tables[f"convergence_w{w}_zeta{zeta}_eps{eps}.csv"] = (
+                ["iteration", "objective_log2"],
+                [(l, float(f)) for l, f in enumerate(row.runs[0].trajectory)],
+            )
+    return tables, {"rows": len(rows), "trials": section["trials"]}, rows
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "pareto": partial(
-        _cmd_sweep,
-        lambda cfg, weights, include_product_ee, **run: pareto_sweep(
-            cfg.scenario, weights, kind=cfg.scalarization.kind,
-            include_product_ee=include_product_ee, **run),
-        "pareto.csv",
-        ["w", "mee_mean", "mee_se", "tee_mean", "tee_se", "jfi_mean", "iters_mean", "trials",
-         "failed", "seed"],
-    ),
-    "trend": partial(
-        _cmd_sweep,
-        lambda cfg, distances, weights, **run: trend_study(cfg.scenario, distances, weights, **run),
-        "trend.csv",
-        ["d_d2d", "w", "tee_mean", "tee_se", "jfi_mean", "jfi_se", "mee_mean", "mee_se",
-         "iters_mean", "trials", "failed", "seed"],
-    ),
-    "convergence": partial(
-        _cmd_convergence,
-        lambda cfg, weights, zetas, epsilons, **run: convergence_study(
-            cfg.scenario, weights, zetas, epsilons, **run),
-        "convergence_summary.csv",
-        ["w", "zeta", "epsilon", "iters_mean", "trials", "failed", "seed", "bound_min",
-         "bound_slack_min"],
-    ),
+_SWEEPS = {
+    "pareto": (pareto_sweep, "pareto.csv",
+               ["w", "mee_mean", "mee_se", "tee_mean", "tee_se", "jfi_mean", "iters_mean",
+                "trials", "failed", "seed"]),
+    "trend": (trend_study, "trend.csv",
+              ["d_d2d", "w", "tee_mean", "tee_se", "jfi_mean", "jfi_se", "mee_mean", "mee_se",
+               "iters_mean", "trials", "failed", "seed"]),
+    "convergence": (convergence_study, "convergence_summary.csv",
+                    ["w", "zeta", "epsilon", "iters_mean", "trials", "failed", "seed",
+                     "bound_min", "bound_slack_min"]),
 }
 
 
 def run_command(config: dict, output_dir=None) -> int:
     """Execute one interpreted config; returns the process exit code."""
     try:
-        cfg = _Resolved(config)
+        cfg = _resolve(config)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if output_dir is not None:
-        cfg.output_dir = Path(output_dir)
+        cfg["output"] = {"directory": Path(output_dir)}
 
     try:
-        tables, summary, rows = _COMMANDS[cfg.command](cfg, **cfg.studies.get(cfg.command, {}))
+        tables, summary, rows = (_solve if cfg["command"] == "solve" else _sweep)(cfg)
     except InfeasibleInitialPointError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -464,23 +446,24 @@ def run_command(config: dict, output_dir=None) -> int:
     failed = summary["failed"] > 0 or any(
         row.bound_slack_min is not None and row.bound_slack_min < -1e-9 for row in rows)
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    directory = cfg["output"]["directory"]
+    directory.mkdir(parents=True, exist_ok=True)
     for name, (header, lines) in tables.items():
-        _write_csv(cfg.output_dir / name, header, lines)
-        log.info("wrote %s", cfg.output_dir / name)
+        _write_csv(directory / name, header, lines)
+        log.info("wrote %s", directory / name)
 
     record = {
-        "config": cfg.resolved_dict(),
+        "config": _record(cfg),
         "results": summary,
         "outputs": sorted(tables),
         "status": "failed" if failed else "ok",
     }
-    with open(cfg.output_dir / "record.yaml", "w") as fh:
+    with open(directory / "record.yaml", "w") as fh:
         yaml.safe_dump(record, fh, sort_keys=True)
-    log.info("wrote %s", cfg.output_dir / "record.yaml")
+    log.info("wrote %s", directory / "record.yaml")
 
     if failed:
-        print("solver failure: see record.yaml for the partial outputs", file=sys.stderr)
+        print("solver failure: see record.yaml and the tables beside it", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

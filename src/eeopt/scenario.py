@@ -29,7 +29,6 @@ per-trial results does not depend on execution order or worker count.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,8 +49,6 @@ __all__ = [
     "convergence_study",
     "resolve_workers",
 ]
-
-WORKERS_ENV = "EEOPT_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -213,18 +210,11 @@ class SweepRow:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Sweep worker processes: the integer argument, else EEOPT_WORKERS, else 1; at least 1."""
-    if workers is not None:
-        check_integer("workers", workers, 1)
-        return int(workers)
-    value = os.environ.get(WORKERS_ENV) or 1
-    try:
-        count = int(value)
-    except ValueError:
-        raise DomainError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
-    if count < 1:
-        raise DomainError(f"{WORKERS_ENV} must be >= 1, got {value!r}")
-    return count
+    """Sweep worker processes: the integer argument, 1 if None; at least 1."""
+    if workers is None:
+        return 1
+    check_integer("workers", workers, 1)
+    return int(workers)
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -308,7 +298,7 @@ def _weights(values) -> list[float]:
     return _checked("weights", values, lambda w: 0.0 <= w <= 1.0, "lie in [0, 1]")
 
 
-def pareto_sweep(config: ScenarioConfig, w_grid, kind="weighted_product", trials: int = 1,
+def pareto_sweep(config: ScenarioConfig, weights, kind="weighted_product", trials: int = 1,
                  solver_config: SolverConfig | None = None, include_product_ee: bool = False,
                  workers: int | None = None) -> list[SweepRow]:
     """Trade-off points (min EE, total EE) over a weight grid, trial-averaged.
@@ -316,27 +306,25 @@ def pareto_sweep(config: ScenarioConfig, w_grid, kind="weighted_product", trials
     Each trial draws one instance and runs every weight on it, so the
     weight axis is directly comparable within a trial.
     """
-    w_grid = _weights(w_grid)
+    weights = _weights(weights)
     kind = ScalarizationKind(kind)
-    cells = [_Cell(Scalarization(kind, w), {"w": w}) for w in w_grid]
+    cells = [_Cell(Scalarization(kind, w), {"w": w}) for w in weights]
     if include_product_ee:
         cells.append(_Cell(product_ee(), {"w": float("nan"), "baseline": "product_ee"}))
     return _run_grid(config, cells, trials, solver_config, workers)
 
 
-def trend_study(config: ScenarioConfig, d2d_distances, w_list, trials: int = 1,
+def trend_study(config: ScenarioConfig, distances, weights, trials: int = 1,
                 solver_config: SolverConfig | None = None,
                 workers: int | None = None) -> list[SweepRow]:
     """Averaged total EE and fairness index versus D2D link distance and weight."""
-    d2d_distances = _checked("distances", d2d_distances, lambda d: 0 < d < math.inf,
-                             "be finite and > 0")
-    w_list = _weights(w_list)
-    cells = [_Cell(weighted_product(w), {"d_d2d": d, "w": w})
-             for d in d2d_distances for w in w_list]
+    distances = _checked("distances", distances, lambda d: 0 < d < math.inf, "be finite and > 0")
+    weights = _weights(weights)
+    cells = [_Cell(weighted_product(w), {"d_d2d": d, "w": w}) for d in distances for w in weights]
     return _run_grid(config, cells, trials, solver_config, workers)
 
 
-def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trials: int = 1,
+def convergence_study(config: ScenarioConfig, weights, zetas, epsilons, trials: int = 1,
                       solver_config: SolverConfig | None = None,
                       workers: int | None = None) -> list[SweepRow]:
     """Iteration counts per (weight, start scale, tolerance), with the iteration bound.
@@ -347,12 +335,12 @@ def convergence_study(config: ScenarioConfig, w_list, zeta_list, epsilons, trial
     divided by the common start value f_0. The bound holds for f_0 > 0
     only; elsewhere it is None.
     """
-    w_list = _weights(w_list)
-    zeta_list = _checked("zetas", zeta_list, lambda z: 0.0 < z <= 1.0, "lie in (0, 1]")
+    weights = _weights(weights)
+    zetas = _checked("zetas", zetas, lambda z: 0.0 < z <= 1.0, "lie in (0, 1]")
     epsilons = _checked("epsilons", epsilons, lambda e: 0.0 < e < math.inf, "be finite and > 0")
     cells = [
         _Cell(weighted_product(w), {"w": w, "zeta": zeta, "epsilon": eps})
-        for w in w_list for zeta in zeta_list for eps in epsilons
+        for w in weights for zeta in zetas for eps in epsilons
     ]
     rows = _run_grid(config, cells, trials, solver_config, workers)
     best = {}     # (w, zeta) -> per-trial best final objective over the tolerances

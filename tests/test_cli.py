@@ -81,19 +81,21 @@ class TestSolveCommand:
         assert record["config"]["scenario"]["d2d_distance"] == 10.0
         assert record["config"]["scenario"]["n_blocks"] == 2
 
-    def test_solve_draws_with_the_scenario_seed(self, tmp_path):
-        # the seed the record's scenario section shows, as every sweep draws with
+    def test_solve_draws_with_the_seed(self, tmp_path):
+        # the one seed of a config, which every sweep also draws its trials with
+        from eeopt import ScenarioConfig, generate, run, weighted_product
+
         scenario = {"n_d2d_pairs": 1, "n_blocks": 2}
         tee = {}
-        for name, seed, scenario_seed in (("split", 0, 5), ("top", 5, None), ("other", 0, None)):
-            given = scenario if scenario_seed is None else {**scenario, "seed": scenario_seed}
-            cfg = {"command": "solve", "seed": seed, "scenario": given}
-            out = tmp_path / name
-            assert main([write_yaml(tmp_path / f"{name}.yaml", cfg), "-o", str(out)]) == EXIT_OK
+        for seed in (0, 5):
+            cfg = {"command": "solve", "seed": seed, "scenario": scenario}
+            out = tmp_path / str(seed)
+            assert main([write_yaml(tmp_path / f"{seed}.yaml", cfg), "-o", str(out)]) == EXIT_OK
             record = yaml.safe_load((out / "record.yaml").read_text())
-            assert record["config"]["scenario"]["seed"] == (scenario_seed or seed)
-            tee[name] = record["results"]["tee"]
-        assert tee["split"] == tee["top"] != tee["other"]
+            assert record["config"]["seed"] == seed and "seed" not in record["config"]["scenario"]
+            tee[seed] = record["results"]["tee"]
+        direct = run(generate(ScenarioConfig(**scenario), 5), weighted_product(0.5))
+        assert tee[5] == direct.metrics.ee_total != tee[0]
 
     def test_product_ee_with_a_zero_ee_at_the_start_exits_2(self, tmp_path, capsys):
         # user 1's rate, and so its EE, is exactly 0 at the uniform start
@@ -257,85 +259,84 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, change, env, names", [
-        ("solve", {"seed": "abc"}, None, "seed"),
-        ("pareto", {"workers": "abc"}, None, "workers"),
-        ("pareto", {"pareto": {"weights": [0.5], "trials": "abc"}}, None, "pareto.trials"),
-        ("trend", {"trend": {"trials": 0}}, None, "trials"),
-        ("convergence", {"convergence": {"trials": 0}}, None, "trials"),
-        ("pareto", {"pareto": {"weights": [0.5], "trials": 1}}, "abc", "EEOPT_WORKERS"),
-        ("pareto", {"pareto": {"weights": 2.5, "trials": 1}}, None, "pareto.weights"),
-        ("trend", {"trend": {"distances": 10, "trials": 1}}, None, "trend.distances"),
-        ("solve", {"scalarization": {"weight": "abc"}}, None, "scalarization.weight"),
-        ("solve", {"output": 5}, None, "output"),
-        ("solve", {"solver": 5}, None, "solver"),
-        ("solve", {"scenario": 5}, None, "scenario"),
-        ("solve", {"scalarization": 5}, None, "scalarization"),
-        ("solve", {"solver": {"barrier": 5}}, None, "solver.barrier"),
-        ("solve", {"scalarization": {"wieght": 0.3}}, None, "scalarization.wieght"),
-        ("solve", {"output": {"dir": "x"}}, None, "output.dir"),
-        ("pareto", {"pareto": {"weights": [0.5], "trials": 2.7}}, None, "pareto.trials"),
-        ("solve", {"scenario": {"n_blocks": 2.5}}, None, "scenario.n_blocks"),
-        ("solve", {"solver": {"barrier": {"tau0": 0}}}, None, "unknown keys ['solver.barrier']"),
-        ("solve", {"solver": {"barrier": {"tau0": 1}}}, None, "unknown keys ['solver.barrier']"),
-        ("solve", {"scenario": {"annulus_inner": 200}}, None, "scenario: annulus"),
-        ("solve", {"scenario": {"carrier_frequency": 0}}, None, "scenario: carrier_frequency"),
-        ("solve", {"scenario": {"carrier_frequency": -5}}, None, "scenario: carrier_frequency"),
-        ("solve", {"scenario": {"noise_figure_db": 1e6}}, None, "scenario: noise_figure_db"),
-        ("solve", {"scenario": {"thermal_noise_dbm_hz": 1e5}}, None,
+    @pytest.mark.parametrize("command, change, names", [
+        ("solve", {"seed": "abc"}, "seed"),
+        ("pareto", {"workers": "abc"}, "workers"),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": "abc"}}, "pareto.trials"),
+        ("trend", {"trend": {"trials": 0}}, "trials"),
+        ("convergence", {"convergence": {"trials": 0}}, "trials"),
+        ("pareto", {"pareto": {"weights": 2.5, "trials": 1}}, "pareto.weights"),
+        ("trend", {"trend": {"distances": 10, "trials": 1}}, "trend.distances"),
+        ("solve", {"scalarization": {"weight": "abc"}}, "scalarization.weight"),
+        ("solve", {"output": 5}, "output"),
+        ("solve", {"solver": 5}, "solver"),
+        ("solve", {"scenario": 5}, "scenario"),
+        ("solve", {"scalarization": 5}, "scalarization"),
+        ("solve", {"solver": {"barrier": 5}}, "solver.barrier"),
+        ("solve", {"scalarization": {"wieght": 0.3}}, "scalarization.wieght"),
+        ("solve", {"output": {"dir": "x"}}, "output.dir"),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": 2.7}}, "pareto.trials"),
+        ("solve", {"scenario": {"n_blocks": 2.5}}, "scenario.n_blocks"),
+        ("solve", {"solver": {"barrier": {"tau0": 0}}}, "unknown keys ['solver.barrier']"),
+        ("solve", {"solver": {"barrier": {"tau0": 1}}}, "unknown keys ['solver.barrier']"),
+        ("solve", {"scenario": {"annulus_inner": 200}}, "scenario: annulus"),
+        ("solve", {"scenario": {"carrier_frequency": 0}}, "scenario: carrier_frequency"),
+        ("solve", {"scenario": {"carrier_frequency": -5}}, "scenario: carrier_frequency"),
+        ("solve", {"scenario": {"noise_figure_db": 1e6}}, "scenario: noise_figure_db"),
+        ("solve", {"scenario": {"thermal_noise_dbm_hz": 1e5}},
          "scenario: thermal_noise_dbm_hz"),
-        ("solve", {"scenario": {"max_power_dbm": 1e6}}, None, "scenario: max_power_dbm"),
-        ("solve", {"solver": {"kkt_tolerance": 0}}, None, "solver: kkt_tolerance"),
-        ("solve", {"solver": {"kkt_tolerance": -1}}, None, "solver: kkt_tolerance"),
-        ("solve", {"solver": {"tolerance": float("nan")}}, None, "solver: tolerance"),
-        ("solve", {"scenario": {"shadowing_sigma_db": -3}}, None, "scenario: shadowing_sigma_db"),
-        ("solve", {"scenario": {"path_loss_exponent": -2}}, None, "scenario: path_loss_exponent"),
-        ("solve", {"scenario": {"path_loss_exponent": float("inf")}}, None,
+        ("solve", {"scenario": {"max_power_dbm": 1e6}}, "scenario: max_power_dbm"),
+        ("solve", {"solver": {"kkt_tolerance": 0}}, "solver: kkt_tolerance"),
+        ("solve", {"solver": {"kkt_tolerance": -1}}, "solver: kkt_tolerance"),
+        ("solve", {"solver": {"tolerance": float("nan")}}, "solver: tolerance"),
+        ("solve", {"scenario": {"shadowing_sigma_db": -3}}, "scenario: shadowing_sigma_db"),
+        ("solve", {"scenario": {"path_loss_exponent": -2}}, "scenario: path_loss_exponent"),
+        ("solve", {"scenario": {"path_loss_exponent": float("inf")}},
          "scenario: path_loss_exponent"),
-        ("solve", {"scenario": {"path_loss_const_db": 1000}}, None, "path_loss_const_db"),
-        ("solve", {"scenario": {"path_loss_const_db": float("nan")}}, None,
+        ("solve", {"scenario": {"path_loss_const_db": 1000}}, "path_loss_const_db"),
+        ("solve", {"scenario": {"path_loss_const_db": float("nan")}},
          "scenario: path_loss_const_db"),
-        ("solve", {"scenario": {"path_loss_const_db": -1e6}}, None,
+        ("solve", {"scenario": {"path_loss_const_db": -1e6}},
          "path_loss_const_db and shadowing_sigma_db"),
-        ("solve", {"scenario": {"shadowing_sigma_db": 1e5}}, None,
+        ("solve", {"scenario": {"shadowing_sigma_db": 1e5}},
          "path_loss_const_db and shadowing_sigma_db"),
-        ("solve", {"seed": True}, None, "seed"),
-        ("pareto", {"pareto": {"weights": [0.5], "trials": True}}, None, "pareto.trials"),
-        ("solve", {"scenario": {"n_blocks": True}}, None, "scenario.n_blocks"),
-        ("pareto", {"workers": 0, "pareto": {"weights": [0.5], "trials": 1}}, None, "workers"),
-        ("pareto", {"workers": -4, "pareto": {"weights": [0.5], "trials": 1}}, None, "workers"),
-        ("pareto", {"pareto": {"weights": [0.5], "trials": 1}}, "0", "EEOPT_WORKERS"),
-        ("solve", {"scenario": {"min_link_distance": -5}}, None, "scenario: min_link_distance"),
-        ("solve", {"scenario": {"min_link_distance": float("nan")}}, None,
+        ("solve", {"seed": True}, "seed"),
+        ("pareto", {"pareto": {"weights": [0.5], "trials": True}}, "pareto.trials"),
+        ("solve", {"scenario": {"n_blocks": True}}, "scenario.n_blocks"),
+        ("pareto", {"workers": 0, "pareto": {"weights": [0.5], "trials": 1}}, "workers"),
+        ("pareto", {"workers": -4, "pareto": {"weights": [0.5], "trials": 1}}, "workers"),
+        ("solve", {"scenario": {"min_link_distance": -5}}, "scenario: min_link_distance"),
+        ("solve", {"scenario": {"min_link_distance": float("nan")}},
          "scenario: min_link_distance"),
-        ("solve", {"scenario": {"d2d_distance": float("nan")}}, None, "scenario: d2d_distance"),
-        ("solve", {"scenario": {"annulus_outer": float("inf")}}, None, "scenario: annulus"),
-        ("trend", {"trend": {"distances": [10, float("nan")], "trials": 1}}, None, "distances"),
-        ("solve", {"scenario": {"bandwidth_per_block": 0}}, None, "scenario: bandwidth_per_block"),
-        ("pareto", {"pareto": {"weights": [0.5, 1.5], "trials": 1}}, None, "weights"),
-        ("convergence", {"convergence": {"zetas": [0]}}, None, "zetas"),
-        ("convergence", {"convergence": {"zetas": [1.5]}}, None, "zetas"),
-        ("convergence", {"convergence": {"epsilons": [0]}}, None, "epsilons"),
-        ("solve", {"scenario": {"min_rate": float("nan")}}, None, "scenario: min_rate"),
-        ("solve", {"scenario": {"amp_inefficiency": float("nan")}}, None,
+        ("solve", {"scenario": {"d2d_distance": float("nan")}}, "scenario: d2d_distance"),
+        ("solve", {"scenario": {"annulus_outer": float("inf")}}, "scenario: annulus"),
+        ("trend", {"trend": {"distances": [10, float("nan")], "trials": 1}}, "distances"),
+        ("solve", {"scenario": {"bandwidth_per_block": 0}}, "scenario: bandwidth_per_block"),
+        ("pareto", {"pareto": {"weights": [0.5, 1.5], "trials": 1}}, "weights"),
+        ("convergence", {"convergence": {"zetas": [0]}}, "zetas"),
+        ("convergence", {"convergence": {"zetas": [1.5]}}, "zetas"),
+        ("convergence", {"convergence": {"epsilons": [0]}}, "epsilons"),
+        ("solve", {"scenario": {"min_rate": float("nan")}}, "scenario: min_rate"),
+        ("solve", {"scenario": {"amp_inefficiency": float("nan")}},
          "scenario: amp_inefficiency"),
         ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
-                                                  "noise": [[float("inf")]]}}, None,
+                                                  "noise": [[float("inf")]]}},
          "instance: noise"),
-        ("solve", {"scenario": {"d2d_distance": True}}, None, "scenario.d2d_distance"),
-        ("pareto", {"pareto": {"weights": [True, False], "trials": 1}}, None, "pareto.weights"),
-        ("solve", {"solver": {"tolerance": True}}, None, "solver.tolerance"),
+        ("solve", {"scenario": {"d2d_distance": True}}, "scenario.d2d_distance"),
+        ("pareto", {"pareto": {"weights": [True, False], "trials": 1}}, "pareto.weights"),
+        ("solve", {"solver": {"tolerance": True}}, "solver.tolerance"),
         ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
-                                                  "max_power": [True]}}, None,
+                                                  "max_power": [True]}},
          "instance.max_power"),
-        ("solve", {"seed": -1}, None, "seed must be an integer >= 0"),
+        ("solve", {"seed": -1}, "seed must be an integer >= 0"),
         ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
-                                                  "gain": [[[True]]]}}, None, "instance.gain"),
-        ("solve", {"solver": {"tolerance": float("inf")}}, None, "solver: tolerance"),
-        ("solve", {"solver": {"kkt_tolerance": float("inf")}}, None, "solver: kkt_tolerance"),
-        ("convergence", {"convergence": {"epsilons": [1e-2, float("inf")]}}, None, "epsilons"),
+                                                  "gain": [[[True]]]}}, "instance.gain"),
+        ("solve", {"solver": {"tolerance": float("inf")}}, "solver: tolerance"),
+        ("solve", {"solver": {"kkt_tolerance": float("inf")}}, "solver: kkt_tolerance"),
+        ("convergence", {"convergence": {"epsilons": [1e-2, float("inf")]}}, "epsilons"),
+        ("pareto", {"scenario": {"seed": 11}}, "unknown keys ['scenario.seed']"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
-            "env-workers", "pareto-weights-float", "trend-distances-int", "weight-abc",
+            "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
             "scalarization-unknown-key", "output-unknown-key", "pareto-trials-fraction",
             "n_blocks-fraction", "barrier-tau0-0", "barrier-tau0-1", "scenario-out-of-range",
@@ -344,18 +345,14 @@ class TestConfigErrors:
             "shadowing-negative", "path-loss-exponent-negative", "path-loss-exponent-inf",
             "path-loss-const-no-rate", "path-loss-const-nan", "path-loss-const-huge-gain",
             "shadowing-huge-gain", "seed-bool", "pareto-trials-bool", "n_blocks-bool",
-            "workers-0", "workers-negative", "env-workers-0", "min-link-distance-negative",
+            "workers-0", "workers-negative", "min-link-distance-negative",
             "min-link-distance-nan", "d2d-distance-nan", "annulus-outer-inf",
             "trend-distance-nan", "bandwidth-0", "pareto-weight-above-1", "zeta-0", "zeta-above-1",
             "epsilon-0", "min-rate-nan", "amp-inefficiency-nan", "instance-noise-inf",
             "d2d-distance-bool", "pareto-weight-bool", "tolerance-bool", "instance-max-power-bool",
             "seed-negative", "instance-gain-bool", "tolerance-inf", "kkt-tolerance-inf",
-            "epsilon-inf"])
-    def test_bad_values_exit_2(self, tmp_path, monkeypatch, capsys, command, change, env, names):
-        if env is None:
-            monkeypatch.delenv("EEOPT_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("EEOPT_WORKERS", env)
+            "epsilon-inf", "scenario-seed"])
+    def test_bad_values_exit_2(self, tmp_path, capsys, command, change, names):
         cfg = tiny_scenario(command)
         cfg.update(change)
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
@@ -380,7 +377,7 @@ class TestConfigErrors:
         def names(cls):
             return {f.name for f in fields(cls)}
 
-        assert set(cli._SCENARIO) == names(ScenarioConfig)
+        assert set(cli._SCENARIO) == names(ScenarioConfig) - {"seed"}   # the top-level seed
         assert set(cli._INSTANCE) == names(NetworkInstance)
         assert set(cli._SOLVER) == names(SolverConfig) - {"initial_allocation"}
 
@@ -404,6 +401,15 @@ class TestOverrides:
 
         with pytest.raises(ConfigError):
             apply_overrides({}, ["solver.tolerance"])
+
+    def test_override_into_a_null_section(self, tmp_path):
+        # `solver:` with no keys reads as an empty section, with or without --set
+        cfg = tiny_scenario("solve", solver=None)
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out),
+                     "--set", "solver.tolerance=1e-4"]) == EXIT_OK
+        record = yaml.safe_load((out / "record.yaml").read_text())
+        assert record["config"]["solver"]["tolerance"] == 1e-4
 
     def test_cli_override_applies(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("pareto"))
@@ -501,8 +507,9 @@ class TestConvergenceCommand:
             return SweepRow(params, *[0.0] * 6, float(iterations), 0.0, trials=1, runs=(run,),
                             bounds=(bound,))
 
-        monkeypatch.setattr(cli_module, "convergence_study",
-                            lambda *args, **kwargs: [row(0.5, 3, 2.0), row(1.0, 1, None)])
+        _, table, columns = cli_module._SWEEPS["convergence"]
+        monkeypatch.setitem(cli_module._SWEEPS, "convergence", (
+            lambda *args, **kwargs: [row(0.5, 3, 2.0), row(1.0, 1, None)], table, columns))
         out = tmp_path / "out"
         assert main([write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence")),
                      "-o", str(out)]) == EXIT_SOLVER
@@ -571,12 +578,9 @@ class TestReplay:
         assert tables and tables == sorted(p.name for p in second.glob("*.csv"))
         for name in tables:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
-        rec1 = yaml.safe_load((first / "record.yaml").read_text())
-        rec2 = yaml.safe_load((second / "record.yaml").read_text())
-        rec1["config"].pop("output")
-        rec2["config"].pop("output")  # the replay target directory legitimately differs
-        assert rec1["config"] == rec2["config"]
-        assert rec1["results"] == rec2["results"]
+        # the record too, byte for byte, but for the replay's output directory
+        rec2 = (second / "record.yaml").read_text()
+        assert rec2.replace(str(second), str(first)) == (first / "record.yaml").read_text()
 
 
 class TestSweepTables:
@@ -585,8 +589,7 @@ class TestSweepTables:
         ("convergence", "convergence_summary.csv"),
     ])
     def test_seed_column_is_the_seed_that_draws_the_trials(self, tmp_path, command, table):
-        cfg = tiny_scenario(command, **{command: {"weights": [0.5], "trials": 1}})
-        cfg["scenario"]["seed"] = 11    # the trials' master seed; the run's seed stays 3
+        cfg = tiny_scenario(command, **{command: {"weights": [0.5], "trials": 1}}, seed=11)
         out = tmp_path / "out"
         assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_OK
         with open(out / table, newline="") as fh:
@@ -603,7 +606,7 @@ class TestRuntimeDomainErrors:
 
 
 class TestRecordContents:
-    def test_record_carries_seeds_and_resolved_units(self, tmp_path):
+    def test_record_carries_the_seed_and_resolved_units(self, tmp_path):
         cfg = tiny_scenario("solve")
         cfg["scenario"]["max_power_dbm"] = "23 dBm"
         cfg["scenario"]["bandwidth_per_block"] = "500 kHz"
@@ -614,8 +617,7 @@ class TestRecordContents:
         scen = record["config"]["scenario"]
         assert scen["max_power_dbm"] == 23.0
         assert scen["bandwidth_per_block"] == 500000.0
-        assert scen["seed"] == 3
-        assert record["config"]["seed"] == 3
+        assert "seed" not in scen and record["config"]["seed"] == 3
         assert not np.isnan(record["results"]["tee"])
 
     @pytest.mark.parametrize("field", ["max_power_dbm", "static_power_dbm"])
@@ -629,3 +631,21 @@ class TestRecordContents:
             record = yaml.safe_load((out / "record.yaml").read_text())
             resolved.append(record["config"]["scenario"][field])
         assert resolved == [23.0, 23.0]
+
+    @pytest.mark.parametrize("command, sections, recorded", [
+        ("trend", {"trend": {"distances": ["2 km", 15]}, "pareto": {"trials": 3}},
+         {"distances": [2000.0, 15.0], "weights": [0.0, 0.5, 1.0], "trials": 200}),
+        ("pareto", {}, {"weights": [i / 20 for i in range(21)], "trials": 50,
+                        "include_product_ee": False}),
+        ("convergence", {"convergence": None},
+         {"weights": [0.0, 0.7, 1.0], "zetas": [1.0], "epsilons": [1e-3], "trials": 1}),
+        ("solve", {"trend": {"trials": 3}}, None),
+    ], ids=["trend-units", "pareto-left-out", "convergence-null", "solve"])
+    def test_record_holds_the_command_study_resolved(self, command, sections, recorded):
+        # in SI units with every default, and no other command's study section
+        import eeopt.cli as cli
+
+        config = cli._record(cli._resolve(tiny_scenario(command, **sections)))
+        studies = {name: config[name] for name in ("pareto", "trend", "convergence")
+                   if name in config}
+        assert studies == ({} if recorded is None else {command: recorded})

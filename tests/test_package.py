@@ -28,3 +28,15 @@ def test_import_loads_no_third_party_module_but_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout.split()
     assert set(out) - set(sys.stdlib_module_names) == {"eeopt", "numpy"}
+
+
+def test_import_loads_no_cli_only_module():
+    # `import eeopt` sits on every library caller's start-up path; the
+    # modules only the batch front end needs stay off it
+    cli_only = ["yaml", "argparse", "csv", "logging", "concurrent.futures", "eeopt.cli"]
+    code = f"import sys, eeopt; print(' '.join(m for m in {cli_only!r} if m in sys.modules))"
+    src = str(Path(eeopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == []
