@@ -26,7 +26,6 @@ from .network import (
     evaluate,
     is_feasible,
     jain_index,
-    sinr,
 )
 from .scalarization import (
     Scalarization,
@@ -84,7 +83,6 @@ __all__ = [
     "pareto_sweep",
     "product_ee",
     "run",
-    "sinr",
     "solve",
     "trend_study",
     "weighted_minimum",

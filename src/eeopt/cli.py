@@ -12,8 +12,9 @@ Commands (the `command` key of the config):
 The three sweeps share one body: it calls the command's study from
 `_SWEEPS` with the config section of the same name, whose keys are the
 study's parameters, and writes one CSV line per SweepRow. The top-level
-`seed` is the only seed: it draws `solve`'s instance and is the sweeps'
-master seed.
+`seed` is the only seed, an integer >= 0 whatever the network source: it
+draws `solve`'s instance, and each sweep's study takes it as its `seed`
+argument, the master seed of its trials.
 
 Every invocation writes `record.yaml`: the config, each section written
 back by `_plain` through the table that read it (SI units, defaults
@@ -41,7 +42,7 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from enum import Enum
 from pathlib import Path
 
@@ -54,12 +55,13 @@ from .errors import (
     EEOptError,
     InfeasibleInitialPointError,
     ShapeError,
+    check_integer,
 )
 from .network import NetworkInstance
 from .scalarization import Scalarization, ScalarizationKind
 from .scenario import (
     ScenarioConfig,
-    _sweep_row,
+    SweepRow,
     convergence_study,
     generate,
     pareto_sweep,
@@ -304,14 +306,13 @@ def apply_overrides(config: dict, overrides) -> dict:
 
 
 def _resolve(raw: dict) -> dict:
-    """Read a config through `_TOP`; the scenario takes `seed` as its master seed."""
+    """Read a config through `_TOP`, whatever its network source, with a seed >= 0."""
     cfg = _read("", raw, _TOP)
     if (cfg["scenario"] is None) == (cfg["instance"] is None):
         raise ConfigError("exactly one of `scenario` or `instance` must be present")
     if cfg["instance"] is not None and cfg["command"] != "solve":
         raise ConfigError(f"command {cfg['command']!r} needs a `scenario` section")
-    if cfg["scenario"] is not None:
-        cfg["scenario"] = replace(cfg["scenario"], seed=cfg["seed"])
+    check_integer("seed", cfg["seed"], 0)
     return cfg
 
 
@@ -369,7 +370,7 @@ def _solve(cfg: dict):
         "allocation": result.allocation.tolist(),
         "trajectory": [float(f) for f in result.trajectory],
     }
-    return tables, summary, [_sweep_row({}, (result,))]
+    return tables, summary, [SweepRow({}, (result,))]
 
 
 def _file_number(x: float) -> str:
@@ -379,17 +380,17 @@ def _file_number(x: float) -> str:
 
 
 def _sweep(cfg: dict):
-    """Call the command's study with its section as keyword arguments, and lay out its table.
+    """Call the command's study with its section and the seed as keywords, and lay out its table.
 
     The table has one line per row and a column per grid parameter or
-    SweepRow field; `iters_mean` is `iterations_mean` and `seed` the master
+    SweepRow attribute; `iters_mean` is `iterations_mean` and `seed` the master
     seed. `convergence` adds each row's first trajectory.
     """
     command = cfg["command"]
     study, table, columns = _SWEEPS[command]
-    section = cfg[command]
+    section = {**cfg[command], "seed": cfg["seed"]}
     if command == "pareto":
-        section = {**section, "kind": cfg["scalarization"].kind}
+        section["kind"] = cfg["scalarization"].kind
     rows = study(cfg["scenario"], **section, solver_config=cfg["solver"], workers=cfg["workers"])
 
     def cell(row, column):

@@ -14,7 +14,8 @@ The instance owns the one interference computation. It lays its gains out
 once, block-major: the cross gains w_ji at ``[k, i, j]`` with a zero
 diagonal, and the noise at ``[k, i]``. `interference_plus_noise` forms
 sum_{j != i} w_ji p_j^k + noise_i^k from them in one batched product;
-the SINR here and the surrogate's rate pass (at p = 2^q) both call it.
+`evaluate`, the one SINR entry point, and the surrogate's rate pass (at
+p = 2^q) both call it.
 No term is found as everything received minus the direct power, which
 cancels when the direct power dominates.
 
@@ -36,7 +37,6 @@ __all__ = [
     "MetricsReport",
     "Violation",
     "FeasibilityResult",
-    "sinr",
     "interference_plus_noise",
     "evaluate",
     "is_feasible",
@@ -174,16 +174,6 @@ def _check_alloc(instance: NetworkInstance, alloc: np.ndarray, nonneg: bool = Tr
     return p
 
 
-def sinr(instance: NetworkInstance, alloc: np.ndarray) -> np.ndarray:
-    """Per-(user, block) SINR: direct power over interference plus noise."""
-    return _sinr(instance, _check_alloc(instance, alloc))
-
-
-def _sinr(instance: NetworkInstance, p: np.ndarray) -> np.ndarray:
-    """`sinr` at an allocation that has passed the check."""
-    return instance.direct_gain() * p / interference_plus_noise(instance, p).T
-
-
 def interference_plus_noise(instance: NetworkInstance, power: np.ndarray) -> np.ndarray:
     """User i's interference plus noise on block k at [k, i], for (N, K) powers."""
     return np.matmul(instance.cross_gain(), power.T[:, :, None])[:, :, 0] + instance._block_noise
@@ -204,9 +194,10 @@ def jain_index(values: np.ndarray) -> float:
 
 
 def evaluate(instance: NetworkInstance, alloc: np.ndarray) -> MetricsReport:
-    """Rates, consumed powers, energy efficiencies and fairness for one allocation."""
+    """SINRs (direct power over interference plus noise), rates, consumed powers,
+    energy efficiencies and fairness for one allocation."""
     p = _check_alloc(instance, alloc)
-    gamma = _sinr(instance, p)
+    gamma = instance.direct_gain() * p / interference_plus_noise(instance, p).T
     rate = instance.bandwidth_per_block * np.log1p(gamma).sum(axis=1) / math.log(2.0)
     power = instance.amp_inefficiency * p.sum(axis=1) + instance.static_power
     ee = rate / power

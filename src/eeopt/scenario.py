@@ -15,15 +15,16 @@ The three studies share one grid sweep. A study is a list of cells,
 each a scalarization plus its row's grid parameters, which may set the
 D2D distance, the start scale and the tolerance; every trial draws its
 instance (one per distance) and runs every cell on it, serially or on a
-process pool, and one reducer turns each cell's runs into a row of trial
-means and standard errors that keeps the runs. A run fails unless it
+process pool, and each cell's runs become a row that keeps them and reads
+its trial means and standard errors off them. A run fails unless it
 ends `converged`; a row counts its failed runs and averages the others.
 The convergence study adds each row's per-trial iteration bound.
 
-Reproducibility: a study is fully determined by its config and master
-seed. Trial i draws its instance from a generator seeded with
-SeedSequence([master_seed, i]), so trials are independent and the set of
-per-trial results does not depend on execution order or worker count.
+Reproducibility: a study is fully determined by its config, its grid and
+its `seed` argument, the master seed. Trial i draws its instance from a
+generator seeded with SeedSequence([seed, i]), so trials are independent
+and the set of per-trial results does not depend on execution order or
+worker count.
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ class ScenarioConfig:
     path_loss_const_db: float | None = None   # default: free-space constant at carrier
     shadowing_sigma_db: float = 0.0
     min_link_distance: float = 1.0        # m, keeps gains finite for overlapping drops
-    seed: int = 0                         # master seed for Monte-Carlo studies
 
     def __post_init__(self):
-        for name, low in (("n_d2d_pairs", 1), ("n_blocks", 1), ("seed", 0)):
-            check_integer(name, getattr(self, name), low)
+        for name in ("n_d2d_pairs", "n_blocks"):
+            check_integer(name, getattr(self, name), 1)
         if not 0 < self.annulus_inner < self.annulus_outer < math.inf:
             raise DomainError("annulus bounds must satisfy 0 < inner < outer < inf")
         for name in ("d2d_distance", "min_link_distance", "carrier_frequency", "bandwidth_per_block"):
@@ -172,25 +172,41 @@ def trial_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(master_seed), int(trial)])
 
 
-@dataclass(frozen=True)
+def _statistics(metric):
+    """The mean and standard-error properties of `metric` over a row's runs that
+    ended `converged`: NaN if none did, a standard error of 0 for one."""
+    def stats(row) -> tuple[float, float]:
+        arr = np.array([metric(r) for r in row.runs if r.status is RunStatus.CONVERGED],
+                       dtype=float)
+        if arr.size < 2:
+            return (float(arr.mean()), 0.0) if arr.size else (math.nan, math.nan)
+        return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+
+    return property(lambda row: stats(row)[0]), property(lambda row: stats(row)[1])
+
+
+@dataclass(frozen=True, eq=False)     # rows hold runs, and == on their arrays is ambiguous
 class SweepRow:
-    """One grid cell: its parameters, the runs it reduces, one per trial,
-    and each metric's mean and standard error over the runs that ended
-    `converged` (NaN if none did); `failed` counts the others."""
+    """One grid cell: its parameters and the runs it reduces, one per trial.
+
+    Each metric's mean and standard error (`tee`, `mee`, `jfi`,
+    `iterations`) is read off the runs that ended `converged`; `failed`
+    counts the others.
+    """
 
     params: dict
-    tee_mean: float
-    tee_se: float
-    mee_mean: float
-    mee_se: float
-    jfi_mean: float
-    jfi_se: float
-    iterations_mean: float
-    iterations_se: float
-    trials: int
-    runs: tuple[SolveResult, ...] = field(repr=False, compare=False)   # == on arrays is ambiguous
+    runs: tuple[SolveResult, ...] = field(repr=False)
     # convergence only: per trial 1 + (lambda - 1)/epsilon, None unless f_0 > 0
     bounds: tuple[float | None, ...] = ()
+
+    tee_mean, tee_se = _statistics(lambda r: r.metrics.ee_total)
+    mee_mean, mee_se = _statistics(lambda r: r.metrics.ee_min)
+    jfi_mean, jfi_se = _statistics(lambda r: r.metrics.jain_index)
+    iterations_mean, iterations_se = _statistics(lambda r: r.iterations)
+
+    @property
+    def trials(self) -> int:
+        return len(self.runs)
 
     @property
     def failed(self) -> int:
@@ -217,15 +233,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return int(workers)
 
 
-def _mean_se(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return math.nan, math.nan
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, se
-
-
 @dataclass(frozen=True)
 class _Cell:
     """One grid point: a scalarization and its row's parameters.
@@ -241,14 +248,14 @@ class _Cell:
 
 def _grid_trial(args) -> list[SolveResult]:
     """Run every cell on one trial's instance, one instance per link distance."""
-    config, cells, solver_config, trial = args
+    config, cells, solver_config, seed, trial = args
     instances = {}
     results = []
     for cell in cells:
         d = cell.params.get("d_d2d")
         if d not in instances:
             scenario = config if d is None else replace(config, d2d_distance=d)
-            instances[d] = generate(scenario, trial_seed(config.seed, trial))
+            instances[d] = generate(scenario, trial_seed(seed, trial))
         inst = instances[d]
         cfg = solver_config
         if "epsilon" in cell.params:
@@ -259,12 +266,13 @@ def _grid_trial(args) -> list[SolveResult]:
     return results
 
 
-def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
+def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int, seed: int,
               solver_config: SolverConfig | None, workers: int | None) -> list[SweepRow]:
     """Every cell on every trial's instance, one row per cell."""
     check_integer("trials", trials, 1)
+    check_integer("seed", seed, 0)
     workers = resolve_workers(workers)
-    tasks = [(config, cells, solver_config or SolverConfig(), t) for t in range(trials)]
+    tasks = [(config, cells, solver_config or SolverConfig(), seed, t) for t in range(trials)]
     if workers <= 1:
         per_trial = [_grid_trial(t) for t in tasks]
     else:
@@ -273,17 +281,7 @@ def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int,
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_grid_trial, tasks))
-    return [_sweep_row(cell.params, runs) for cell, runs in zip(cells, zip(*per_trial))]
-
-
-def _sweep_row(params: dict, runs: tuple[SolveResult, ...]) -> SweepRow:
-    """Trial mean and standard error of one cell's metrics over its converged runs."""
-    converged = [r for r in runs if r.status is RunStatus.CONVERGED]
-    tee = _mean_se([r.metrics.ee_total for r in converged])
-    mee = _mean_se([r.metrics.ee_min for r in converged])
-    jfi = _mean_se([r.metrics.jain_index for r in converged])
-    iters = _mean_se([r.iterations for r in converged])
-    return SweepRow(params, *tee, *mee, *jfi, *iters, trials=len(runs), runs=runs)
+    return [SweepRow(cell.params, runs) for cell, runs in zip(cells, zip(*per_trial))]
 
 
 def _checked(name: str, values, ok, rule: str) -> list[float]:
@@ -299,8 +297,8 @@ def _weights(values) -> list[float]:
 
 
 def pareto_sweep(config: ScenarioConfig, weights, kind="weighted_product", trials: int = 1,
-                 solver_config: SolverConfig | None = None, include_product_ee: bool = False,
-                 workers: int | None = None) -> list[SweepRow]:
+                 seed: int = 0, solver_config: SolverConfig | None = None,
+                 include_product_ee: bool = False, workers: int | None = None) -> list[SweepRow]:
     """Trade-off points (min EE, total EE) over a weight grid, trial-averaged.
 
     Each trial draws one instance and runs every weight on it, so the
@@ -311,21 +309,21 @@ def pareto_sweep(config: ScenarioConfig, weights, kind="weighted_product", trial
     cells = [_Cell(Scalarization(kind, w), {"w": w}) for w in weights]
     if include_product_ee:
         cells.append(_Cell(product_ee(), {"w": float("nan"), "baseline": "product_ee"}))
-    return _run_grid(config, cells, trials, solver_config, workers)
+    return _run_grid(config, cells, trials, seed, solver_config, workers)
 
 
-def trend_study(config: ScenarioConfig, distances, weights, trials: int = 1,
+def trend_study(config: ScenarioConfig, distances, weights, trials: int = 1, seed: int = 0,
                 solver_config: SolverConfig | None = None,
                 workers: int | None = None) -> list[SweepRow]:
     """Averaged total EE and fairness index versus D2D link distance and weight."""
     distances = _checked("distances", distances, lambda d: 0 < d < math.inf, "be finite and > 0")
     weights = _weights(weights)
     cells = [_Cell(weighted_product(w), {"d_d2d": d, "w": w}) for d in distances for w in weights]
-    return _run_grid(config, cells, trials, solver_config, workers)
+    return _run_grid(config, cells, trials, seed, solver_config, workers)
 
 
 def convergence_study(config: ScenarioConfig, weights, zetas, epsilons, trials: int = 1,
-                      solver_config: SolverConfig | None = None,
+                      seed: int = 0, solver_config: SolverConfig | None = None,
                       workers: int | None = None) -> list[SweepRow]:
     """Iteration counts per (weight, start scale, tolerance), with the iteration bound.
 
@@ -342,7 +340,7 @@ def convergence_study(config: ScenarioConfig, weights, zetas, epsilons, trials: 
         _Cell(weighted_product(w), {"w": w, "zeta": zeta, "epsilon": eps})
         for w in weights for zeta in zetas for eps in epsilons
     ]
-    rows = _run_grid(config, cells, trials, solver_config, workers)
+    rows = _run_grid(config, cells, trials, seed, solver_config, workers)
     best = {}     # (w, zeta) -> per-trial best final objective over the tolerances
     for row in rows:
         key = row.params["w"], row.params["zeta"]

@@ -40,7 +40,8 @@ from helpers import (
 
 TRIALS = 100
 WORKERS = 2
-SCENARIO = ScenarioConfig(d2d_distance=20.0, seed=20)
+SCENARIO = ScenarioConfig(d2d_distance=20.0)
+SEED = 20
 
 # fixture grid: (tolerance, weights) pairs shared by criteria 1, 4, 5, 8, 9
 RUN_GRID = {
@@ -75,7 +76,7 @@ class RunSummary:
 
 def _engine_task(args):
     weight, eps, trial = args
-    inst = generate(SCENARIO, trial_seed(SCENARIO.seed, trial))
+    inst = generate(SCENARIO, trial_seed(SEED, trial))
     result = run(inst, weighted_product(weight), SolverConfig(tolerance=eps))
     m = result.metrics
     return RunSummary(
@@ -271,11 +272,12 @@ def test_criterion_5_fairness_endpoint(engine_runs):
 
 
 def test_criterion_6_pareto_geometry():
-    config = ScenarioConfig(d2d_distance=10.0, seed=60)
+    config = ScenarioConfig(d2d_distance=10.0)
     rows = pareto_sweep(
         config,
         [i / 20 for i in range(21)],
         trials=TRIALS,
+        seed=60,
         solver_config=SolverConfig(tolerance=1e-3),
         workers=WORKERS,
     )
@@ -296,11 +298,11 @@ def test_criterion_6_pareto_geometry():
 
 
 def test_criterion_7_trend_reproduction():
-    config = ScenarioConfig(seed=70)
+    config = ScenarioConfig()
     distances = [10.0, 20.0, 40.0, 80.0]
     weights = [0.0, 0.5, 1.0]
     rows = trend_study(
-        config, distances, weights, trials=200,
+        config, distances, weights, trials=200, seed=70,
         solver_config=SolverConfig(tolerance=1e-3), workers=WORKERS,
     )
     by_key = {(r.params["d_d2d"], r.params["w"]): r for r in rows}

@@ -169,7 +169,7 @@ class TestSolveCommand:
         assert results["status"] == "converged"
         assert results["trajectory"][-1] == pytest.approx(31.7593, abs=1e-4)
         assert np.sort(np.ravel(results["allocation"]))[1] < 1e-30
-        r = run(generate(ScenarioConfig(**scenario, seed=1), 1), weighted_product(0.5))
+        r = run(generate(ScenarioConfig(**scenario), 1), weighted_product(0.5))
         assert r.iterations == results["iterations"]
         assert r.uncertified_subproblems == 0
 
@@ -329,6 +329,8 @@ class TestConfigErrors:
                                                   "max_power": [True]}},
          "instance.max_power"),
         ("solve", {"seed": -1}, "seed must be an integer >= 0"),
+        ("solve", {"scenario": None, "instance": single_user_instance_config()["instance"],
+                   "seed": -1}, "seed must be an integer >= 0"),
         ("solve", {"scenario": None, "instance": {**single_user_instance_config()["instance"],
                                                   "gain": [[[True]]]}}, "instance.gain"),
         ("solve", {"solver": {"tolerance": float("inf")}}, "solver: tolerance"),
@@ -350,8 +352,8 @@ class TestConfigErrors:
             "trend-distance-nan", "bandwidth-0", "pareto-weight-above-1", "zeta-0", "zeta-above-1",
             "epsilon-0", "min-rate-nan", "amp-inefficiency-nan", "instance-noise-inf",
             "d2d-distance-bool", "pareto-weight-bool", "tolerance-bool", "instance-max-power-bool",
-            "seed-negative", "instance-gain-bool", "tolerance-inf", "kkt-tolerance-inf",
-            "epsilon-inf", "scenario-seed"])
+            "seed-negative", "instance-seed-negative", "instance-gain-bool", "tolerance-inf",
+            "kkt-tolerance-inf", "epsilon-inf", "scenario-seed"])
     def test_bad_values_exit_2(self, tmp_path, capsys, command, change, names):
         cfg = tiny_scenario(command)
         cfg.update(change)
@@ -377,7 +379,7 @@ class TestConfigErrors:
         def names(cls):
             return {f.name for f in fields(cls)}
 
-        assert set(cli._SCENARIO) == names(ScenarioConfig) - {"seed"}   # the top-level seed
+        assert set(cli._SCENARIO) == names(ScenarioConfig)
         assert set(cli._INSTANCE) == names(NetworkInstance)
         assert set(cli._SOLVER) == names(SolverConfig) - {"initial_allocation"}
 
@@ -504,8 +506,7 @@ class TestConvergenceCommand:
             run = SimpleNamespace(iterations=iterations, trajectory=np.array([1.0, 1.01]),
                                   status=RunStatus.CONVERGED)
             params = {"w": 0.5, "zeta": zeta, "epsilon": 1e-2}
-            return SweepRow(params, *[0.0] * 6, float(iterations), 0.0, trials=1, runs=(run,),
-                            bounds=(bound,))
+            return SweepRow(params, (run,), bounds=(bound,))
 
         _, table, columns = cli_module._SWEEPS["convergence"]
         monkeypatch.setitem(cli_module._SWEEPS, "convergence", (

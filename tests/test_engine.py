@@ -336,7 +336,7 @@ class TestEndpointWeights:
         # at w = 1 a certified subproblem can end with one user's surrogate rate
         # a hair below 0, within tolerance of its floor of 0; that user's v root
         # is -inf, which used to raise DomainError although v has weight 0
-        inst = generate(ScenarioConfig(d2d_distance=d2d_distance, seed=20),
+        inst = generate(ScenarioConfig(d2d_distance=d2d_distance),
                         np.random.SeedSequence([20, trial]))
         r = run(inst, weighted_product(1.0), SolverConfig(tolerance=1e-3))
         assert r.status is RunStatus.CONVERGED

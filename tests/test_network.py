@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eeopt.errors import DomainError, ShapeError
-from eeopt.network import NetworkInstance, evaluate, is_feasible, jain_index, sinr
+from eeopt.network import NetworkInstance, evaluate, is_feasible, jain_index
 from eeopt.scenario import ScenarioConfig, generate
 
 from helpers import metrics_off_reference, random_alloc, random_instance, reference_metrics, rel_err
@@ -27,7 +27,7 @@ def single_user(gain=1.0, noise=0.5, mu=1.0, p_st=1.0, p_max=10.0, r_th=0.0, bw=
 class TestSinr:
     def test_single_user_direct_ratio(self):
         inst = single_user(gain=1.0, noise=0.5)
-        assert sinr(inst, np.array([[2.0]])) == pytest.approx(4.0)
+        assert evaluate(inst, np.array([[2.0]])).sinr == pytest.approx(4.0)
 
     def test_two_users_interference(self):
         # gain[j, i, k]: user 1 receives cross interference with gain 0.5
@@ -46,24 +46,24 @@ class TestSinr:
             min_rate=0.0,
         )
         p = np.array([[1.0], [2.0]])
-        g = sinr(inst, p)
+        g = evaluate(inst, p).sinr
         assert g[0, 0] == pytest.approx(1.0 / (0.5 * 2.0 + 1.0))
         assert g[1, 0] == pytest.approx(2.0 / (0.1 * 1.0 + 1.0))
 
     def test_zero_power_gives_zero_sinr(self):
         rng = np.random.default_rng(0)
         inst = random_instance(rng, 3, 2)
-        assert np.all(sinr(inst, np.zeros((3, 2))) == 0.0)
+        assert np.all(evaluate(inst, np.zeros((3, 2))).sinr == 0.0)
 
     def test_shape_mismatch(self):
         inst = single_user()
         with pytest.raises(ShapeError):
-            sinr(inst, np.zeros((2, 1)))
+            evaluate(inst, np.zeros((2, 1)))
 
     def test_negative_alloc_rejected(self):
         inst = single_user()
         with pytest.raises(DomainError):
-            sinr(inst, np.array([[-1.0]]))
+            evaluate(inst, np.array([[-1.0]]))
 
     def test_scale_invariance_in_power_and_noise(self):
         # scaling all powers and all noise by the same factor leaves SINR unchanged
@@ -80,7 +80,8 @@ class TestSinr:
                 max_power=inst.max_power,
                 min_rate=inst.min_rate,
             )
-            np.testing.assert_allclose(sinr(scaled, p * c), sinr(inst, p), rtol=1e-12)
+            np.testing.assert_allclose(evaluate(scaled, p * c).sinr, evaluate(inst, p).sinr,
+                                       rtol=1e-12)
 
     def test_rate_monotonicity_in_powers(self):
         # own power up -> own rate up; other's power up -> own rate down

@@ -37,7 +37,7 @@ class TestGenerate:
         assert inst.static_power[0] == pytest.approx(0.01)
 
     def test_same_seed_reproduces_instance(self):
-        cfg = ScenarioConfig(seed=5)
+        cfg = ScenarioConfig()
         a = generate(cfg, 42)
         b = generate(cfg, 42)
         assert np.array_equal(a.gain, b.gain)
@@ -74,8 +74,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("name, bad", [
         ("n_d2d_pairs", 2.5), ("n_d2d_pairs", True), ("n_d2d_pairs", 0), ("n_blocks", 2.5),
-        ("n_blocks", 2.0), ("n_blocks", True), ("seed", 1.5), ("seed", True), ("seed", -1)])
-    def test_counts_and_seed_must_be_integers(self, name, bad):
+        ("n_blocks", 2.0), ("n_blocks", True)])
+    def test_counts_must_be_integers(self, name, bad):
         with pytest.raises(DomainError, match=name):
             ScenarioConfig(**{name: bad})
         cfg = ScenarioConfig(**{name: np.int64(2)})
@@ -162,7 +162,7 @@ class TestFlatReduction:
 
 class TestTrialSeeds:
     def test_trial_seed_is_order_independent(self):
-        cfg = ScenarioConfig(seed=123)
+        cfg = ScenarioConfig()
         direct = generate(cfg, trial_seed(123, 7))
         # drawing other trials first must not affect trial 7
         for t in (0, 3, 5):
@@ -171,7 +171,7 @@ class TestTrialSeeds:
         assert np.array_equal(direct.gain, again.gain)
 
     def test_distinct_trials_get_distinct_instances(self):
-        cfg = ScenarioConfig(seed=123)
+        cfg = ScenarioConfig()
         a = generate(cfg, trial_seed(123, 0))
         b = generate(cfg, trial_seed(123, 1))
         assert not np.array_equal(a.gain, b.gain)
@@ -179,27 +179,41 @@ class TestTrialSeeds:
 
 class TestParetoSweep:
     def test_rows_and_geometry(self):
-        cfg = ScenarioConfig(seed=21, d2d_distance=10.0)
-        rows = pareto_sweep(cfg, [0.0, 0.5, 1.0], trials=2, solver_config=FAST)
+        cfg = ScenarioConfig(d2d_distance=10.0)
+        rows = pareto_sweep(cfg, [0.0, 0.5, 1.0], trials=2, seed=21, solver_config=FAST)
         assert len(rows) == 3
         for row in rows:
             assert row.tee_mean >= row.mee_mean - 1e-9
             assert row.trials == 2
 
     def test_deterministic_runs(self):
-        cfg = ScenarioConfig(seed=22)
-        a = pareto_sweep(cfg, [0.3, 0.8], trials=2, solver_config=FAST)
-        b = pareto_sweep(cfg, [0.3, 0.8], trials=2, solver_config=FAST)
+        cfg = ScenarioConfig()
+        a = pareto_sweep(cfg, [0.3, 0.8], trials=2, seed=22, solver_config=FAST)
+        b = pareto_sweep(cfg, [0.3, 0.8], trials=2, seed=22, solver_config=FAST)
         for ra, rb in zip(a, b):
             assert ra.tee_mean == rb.tee_mean
             assert ra.mee_mean == rb.mee_mean
 
     def test_product_ee_baseline_row(self):
-        cfg = ScenarioConfig(seed=23)
-        rows = pareto_sweep(cfg, [0.5], trials=1, solver_config=FAST, include_product_ee=True)
+        cfg = ScenarioConfig()
+        rows = pareto_sweep(cfg, [0.5], trials=1, seed=23, solver_config=FAST,
+                            include_product_ee=True)
         assert len(rows) == 2
         assert rows[-1].params.get("baseline") == "product_ee"
         assert rows[-1].tee_mean >= rows[-1].mee_mean
+
+    def test_statistics_follow_the_runs(self):
+        (row,) = pareto_sweep(ScenarioConfig(), [0.5], trials=2, seed=24, solver_config=FAST)
+        one = replace(row, runs=row.runs[:1])
+        (r,) = one.runs
+        assert r.status is RunStatus.CONVERGED and one.trials == 1
+        assert (one.tee_se, one.mee_se, one.jfi_se, one.iterations_se) == (0.0,) * 4
+        assert (one.tee_mean, one.mee_mean, one.jfi_mean, one.iterations_mean) == (
+            r.metrics.ee_total, r.metrics.ee_min, r.metrics.jain_index, r.iterations)
+        none = replace(row, runs=())
+        assert none.trials == 0
+        assert all(math.isnan(getattr(none, f"{metric}_{stat}"))
+                   for metric in ("tee", "mee", "jfi", "iterations") for stat in ("mean", "se"))
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(DomainError, match="weights"):
@@ -210,18 +224,31 @@ class TestParetoSweep:
         with pytest.raises(DomainError, match="trials"):
             pareto_sweep(ScenarioConfig(), [0.5], trials=bad)
 
+    @pytest.mark.parametrize("study", [
+        lambda seed: pareto_sweep(ScenarioConfig(), [0.5], seed=seed),
+        lambda seed: trend_study(ScenarioConfig(), [10.0], [0.5], seed=seed),
+        lambda seed: convergence_study(ScenarioConfig(), [0.5], [1.0], [1e-3], seed=seed),
+    ], ids=["pareto", "trend", "convergence"])
+    @pytest.mark.parametrize("bad", [1.5, True, -1])
+    def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, study, bad):
+        # rejected up front, before any run
+        monkeypatch.setattr("eeopt.scenario.run", lambda *args: pytest.fail("ran"))
+        with pytest.raises(DomainError, match="seed"):
+            study(bad)
+
 
 class TestTrendStudy:
     def test_rows_cover_the_grid(self):
-        cfg = ScenarioConfig(seed=31)
-        rows = trend_study(cfg, [10.0, 40.0], [0.0, 1.0], trials=2, solver_config=FAST)
+        cfg = ScenarioConfig()
+        rows = trend_study(cfg, [10.0, 40.0], [0.0, 1.0], trials=2, seed=31, solver_config=FAST)
         assert len(rows) == 4
         keys = [(row.params["d_d2d"], row.params["w"]) for row in rows]
         assert keys == [(10.0, 0.0), (10.0, 1.0), (40.0, 0.0), (40.0, 1.0)]
 
     def test_fairness_weight_yields_unit_jain_index(self):
-        cfg = ScenarioConfig(seed=32)
-        rows = trend_study(cfg, [20.0], [0.0], trials=3, solver_config=SolverConfig(tolerance=1e-4))
+        cfg = ScenarioConfig()
+        rows = trend_study(cfg, [20.0], [0.0], trials=3, seed=32,
+                           solver_config=SolverConfig(tolerance=1e-4))
         assert rows[0].jfi_mean == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("distance", [0.0, -10.0, float("nan"), float("inf")])
@@ -234,8 +261,9 @@ class TestTrendStudy:
 
 class TestConvergenceStudy:
     def test_rows_and_monotone_trajectories(self):
-        cfg = ScenarioConfig(seed=41)
-        rows = convergence_study(cfg, [0.7], [0.5, 1.0], [1e-2], trials=2, solver_config=FAST)
+        cfg = ScenarioConfig()
+        rows = convergence_study(cfg, [0.7], [0.5, 1.0], [1e-2], trials=2, seed=41,
+                                 solver_config=FAST)
         assert len(rows) == 2
         for row in rows:
             assert isinstance(row, SweepRow)
@@ -256,7 +284,7 @@ class TestConvergenceStudy:
             return result
 
         monkeypatch.setattr("eeopt.scenario.run", run_failing_the_first)
-        (row,) = convergence_study(ScenarioConfig(seed=41), [0.7], [1.0], [1e-2], trials=3,
+        (row,) = convergence_study(ScenarioConfig(), [0.7], [1.0], [1e-2], trials=3, seed=41,
                                    solver_config=FAST)
         assert row.trials == 3 and row.failed == 1
         assert row.runs[0].status is RunStatus.SUBPROBLEM_FAILURE
@@ -273,8 +301,8 @@ class TestConvergenceStudy:
             convergence_study(ScenarioConfig(), [0.5], [0.0], [1e-3], trials=1)
 
     def test_counts_monotone_and_bounded(self):
-        cfg = ScenarioConfig(seed=71, n_d2d_pairs=2, n_blocks=2)   # log2 EE > 0 at the start
-        rows = convergence_study(cfg, [0.7], [0.5], [1e-2, 1e-3, 1e-4], trials=2)
+        cfg = ScenarioConfig(n_d2d_pairs=2, n_blocks=2)   # log2 EE > 0 at the start
+        rows = convergence_study(cfg, [0.7], [0.5], [1e-2, 1e-3, 1e-4], trials=2, seed=71)
         counts = np.array([[r.iterations for r in row.runs] for row in rows])  # (epsilon, trial)
         assert np.all(np.diff(counts, axis=0) >= 0)
         for row in rows:
@@ -291,8 +319,8 @@ class TestConvergenceStudy:
                 1.0 + max(f_best / f_0 - 1.0, 0.0) / row.params["epsilon"])
 
     def test_large_epsilon_gives_one_iteration(self):
-        cfg = ScenarioConfig(seed=72, n_d2d_pairs=1, n_blocks=2)
-        (row,) = convergence_study(cfg, [0.5], [1.0], [10.0])
+        cfg = ScenarioConfig(n_d2d_pairs=1, n_blocks=2)
+        (row,) = convergence_study(cfg, [0.5], [1.0], [10.0], seed=72)
         assert [r.iterations for r in row.runs] == [1]
 
     def test_rejects_nonpositive_epsilon(self, monkeypatch):
@@ -303,8 +331,8 @@ class TestConvergenceStudy:
                 convergence_study(ScenarioConfig(), [0.5], [1.0], epsilons)
 
     def test_final_objective_insensitive_to_start_scale(self):
-        cfg = ScenarioConfig(seed=42)
-        rows = convergence_study(cfg, [0.7], [0.1, 0.5, 1.0], [1e-4], trials=3,
+        cfg = ScenarioConfig()
+        rows = convergence_study(cfg, [0.7], [0.1, 0.5, 1.0], [1e-4], trials=3, seed=42,
                                  solver_config=SolverConfig(tolerance=1e-4))
         finals = np.array([[r.trajectory[-1] for r in row.runs] for row in rows])  # (zeta, trial)
         for t in range(finals.shape[1]):
@@ -316,11 +344,12 @@ class TestRowsFromDirectRuns:
     """Every study row is the trial statistics of direct `run` calls.
 
     Trial t of a cell runs on generate(config with the cell's link
-    distance, trial_seed(config.seed, t)), under the study's SolverConfig
-    with the cell's tolerance, from zeta times the uniform split.
+    distance, trial_seed(seed, t)), under the study's SolverConfig with the
+    cell's tolerance, from zeta times the uniform split.
     """
 
-    CONFIG = ScenarioConfig(seed=61, n_d2d_pairs=2, n_blocks=3)
+    CONFIG = ScenarioConfig(n_d2d_pairs=2, n_blocks=3)
+    SEED = 61
     SOLVER = SolverConfig(tolerance=1e-2, kkt_tolerance=1e-7)
     TRIALS = 2
 
@@ -330,7 +359,7 @@ class TestRowsFromDirectRuns:
                                                                      d2d_distance=d2d_distance)
         runs = []
         for t in range(trials):
-            inst = generate(scenario, trial_seed(self.CONFIG.seed, t))
+            inst = generate(scenario, trial_seed(self.SEED, t))
             cfg = solver if epsilon is None else replace(solver, tolerance=epsilon)
             if zeta is not None:
                 cfg = replace(cfg, initial_allocation=zeta * default_initial_point(inst))
@@ -359,7 +388,7 @@ class TestRowsFromDirectRuns:
 
     def test_pareto_with_the_product_ee_baseline(self):
         rows = pareto_sweep(self.CONFIG, [0.3, 0.8], kind="weighted_minimum", trials=self.TRIALS,
-                            solver_config=self.SOLVER, include_product_ee=True)
+                            seed=self.SEED, solver_config=self.SOLVER, include_product_ee=True)
         assert len(rows) == 3
         for row, w in zip(rows, [0.3, 0.8]):
             self.assert_row_is(row, {"w": w}, self.direct_runs(weighted_minimum(w)))
@@ -369,7 +398,8 @@ class TestRowsFromDirectRuns:
     def test_pareto_cells_with_failed_runs(self):
         # capped at two outer iterations, some trials end `iteration_cap`
         solver = replace(self.SOLVER, max_outer_iterations=2)
-        rows = pareto_sweep(self.CONFIG, [0.0, 0.3], trials=4, solver_config=solver)
+        rows = pareto_sweep(self.CONFIG, [0.0, 0.3], trials=4, seed=self.SEED,
+                            solver_config=solver)
         for row, w in zip(rows, [0.0, 0.3]):
             self.assert_row_is(row, {"w": w},
                                self.direct_runs(weighted_product(w), solver=solver, trials=4))
@@ -377,7 +407,7 @@ class TestRowsFromDirectRuns:
 
     def test_trend_over_two_distances(self):
         rows = trend_study(self.CONFIG, [10.0, 40.0], [0.0, 0.6], trials=self.TRIALS,
-                           solver_config=self.SOLVER)
+                           seed=self.SEED, solver_config=self.SOLVER)
         cells = [(d, w) for d in (10.0, 40.0) for w in (0.0, 0.6)]
         assert len(rows) == len(cells)
         for row, (d, w) in zip(rows, cells):
@@ -386,7 +416,7 @@ class TestRowsFromDirectRuns:
 
     def test_convergence_over_start_scales_and_tolerances(self):
         rows = convergence_study(self.CONFIG, [0.7], [0.2, 1.0], [1e-2, 1e-4], trials=self.TRIALS,
-                                 solver_config=self.SOLVER)
+                                 seed=self.SEED, solver_config=self.SOLVER)
         cells = [(zeta, eps) for zeta in (0.2, 1.0) for eps in (1e-2, 1e-4)]
         assert len(rows) == len(cells)
         direct = {cell: self.direct_runs(weighted_product(0.7), zeta=cell[0], epsilon=cell[1])
@@ -423,14 +453,15 @@ class TestWorkers:
 
     @pytest.mark.parametrize("study", ["pareto", "trend", "convergence"])
     def test_parallel_matches_serial(self, study):
-        cfg = ScenarioConfig(seed=51, n_d2d_pairs=2, n_blocks=3)
+        cfg = ScenarioConfig(n_d2d_pairs=2, n_blocks=3)
         sweep = {
-            "pareto": lambda workers: pareto_sweep(cfg, [0.4], trials=3, solver_config=FAST,
-                                                   include_product_ee=True, workers=workers),
-            "trend": lambda workers: trend_study(cfg, [10.0, 40.0], [0.4], trials=3,
+            "pareto": lambda workers: pareto_sweep(cfg, [0.4], trials=3, seed=51,
+                                                   solver_config=FAST, include_product_ee=True,
+                                                   workers=workers),
+            "trend": lambda workers: trend_study(cfg, [10.0, 40.0], [0.4], trials=3, seed=51,
                                                  solver_config=FAST, workers=workers),
             "convergence": lambda workers: convergence_study(cfg, [0.4], [0.5], [1e-2], trials=3,
-                                                             workers=workers),
+                                                             seed=51, workers=workers),
         }[study]
 
         # every field bit-identical, the runs' fields included: arrays as bytes,

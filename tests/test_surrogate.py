@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eeopt.errors import DomainError, ShapeError
-from eeopt.network import evaluate, sinr
+from eeopt.network import evaluate
 from eeopt.scalarization import weighted_product
 from eeopt.solver import ConvexSubproblem
 from eeopt.surrogate import bound_coefficients, build
@@ -92,12 +92,13 @@ class TestBuild:
         inst = random_instance(rng, 3, 2)
         p = random_alloc(rng, inst)
         model = expand(inst, p)
-        a, b = bound_coefficients(sinr(inst, p))
+        gamma = evaluate(inst, p).sinr
+        a, b = bound_coefficients(gamma)
         np.testing.assert_array_equal(model.a, a)
         np.testing.assert_array_equal(model.b, b)
         np.testing.assert_allclose(model.expansion_q, np.log2(p), rtol=1e-13)
         with pytest.raises(ShapeError, match="SINR shape"):
-            build(inst, p, replace(evaluate(inst, p), sinr=sinr(inst, p)[:, :1]))
+            build(inst, p, replace(evaluate(inst, p), sinr=gamma[:, :1]))
 
     def test_zero_power_rejected(self):
         rng = np.random.default_rng(11)
