@@ -343,9 +343,9 @@ def _solve(cfg: dict):
     rows = [
         (0, float(result.trajectory[0]), *result.start_log2_ee, "", "", "")
     ] + [
-        (s.index, s.objective, s.u, s.v, s.kkt_residual, s.newton_iterations,
+        (l, float(result.trajectory[l]), s.u, s.v, s.kkt_residual, s.newton_iterations,
          s.subproblem_status.value)
-        for s in result.iteration_stats
+        for l, s in enumerate(result.iteration_stats, 1)
     ]
     tables = {
         "trajectory.csv": (

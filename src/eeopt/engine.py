@@ -37,6 +37,11 @@ rounding says otherwise. So the subproblem that ends a run met the full
 test, OPTIMAL within kkt_tolerance, and the run is CONVERGED; or it
 stopped short of its certificate, and the run is UNCERTIFIED.
 
+A run returns only what it measured. Iteration l's stats, at
+`iteration_stats[l - 1]`, hold p_l's log2 TEE and MEE and the subproblem's
+certificate, steps and status; f_l is `trajectory[l]`, `certified` is read
+off the status, and the run's `iterations` is L = `len(trajectory) - 1`.
+
 The relative-change stopping rule |f_l - f_{l-1}| / |f_{l-1}| < tolerance
 divides by the previous log-domain objective; a 1e-12 floor guards the
 denominator when the objective crosses zero.
@@ -88,15 +93,17 @@ class RunStatus(Enum):
 
 @dataclass(frozen=True)
 class IterationStats:
-    index: int
-    objective: float          # log-domain trajectory value f_l = f(p_l)
     u: float                  # log2 total EE at p_l
     v: float                  # log2 min EE at p_l
     kkt_residual: float
     newton_iterations: int
     subproblem_status: SubproblemStatus
     feasible: bool            # original constraint set, relative tol 1e-6
-    certified: bool           # OPTIMAL within the run's kkt_tolerance, or ASCENT
+
+    @property
+    def certified(self) -> bool:
+        """OPTIMAL within the run's kkt_tolerance, or ASCENT."""
+        return self.subproblem_status in (SubproblemStatus.OPTIMAL, SubproblemStatus.ASCENT)
 
 
 @dataclass(frozen=True)
@@ -105,9 +112,13 @@ class SolveResult:
     metrics: MetricsReport
     trajectory: np.ndarray    # f_0 .. f_L, log domain
     start_log2_ee: tuple[float, float]   # (log2 TEE, log2 MEE) at the start, beside f_0
-    iterations: int           # L, outer iterations executed
     iteration_stats: list[IterationStats]
     status: RunStatus
+
+    @property
+    def iterations(self) -> int:
+        """L, the outer iterations executed."""
+        return len(self.trajectory) - 1
 
     @property
     def uncertified_subproblems(self) -> int:
@@ -153,47 +164,29 @@ def run(instance: NetworkInstance, scalarization: Scalarization,
 
     warm = None   # the previous subproblem's multipliers, if it was certified
     sub = ConvexSubproblem(model, scalarization)
-    for l in range(1, config.max_outer_iterations + 1):
+    for _ in range(config.max_outer_iterations):
         min_gain = config.tolerance * max(abs(f_prev), 1e-12)
         sol = solve(sub, config.kkt_tolerance, warm, min_gain)
         if sol.status is SubproblemStatus.NUMERICAL_FAILURE:
             status = RunStatus.SUBPROBLEM_FAILURE
             break
 
-        p = np.exp2(sol.q)
+        p = np.exp2(sub.unpack_q(sol.x))
         feas = is_feasible(instance, p, tol=1e-6)
         model = build(instance, p, feas.report)
         f_l = log_objective(scalarization, model.log2_ee_total, model.log2_ee)
         trajectory.append(f_l)
-        ascent = sol.status is SubproblemStatus.ASCENT
-        certified = ascent or sol.status is SubproblemStatus.OPTIMAL
-        warm = sol.multipliers if certified else None
-        stats.append(
-            IterationStats(
-                index=l,
-                objective=f_l,
-                u=model.log2_ee_total,
-                v=float(model.log2_ee.min()),
-                kkt_residual=sol.kkt_residual,
-                newton_iterations=sol.newton_iterations,
-                subproblem_status=sol.status,
-                feasible=feas.ok,
-                certified=certified,
-            )
-        )
+        stats.append(IterationStats(u=model.log2_ee_total, v=float(model.log2_ee.min()),
+                                    kkt_residual=sol.kkt_residual,
+                                    newton_iterations=sol.newton_iterations,
+                                    subproblem_status=sol.status, feasible=feas.ok))
+        warm = sol.multipliers if stats[-1].certified else None
         rel_change = abs(f_l - f_prev) / max(abs(f_prev), 1e-12)
         f_prev = f_l
-        if rel_change < config.tolerance and not ascent:
-            status = RunStatus.CONVERGED if certified else RunStatus.UNCERTIFIED
+        if rel_change < config.tolerance and sol.status is not SubproblemStatus.ASCENT:
+            status = RunStatus.CONVERGED if stats[-1].certified else RunStatus.UNCERTIFIED
             break
         sub.model = model
 
-    return SolveResult(
-        allocation=p,
-        metrics=feas.report,
-        trajectory=np.asarray(trajectory),
-        start_log2_ee=start_log2_ee,
-        iterations=len(trajectory) - 1,
-        iteration_stats=stats,
-        status=status,
-    )
+    return SolveResult(allocation=p, metrics=feas.report, trajectory=np.asarray(trajectory),
+                       start_log2_ee=start_log2_ee, iteration_stats=stats, status=status)

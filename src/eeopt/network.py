@@ -19,6 +19,11 @@ p = 2^q) both call it.
 No term is found as everything received minus the direct power, which
 cancels when the direct power dominates.
 
+A `MetricsReport` stores what `evaluate` measures, the SINRs, rates,
+consumed powers and EEs, and reads off them the rate and power totals,
+the TEE (total rate over total power), the MEE (the smallest EE) and the
+EEs' Jain index. A `FeasibilityResult` is `ok` when it lists no violation.
+
 All types are immutable after construction and every operation is pure,
 so everything here is safe to share across threads.
 """
@@ -132,17 +137,33 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Everything measurable about one allocation on one instance."""
+    """Everything measurable about one allocation on one instance: the measured
+    arrays, and the totals, TEE, MEE and Jain index read off them."""
 
     sinr: np.ndarray         # (N, K)
     rate: np.ndarray         # (N,) bit/s
-    rate_total: float
     power: np.ndarray        # (N,) W (consumed, incl. static)
-    power_total: float
     ee: np.ndarray           # (N,) bit/J
-    ee_total: float
-    ee_min: float
-    jain_index: float
+
+    @property
+    def rate_total(self) -> float:
+        return float(self.rate.sum())
+
+    @property
+    def power_total(self) -> float:
+        return float(self.power.sum())
+
+    @property
+    def ee_total(self) -> float:
+        return self.rate_total / self.power_total
+
+    @property
+    def ee_min(self) -> float:
+        return float(self.ee.min())
+
+    @property
+    def jain_index(self) -> float:
+        return jain_index(self.ee)
 
 
 @dataclass(frozen=True)
@@ -156,9 +177,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    ok: bool
     violations: list[Violation]
     report: MetricsReport    # the metrics the check read, at the allocation clipped to >= 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _check_alloc(instance: NetworkInstance, alloc: np.ndarray, nonneg: bool = True) -> np.ndarray:
@@ -194,28 +218,16 @@ def jain_index(values: np.ndarray) -> float:
 
 
 def evaluate(instance: NetworkInstance, alloc: np.ndarray) -> MetricsReport:
-    """SINRs (direct power over interference plus noise), rates, consumed powers,
-    energy efficiencies and fairness for one allocation."""
+    """SINRs (direct power over interference plus noise), rates, consumed powers
+    and energy efficiencies for one allocation."""
     p = _check_alloc(instance, alloc)
     gamma = instance.direct_gain() * p / interference_plus_noise(instance, p).T
     rate = instance.bandwidth_per_block * np.log1p(gamma).sum(axis=1) / math.log(2.0)
     power = instance.amp_inefficiency * p.sum(axis=1) + instance.static_power
     ee = rate / power
-    rate_total = float(rate.sum())
-    power_total = float(power.sum())
     for a in (gamma, rate, power, ee):      # fresh arrays, frozen in place
         a.setflags(write=False)
-    return MetricsReport(
-        sinr=gamma,
-        rate=rate,
-        rate_total=rate_total,
-        power=power,
-        power_total=power_total,
-        ee=ee,
-        ee_total=rate_total / power_total,
-        ee_min=float(ee.min()),
-        jain_index=jain_index(ee),
-    )
+    return MetricsReport(sinr=gamma, rate=rate, power=power, ee=ee)
 
 
 def is_feasible(instance: NetworkInstance, alloc: np.ndarray, tol: float = 0.0) -> FeasibilityResult:
@@ -242,4 +254,4 @@ def is_feasible(instance: NetworkInstance, alloc: np.ndarray, tol: float = 0.0) 
     for i in np.flatnonzero(checks[0][1] | checks[1][1]):
         violations += [Violation(kind, (int(i),), float(slack[i])) for kind, bad, slack in checks if bad[i]]
 
-    return FeasibilityResult(ok=not violations, violations=violations, report=report)
+    return FeasibilityResult(violations=violations, report=report)

@@ -136,8 +136,7 @@ class SubproblemStatus(Enum):
 
 @dataclass(frozen=True)
 class SubproblemSolution:
-    x: np.ndarray                     # the layout's variables; thresholds at its threshold columns
-    q: np.ndarray                     # (N, K)
+    x: np.ndarray                     # the layout's variables; `unpack_q` reads q off them
     kkt_residual: float
     newton_iterations: int
     status: SubproblemStatus
@@ -406,7 +405,7 @@ def _certificate(c_obj, G, c, lam, violation: float) -> float:
     return max(float(np.abs(c_obj + lam @ G).max()), float(np.abs(lam * c).max()), violation)
 
 
-def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
+def _interior_point(problem, tol: float, multipliers=None, min_gain=None) -> SubproblemSolution:
     """Primal-dual Newton from `problem.start()` until the KKT certificate meets tol.
 
     `problem.jacobian(pass)` returns the derivatives at a kept pass's point,
@@ -416,10 +415,9 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
     `min_gain`, an iterate after the start may end the loop as ASCENT: its
     rows hold within tol, its objective gain g over the start is at least
     2 min_gain, and its certificate and s'lam are at most
-    _ASCENT_SLACK * g. None never stops early. Returns
-    (x, multipliers, certificate, Newton steps, status). A
-    problem that stops short of the certificate returns the start or, if
-    one beats it, its best iterate whose rows are violated by at most tol.
+    _ASCENT_SLACK * g. None never stops early. A problem that stops short
+    of the certificate returns the start or, if one beats it, its best
+    iterate whose rows are violated by at most tol.
     """
     c_obj = problem.objective_vector
     n, m = problem.n_vars, problem.n_constraints
@@ -456,7 +454,7 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
                 elif ascent and residual <= _ASCENT_SLACK * gain:
                     status = SubproblemStatus.ASCENT
                 if status is not SubproblemStatus.MAX_ITERATIONS:
-                    return x, lam, residual, it, status
+                    return SubproblemSolution(x, residual, it, status, lam)
             if best is None or (violation <= tol and f > f_best):
                 best, f_best = (x, lam, c, G, violation), f
             if it == _MAX_NEWTON:
@@ -509,7 +507,7 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None):
             y, c, ctx = y_new, c_new, ctx_new
             f = float(c_obj @ y[:n])
         x, lam, c, G, violation = best
-        return x, lam, _certificate(c_obj, G, c, lam, violation), it, status
+        return SubproblemSolution(x, _certificate(c_obj, G, c, lam, violation), it, status, lam)
 
 
 def solve(sub: ConvexSubproblem, tol: float = 1e-8,
@@ -533,12 +531,4 @@ def solve(sub: ConvexSubproblem, tol: float = 1e-8,
             raise ShapeError("multiplier vector has the wrong length")
         if not np.isfinite(multipliers).all():
             raise DomainError("multipliers must be finite")
-    x, lam, residual, iterations, status = _interior_point(sub, tol, multipliers, min_gain)
-    return SubproblemSolution(
-        x=x,
-        q=sub.unpack_q(x),
-        kkt_residual=residual,
-        newton_iterations=iterations,
-        status=status,
-        multipliers=lam,
-    )
+    return _interior_point(sub, tol, multipliers, min_gain)

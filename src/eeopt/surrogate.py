@@ -35,7 +35,7 @@ s_jik = w_ji 2^{q_j^k} / total_ik from the instance's cross-gain table:
     d rate_i / d q_j^k = B a_i^k (delta_ij - s_jik)
     hess_k rate_i      = -B a_i^k ln2 (diag(s_ik) - s_ik s_ik')
 
-The terms are the received powers `network.sinr` adds, from the same
+The terms are the received powers `network.evaluate` adds, from the same
 table in the same order, so the surrogate is tight at the expansion SINR
 the caller's network pass reports, both taking log2(1 + g) by log1p.
 The sum needs no max-exponent stabilization: a term that overflows makes

@@ -1,6 +1,10 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -242,6 +246,20 @@ class TestConfigErrors:
     def test_missing_file_exits_2(self, tmp_path):
         assert main([str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
 
+    def test_top_level_list_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.yaml"
+        path.write_text("- command: solve\n")
+        assert main([str(path)]) == EXIT_CONFIG
+        assert "does not contain a mapping" in capsys.readouterr().err
+
+    def test_missing_command_exits_2(self, tmp_path, capsys):
+        cfg = tiny_scenario("solve")
+        del cfg["command"]
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert "command is required" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scenario_key_named_in_error(self, tmp_path, capsys):
         cfg = tiny_scenario("solve")
         cfg["scenario"]["d2d_dist"] = 10
@@ -337,6 +355,11 @@ class TestConfigErrors:
         ("solve", {"solver": {"kkt_tolerance": float("inf")}}, "solver: kkt_tolerance"),
         ("convergence", {"convergence": {"epsilons": [1e-2, float("inf")]}}, "epsilons"),
         ("pareto", {"scenario": {"seed": 11}}, "unknown keys ['scenario.seed']"),
+        ("solve", {"scenario": None, "instance": {
+            k: v for k, v in single_user_instance_config()["instance"].items() if k != "gain"}},
+         "instance.gain is required"),
+        ("pareto", {"scenario": None, "instance": single_user_instance_config()["instance"]},
+         "command 'pareto' needs a `scenario` section"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -353,7 +376,8 @@ class TestConfigErrors:
             "epsilon-0", "min-rate-nan", "amp-inefficiency-nan", "instance-noise-inf",
             "d2d-distance-bool", "pareto-weight-bool", "tolerance-bool", "instance-max-power-bool",
             "seed-negative", "instance-seed-negative", "instance-gain-bool", "tolerance-inf",
-            "kkt-tolerance-inf", "epsilon-inf", "scenario-seed"])
+            "kkt-tolerance-inf", "epsilon-inf", "scenario-seed", "instance-gain-missing",
+            "pareto-instance"])
     def test_bad_values_exit_2(self, tmp_path, capsys, command, change, names):
         cfg = tiny_scenario(command)
         cfg.update(change)
@@ -403,6 +427,27 @@ class TestOverrides:
 
         with pytest.raises(ConfigError):
             apply_overrides({}, ["solver.tolerance"])
+
+    def test_override_into_a_scalar_exits_2(self, tmp_path, capsys):
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("solve"))
+        assert main([cfg_path, "-o", str(tmp_path / "out"), "--set", "seed.deeper=1"]) \
+            == EXIT_CONFIG
+        assert "descends into a non-mapping" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_override_with_a_unit(self, tmp_path):
+        # "15 m" is not a number to YAML; the scenario table reads its unit
+        records = []
+        for name, args in (("set", ["--set", "scenario.d2d_distance=15 m"]), ("file", [])):
+            cfg = tiny_scenario("solve")
+            if not args:
+                cfg["scenario"]["d2d_distance"] = 15
+            out = tmp_path / "out"
+            assert main([write_yaml(tmp_path / f"{name}.yaml", cfg), "-o", str(out), *args]) \
+                == EXIT_OK
+            records.append((out / "record.yaml").read_bytes())
+        assert records[0] == records[1]
+        assert yaml.safe_load(records[0])["config"]["scenario"]["d2d_distance"] == 15.0
 
     def test_override_into_a_null_section(self, tmp_path):
         # `solver:` with no keys reads as an empty section, with or without --set
@@ -542,6 +587,30 @@ class TestConvergenceCommand:
         assert len(record["outputs"]) == 4      # the summary and three trajectories
         with open(out / "convergence_summary.csv", newline="") as fh:
             assert [row["failed"] for row in csv.DictReader(fh)] == ["1", "0", "0"]
+
+
+class TestProcess:
+    """`python -m eeopt.cli` as a user starts it, in a process of its own."""
+
+    @staticmethod
+    def start(tmp_path, cfg):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "eeopt.cli", write_yaml(tmp_path / "cfg.yaml", cfg),
+             "-o", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+
+    def test_solve_exits_0_with_a_record(self, tmp_path):
+        done = self.start(tmp_path, single_user_instance_config())
+        assert done.returncode == EXIT_OK, done.stderr
+        assert yaml.safe_load((tmp_path / "out" / "record.yaml").read_text())["status"] == "ok"
+
+    def test_unknown_key_exits_2_without_a_traceback(self, tmp_path):
+        done = self.start(tmp_path, {**single_user_instance_config(), "sede": 1})
+        assert done.returncode == EXIT_CONFIG
+        assert "unknown keys ['sede']" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestReplay:

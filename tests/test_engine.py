@@ -146,13 +146,14 @@ class TestRunGeneral:
             model = expand(inst, p)
             sub = ConvexSubproblem(model, scal)
             sol = solve(sub)
-            rep = evaluate(inst, np.exp2(sol.q))
+            q = sub.unpack_q(sol.x)
+            rep = evaluate(inst, np.exp2(q))
             scale = rep.rate / inst.bandwidth_per_block
-            assert np.all(psi_rows(model, sol.q, np.log2(rep.ee))[0] <= 1e-12 * scale)
-            assert g_row(model, sol.q, float(np.log2(rep.ee_total)))[0] <= 1e-12 * scale.sum()
+            assert np.all(psi_rows(model, q, np.log2(rep.ee))[0] <= 1e-12 * scale)
+            assert g_row(model, q, float(np.log2(rep.ee_total)))[0] <= 1e-12 * scale.sum()
             assert sol.x[sub.u_index] <= np.log2(rep.ee_total) + 1e-9
             assert np.all(sol.x[sub._v_cols] <= np.log2(rep.ee_min) + 1e-9)
-            p = np.exp2(sol.q)
+            p = np.exp2(q)
 
     def test_weighted_minimum_runs(self):
         rng = np.random.default_rng(65)
@@ -219,7 +220,7 @@ class TestCertification:
         assert last.subproblem_status is SubproblemStatus.OPTIMAL
         assert last.kkt_residual <= 1e-10
         assert early and all(s.certified for s in early)
-        assert all(s.index < r.iterations for s in r.iteration_stats
+        assert all(l < r.iterations for l, s in enumerate(r.iteration_stats, 1)
                    if s.subproblem_status is SubproblemStatus.ASCENT)
         np.testing.assert_allclose(
             r.trajectory,
@@ -237,12 +238,12 @@ class TestCertification:
             assert last.subproblem_status is SubproblemStatus.OPTIMAL
             assert last.kkt_residual <= SolverConfig().kkt_tolerance
             assert r.trajectory[-1] == log_true_objective(scal, r.metrics)
-            for s in r.iteration_stats:
+            for l, s in enumerate(r.iteration_stats, 1):
                 if s.subproblem_status is SubproblemStatus.ASCENT:
                     ascents += 1
-                    f_prev, f = r.trajectory[s.index - 1], r.trajectory[s.index]
+                    f_prev, f = r.trajectory[l - 1], r.trajectory[l]
                     assert f - f_prev >= tolerance * abs(f_prev)
-                    assert s.index < r.iterations
+                    assert l < r.iterations
         assert ascents >= len(SHAPES)
 
     def test_ascent_status_blocks_the_stopping_rule(self, monkeypatch):

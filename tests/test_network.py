@@ -65,6 +65,11 @@ class TestSinr:
         with pytest.raises(DomainError):
             evaluate(inst, np.array([[-1.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_alloc_rejected(self, value):
+        with pytest.raises(DomainError, match="must be finite"):
+            evaluate(single_user(), np.array([[value]]))
+
     def test_scale_invariance_in_power_and_noise(self):
         # scaling all powers and all noise by the same factor leaves SINR unchanged
         rng = np.random.default_rng(1)
@@ -248,6 +253,21 @@ class TestInstanceValidation:
                       amp_inefficiency=1.0, static_power=1.0, max_power=1.0, min_rate=0.0)
         with pytest.raises(DomainError, match=f"^{field} must be finite"):
             NetworkInstance(**{**fields, field: value})
+
+    @pytest.mark.parametrize("change, error, match", [
+        ({"gain": np.ones((1, 1))}, ShapeError, r"gain must be \(N, N, K\)"),
+        ({"gain": np.ones((1, 1, 0)), "noise": 1.0}, ShapeError, "at least one user and one block"),
+        ({"max_power": [1.0, 2.0]}, ShapeError, r"max_power must be scalar or shape \(1,\)"),
+        ({"noise": np.ones((2, 1))}, ShapeError, r"noise must be scalar or shape \(1, 1\)"),
+        ({"gain": -np.ones((1, 1, 1))}, DomainError, "gains must be finite and nonnegative"),
+        ({"gain": np.full((1, 1, 1), np.inf)}, DomainError, "gains must be finite and nonnegative"),
+    ], ids=["gain-2d", "zero-blocks", "per-user-length", "noise-shape", "gain-negative",
+            "gain-inf"])
+    def test_bad_array_rejected(self, change, error, match):
+        fields = dict(bandwidth_per_block=1.0, gain=np.ones((1, 1, 1)), noise=np.ones((1, 1)),
+                      amp_inefficiency=1.0, static_power=1.0, max_power=1.0, min_rate=0.0)
+        with pytest.raises(error, match=match):
+            NetworkInstance(**{**fields, **change})
 
     def test_instance_arrays_immutable(self):
         rng = np.random.default_rng(7)

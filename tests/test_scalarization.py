@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eeopt.errors import DomainError
-from eeopt.network import evaluate
+from eeopt.network import MetricsReport, evaluate
 from eeopt.scalarization import (
     Scalarization,
     ScalarizationKind,
@@ -16,21 +16,10 @@ from helpers import direct_objective, random_alloc, random_instance
 
 
 def report_with_ees(ees):
-    """Metrics report carrying just the EE fields the objectives read."""
+    """Metrics report whose links draw 1 W each, so their rates are the EEs."""
     ees = np.asarray(ees, dtype=float)
-    from eeopt.network import MetricsReport
-
-    return MetricsReport(
-        sinr=np.zeros((ees.size, 1)),
-        rate=ees.copy(),
-        rate_total=float(ees.sum()),
-        power=np.ones(ees.size),
-        power_total=float(ees.size),
-        ee=ees,
-        ee_total=float(ees.sum() / ees.size),
-        ee_min=float(ees.min()),
-        jain_index=1.0,
-    )
+    return MetricsReport(sinr=np.zeros((ees.size, 1)), rate=ees.copy(), power=np.ones(ees.size),
+                         ee=ees)
 
 
 class TestConstruction:

@@ -95,11 +95,11 @@ class _MonotoneRootToy:
 class TestBarrierEngine:
     def test_one_variable_root_is_found(self):
         toy = _MonotoneRootToy(root=1.75)
-        x, lam, residual, _, status = _interior_point(toy, 1e-8)
-        assert status is SubproblemStatus.OPTIMAL
-        assert residual <= 1e-8
-        assert x[0] == pytest.approx(1.75, abs=1e-7)
-        assert lam[0] > 0
+        sol = _interior_point(toy, 1e-8)
+        assert sol.status is SubproblemStatus.OPTIMAL
+        assert sol.kkt_residual <= 1e-8
+        assert sol.x[0] == pytest.approx(1.75, abs=1e-7)
+        assert sol.multipliers[0] > 0
 
     def test_residual_zero_when_objective_and_multipliers_vanish(self):
         toy = _MonotoneRootToy(root=0.0, objective=0.0)
@@ -117,27 +117,27 @@ class TestAscentStop:
     def test_no_min_gain_never_stops_early(self):
         toy = _MonotoneRootToy(root=self.ROOT)
         exact = _interior_point(toy, 1e-8)
-        assert exact[-1] is SubproblemStatus.OPTIMAL
+        assert exact.status is SubproblemStatus.OPTIMAL
         # a gain no point can reach takes the identical path
         unreachable = _interior_point(toy, 1e-8, None, np.inf)
-        assert unreachable[-1] is SubproblemStatus.OPTIMAL
-        assert unreachable[0][0] == exact[0][0]
-        assert unreachable[3] == exact[3]
+        assert unreachable.status is SubproblemStatus.OPTIMAL
+        assert unreachable.x[0] == exact.x[0]
+        assert unreachable.newton_iterations == exact.newton_iterations
 
     @pytest.mark.parametrize("min_gain", [0.0, 0.3, 0.5, 0.87, 0.9, 2.0])
     def test_stops_only_past_twice_min_gain_at_a_feasible_point(self, min_gain):
         toy = _MonotoneRootToy(root=self.ROOT)
-        x, _, residual, steps, status = _interior_point(toy, 1e-8, None, min_gain)
-        gain = x[0]
+        sol = _interior_point(toy, 1e-8, None, min_gain)
+        gain = sol.x[0]
         if 2.0 * min_gain > self.ROOT:
-            assert status is SubproblemStatus.OPTIMAL
-            assert residual <= 1e-8
+            assert sol.status is SubproblemStatus.OPTIMAL
+            assert sol.kkt_residual <= 1e-8
         else:
-            assert status is SubproblemStatus.ASCENT
-            assert steps > 0
+            assert sol.status is SubproblemStatus.ASCENT
+            assert sol.newton_iterations > 0
             assert gain >= 2.0 * min_gain
-            assert toy.evaluate(x, with_grad=False)[0][0] >= -1e-8
-            assert residual <= 0.1 * gain
+            assert toy.evaluate(sol.x, with_grad=False)[0][0] >= -1e-8
+            assert sol.kkt_residual <= 0.1 * gain
 
     @pytest.mark.parametrize("min_gain", [float("nan"), -1e-9, -np.inf])
     def test_bad_min_gain_is_a_domain_error(self, min_gain):
@@ -542,7 +542,7 @@ class TestStart:
         sol = solve(sub, tol=1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
         assert sol.kkt_residual <= 1e-8
-        assert rate_rows(sub.model, sol.q)[0][0] - r0 >= -1e-8
+        assert rate_rows(sub.model, sub.unpack_q(sol.x))[0][0] - r0 >= -1e-8
 
     def test_unattainable_rate_floor_ends_uncertified(self):
         capacity = 1.0 * np.log2(1.0 + 10.0 * 10.0 / 1.0)
@@ -621,7 +621,7 @@ class TestSolve:
             assert (sub.u_index is not None, shared_v) == present
             assert sol.x.shape == (sub.n_vars,)
             assert sol.multipliers.shape == (sub.n_constraints,)
-            np.testing.assert_array_equal(sol.q, sol.x[: sub.nq].reshape(3, 2))
+            np.testing.assert_array_equal(sub.unpack_q(sol.x), sol.x[: sub.nq].reshape(3, 2))
 
     @pytest.mark.parametrize("w", [0.3, 0.7])
     @pytest.mark.parametrize("case", ["paper-scale", "random-3x2"])
@@ -635,8 +635,9 @@ class TestSolve:
         sub = ConvexSubproblem(model, weighted_minimum(w))
         sol = solve(sub, tol=1e-10)
         assert sol.status is SubproblemStatus.OPTIMAL
-        rates = rate_rows(model, sol.q)[0]
-        consumed = inst.amp_inefficiency * np.exp2(sol.q).sum(axis=1) + inst.static_power
+        q = sub.unpack_q(sol.x)
+        rates = rate_rows(model, q)[0]
+        consumed = inst.amp_inefficiency * np.exp2(q).sum(axis=1) + inst.static_power
         u = np.log2(rates.sum() / consumed.sum())
         v = np.log2((rates / consumed).min())
         t = sol.x[sub.nq]
@@ -674,7 +675,7 @@ def paper_scale_subproblems(scalarizations):
     for scal in scalarizations:
         sub = ConvexSubproblem(expand(inst, default_initial_point(inst)), scal)
         first = solve(sub)
-        yield sub, ConvexSubproblem(expand(inst, np.exp2(first.q)), scal), first
+        yield sub, ConvexSubproblem(expand(inst, np.exp2(sub.unpack_q(first.x))), scal), first
 
 
 class TestPredictorCorrector:
@@ -806,7 +807,8 @@ class TestGridOracles:
         sol = solve(sub, tol=1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
         # symmetric data, symmetric start: the two powers coincide at the optimum
-        assert abs(sol.q[0, 0] - sol.q[1, 0]) <= 1e-6
+        q = sub.unpack_q(sol.x)
+        assert abs(q[0, 0] - q[1, 0]) <= 1e-6
 
         coarse, p1c, p2c = pair_grid_objective(inst, model, scal, 1e-6, 4.0, 400)
         lo = max(1e-7, min(p1c, p2c) * 0.5)

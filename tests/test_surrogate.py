@@ -14,7 +14,7 @@ from eeopt.errors import DomainError, ShapeError
 from eeopt.network import evaluate
 from eeopt.scalarization import weighted_product
 from eeopt.solver import ConvexSubproblem
-from eeopt.surrogate import bound_coefficients, build
+from eeopt.surrogate import bound_coefficients, build, rate_evaluation
 
 from helpers import (
     central_diff,
@@ -99,6 +99,13 @@ class TestBuild:
         np.testing.assert_allclose(model.expansion_q, np.log2(p), rtol=1e-13)
         with pytest.raises(ShapeError, match="SINR shape"):
             build(inst, p, replace(evaluate(inst, p), sinr=gamma[:, :1]))
+
+    def test_rate_pass_checks_the_shape_of_q(self):
+        rng = np.random.default_rng(10)
+        inst = random_instance(rng, 3, 2)
+        model = expand(inst, random_alloc(rng, inst))
+        with pytest.raises(ShapeError, match="q shape"):
+            rate_evaluation(model, np.zeros((2, 3)))
 
     def test_zero_power_rejected(self):
         rng = np.random.default_rng(11)
