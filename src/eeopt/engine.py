@@ -54,7 +54,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleInitialPointError, check_integer
+from .errors import InfeasibleInitialPointError, check_integer, check_number
 from .network import MetricsReport, NetworkInstance, is_feasible
 from .scalarization import Scalarization, log_objective
 from .solver import ConvexSubproblem, SubproblemStatus, solve
@@ -79,8 +79,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("tolerance", "kkt_tolerance"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise DomainError(f"{name} must be finite and > 0")
+            check_number(name, getattr(self, name), 0, strict=True)
         check_integer("max_outer_iterations", self.max_outer_iterations, 1)
 
 

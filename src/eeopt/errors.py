@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types, and the two checks behind every range check in the library: counts must be
+integers, and numbers and arrays finite, not boolean and in range, or a DomainError names them."""
 
+import math
 from numbers import Integral
+
+import numpy as np
 
 
 class EEOptError(Exception):
@@ -24,3 +28,21 @@ def check_integer(name: str, value, low: int) -> None:
     count, a bool or a float (even 2.0) does not."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_number(name: str, value, low=-math.inf, high=math.inf, strict=False) -> None:
+    """A DomainError naming `name` unless the number or array `value` is finite, not a
+    boolean, and in [low, high], or (low, high] when `strict`; a Python scalar skips numpy."""
+    ok = False
+    if isinstance(value, (int, float)):
+        ok = (not isinstance(value, bool) and math.isfinite(value)
+              and (low < value if strict else low <= value) and value <= high)
+    elif (a := np.asarray(value)).dtype.kind in "iuf":    # not boolean, complex, text or object
+        inside = np.isfinite(a) & ((a > low) if strict else (a >= low))
+        if high < math.inf:
+            inside &= a <= high
+        ok = bool(inside.all())
+    if not ok:
+        rule = (f" and in {'(' if strict else '['}{low:g}, {high:g}]" if high < math.inf
+                else f" and {'>' if strict else '>='} {low:g}" if low > -math.inf else "")
+        raise DomainError(f"{name} must be finite{rule}, got {value!r}")

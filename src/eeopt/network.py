@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_number
 
 __all__ = [
     "NetworkInstance",
@@ -71,6 +71,10 @@ class NetworkInstance:
     min_rate: np.ndarray          # (N,) bit/s, >= 0
 
     def __post_init__(self):
+        for name, low, strict in (("bandwidth_per_block", 0, True), ("noise", 0, True),
+                                  ("amp_inefficiency", 1, False), ("static_power", 0, True),
+                                  ("max_power", 0, True), ("min_rate", 0, False)):
+            check_number(name, getattr(self, name), low, strict=strict)
         gain = np.asarray(self.gain, dtype=float)
         if gain.ndim != 3 or gain.shape[0] != gain.shape[1]:
             raise ShapeError(f"gain must be (N, N, K), got {gain.shape}")
@@ -110,13 +114,6 @@ class NetworkInstance:
             raise DomainError("gains must be finite and nonnegative")
         if np.any(self.direct_gain() <= 0):
             raise DomainError("direct gains gain[i, i, k] must be strictly positive")
-        for name, low, strict in (("bandwidth_per_block", 0, True), ("noise", 0, True),
-                                  ("amp_inefficiency", 1, False), ("static_power", 0, True),
-                                  ("max_power", 0, True), ("min_rate", 0, False)):
-            value = getattr(self, name)
-            # written as what must hold, because every comparison with NaN is False
-            if not np.all(np.isfinite(value) & ((value > low) if strict else (value >= low))):
-                raise DomainError(f"{name} must be finite and {'>' if strict else '>='} {low}")
 
     @property
     def n_users(self) -> int:
@@ -233,10 +230,11 @@ def evaluate(instance: NetworkInstance, alloc: np.ndarray) -> MetricsReport:
 def is_feasible(instance: NetworkInstance, alloc: np.ndarray, tol: float = 0.0) -> FeasibilityResult:
     """Check an allocation against nonnegativity, power budgets and rate floors.
 
-    `tol` is a relative slack: power sums may exceed the budget by a factor
+    `tol` is a finite relative slack >= 0: power sums may exceed the budget by a factor
     (1 + tol) and rates may fall short of the floor by a factor (1 - tol).
     The result carries the one metrics report the check evaluated.
     """
+    check_number("tol", tol, 0)
     p = np.asarray(alloc, dtype=float)
     violations: list[Violation] = []
     if p.size and p.min() < 0:

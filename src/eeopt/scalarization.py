@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 
 __all__ = [
     "ScalarizationKind",
@@ -44,9 +44,8 @@ class Scalarization:
     weight: float = 0.5
 
     def __post_init__(self):
+        check_number("weight", self.weight, 0, 1)
         w = float(self.weight)
-        if not 0.0 <= w <= 1.0:
-            raise DomainError(f"weight must be in [0, 1], got {w}")
         if self.kind is ScalarizationKind.WEIGHTED_MINIMUM and w in (0.0, 1.0):
             # min(x/w, y/(1-w)) divides by zero at the endpoints; pure
             # TEE or MEE maximization is the weighted product at w = 1 or 0.

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import RunStatus, SolverConfig, SolveResult, default_initial_point, run
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_number
 from .network import NetworkInstance
 from .scalarization import Scalarization, ScalarizationKind, product_ee, weighted_product
 from .units import db_to_linear, dbm_to_watts
@@ -75,29 +75,27 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("n_d2d_pairs", "n_blocks"):
             check_integer(name, getattr(self, name), 1)
-        if not 0 < self.annulus_inner < self.annulus_outer < math.inf:
+        for name in ("annulus_inner", "annulus_outer", "d2d_distance", "min_link_distance",
+                     "carrier_frequency", "bandwidth_per_block", "path_loss_exponent"):
+            check_number(name, getattr(self, name), 0, strict=True)
+        if not self.annulus_inner < self.annulus_outer:
             raise DomainError("annulus bounds must satisfy 0 < inner < outer < inf")
-        for name in ("d2d_distance", "min_link_distance", "carrier_frequency", "bandwidth_per_block"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and > 0")
         # past these the conversions overflow or round to zero watts
         for name, to_linear in (("noise_figure_db", db_to_linear),
                                 ("thermal_noise_dbm_hz", dbm_to_watts),
                                 ("static_power_dbm", dbm_to_watts),
                                 ("max_power_dbm", dbm_to_watts)):
+            check_number(name, getattr(self, name))
             try:
                 linear = to_linear(getattr(self, name))
             except OverflowError:
                 linear = math.inf
             if not 0 < linear < math.inf:
                 raise DomainError(f"{name} must have a finite, positive linear value")
-        if not 0 < self.path_loss_exponent < math.inf:
-            raise DomainError("path_loss_exponent must be finite and > 0")
         for name, low in (("shadowing_sigma_db", 0), ("min_rate", 0), ("amp_inefficiency", 1)):
-            if not low <= getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and >= {low}")
-        if self.path_loss_const_db is not None and not math.isfinite(self.path_loss_const_db):
-            raise DomainError("path_loss_const_db must be finite or null")
+            check_number(name, getattr(self, name), low)
+        if self.path_loss_const_db is not None:
+            check_number("path_loss_const_db", self.path_loss_const_db)
         # a user on the longest direct link, unshadowed at full power, must
         # get a nonzero rate, or its log2 EE is -inf and no run can start; the
         # SNR is summed in dB and capped at 0 dB, where the rate is surely
@@ -168,7 +166,9 @@ def generate(config: ScenarioConfig, seed) -> NetworkInstance:
 
 
 def trial_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
-    """The documented trial-splitting rule."""
+    """The documented trial-splitting rule, for integers master_seed, trial >= 0."""
+    check_integer("master_seed", master_seed, 0)
+    check_integer("trial", trial, 0)
     return np.random.SeedSequence([int(master_seed), int(trial)])
 
 
@@ -284,16 +284,14 @@ def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int, seed: int
     return [SweepRow(cell.params, runs) for cell, runs in zip(cells, zip(*per_trial))]
 
 
-def _checked(name: str, values, ok, rule: str) -> list[float]:
-    """A study's grid entries as floats; a DomainError naming `name` unless every one is ok."""
-    values = [float(v) for v in values]
-    if not all(ok(v) for v in values):
-        raise DomainError(f"{name} must {rule}, got {values}")
-    return values
-
-
-def _weights(values) -> list[float]:
-    return _checked("weights", values, lambda w: 0.0 <= w <= 1.0, "lie in [0, 1]")
+def _grid(name: str, values, low, high=math.inf, strict=False) -> list[float]:
+    """A study's grid entries as floats, each passing `check_number`; an empty grid is refused."""
+    values = list(values)
+    if not values:
+        raise DomainError(f"{name} must not be empty")
+    for v in values:
+        check_number(name, v, low, high, strict)
+    return [float(v) for v in values]
 
 
 def pareto_sweep(config: ScenarioConfig, weights, kind="weighted_product", trials: int = 1,
@@ -304,7 +302,7 @@ def pareto_sweep(config: ScenarioConfig, weights, kind="weighted_product", trial
     Each trial draws one instance and runs every weight on it, so the
     weight axis is directly comparable within a trial.
     """
-    weights = _weights(weights)
+    weights = _grid("weights", weights, 0, 1)
     kind = ScalarizationKind(kind)
     cells = [_Cell(Scalarization(kind, w), {"w": w}) for w in weights]
     if include_product_ee:
@@ -316,8 +314,8 @@ def trend_study(config: ScenarioConfig, distances, weights, trials: int = 1, see
                 solver_config: SolverConfig | None = None,
                 workers: int | None = None) -> list[SweepRow]:
     """Averaged total EE and fairness index versus D2D link distance and weight."""
-    distances = _checked("distances", distances, lambda d: 0 < d < math.inf, "be finite and > 0")
-    weights = _weights(weights)
+    distances = _grid("distances", distances, 0, strict=True)
+    weights = _grid("weights", weights, 0, 1)
     cells = [_Cell(weighted_product(w), {"d_d2d": d, "w": w}) for d in distances for w in weights]
     return _run_grid(config, cells, trials, seed, solver_config, workers)
 
@@ -333,9 +331,9 @@ def convergence_study(config: ScenarioConfig, weights, zetas, epsilons, trials: 
     divided by the common start value f_0. The bound holds for f_0 > 0
     only; elsewhere it is None.
     """
-    weights = _weights(weights)
-    zetas = _checked("zetas", zetas, lambda z: 0.0 < z <= 1.0, "lie in (0, 1]")
-    epsilons = _checked("epsilons", epsilons, lambda e: 0.0 < e < math.inf, "be finite and > 0")
+    weights = _grid("weights", weights, 0, 1)
+    zetas = _grid("zetas", zetas, 0, 1, strict=True)
+    epsilons = _grid("epsilons", epsilons, 0, strict=True)
     cells = [
         _Cell(weighted_product(w), {"w": w, "zeta": zeta, "epsilon": eps})
         for w in weights for zeta in zetas for eps in epsilons

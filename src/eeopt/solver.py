@@ -95,7 +95,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_number
 from .scalarization import Scalarization, ScalarizationKind, log_objective
 from .surrogate import LN2, SurrogateModel, rate_evaluation
 
@@ -405,20 +405,29 @@ def _certificate(c_obj, G, c, lam, violation: float) -> float:
     return max(float(np.abs(c_obj + lam @ G).max()), float(np.abs(lam * c).max()), violation)
 
 
-def _interior_point(problem, tol: float, multipliers=None, min_gain=None) -> SubproblemSolution:
-    """Primal-dual Newton from `problem.start()` until the KKT certificate meets tol.
+def solve(problem: ConvexSubproblem, tol: float = 1e-8, multipliers: np.ndarray | None = None,
+          min_gain: float | None = None) -> SubproblemSolution:
+    """Solve one subproblem by primal-dual Newton from `problem.start()` until the
+    KKT certificate meets tol; OPTIMAL means the certificate is within tol.
 
-    `problem.jacobian(pass)` returns the derivatives at a kept pass's point,
-    G first, and `problem.newton_matrix(derivatives, sigma, lam)` reads them.
-    `multipliers`, when given, warm-start lambda and must come from a
-    subproblem of the same layout; otherwise the start is cold. With
-    `min_gain`, an iterate after the start may end the loop as ASCENT: its
-    rows hold within tol, its objective gain g over the start is at least
-    2 min_gain, and its certificate and s'lam are at most
-    _ASCENT_SLACK * g. None never stops early. A problem that stops short
-    of the certificate returns the start or, if one beats it, its best
+    `problem.jacobian(pass)` returns the derivatives at a kept pass's point, G
+    first, and `problem.newton_matrix(derivatives, sigma, lam)` reads them.
+    `multipliers` warm-start lambda and must come from a subproblem of the same
+    layout, e.g. the previous outer iteration's of the same scalarization; None
+    starts cold. With `min_gain`, an iterate after the start may end the loop as
+    ASCENT (see the module docstring): its rows hold within tol, its objective
+    gain g over the start is at least 2 min_gain, and its certificate and s'lam
+    are at most _ASCENT_SLACK * g; None always solves to the certificate. Stopping
+    short of the certificate, it returns the start or, if one beats it, its best
     iterate whose rows are violated by at most tol.
     """
+    check_number("tol", tol, 0, strict=True)
+    if min_gain is not None and not min_gain >= 0:
+        raise DomainError("min_gain must be >= 0")
+    if multipliers is not None:
+        if np.shape(multipliers) != (problem.n_constraints,):
+            raise ShapeError("multiplier vector has the wrong length")
+        check_number("multipliers", multipliers)
     c_obj = problem.objective_vector
     n, m = problem.n_vars, problem.n_constraints
     rhs = np.empty((n, m + 1))
@@ -508,27 +517,3 @@ def _interior_point(problem, tol: float, multipliers=None, min_gain=None) -> Sub
             f = float(c_obj @ y[:n])
         x, lam, c, G, violation = best
         return SubproblemSolution(x, _certificate(c_obj, G, c, lam, violation), it, status, lam)
-
-
-def solve(sub: ConvexSubproblem, tol: float = 1e-8,
-          multipliers: np.ndarray | None = None,
-          min_gain: float | None = None) -> SubproblemSolution:
-    """Solve one subproblem from its start; OPTIMAL means the certificate is within tol.
-
-    `multipliers` warm-starts the multipliers, e.g. from the previous outer
-    iteration's subproblem of the same scalarization; None starts cold.
-    `min_gain` lets the solve stop early as ASCENT at a feasible iterate
-    whose objective beats the start's by at least 2 min_gain (see the
-    module docstring); None always solves to the certificate.
-    """
-    if not 0 < tol < math.inf:
-        raise DomainError("tol must be finite and > 0")
-    if min_gain is not None and not min_gain >= 0:
-        raise DomainError("min_gain must be >= 0")
-    if multipliers is not None:
-        multipliers = np.asarray(multipliers, dtype=float)
-        if multipliers.shape != (sub.n_constraints,):
-            raise ShapeError("multiplier vector has the wrong length")
-        if not np.isfinite(multipliers).all():
-            raise DomainError("multipliers must be finite")
-    return _interior_point(sub, tol, multipliers, min_gain)

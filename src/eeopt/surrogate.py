@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_number
 from .network import MetricsReport, NetworkInstance, interference_plus_noise
 
 __all__ = [
@@ -70,9 +70,8 @@ def bound_coefficients(gamma_prime):
     log1p(g') / ln 2; the conventions log2 0 = -inf and 0*log2 0 = 0 give
     (0, 0) for g' = 0. Accepts scalars or arrays.
     """
+    check_number("expansion SINR", gamma_prime, 0)
     g = np.asarray(gamma_prime, dtype=float)
-    if np.any(~np.isfinite(g)) or np.any(g < 0):
-        raise DomainError("expansion SINR must be finite and nonnegative")
     a = g / (1.0 + g)
     b = np.log1p(g) / LN2 - a * np.log2(g, out=np.zeros_like(g), where=g > 0)
     if np.ndim(gamma_prime) == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 
 __all__ = [
     "db_to_linear",
@@ -38,8 +38,7 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise DomainError("only positive powers have a dBm value")
+    check_number("watts", watts, 0, strict=True)     # only positive powers have a dBm value
     return 10.0 * math.log10(watts) + 30.0
 
 

@@ -360,6 +360,11 @@ class TestConfigErrors:
          "instance.gain is required"),
         ("pareto", {"scenario": None, "instance": single_user_instance_config()["instance"]},
          "command 'pareto' needs a `scenario` section"),
+        ("pareto", {"pareto": {"weights": [], "trials": 1}}, "weights must not be empty"),
+        ("pareto", {"pareto": {"weights": [], "trials": 1, "include_product_ee": True}},
+         "weights must not be empty"),
+        ("trend", {"trend": {"distances": [], "trials": 1}}, "distances must not be empty"),
+        ("convergence", {"convergence": {"epsilons": []}}, "epsilons must not be empty"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -377,7 +382,8 @@ class TestConfigErrors:
             "d2d-distance-bool", "pareto-weight-bool", "tolerance-bool", "instance-max-power-bool",
             "seed-negative", "instance-seed-negative", "instance-gain-bool", "tolerance-inf",
             "kkt-tolerance-inf", "epsilon-inf", "scenario-seed", "instance-gain-missing",
-            "pareto-instance"])
+            "pareto-instance", "pareto-weights-empty", "pareto-weights-empty-baseline",
+            "trend-distances-empty", "convergence-epsilons-empty"])
     def test_bad_values_exit_2(self, tmp_path, capsys, command, change, names):
         cfg = tiny_scenario(command)
         cfg.update(change)
@@ -386,6 +392,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error" in err and names in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_quoted_false_is_not_a_boolean(self, tmp_path, capsys):
         pareto = {"weights": [0.5], "trials": 1, "include_product_ee": "false"}

@@ -398,7 +398,7 @@ class TestInitialPointValidation:
             SolverConfig(max_outer_iterations=0)
 
     @pytest.mark.parametrize("name", ["tolerance", "kkt_tolerance"])
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_tolerances_must_be_finite_and_positive(self, name, bad):
         with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
             SolverConfig(**{name: bad})

@@ -229,6 +229,15 @@ class TestFeasibility:
         assert not is_feasible(inst, p, tol=0.0).ok
         assert is_feasible(inst, p, tol=1e-3).ok
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # 20 W per user against a 0.2 W budget, which no finite tol >= 0 excuses
+        inst = generate(ScenarioConfig(n_d2d_pairs=1, n_blocks=2), 0)
+        p = np.full((2, 2), 10.0)
+        assert not is_feasible(inst, p).ok
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            is_feasible(inst, p, tol=tol)
+
 
 class TestInstanceValidation:
     def test_zero_direct_gain_rejected(self):
@@ -245,7 +254,7 @@ class TestInstanceValidation:
         with pytest.raises(DomainError):
             NetworkInstance(1.0, np.ones((1, 1, 1)), np.zeros((1, 1)), 1.0, 1.0, 1.0, 0.0)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, True])
     @pytest.mark.parametrize("field", ["noise", "amp_inefficiency", "static_power", "max_power",
                                        "min_rate", "bandwidth_per_block"])
     def test_non_finite_value_rejected_by_name(self, field, value):

@@ -81,6 +81,15 @@ class TestGenerate:
         cfg = ScenarioConfig(**{name: np.int64(2)})
         assert getattr(cfg, name) == 2
 
+    @pytest.mark.parametrize("name", [
+        "d2d_distance", "annulus_inner", "annulus_outer", "carrier_frequency",
+        "bandwidth_per_block", "noise_figure_db", "thermal_noise_dbm_hz", "amp_inefficiency",
+        "static_power_dbm", "max_power_dbm", "min_rate", "path_loss_exponent",
+        "path_loss_const_db", "shadowing_sigma_db", "min_link_distance"])
+    def test_float_fields_refuse_a_boolean(self, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            ScenarioConfig(**{name: True})
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             ScenarioConfig(annulus_inner=100.0, annulus_outer=30.0)
@@ -176,6 +185,14 @@ class TestTrialSeeds:
         b = generate(cfg, trial_seed(123, 1))
         assert not np.array_equal(a.gain, b.gain)
 
+    @pytest.mark.parametrize("master_seed, trial, name", [
+        (1.5, 0, "master_seed"), (True, 0, "master_seed"), (-1, 0, "master_seed"),
+        (0, 1.0, "trial"), (0, -1, "trial")])
+    def test_seed_and_trial_must_be_nonnegative_integers(self, master_seed, trial, name):
+        # int() would read 1.5 and True as 1
+        with pytest.raises(DomainError, match=f"^{name} must be an integer >= 0"):
+            trial_seed(master_seed, trial)
+
 
 class TestParetoSweep:
     def test_rows_and_geometry(self):
@@ -215,9 +232,28 @@ class TestParetoSweep:
         assert all(math.isnan(getattr(none, f"{metric}_{stat}"))
                    for metric in ("tee", "mee", "jfi", "iterations") for stat in ("mean", "se"))
 
-    def test_invalid_weights_rejected(self):
+    @pytest.mark.parametrize("weights", [[0.5, 1.5], [0.5, True]], ids=["above-1", "bool"])
+    def test_invalid_weights_rejected(self, monkeypatch, weights):
+        # rejected up front, before any run
+        monkeypatch.setattr("eeopt.scenario._run_grid", lambda *args: pytest.fail("ran"))
         with pytest.raises(DomainError, match="weights"):
-            pareto_sweep(ScenarioConfig(), [0.5, 1.5], trials=1)
+            pareto_sweep(ScenarioConfig(), weights, trials=1)
+
+    @pytest.mark.parametrize("study, grid", [
+        (lambda: pareto_sweep(ScenarioConfig(), []), "weights"),
+        (lambda: pareto_sweep(ScenarioConfig(), [], include_product_ee=True), "weights"),
+        (lambda: trend_study(ScenarioConfig(), [], [0.5]), "distances"),
+        (lambda: trend_study(ScenarioConfig(), [10.0], []), "weights"),
+        (lambda: convergence_study(ScenarioConfig(), [], [1.0], [1e-3]), "weights"),
+        (lambda: convergence_study(ScenarioConfig(), [0.5], [], [1e-3]), "zetas"),
+        (lambda: convergence_study(ScenarioConfig(), [0.5], [1.0], []), "epsilons"),
+    ], ids=["pareto-weights", "pareto-weights-baseline", "trend-distances", "trend-weights",
+            "convergence-weights", "convergence-zetas", "convergence-epsilons"])
+    def test_empty_grid_rejected(self, monkeypatch, study, grid):
+        # refused before any run, not returned as an empty table
+        monkeypatch.setattr("eeopt.scenario._run_grid", lambda *args: pytest.fail("ran"))
+        with pytest.raises(DomainError, match=f"^{grid} must not be empty"):
+            study()
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, 0])
     def test_trials_must_be_a_positive_integer(self, bad):
@@ -251,7 +287,7 @@ class TestTrendStudy:
                            solver_config=SolverConfig(tolerance=1e-4))
         assert rows[0].jfi_mean == pytest.approx(1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("distance", [0.0, -10.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("distance", [0.0, -10.0, float("nan"), float("inf"), True])
     def test_rejects_bad_distances(self, monkeypatch, distance):
         # rejected up front, before any run
         monkeypatch.setattr("eeopt.scenario._run_grid", lambda *args: pytest.fail("ran"))

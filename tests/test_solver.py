@@ -13,7 +13,6 @@ from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import (
     ConvexSubproblem,
     SubproblemStatus,
-    _interior_point,
     solve,
 )
 from eeopt.surrogate import LN2, build, rate_evaluation
@@ -95,7 +94,7 @@ class _MonotoneRootToy:
 class TestBarrierEngine:
     def test_one_variable_root_is_found(self):
         toy = _MonotoneRootToy(root=1.75)
-        sol = _interior_point(toy, 1e-8)
+        sol = solve(toy, 1e-8)
         assert sol.status is SubproblemStatus.OPTIMAL
         assert sol.kkt_residual <= 1e-8
         assert sol.x[0] == pytest.approx(1.75, abs=1e-7)
@@ -116,10 +115,10 @@ class TestAscentStop:
 
     def test_no_min_gain_never_stops_early(self):
         toy = _MonotoneRootToy(root=self.ROOT)
-        exact = _interior_point(toy, 1e-8)
+        exact = solve(toy, 1e-8)
         assert exact.status is SubproblemStatus.OPTIMAL
         # a gain no point can reach takes the identical path
-        unreachable = _interior_point(toy, 1e-8, None, np.inf)
+        unreachable = solve(toy, 1e-8, None, np.inf)
         assert unreachable.status is SubproblemStatus.OPTIMAL
         assert unreachable.x[0] == exact.x[0]
         assert unreachable.newton_iterations == exact.newton_iterations
@@ -127,7 +126,7 @@ class TestAscentStop:
     @pytest.mark.parametrize("min_gain", [0.0, 0.3, 0.5, 0.87, 0.9, 2.0])
     def test_stops_only_past_twice_min_gain_at_a_feasible_point(self, min_gain):
         toy = _MonotoneRootToy(root=self.ROOT)
-        sol = _interior_point(toy, 1e-8, None, min_gain)
+        sol = solve(toy, 1e-8, None, min_gain)
         gain = sol.x[0]
         if 2.0 * min_gain > self.ROOT:
             assert sol.status is SubproblemStatus.OPTIMAL
