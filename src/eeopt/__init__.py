@@ -47,9 +47,11 @@ from .solver import (
     ConvexSubproblem,
     SubproblemSolution,
     SubproblemStatus,
+    SurrogateModel,
+    bound_coefficients,
+    build,
     solve,
 )
-from .surrogate import SurrogateModel, bound_coefficients, build
 
 __version__ = "0.1.0"
 

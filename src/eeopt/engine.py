@@ -57,8 +57,7 @@ import numpy as np
 from .errors import InfeasibleInitialPointError, check_integer, check_number
 from .network import MetricsReport, NetworkInstance, is_feasible
 from .scalarization import Scalarization, log_objective
-from .solver import ConvexSubproblem, SubproblemStatus, solve
-from .surrogate import build
+from .solver import ConvexSubproblem, SubproblemStatus, build, solve
 
 __all__ = [
     "SolverConfig",

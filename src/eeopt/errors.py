@@ -2,6 +2,7 @@
 integers, and numbers and arrays finite, not boolean and in range, or a DomainError names them."""
 
 import math
+import sys
 from numbers import Integral
 
 import numpy as np
@@ -35,7 +36,8 @@ def check_number(name: str, value, low=-math.inf, high=math.inf, strict=False) -
     boolean, and in [low, high], or (low, high] when `strict`; a Python scalar skips numpy."""
     ok = False
     if isinstance(value, (int, float)):
-        ok = (not isinstance(value, bool) and math.isfinite(value)
+        # finite, and an int inside the float range, without converting it
+        ok = (not isinstance(value, bool) and abs(value) <= sys.float_info.max
               and (low < value if strict else low <= value) and value <= high)
     elif (a := np.asarray(value)).dtype.kind in "iuf":    # not boolean, complex, text or object
         inside = np.isfinite(a) & ((a > low) if strict else (a >= low))

@@ -1,16 +1,73 @@
-"""Primal-dual interior-point solver for the concave inner subproblems.
+"""The concave minorant of each rate, and the primal-dual interior-point solver
+for the concave subproblems it bounds.
+
+With q = log2 p, the true per-user rate
+
+    R'_i(q) = B * sum_k log2(1 + gamma_i^k(2^q))
+
+is neither convex nor concave. Around an expansion SINR gamma' we apply
+the bound log2(1 + g) >= a*log2 g + b with a = g'/(1+g') and
+b = log2(1+g') - a*log2 g', which is tight (same value and derivative)
+at g = g'. Substituting the SINR expression turns the bounded rate into
+
+    rate_i(q) = B * sum_k [ b + a*log2 w_ii + a*q_i^k - a*log2(total_ik) ],
+    total_ik  = sum_{j!=i} w_ji * 2^{q_j^k} + noise_ik,
+
+which is concave in q (affine minus a scaled log-sum-exp). The functions
+bounding the efficiency constraints,
+
+    psi_i(q, v) = rate_i(q) - (mu_i * sum_k 2^{q_i^k} + P_st,i) * 2^v
+    g(q, u)     = sum_i rate_i(q) - (sum_i mu_i sum_k 2^{q_i^k} + sum_i P_st,i) * 2^u
+
+are concave in (q, v) and (q, u) and strictly decreasing in the threshold
+variable. `build` expands the bound at an allocation from its metrics
+report; there the roots of psi and g are the report's log2 EE_i and log2
+TEE, and the bound is tight at the report's SINR, both taking
+log2(1 + g) by log1p.
+
+One evaluation pass, `rate_evaluation`, returns 2^q and total_ik in
+linear power by calling the instance's one interference kernel,
+`network.interference_plus_noise`, at p = 2^q; its terms are the
+received powers `network.evaluate` adds, from the same cross-gain table
+in the same order. The sum needs no max-exponent stabilization: a term
+that overflows makes its point's values non-finite, never finite and
+wrong, so overflow can only get a trial step rejected by the line search.
 
 Each subproblem maximizes a linear objective over smooth concave
-inequality constraints c_m(x) >= 0 built from one surrogate model: the
-powers q = log2 p and the threshold columns theta its scalarization
+inequality constraints c_m(x) >= 0 built from one expansion of the
+bound: the powers q and the threshold columns theta its scalarization
 needs, under per-user power budgets, surrogate rate floors and the
-efficiency rows. Every row has the one form
+efficiency rows psi and g. Every row has the one form
 
     c = c0 + R rates(q) - 2^(S theta) * (W 2^q + P)
 
 `ConvexSubproblem` alone turns a scalarization into that layout, as the
 tables c0, R, W, P and S built once per run; its docstring gives the
-column and row order and the table meanings.
+column and row order and the table meanings. The rates, psi and g exist
+only as these rows: every rate is affine in q and in log2 total, so
+setting `ConvexSubproblem.model` folds each rate term's offset
+b + a log2 w_ii and slope B a into the rows once per outer iteration:
+c0' = c0 + R B sum_k (b + a log2 w_ii), RA = R (x) B a and AR = [RA 0],
+RA on the q columns, give the package's one surrogate-rate formula,
+c = c0' + AR x - RA log2(total) - 2^(S theta) * (W 2^q + P), one 2^q
+serving rows and interference sum.
+
+Both derivatives read off one derivative table Z. With the interference
+shares s_jik = w_ji 2^{q_j^k} / total_ik, d rate_i / d q_j^k =
+B a_ik (delta_ij - s_jik) and rate_i's Hessian on block k is
+B a_ik ln2 (s s' - diag(s)) over s = s_.ik. Each power term, a nonzero
+W_mj or P_m, enters row m's Jacobian as -u e' and its Hessian as
+-ln2 u e e', with u = ln2 2^(S_m theta) W_mj 2^q_j (or ln2 2^(S_m theta)
+P_m) and e the unit q_j column plus S_m (S_m alone for P_m). With Z the
+rows of G, a row e per power term and a share row per user and block,
+and U holding each u in its row,
+
+    G = AR - RA shares - U Z[m:]    (RA shares: K products of m x N by N x N)
+    M = Z' diag(omega) Z + diag(ln2 sum_i wa_ik s_jik),   wa = (R'lambda) B a,
+
+omega = [lambda/s, ln2 lambda_m u, -ln2 wa]. Z is never formed: the power
+terms, the K share blocks and their diagonal sit at fixed positions,
+summed by one bincount into G and one into M.
 
 The solver runs one Newton iteration on the perturbed KKT system of
 c(x) - s = 0, s > 0 (Nocedal & Wright, sections 19.2-19.3): primal x,
@@ -53,29 +110,6 @@ Rows are normalized internally, power rows by the budget and rate-type
 rows by the block bandwidth, so the Newton systems stay well conditioned;
 the feasible set is unchanged and multipliers refer to the normalized rows.
 
-Every rate is affine in q and in the log2 of its interference sum
-(`eeopt.surrogate`), so setting `ConvexSubproblem.model` folds each rate
-term's offset b + a log2 w_ii and slope B a, from the model's a and b,
-into the rows once per outer iteration: c0' = c0 + R B sum_k (b + a log2
-w_ii), RA = R (x) B a and AR = [RA 0], RA on the q columns, give the
-package's one surrogate-rate formula, c = c0' + AR x - RA log2(total) -
-2^(S theta) * (W 2^q + P), one 2^q serving rows and interference sum.
-
-Both derivatives read off one derivative table Z. Each power term, a
-nonzero W_mj or P_m, enters row m's Jacobian as -u e' and its Hessian as
--ln2 u e e', with u = ln2 2^(S_m theta) W_mj 2^q_j (or ln2 2^(S_m theta)
-P_m) and e the unit q_j column plus S_m (S_m alone for P_m); each rate_i
-on block k adds R_mi B a_ik ln2 (s s' - diag(s)) over the interference
-shares s = s_.ik. With Z the rows of G, a row e per power term and a
-share row per user and block, and U holding each u in its row,
-
-    G = AR - RA shares - U Z[m:]    (RA shares: K products of m x N by N x N)
-    M = Z' diag(omega) Z + diag(ln2 sum_i wa_ik s_jik),   wa = (R'lambda) B a,
-
-omega = [lambda/s, ln2 lambda_m u, -ln2 wa]. Z is never formed: the power
-terms, the K share blocks and their diagonal sit at fixed positions,
-summed by one bincount into G and one into M.
-
 Each iterate costs one interference pass, the start's included, as its
 thresholds come with the model; a line-search trial gets only that value
 pass and, once accepted, `jacobian` returns G, the coefficients u and the
@@ -96,15 +130,21 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ShapeError, check_number
+from .network import MetricsReport, NetworkInstance, interference_plus_noise
 from .scalarization import Scalarization, ScalarizationKind, log_objective
-from .surrogate import LN2, SurrogateModel, rate_evaluation
 
 __all__ = [
     "ConvexSubproblem",
     "SubproblemStatus",
     "SubproblemSolution",
+    "SurrogateModel",
+    "bound_coefficients",
+    "build",
+    "rate_evaluation",
     "solve",
 ]
+
+LN2 = math.log(2.0)
 
 
 # Knobs of the interior-point loop. The centering weight sigma is at least
@@ -125,6 +165,71 @@ _MIN_STEP = 1e-10
 _RIDGE = 1e-10
 # An ASCENT stop needs the certificate and s'lam within this share of the gain.
 _ASCENT_SLACK = 0.1
+
+
+# -- the bound and its rate pass ---------------------------------------------
+
+
+def bound_coefficients(gamma_prime):
+    """Coefficients (a, b) of the logarithmic lower bound at expansion SINR.
+
+    a = g'/(1+g'), b = log2(1+g') - a*log2 g', with log2(1+g') as
+    log1p(g') / ln 2; the conventions log2 0 = -inf and 0*log2 0 = 0 give
+    (0, 0) for g' = 0. Accepts scalars or arrays.
+    """
+    check_number("expansion SINR", gamma_prime, 0)
+    g = np.asarray(gamma_prime, dtype=float)
+    a = g / (1.0 + g)
+    b = np.log1p(g) / LN2 - a * np.log2(g, out=np.zeros_like(g), where=g > 0)
+    if np.ndim(gamma_prime) == 0:
+        return float(a), float(b)
+    return a, b
+
+
+@dataclass(frozen=True)
+class SurrogateModel:
+    """The bound expanded at one allocation, fixed for one subproblem."""
+
+    instance: NetworkInstance
+    a: np.ndarray               # (N, K), in [0, 1)
+    b: np.ndarray               # (N, K)
+    expansion_q: np.ndarray     # (N, K), log2 of the expansion powers
+    log2_ee_total: float        # log2 TEE at the expansion point, the root of g there
+    log2_ee: np.ndarray         # (N,) log2 EE_i there, the roots of psi_i
+
+
+def build(instance: NetworkInstance, alloc: np.ndarray, report: MetricsReport) -> SurrogateModel:
+    """Expand the bound at a strictly positive allocation, given its metrics report.
+
+    `report` is `evaluate(instance, alloc)`, as the caller's network pass
+    returned it. The bound is tight there, so the report's log2 TEE and
+    log2 EE_i are the exact efficiency roots (-inf for an EE of 0).
+    """
+    p = np.asarray(alloc, dtype=float)
+    gamma = report.sinr
+    if p.shape != (instance.n_users, instance.n_blocks) or gamma.shape != p.shape:
+        raise ShapeError(f"allocation shape {p.shape} or SINR shape {gamma.shape} "
+                         "does not match instance")
+    if np.any(p <= 0):
+        raise DomainError(
+            "surrogate expansion needs strictly positive powers (q = log2 p must be "
+            "finite); start from a strictly positive allocation"
+        )
+    a, b = bound_coefficients(gamma)
+    with np.errstate(divide="ignore"):
+        log2_ee_total, log2_ee = float(np.log2(report.ee_total)), np.log2(report.ee)
+    return SurrogateModel(instance=instance, a=a, b=b, expansion_q=np.log2(p),
+                          log2_ee_total=log2_ee_total, log2_ee=log2_ee)
+
+
+def rate_evaluation(model: SurrogateModel, q: np.ndarray):
+    """Sum the interference at q in one pass: (2^q (N, K), user i's interference
+    plus noise at [k, i])."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != model.expansion_q.shape:
+        raise ShapeError(f"q shape {q.shape} does not match instance {model.expansion_q.shape}")
+    power = np.exp2(q)
+    return power, interference_plus_noise(model.instance, power)
 
 
 class SubproblemStatus(Enum):
@@ -169,8 +274,7 @@ class ConvexSubproblem:
 
     So a power row is 1 - sum_k 2^q_ik / Pmax_i and a floor
     (rate_i - min_rate_i) / B, both with S theta = 0, and psi_i and g are
-    the surrogate slacks of `eeopt.surrogate` over B. The objective is
-    linear:
+    the module docstring's surrogate slacks over B. The objective is linear:
 
     * weighted product: w*u + (1-w)*v; a column with zero weight is
       dropped with its rows (u at w = 0, v at w = 1), so the Newton matrix
@@ -422,8 +526,8 @@ def solve(problem: ConvexSubproblem, tol: float = 1e-8, multipliers: np.ndarray 
     iterate whose rows are violated by at most tol.
     """
     check_number("tol", tol, 0, strict=True)
-    if min_gain is not None and not min_gain >= 0:
-        raise DomainError("min_gain must be >= 0")
+    if min_gain is not None and min_gain != math.inf:
+        check_number("min_gain", min_gain, 0)
     if multipliers is not None:
         if np.shape(multipliers) != (problem.n_constraints,):
             raise ShapeError("multiplier vector has the wrong length")

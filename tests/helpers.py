@@ -4,7 +4,12 @@ surrogate rates included, read off the rate floors), and oracles for the
 network pass (a per-pair loop), the objective in natural units, the KKT
 certificate, the max-exponent-stabilized rate pass and rows, and the
 dense derivatives that the solver's fused pass and derivative table
-replace."""
+replace. `load_perfbench` loads the benchmark's modules read-only."""
+
+import importlib.util
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -17,8 +22,26 @@ from eeopt.scalarization import (
     weighted_product,
 )
 from eeopt.scenario import ScenarioConfig, generate
-from eeopt.solver import ConvexSubproblem
-from eeopt.surrogate import LN2, build
+from eeopt.solver import LN2, ConvexSubproblem, build
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(*names):
+    """The named benchmark modules, loaded read-only in order. Each is registered
+    under its own name while the others load: `checks` and `workloads` import
+    `reference` by that name, and a dataclass looks its module up while it is
+    built. `sys.modules` is restored afterwards, so no bare name outlives the
+    loading."""
+    modules = []
+    with mock.patch.dict(sys.modules):
+        for name in names:
+            spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            modules.append(module)
+    return tuple(modules)
+
 
 # one scalarization of each subproblem shape, the weight endpoints included
 SHAPES = (weighted_product(0.5), weighted_product(0.0), weighted_product(1.0),

@@ -4,34 +4,16 @@ check reads the package's `SolveResult`, `IterationStats` and
 `SolverConfig` without raising, and no verdict fails. A field the checks
 read that is renamed or dropped would make every benchmark run fail."""
 
-import importlib.util
-import sys
 from dataclasses import replace
-from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import eeopt
 
-from helpers import SHAPES
+from helpers import SHAPES, load_perfbench
 
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    """A benchmark module, registered under its own name while the others load:
-    `checks` and `workloads` import `reference` by that name, and a dataclass
-    looks its module up while it is built."""
-    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-with mock.patch.dict(sys.modules):     # restored on exit, so no bare name outlives the loading
-    reference, checks, workloads = (_load(name) for name in ("reference", "checks", "workloads"))
+reference, checks, workloads = load_perfbench("reference", "checks", "workloads")
 
 TOLERANCES = (1e-2, 1e-3, 1e-4)
 

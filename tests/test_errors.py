@@ -9,7 +9,8 @@ from eeopt.errors import DomainError, check_number
 class TestCheckNumber:
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf, True, np.bool_(True), np.array([True, False]),
-        np.array([1.0, math.nan]), np.array([[2.0], [math.inf]]), "1.0", [1j]])
+        np.array([1.0, math.nan]), np.array([[2.0], [math.inf]]), "1.0", [1j],
+        10**400, -10**400])
     def test_non_finite_boolean_or_non_real_refused(self, value):
         with pytest.raises(DomainError, match="^x must be finite, got "):
             check_number("x", value)

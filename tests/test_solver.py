@@ -11,11 +11,13 @@ from eeopt.network import NetworkInstance, evaluate
 from eeopt.scalarization import ScalarizationKind, product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import (
+    LN2,
     ConvexSubproblem,
     SubproblemStatus,
+    build,
+    rate_evaluation,
     solve,
 )
-from eeopt.surrogate import LN2, build, rate_evaluation
 
 from helpers import (
     SHAPES,
@@ -138,7 +140,7 @@ class TestAscentStop:
             assert toy.evaluate(sol.x, with_grad=False)[0][0] >= -1e-8
             assert sol.kkt_residual <= 0.1 * gain
 
-    @pytest.mark.parametrize("min_gain", [float("nan"), -1e-9, -np.inf])
+    @pytest.mark.parametrize("min_gain", [float("nan"), -1e-9, -np.inf, True])
     def test_bad_min_gain_is_a_domain_error(self, min_gain):
         rng = np.random.default_rng(46)
         inst = random_instance(rng, 2, 2)

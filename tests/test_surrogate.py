@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from eeopt.errors import DomainError, ShapeError
 from eeopt.network import evaluate
 from eeopt.scalarization import weighted_product
-from eeopt.solver import ConvexSubproblem
-from eeopt.surrogate import bound_coefficients, build, rate_evaluation
+from eeopt.solver import ConvexSubproblem, bound_coefficients, build, rate_evaluation
 
 from helpers import (
     central_diff,
