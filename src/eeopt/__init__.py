@@ -27,14 +27,6 @@ from .network import (
     is_feasible,
     jain_index,
 )
-from .scalarization import (
-    Scalarization,
-    ScalarizationKind,
-    log_objective,
-    product_ee,
-    weighted_minimum,
-    weighted_product,
-)
 from .scenario import (
     ScenarioConfig,
     SweepRow,
@@ -45,12 +37,18 @@ from .scenario import (
 )
 from .solver import (
     ConvexSubproblem,
+    Scalarization,
+    ScalarizationKind,
     SubproblemSolution,
     SubproblemStatus,
     SurrogateModel,
     bound_coefficients,
     build,
+    log_objective,
+    product_ee,
     solve,
+    weighted_minimum,
+    weighted_product,
 )
 
 __version__ = "0.1.0"

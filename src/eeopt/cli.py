@@ -29,6 +29,13 @@ the table of each section. The table is the whole schema: it lists the
 keys, so unknown ones are errors; it parses, so every error names its
 `section.key`; and it holds the defaults, so a key appears once.
 
+The library works in SI (watts, Hz, bit/s, meters); dB, dBm and suffixed
+magnitudes ("23 dBm", "500 kHz") are read here, by the `parse_*`
+functions of the tables. Each returns its field's own unit: SI for the SI
+fields, and dB, dBm or dBm/Hz for the fields `ScenarioConfig` keeps in
+those units. A bare number, or a string holding only a number, is already
+in that unit.
+
 Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 solver failure:
 a run that did not end `converged`, or a `convergence` count above its
 bound. `run_command` decides it from the SweepRows that every command
@@ -40,7 +47,9 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
+import re
 import sys
 from dataclasses import MISSING, fields
 from enum import Enum
@@ -56,29 +65,24 @@ from .errors import (
     InfeasibleInitialPointError,
     ShapeError,
     check_integer,
+    check_number,
 )
 from .network import NetworkInstance
-from .scalarization import Scalarization, ScalarizationKind
 from .scenario import (
     ScenarioConfig,
     SweepRow,
     convergence_study,
+    db_to_linear,
+    dbm_to_watts,
     generate,
     pareto_sweep,
     trend_study,
 )
-from .solver import SubproblemStatus
-from .units import (
-    parse_db,
-    parse_dbm,
-    parse_dbm_per_hz,
-    parse_distance,
-    parse_frequency,
-    parse_rate,
-    parse_scalar,
-)
+from .solver import Scalarization, ScalarizationKind, SubproblemStatus
 
-__all__ = ["main", "run_command", "load_config", "ConfigError"]
+__all__ = ["main", "run_command", "load_config", "ConfigError", "watts_to_dbm", "parse_power",
+           "parse_frequency", "parse_db", "parse_dbm", "parse_dbm_per_hz", "parse_distance",
+           "parse_rate", "parse_scalar"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,6 +159,110 @@ def _fields(cls, parsers: dict) -> dict:
         f.name: (parsers[f.name], _REQUIRED if f.default is MISSING else f.default)
         for f in fields(cls) if f.name in parsers
     }
+
+
+def watts_to_dbm(watts: float) -> float:
+    check_number("watts", watts, 0, strict=True)     # only positive powers have a dBm value
+    return 10.0 * math.log10(watts) + 30.0
+
+
+_NUMBER = re.compile(r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*?)\s*$")
+
+
+def _split(value) -> tuple[float, str]:
+    if isinstance(value, bool):     # a bool is an int, but true is no quantity
+        raise DomainError(f"expected a number, got {value!r}")
+    if isinstance(value, (int, float)):
+        return float(value), ""
+    m = _NUMBER.match(str(value))
+    if not m:
+        raise DomainError(f"cannot parse quantity {value!r}")
+    return float(m.group(1)), m.group(2)
+
+
+def _parse(value, units: dict, what: str) -> float:
+    magnitude, unit = _split(value)
+    if unit not in units:
+        raise DomainError(f"unsupported unit {unit!r} for {what}: {value!r}")
+    return units[unit](magnitude)
+
+
+def parse_power(value) -> float:
+    """Powers: plain numbers are watts; supports W, mW, kW, dBm, dBW."""
+    return _parse(
+        value,
+        {
+            "": float,
+            "W": float,
+            "mW": lambda x: x * 1e-3,
+            "kW": lambda x: x * 1e3,
+            "dBm": dbm_to_watts,
+            "dBW": db_to_linear,
+        },
+        "power",
+    )
+
+
+def parse_frequency(value) -> float:
+    return _parse(
+        value,
+        {
+            "": float,
+            "Hz": float,
+            "kHz": lambda x: x * 1e3,
+            "KHz": lambda x: x * 1e3,
+            "MHz": lambda x: x * 1e6,
+            "GHz": lambda x: x * 1e9,
+        },
+        "frequency",
+    )
+
+
+def parse_db(value) -> float:
+    """Ratios in dB: plain numbers are dB."""
+    return _parse(value, {"": float, "dB": float}, "dB value")
+
+
+def parse_dbm(value) -> float:
+    """Power levels in dBm: plain numbers are dBm; the other power units convert."""
+    magnitude, unit = _split(value)
+    if unit in ("", "dBm"):
+        return magnitude
+    return watts_to_dbm(parse_power(value))
+
+
+def parse_dbm_per_hz(value) -> float:
+    """Spectral densities in dBm/Hz: plain numbers are dBm/Hz."""
+    return _parse(value, {"": float, "dBm/Hz": float}, "dBm/Hz value")
+
+
+def parse_distance(value) -> float:
+    return _parse(
+        value,
+        {"": float, "m": float, "km": lambda x: x * 1e3, "cm": lambda x: x * 1e-2},
+        "distance",
+    )
+
+
+def parse_rate(value) -> float:
+    return _parse(
+        value,
+        {
+            "": float,
+            "bit/s": float,
+            "kbit/s": lambda x: x * 1e3,
+            "Mbit/s": lambda x: x * 1e6,
+            "Gbit/s": lambda x: x * 1e9,
+        },
+        "rate",
+    )
+
+
+def parse_scalar(value) -> float:
+    magnitude, unit = _split(value)
+    if unit:
+        raise DomainError(f"expected a bare number, got {value!r}")
+    return magnitude
 
 
 def _integer(value) -> int:
@@ -275,24 +383,12 @@ def load_config(path) -> dict:
     return data
 
 
-def _parse_override_value(raw: str):
-    value = yaml.safe_load(raw)
-    if isinstance(value, str):
-        # YAML 1.1 needs a dot for scientific notation; accept plain 1e-4 too
-        try:
-            return float(value)
-        except ValueError:
-            return value
-    return value
-
-
 def apply_overrides(config: dict, overrides) -> dict:
-    """Apply `dotted.path=value` strings; values parse as YAML scalars."""
+    """Apply `dotted.path=value` strings; a value reads as YAML, as in a config file."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         dotted, raw = item.split("=", 1)
-        value = _parse_override_value(raw)
         node = config
         parts = dotted.split(".")
         for part in parts[:-1]:
@@ -301,7 +397,10 @@ def apply_overrides(config: dict, overrides) -> dict:
             node = node[part]
             if not isinstance(node, dict):
                 raise ConfigError(f"override {dotted!r} descends into a non-mapping")
-        node[parts[-1]] = value
+        try:
+            node[parts[-1]] = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse override {item!r}: {exc}") from exc
     return config
 
 

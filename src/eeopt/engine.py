@@ -56,8 +56,7 @@ import numpy as np
 
 from .errors import InfeasibleInitialPointError, check_integer, check_number
 from .network import MetricsReport, NetworkInstance, is_feasible
-from .scalarization import Scalarization, log_objective
-from .solver import ConvexSubproblem, SubproblemStatus, build, solve
+from .solver import ConvexSubproblem, Scalarization, SubproblemStatus, build, log_objective, solve
 
 __all__ = [
     "SolverConfig",

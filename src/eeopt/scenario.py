@@ -10,6 +10,8 @@ configurable power-law path loss (free space at the carrier frequency
 by default, optional log-normal shadowing), identical across blocks;
 there is no fast fading. So every iterate from the uniform start is
 block-symmetric, and the studies report the best block-symmetric point.
+The config keeps its noise figure and power levels in dB and dBm;
+`db_to_linear` and `dbm_to_watts` turn them into the instance's SI values.
 
 The three studies share one grid sweep. A study is a list of cells,
 each a scalarization plus its row's grid parameters, which may set the
@@ -37,10 +39,11 @@ import numpy as np
 from .engine import RunStatus, SolverConfig, SolveResult, default_initial_point, run
 from .errors import DomainError, check_integer, check_number
 from .network import NetworkInstance
-from .scalarization import Scalarization, ScalarizationKind, product_ee, weighted_product
-from .units import db_to_linear, dbm_to_watts
+from .solver import Scalarization, ScalarizationKind, product_ee, weighted_product
 
 __all__ = [
+    "db_to_linear",
+    "dbm_to_watts",
     "ScenarioConfig",
     "SweepRow",
     "generate",
@@ -50,6 +53,14 @@ __all__ = [
     "convergence_study",
     "resolve_workers",
 ]
+
+
+def db_to_linear(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
+def dbm_to_watts(dbm: float) -> float:
+    return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,17 @@ from unittest import mock
 import numpy as np
 
 from eeopt.network import NetworkInstance, evaluate
-from eeopt.scalarization import (
+from eeopt.scenario import ScenarioConfig, generate
+from eeopt.solver import (
+    LN2,
+    ConvexSubproblem,
     ScalarizationKind,
+    build,
     log_objective,
     product_ee,
     weighted_minimum,
     weighted_product,
 )
-from eeopt.scenario import ScenarioConfig, generate
-from eeopt.solver import LN2, ConvexSubproblem, build
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -16,7 +16,6 @@ import yaml
 from eeopt.cli import EXIT_OK, main as cli_main
 from eeopt.engine import SolverConfig, run
 from eeopt.network import evaluate, is_feasible
-from eeopt.scalarization import ScalarizationKind, weighted_minimum, weighted_product
 from eeopt.scenario import (
     ScenarioConfig,
     generate,
@@ -24,6 +23,7 @@ from eeopt.scenario import (
     trend_study,
     trial_seed,
 )
+from eeopt.solver import ScalarizationKind, weighted_minimum, weighted_product
 
 from helpers import (
     central_diff,

@@ -426,7 +426,7 @@ class TestOverrides:
     def test_override_changes_nested_key(self):
         cfg = {"solver": {"tolerance": 1e-3}}
         apply_overrides(cfg, ["solver.tolerance=1e-4", "seed=9"])
-        assert cfg["solver"]["tolerance"] == 1e-4
+        assert cfg["solver"]["tolerance"] == "1e-4"     # YAML 1.1 reads no float without a dot
         assert cfg["seed"] == 9
 
     def test_override_requires_equals(self):
@@ -464,6 +464,27 @@ class TestOverrides:
                      "--set", "solver.tolerance=1e-4"]) == EXIT_OK
         record = yaml.safe_load((out / "record.yaml").read_text())
         assert record["config"]["solver"]["tolerance"] == 1e-4
+
+    @pytest.mark.parametrize("key, value, code", [
+        ("output.directory", "1e5", EXIT_OK),     # a directory named 1e5, not the float 1e5
+        ("seed", "1e2", EXIT_CONFIG),             # the string "1e2", which is no integer
+        ("solver.tolerance", "[1", EXIT_CONFIG),  # no YAML
+    ])
+    def test_override_reads_as_the_file_does(self, tmp_path, monkeypatch, key, value, code):
+        # a value given by --set and in the file: the same exit code and record
+        monkeypatch.chdir(tmp_path)
+        cfg = tiny_scenario("solve")
+        del cfg["seed"]
+        section, _, name = key.rpartition(".")
+        line = f"{section}: {{{name}: {value}}}" if section else f"{name}: {value}"
+        write_yaml("set.yaml", cfg)
+        Path("file.yaml").write_text(f"{yaml.safe_dump(cfg)}{line}\n")
+        outcomes, record = [], Path(value, "record.yaml")
+        for args in (["set.yaml", "--set", f"{key}={value}"], ["file.yaml"]):
+            outcomes.append((main(args), record.exists() and record.read_bytes()))
+            record.unlink(missing_ok=True)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code and bool(outcomes[0][1]) == (code == EXIT_OK)
 
     def test_cli_override_applies(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("pareto"))

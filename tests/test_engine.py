@@ -12,9 +12,15 @@ from eeopt.engine import (
 )
 from eeopt.errors import DomainError, InfeasibleInitialPointError
 from eeopt.network import NetworkInstance, evaluate, is_feasible
-from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import ScenarioConfig, generate
-from eeopt.solver import ConvexSubproblem, SubproblemStatus, solve
+from eeopt.solver import (
+    ConvexSubproblem,
+    SubproblemStatus,
+    product_ee,
+    solve,
+    weighted_minimum,
+    weighted_product,
+)
 
 from helpers import (
     SHAPES,

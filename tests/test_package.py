@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -40,3 +41,15 @@ def test_import_loads_no_cli_only_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout.split()
     assert out == []
+
+
+def test_modules_form_one_import_chain():
+    # each module imports only the modules before it, so the package reads in one order
+    chain = ["errors", "network", "solver", "engine", "scenario", "cli"]
+    src = Path(eeopt.__file__).parent
+    assert sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__") == sorted(chain)
+    for position, name in enumerate(chain):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        assert imported <= set(chain[:position]), f"{name} imports {imported}"

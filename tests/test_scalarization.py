@@ -3,7 +3,7 @@ import pytest
 
 from eeopt.errors import DomainError
 from eeopt.network import MetricsReport, evaluate
-from eeopt.scalarization import (
+from eeopt.solver import (
     Scalarization,
     ScalarizationKind,
     log_objective,

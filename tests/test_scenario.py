@@ -7,7 +7,6 @@ import pytest
 
 from eeopt.engine import RunStatus, SolverConfig, default_initial_point, run
 from eeopt.errors import DomainError
-from eeopt.scalarization import product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import (
     ScenarioConfig,
     SweepRow,
@@ -18,6 +17,7 @@ from eeopt.scenario import (
     trend_study,
     trial_seed,
 )
+from eeopt.solver import product_ee, weighted_minimum, weighted_product
 
 from helpers import SHAPES, expand
 

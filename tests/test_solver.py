@@ -8,15 +8,18 @@ from eeopt import solver
 from eeopt.engine import RunStatus, SolverConfig, default_initial_point, run
 from eeopt.errors import DomainError, ShapeError
 from eeopt.network import NetworkInstance, evaluate
-from eeopt.scalarization import ScalarizationKind, product_ee, weighted_minimum, weighted_product
 from eeopt.scenario import ScenarioConfig, generate
 from eeopt.solver import (
     LN2,
     ConvexSubproblem,
+    ScalarizationKind,
     SubproblemStatus,
     build,
+    product_ee,
     rate_evaluation,
     solve,
+    weighted_minimum,
+    weighted_product,
 )
 
 from helpers import (

@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 
 from eeopt.errors import DomainError, ShapeError
 from eeopt.network import evaluate
-from eeopt.scalarization import weighted_product
-from eeopt.solver import ConvexSubproblem, bound_coefficients, build, rate_evaluation
+from eeopt.solver import (
+    ConvexSubproblem,
+    bound_coefficients,
+    build,
+    rate_evaluation,
+    weighted_product,
+)
 
 from helpers import (
     central_diff,

@@ -6,19 +6,13 @@ so a function that keeps its name but changes how it is called would make
 every traced run raise, and one that is renamed or removed would leave its
 layer silent."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
 import eeopt
 
-from helpers import SHAPES
+from helpers import SHAPES, load_perfbench
 
-_SPEC = importlib.util.spec_from_file_location(
-    "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
-tracer = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tracer)
+(tracer,) = load_perfbench("tracer")
 
 
 def small_runs():

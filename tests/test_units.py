@@ -1,9 +1,6 @@
 import pytest
 
-from eeopt.errors import DomainError
-from eeopt.units import (
-    db_to_linear,
-    dbm_to_watts,
+from eeopt.cli import (
     parse_db,
     parse_dbm,
     parse_dbm_per_hz,
@@ -14,6 +11,8 @@ from eeopt.units import (
     parse_scalar,
     watts_to_dbm,
 )
+from eeopt.errors import DomainError
+from eeopt.scenario import db_to_linear, dbm_to_watts
 
 
 class TestConversions:
