@@ -2,12 +2,11 @@
 
 Commands (the `command` key of the config):
 
-* solve        one optimization run; emits the trajectory table
+* solve        one optimization run
 * pareto       weight sweep; one row per weight
 * trend        distance x weight sweep; one row per pair
 * convergence  (weight, start scale, tolerance) sweep; one row per
-               triple, with the iteration bound 1 + (lambda - 1)/epsilon,
-               and the first trial's trajectory per triple
+               triple, with the iteration bound 1 + (lambda - 1)/epsilon
 
 The three sweeps share one body: it calls the command's study from
 `_SWEEPS` with the config section of the same name, whose keys are the
@@ -18,8 +17,8 @@ argument, the master seed of its trials.
 
 Every invocation writes `record.yaml`: the config, each section written
 back by `_plain` through the table that read it (SI units, defaults
-materialized, no study section but the command's), plus result
-summaries. Feeding the record back to the CLI replays the run and
+materialized, only the keys `_READERS` says the command reads), plus
+result summaries. Feeding the record back to the CLI replays the run and
 reproduces the tables and the record byte-for-byte. Flat CSV tables sit
 next to it for plotting.
 
@@ -36,10 +35,12 @@ fields, and dB, dBm or dBm/Hz for the fields `ScenarioConfig` keeps in
 those units. A bare number, or a string holding only a number, is already
 in that unit.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 solver failure:
-a run that did not end `converged`, or a `convergence` count above its
-bound. `run_command` decides it from the SweepRows that every command
-returns (`solve`: one row of its run), and still writes every output.
+Every command returns SweepRows (`solve`: one row of its run). Off them
+`run_command` writes `trajectory.csv`, every iterate of every run, sums
+the record's run counts, and decides the exit code: 0 ok, 2 config error,
+3 infeasible problem, 4 solver failure (a run that did not end
+`converged`, or a `convergence` count above its bound; every output is
+still written).
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
 VERBOSE_ENV = "EEOPT_VERBOSE"
+_COMMANDS = ("solve", "pareto", "trend", "convergence")
 
 log = logging.getLogger("eeopt")
 
@@ -108,8 +110,7 @@ def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_float_cell(v) for v in row])
+        writer.writerows([_float_cell(v) for v in row] for row in rows)
 
 
 _REQUIRED = object()   # the table default of a key that a section must give
@@ -307,8 +308,8 @@ def _weight_grid(spec) -> list[float]:
 
 
 def _command(value) -> str:
-    if not (isinstance(value, str) and (value == "solve" or value in _SWEEPS)):
-        raise ValueError(f"must be one of solve|pareto|trend|convergence, got {value!r}")
+    if value not in _COMMANDS:
+        raise ValueError(f"must be one of {'|'.join(_COMMANDS)}, got {value!r}")
     return value
 
 
@@ -365,6 +366,9 @@ _TOP = {
     }), {}),
     "output": (_section("output", {"directory": (Path, "results")}), {}),
 }
+# the commands that read each top-level key (pareto reads only the scalarization's kind)
+_READERS = {key: _COMMANDS for key in _TOP} | {study: (study,) for study in _COMMANDS[1:]} | {
+    "workers": _COMMANDS[1:], "instance": ("solve",), "scalarization": ("solve", "pareto")}
 
 
 def load_config(path) -> dict:
@@ -430,36 +434,18 @@ def _plain(value, parser):
 
 
 def _record(cfg: dict) -> dict:
-    """The resolved config: every section but the other commands' studies, nulls left out."""
+    """The resolved config: every key its command reads, nulls left out."""
     return {key: _plain(cfg[key], parser) for key, (parser, _) in _TOP.items()
-            if cfg[key] is not None and (key == cfg["command"] or key not in _SWEEPS)}
+            if cfg[key] is not None and cfg["command"] in _READERS[key]}
 
 
 def _solve(cfg: dict):
     inst = generate(cfg["scenario"], cfg["seed"]) if cfg["instance"] is None else cfg["instance"]
     result = run(inst, cfg["scalarization"], cfg["solver"])
     m = result.metrics
-    rows = [
-        (0, float(result.trajectory[0]), *result.start_log2_ee, "", "", "")
-    ] + [
-        (l, float(result.trajectory[l]), s.u, s.v, s.kkt_residual, s.newton_iterations,
-         s.subproblem_status.value)
-        for l, s in enumerate(result.iteration_stats, 1)
-    ]
-    tables = {
-        "trajectory.csv": (
-            ["iteration", "objective_log2", "u_log2_tee", "v_log2_mee",
-             "kkt_residual", "newton_iterations", "subproblem_status"],
-            rows,
-        )
-    }
     summary = {
         "status": result.status.value,
         "iterations": result.iterations,
-        "newton_steps": sum(s.newton_iterations for s in result.iteration_stats),
-        "uncertified_subproblems": result.uncertified_subproblems,
-        "ascent_subproblems": sum(s.subproblem_status is SubproblemStatus.ASCENT
-                                  for s in result.iteration_stats),
         "tee": m.ee_total,
         "mee": m.ee_min,
         "jain_index": m.jain_index,
@@ -469,13 +455,7 @@ def _solve(cfg: dict):
         "allocation": result.allocation.tolist(),
         "trajectory": [float(f) for f in result.trajectory],
     }
-    return tables, summary, [SweepRow({}, (result,))]
-
-
-def _file_number(x: float) -> str:
-    """x in a file name: its `:g` form where that reads back as x, else its repr."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(float(x))
+    return {}, summary, [SweepRow({}, (result,))]
 
 
 def _sweep(cfg: dict):
@@ -483,7 +463,7 @@ def _sweep(cfg: dict):
 
     The table has one line per row and a column per grid parameter or
     SweepRow attribute; `iters_mean` is `iterations_mean` and `seed` the master
-    seed. `convergence` adds each row's first trajectory.
+    seed.
     """
     command = cfg["command"]
     study, table, columns = _SWEEPS[command]
@@ -500,14 +480,23 @@ def _sweep(cfg: dict):
         return getattr(row, "iterations_mean" if column == "iters_mean" else column)
 
     tables = {table: (columns, [[cell(row, c) for c in columns] for row in rows])}
-    if command == "convergence":
-        for row in rows:
-            w, zeta, eps = (_file_number(row.params[key]) for key in ("w", "zeta", "epsilon"))
-            tables[f"convergence_w{w}_zeta{zeta}_eps{eps}.csv"] = (
-                ["iteration", "objective_log2"],
-                [(l, float(f)) for l, f in enumerate(row.runs[0].trajectory)],
-            )
     return tables, {"rows": len(rows), "trials": section["trials"]}, rows
+
+
+def _trajectory(rows: list[SweepRow]):
+    """Every iterate of every run (row 0: its start), keyed by its grid values and trial."""
+    grid = list(rows[0].params)     # the summary's leading columns; a product-EE row: w = nan
+    lines = []
+    for row in rows:
+        key = [row.params[name] for name in grid]
+        for trial, r in enumerate(row.runs):
+            lines.append([*key, trial, 0, float(r.trajectory[0]), *r.start_log2_ee, "", "", ""])
+            lines.extend(
+                [*key, trial, l, float(r.trajectory[l]), s.u, s.v, s.kkt_residual,
+                 s.newton_iterations, s.subproblem_status.value]
+                for l, s in enumerate(r.iteration_stats, 1))
+    return [*grid, "trial", "iteration", "objective_log2", "u_log2_tee", "v_log2_mee",
+            "kkt_residual", "newton_iterations", "subproblem_status"], lines
 
 
 _SWEEPS = {
@@ -541,7 +530,13 @@ def run_command(config: dict, output_dir=None) -> int:
     except (ConfigError, DomainError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    summary["failed"] = sum(row.failed for row in rows)
+    tables["trajectory.csv"] = _trajectory(rows)
+    stats = [s for row in rows for r in row.runs for s in r.iteration_stats]
+    summary.update(
+        failed=sum(row.failed for row in rows),
+        newton_steps=sum(s.newton_iterations for s in stats),
+        ascent_subproblems=sum(s.subproblem_status is SubproblemStatus.ASCENT for s in stats),
+        uncertified_subproblems=sum(not s.certified for s in stats))
     # a bound_slack_min below -1e-9 is a count above its bound; None: no trial has a bound
     failed = summary["failed"] > 0 or any(
         row.bound_slack_min is not None and row.bound_slack_min < -1e-9 for row in rows)

@@ -296,12 +296,14 @@ def _run_grid(config: ScenarioConfig, cells: list[_Cell], trials: int, seed: int
 
 
 def _grid(name: str, values, low, high=math.inf, strict=False) -> list[float]:
-    """A study's grid entries as floats, each passing `check_number`; an empty grid is refused."""
+    """Grid entries as floats, each passing `check_number`; an empty or repeating grid is refused."""
     values = list(values)
     if not values:
         raise DomainError(f"{name} must not be empty")
     for v in values:
         check_number(name, v, low, high, strict)
+    if len(set(map(float, values))) < len(values):
+        raise DomainError(f"{name} must not repeat a value, got {values}")
     return [float(v) for v in values]
 
 
@@ -315,6 +317,8 @@ def pareto_sweep(config: ScenarioConfig, weights, kind="weighted_product", trial
     """
     weights = _grid("weights", weights, 0, 1)
     kind = ScalarizationKind(kind)
+    if kind is ScalarizationKind.PRODUCT_EE:
+        raise DomainError("kind product_ee ignores the weight; include_product_ee adds its row")
     cells = [_Cell(Scalarization(kind, w), {"w": w}) for w in weights]
     if include_product_ee:
         cells.append(_Cell(product_ee(), {"w": float("nan"), "baseline": "product_ee"}))

@@ -365,6 +365,15 @@ class TestConfigErrors:
          "weights must not be empty"),
         ("trend", {"trend": {"distances": [], "trials": 1}}, "distances must not be empty"),
         ("convergence", {"convergence": {"epsilons": []}}, "epsilons must not be empty"),
+        ("pareto", {"pareto": {"weights": [0.5, 0.2, 0.5], "trials": 1}},
+         "weights must not repeat a value"),
+        ("trend", {"trend": {"distances": ["10 m", 10], "trials": 1}},
+         "distances must not repeat a value"),
+        ("convergence", {"convergence": {"zetas": [0.5, 0.5]}}, "zetas must not repeat a value"),
+        ("convergence", {"convergence": {"epsilons": [1e-2, 0.01]}},
+         "epsilons must not repeat a value"),
+        ("pareto", {"scalarization": {"kind": "product_ee"},
+                    "pareto": {"weights": 3, "trials": 1}}, "kind product_ee ignores the weight"),
     ], ids=["seed", "workers", "pareto-trials", "trend-trials-0", "convergence-trials-0",
             "pareto-weights-float", "trend-distances-int", "weight-abc",
             "output-int", "solver-int", "scenario-int", "scalarization-int", "barrier-int",
@@ -383,7 +392,9 @@ class TestConfigErrors:
             "seed-negative", "instance-seed-negative", "instance-gain-bool", "tolerance-inf",
             "kkt-tolerance-inf", "epsilon-inf", "scenario-seed", "instance-gain-missing",
             "pareto-instance", "pareto-weights-empty", "pareto-weights-empty-baseline",
-            "trend-distances-empty", "convergence-epsilons-empty"])
+            "trend-distances-empty", "convergence-epsilons-empty", "pareto-weights-repeated",
+            "trend-distances-repeated", "convergence-zetas-repeated",
+            "convergence-epsilons-repeated", "pareto-kind-product-ee"])
     def test_bad_values_exit_2(self, tmp_path, capsys, command, change, names):
         cfg = tiny_scenario(command)
         cfg.update(change)
@@ -544,21 +555,26 @@ class TestTrendCommand:
 
 
 class TestConvergenceCommand:
-    @pytest.mark.parametrize("grid, names", [
+    @pytest.mark.parametrize("grid, keys", [
         ({"weights": [0.0, 1.0], "zetas": [0.5, 1.0], "epsilons": [1e-2]},
-         ["w0_zeta0.5_eps0.01", "w0_zeta1_eps0.01", "w1_zeta0.5_eps0.01", "w1_zeta1_eps0.01"]),
-        # equal in their 6 significant digits: each name keeps the value's repr
+         [("0.0", "0.5", "0.01"), ("0.0", "1.0", "0.01"), ("1.0", "0.5", "0.01"),
+          ("1.0", "1.0", "0.01")]),
+        # equal in their 6 significant digits: each key keeps the value's repr
         ({"weights": [0.5], "zetas": [0.1234561, 0.1234564], "epsilons": [1e-2]},
-         ["w0.5_zeta0.1234561_eps0.01", "w0.5_zeta0.1234564_eps0.01"]),
+         [("0.5", "0.1234561", "0.01"), ("0.5", "0.1234564", "0.01")]),
     ], ids=["short", "seventh-digit"])
-    def test_one_trajectory_file_per_combination(self, tmp_path, grid, names):
+    def test_trajectory_keys_every_combination(self, tmp_path, grid, keys):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence", convergence=grid))
         out = tmp_path / "out"
         assert main([cfg_path, "-o", str(out)]) == EXIT_OK
-        files = sorted(p.name for p in out.glob("convergence_w*.csv"))
-        assert files == [f"convergence_{name}.csv" for name in names]
+        assert not list(out.glob("convergence_w*.csv"))
+        with open(out / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[:4] == ["w", "zeta", "epsilon", "trial"]
+        assert list(dict.fromkeys((r["w"], r["zeta"], r["epsilon"]) for r in rows)) == keys
+        assert {r["trial"] for r in rows} == {"0"}
         summary = (out / "convergence_summary.csv").read_text().strip().splitlines()
-        assert len(summary) == 1 + len(names)
+        assert len(summary) == 1 + len(keys)
 
     def test_default_grid_reports_the_iteration_bound(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", tiny_scenario("convergence"))
@@ -577,7 +593,8 @@ class TestConvergenceCommand:
 
         def row(zeta, iterations, bound):
             run = SimpleNamespace(iterations=iterations, trajectory=np.array([1.0, 1.01]),
-                                  status=RunStatus.CONVERGED)
+                                  status=RunStatus.CONVERGED, start_log2_ee=(0.0, 0.0),
+                                  iteration_stats=[])
             params = {"w": 0.5, "zeta": zeta, "epsilon": 1e-2}
             return SweepRow(params, (run,), bounds=(bound,))
 
@@ -612,9 +629,78 @@ class TestConvergenceCommand:
         record = yaml.safe_load((out / "record.yaml").read_text())
         assert record["status"] == "failed" and record["results"]["failed"] == 1
         assert sorted(p.name for p in out.glob("*.csv")) == sorted(record["outputs"])
-        assert len(record["outputs"]) == 4      # the summary and three trajectories
+        assert record["outputs"] == ["convergence_summary.csv", "trajectory.csv"]
         with open(out / "convergence_summary.csv", newline="") as fh:
             assert [row["failed"] for row in csv.DictReader(fh)] == ["1", "0", "0"]
+
+
+class TestTrajectoryTable:
+    """Every command's trajectory.csv holds the iterates of direct `eeopt.run` calls.
+
+    Trial t of a cell runs on generate(scenario with the cell's link
+    distance, trial_seed(seed, t)) (`solve`: on generate(scenario, seed)),
+    under the config's solver with the cell's tolerance, from zeta times the
+    uniform split.
+    """
+
+    SOLVER = {"tolerance": 1e-2}
+    HEADER = ["trial", "iteration", "objective_log2", "u_log2_tee", "v_log2_mee",
+              "kkt_residual", "newton_iterations", "subproblem_status"]
+
+    @staticmethod
+    def direct_run(command, trial, w=0.5, d_d2d=10.0, zeta=None, epsilon=1e-2, baseline=None):
+        from eeopt import (ScenarioConfig, SolverConfig, default_initial_point, generate,
+                           product_ee, run, weighted_product)
+        from eeopt.scenario import trial_seed
+
+        scenario = ScenarioConfig(n_d2d_pairs=2, n_blocks=2, d2d_distance=d_d2d)
+        inst = generate(scenario, 3 if command == "solve" else trial_seed(3, trial))
+        solver = SolverConfig(tolerance=epsilon)
+        if zeta is not None:
+            solver = replace(solver, initial_allocation=zeta * default_initial_point(inst))
+        return run(inst, product_ee() if baseline else weighted_product(w), solver)
+
+    @staticmethod
+    def lines(key, trial, r):
+        """A run's lines as the CSV module writes them, floats by repr."""
+        cells = [[0, float(r.trajectory[0]), *r.start_log2_ee, None, None, None]] + [
+            [l, float(r.trajectory[l]), s.u, s.v, s.kkt_residual, s.newton_iterations,
+             s.subproblem_status.value] for l, s in enumerate(r.iteration_stats, 1)]
+        return [[repr(c) if isinstance(c, float) else "" if c is None else str(c)
+                 for c in [*key, trial, *line]] for line in cells]
+
+    @pytest.mark.parametrize("command, section, grid, cells", [
+        ("solve", None, [], [{}]),
+        ("pareto", {"weights": [0.2, 0.9], "trials": 2, "include_product_ee": True}, ["w"],
+         [{"w": 0.2}, {"w": 0.9}, {"w": math.nan, "baseline": "product_ee"}]),
+        ("trend", {"distances": [10, 30], "weights": [0.0, 0.6], "trials": 2}, ["d_d2d", "w"],
+         [{"d_d2d": d, "w": w} for d in (10.0, 30.0) for w in (0.0, 0.6)]),
+        ("convergence", {"weights": [0.5], "zetas": [0.5, 1.0], "epsilons": [1e-1, 1e-2],
+                         "trials": 2}, ["w", "zeta", "epsilon"],
+         [{"w": 0.5, "zeta": z, "epsilon": e} for z in (0.5, 1.0) for e in (1e-1, 1e-2)]),
+    ], ids=["solve", "pareto", "trend", "convergence"])
+    def test_rows_are_the_direct_runs(self, tmp_path, command, section, grid, cells):
+        cfg = tiny_scenario(command, solver=self.SOLVER,
+                            **({} if section is None else {command: section}))
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_OK
+        with open(out / "trajectory.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == grid + self.HEADER
+        runs = [(cell, t, self.direct_run(command, t, **cell))
+                for cell in cells for t in range(section["trials"] if section else 1)]
+        assert rows == [line for cell, t, r in runs
+                        for line in self.lines([cell[name] for name in grid], t, r)]
+        # the record's counts are the table's and the runs'
+        record = yaml.safe_load((out / "record.yaml").read_text())
+        assert "trajectory.csv" in record["outputs"]
+        results = record["results"]
+        statuses = [row[-1] for row in rows]
+        assert results["newton_steps"] == sum(int(row[-2]) for row in rows if row[-2])
+        assert results["ascent_subproblems"] == statuses.count("ascent")
+        assert results["uncertified_subproblems"] == sum(r.uncertified_subproblems
+                                                         for _, _, r in runs)
+        assert results["failed"] == 0
 
 
 class TestProcess:
@@ -653,19 +739,23 @@ class TestReplay:
         assert replayed["command"] == original["command"]
         assert replayed["seed"] == original["seed"]
 
-    @pytest.mark.parametrize("command, section, cap, code", [
-        ("pareto", {"weights": [0.2, 0.9], "trials": 2, "include_product_ee": True}, 200,
-         EXIT_OK),
-        ("trend", {"distances": ["10 m", "30 m"], "weights": [0.0, 0.6], "trials": 2}, 200,
-         EXIT_OK),
-        ("convergence", {"weights": [0.5], "zetas": [0.5, 1.0], "epsilons": [1e-2], "trials": 2},
+    @pytest.mark.parametrize("command, sections, cap, code", [
+        ("pareto", {"pareto": {"weights": [0.2, 0.9], "trials": 2, "include_product_ee": True}},
          200, EXIT_OK),
-        ("convergence", {"weights": [0.5], "zetas": [0.5, 1.0], "epsilons": [1e-2], "trials": 2},
-         1, EXIT_SOLVER),
-    ], ids=["pareto", "trend", "convergence", "convergence-failing"])
-    def test_replay_reproduces_tables_bit_identically(self, tmp_path, command, section, cap,
+        ("trend", {"trend": {"distances": ["10 m", "30 m"], "weights": [0.0, 0.6], "trials": 2}},
+         200, EXIT_OK),
+        ("convergence", {"convergence": {"weights": [0.5], "zetas": [0.5, 1.0],
+                                         "epsilons": [1e-2], "trials": 2}}, 200, EXIT_OK),
+        ("convergence", {"convergence": {"weights": [0.5], "zetas": [0.5, 1.0],
+                                         "epsilons": [1e-2], "trials": 2}}, 1, EXIT_SOLVER),
+        ("solve", {}, 200, EXIT_OK),
+        ("solve", {"scenario": None, "instance": single_user_instance_config()["instance"],
+                   "scalarization": {"kind": "weighted_minimum", "weight": 0.3}}, 200, EXIT_OK),
+    ], ids=["pareto", "trend", "convergence", "convergence-failing", "solve-scenario",
+            "solve-instance"])
+    def test_replay_reproduces_tables_bit_identically(self, tmp_path, command, sections, cap,
                                                       code):
-        cfg = tiny_scenario(command, **{command: section},
+        cfg = tiny_scenario(command, **sections,
                             solver={"tolerance": 1e-2, "max_outer_iterations": cap})
         cfg_path = write_yaml(tmp_path / "cfg.yaml", cfg)
         first = tmp_path / "first"
@@ -747,3 +837,24 @@ class TestRecordContents:
         studies = {name: config[name] for name in ("pareto", "trend", "convergence")
                    if name in config}
         assert studies == ({} if recorded is None else {command: recorded})
+
+    @pytest.mark.parametrize("command, left_out", [
+        ("solve", {"workers", "pareto", "trend", "convergence"}),
+        ("pareto", {"trend", "convergence"}),
+        ("trend", {"scalarization", "pareto", "convergence"}),
+        ("convergence", {"scalarization", "pareto", "trend"}),
+    ])
+    def test_record_holds_only_the_keys_its_command_reads(self, tmp_path, command, left_out):
+        # every top-level key given; a trend run once recorded the weighted minimum
+        # it never ran, and a solve the workers it never started
+        import eeopt.cli as cli
+
+        assert set(cli._READERS) == set(cli._TOP)
+        cfg = tiny_scenario(command, workers=1, pareto={"weights": [0.5], "trials": 1},
+                            trend={"distances": [10], "weights": [0.5], "trials": 1},
+                            convergence={"weights": [0.5], "epsilons": [1e-2], "trials": 1},
+                            scalarization={"kind": "weighted_minimum", "weight": 0.3})
+        out = tmp_path / "out"
+        assert main([write_yaml(tmp_path / "cfg.yaml", cfg), "-o", str(out)]) == EXIT_OK
+        recorded = yaml.safe_load((out / "record.yaml").read_text())["config"]
+        assert set(recorded) == set(cfg) - left_out | {"output"}

@@ -17,7 +17,7 @@ from eeopt.scenario import (
     trend_study,
     trial_seed,
 )
-from eeopt.solver import product_ee, weighted_minimum, weighted_product
+from eeopt.solver import ScalarizationKind, product_ee, weighted_minimum, weighted_product
 
 from helpers import SHAPES, expand
 
@@ -254,6 +254,27 @@ class TestParetoSweep:
         monkeypatch.setattr("eeopt.scenario._run_grid", lambda *args: pytest.fail("ran"))
         with pytest.raises(DomainError, match=f"^{grid} must not be empty"):
             study()
+
+    @pytest.mark.parametrize("study, grid", [
+        (lambda: pareto_sweep(ScenarioConfig(), [0.5, 0.2, 0.5]), "weights"),
+        (lambda: trend_study(ScenarioConfig(), [10.0, 10], [0.5]), "distances"),
+        (lambda: trend_study(ScenarioConfig(), [10.0], [0.0, -0.0]), "weights"),
+        (lambda: convergence_study(ScenarioConfig(), [0.5], [0.5, 0.5], [1e-3]), "zetas"),
+        (lambda: convergence_study(ScenarioConfig(), [0.5], [1.0], [1e-3, 0.001]), "epsilons"),
+    ], ids=["pareto-weights", "trend-distances", "trend-weights", "convergence-zetas",
+            "convergence-epsilons"])
+    def test_repeated_grid_value_rejected(self, monkeypatch, study, grid):
+        # refused before any run, not run twice as one cell
+        monkeypatch.setattr("eeopt.scenario._run_grid", lambda *args: pytest.fail("ran"))
+        with pytest.raises(DomainError, match=f"^{grid} must not repeat a value"):
+            study()
+
+    @pytest.mark.parametrize("kind", ["product_ee", ScalarizationKind.PRODUCT_EE])
+    def test_product_ee_kind_rejected(self, monkeypatch, kind):
+        # it ignores the weight, so every row would be the same problem
+        monkeypatch.setattr("eeopt.scenario._run_grid", lambda *args: pytest.fail("ran"))
+        with pytest.raises(DomainError, match="kind product_ee .* include_product_ee"):
+            pareto_sweep(ScenarioConfig(), [0.0, 0.5, 1.0], kind=kind)
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, 0])
     def test_trials_must_be_a_positive_integer(self, bad):
